@@ -161,6 +161,23 @@ net_parity() {
 
 stage "net-parity" net_parity
 
+# Bench harness: perf/ is a package of its own with path-deps on
+# crates/*, so a refactor can break it without the workspace build or
+# tests noticing. The smoke run builds it and checks every workload's
+# outputs and every BENCHMARK.json metric name (no timing verdicts).
+# Exit 3 is its "loopback TCP unavailable" code, as for net-parity.
+bench_harness() {
+    local rc=0
+    bash perf/run.sh --smoke || rc=$?
+    if [ "$rc" -eq 3 ]; then
+        echo "    (bench harness skipped: loopback TCP unavailable)"
+        return 0
+    fi
+    return "$rc"
+}
+
+stage "bench-harness" bench_harness
+
 # Perf smoke: counters must equal the committed baseline exactly; wall
 # times may drift up to 35% after calibration-normalizing host speed.
 stage "perf-smoke" \

@@ -10,7 +10,7 @@ fn bench_table() {
     b.run("lookup_hit", {
         let mut t = ProcCache::new();
         for p in 0..512u64 {
-            t.insert((p % 32) as u8, p).set_line(0);
+            t.ensure((p % 32) as u8, p).set_line(0);
         }
         let mut i = 0u64;
         move || {
@@ -21,7 +21,7 @@ fn bench_table() {
     b.run("lookup_miss", {
         let mut t = ProcCache::new();
         for p in 0..512u64 {
-            t.insert((p % 32) as u8, p);
+            t.ensure((p % 32) as u8, p);
         }
         let mut i = 0u64;
         move || {

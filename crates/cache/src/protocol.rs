@@ -12,10 +12,12 @@
 //! | global    | record dirty line (7/23 instrs) | push invalidations to sharers  | –                              |
 //! | bilateral | record dirty line (7/23 instrs) | bump written pages' timestamps | mark all pages for revalidation |
 
+use crate::epoch::{invalidation_targets, DirtyPage, Release, WriteEpoch};
+use crate::home::HomeDir;
+use crate::requester::Probe;
 use crate::stats::CacheStats;
 use crate::table::ProcCache;
-use olden_gptr::{LineInPage, PageNum, ProcId, LINES_PER_PAGE};
-use std::collections::HashMap;
+use olden_gptr::{LineInPage, PageNum, ProcId};
 
 /// Which Appendix-A coherence scheme is in force.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -55,6 +57,13 @@ impl Protocol {
             _ => None,
         }
     }
+
+    /// Whether the compiler inserts write-tracking code under this scheme
+    /// (and homes therefore keep a directory). Local knowledge keeps no
+    /// global state at all.
+    pub fn tracks_writes(self) -> bool {
+        self != Protocol::LocalKnowledge
+    }
 }
 
 /// Outcome of a remote cacheable access.
@@ -79,52 +88,17 @@ pub enum Arrival<'a> {
     Return { written_homes: &'a [ProcId] },
 }
 
-/// Home-side metadata for one page. Public so the distributed backends
-/// (olden-exec workers, and through them olden-net) keep byte-identical
-/// directory state to the simulator's.
-#[derive(Clone, Debug, Default)]
-pub struct HomePage {
-    /// Processors that have requested lines of this page (page-granularity
-    /// sharer tracking, Appendix A).
-    pub sharers: Vec<ProcId>,
-    /// Bilateral: current timestamp; bumped at migration departure if the
-    /// page was written during the epoch.
-    pub ts: u64,
-    /// Bilateral: timestamp at which each line was last written (the value
-    /// the page's `ts` will take at the *next* departure).
-    pub line_ts: [u64; LINES_PER_PAGE],
-}
-
-impl HomePage {
-    /// Bilateral revalidation: the mask of lines written since the
-    /// requester last validated against this page.
-    pub fn stale_mask(&self, validated_ts: u64) -> u32 {
-        let mut mask = 0u32;
-        for l in 0..LINES_PER_PAGE {
-            if self.line_ts[l] > validated_ts {
-                mask |= 1 << l;
-            }
-        }
-        mask
-    }
-}
-
-/// Instruction costs of the compiler-inserted write-tracking code
-/// (Appendix A: "seven instructions for non-shared pages, and twenty-three
-/// instructions for shared pages"). Public so the distributed backends
-/// charge the same cycles at their home workers.
-pub const TRACK_NONSHARED: u64 = 7;
-pub const TRACK_SHARED: u64 = 23;
-
-/// All caches plus the home directories, under one protocol.
+/// Every processor's cache and home directory plus the one running
+/// thread's write epoch, under one protocol: the rules of [`ProcCache`],
+/// [`HomeDir`] and [`WriteEpoch`] composed in the order a distributed
+/// client sends the corresponding messages. This is what the simulator
+/// runs.
 #[derive(Clone, Debug)]
 pub struct CacheSystem {
     protocol: Protocol,
     caches: Vec<ProcCache>,
-    homes: Vec<HashMap<PageNum, HomePage>>,
-    /// Lines written by the current thread since its last migration
-    /// departure: (home, page) → line mask. Cleared at each departure.
-    dirty: HashMap<(ProcId, PageNum), u32>,
+    homes: Vec<HomeDir>,
+    epoch: WriteEpoch,
     stats: CacheStats,
 }
 
@@ -133,8 +107,8 @@ impl CacheSystem {
         CacheSystem {
             protocol,
             caches: (0..procs).map(|_| ProcCache::new()).collect(),
-            homes: (0..procs).map(|_| HashMap::new()).collect(),
-            dirty: HashMap::new(),
+            homes: (0..procs).map(|_| HomeDir::default()).collect(),
+            epoch: WriteEpoch::default(),
             stats: CacheStats::default(),
         }
     }
@@ -189,108 +163,13 @@ impl CacheSystem {
         write: bool,
     ) -> Access {
         debug_assert_ne!(requester, home, "local references bypass the cache");
-        if write {
-            self.stats.remote_writes += 1;
-        } else {
-            self.stats.remote_reads += 1;
-        }
-
-        let bilateral = self.protocol == Protocol::Bilateral;
-        let cache = &mut self.caches[requester as usize];
-        let mut reval_needed = false;
-        let mut validated_ts = 0;
-        let (mut present, mut valid) = (false, false);
-        if let Some(cp) = cache.lookup(home, page) {
-            present = true;
-            valid = cp.line_valid(line);
-            if bilateral && cp.marked {
-                reval_needed = true;
-                validated_ts = cp.validated_ts;
-            }
-        }
-
-        // Bilateral revalidation: consult the home's timestamp, drop lines
-        // written since we last validated, then re-examine our line.
-        if reval_needed {
-            let (ts, stale_mask) = {
-                let hp = self.homes[home as usize].entry(page).or_default();
-                (hp.ts, hp.stale_mask(validated_ts))
-            };
-            let cache = &mut self.caches[requester as usize];
-            if let Some(cp) = cache.lookup(home, page) {
-                cp.clear_lines(stale_mask);
-                cp.marked = false;
-                cp.validated_ts = ts;
-                valid = cp.line_valid(line);
-            }
-            // The round trip happened whether or not the line survived.
-            self.stats.misses += 1;
-            if valid {
-                self.stats.revalidations += 1;
-                return Access::Miss { revalidation: true };
-            }
-            // Stale: fall through to fetch the line (combined with the
-            // revalidation reply, so one round trip total is charged).
-            self.fetch_line(requester, home, page, line);
-            return Access::Miss {
-                revalidation: false,
-            };
-        }
-
-        if present && valid {
-            self.stats.hits += 1;
-            return Access::Hit;
-        }
-
-        // Page not allocated or line invalid: the library routine performs
-        // the allocation / transfer (§3.2).
-        self.stats.misses += 1;
-        self.fetch_line(requester, home, page, line);
-        Access::Miss {
-            revalidation: false,
-        }
+        let probe = self.caches[requester as usize].probe(&mut self.stats, home, page, line, write);
+        self.complete(probe, requester, home, page, line)
     }
 
-    /// Service a line fetch: allocate the page descriptor on demand, set
-    /// the valid bit, and register the requester as a sharer at home.
-    /// The install probe walks the translation chain exactly once
-    /// (`ProcCache::ensure`); a `match lookup { Some => lookup again }`
-    /// here used to double-count `lookups`/`probes` and skew the
-    /// mean-chain-length claim.
-    fn fetch_line(&mut self, requester: ProcId, home: ProcId, page: PageNum, line: LineInPage) {
-        let ts = if self.protocol != Protocol::LocalKnowledge {
-            // Sharer tracking at page level (Appendix A); the local scheme
-            // keeps no global state at all.
-            let hp = self.homes[home as usize].entry(page).or_default();
-            if !hp.sharers.contains(&requester) {
-                hp.sharers.push(requester);
-            }
-            hp.ts
-        } else {
-            0
-        };
-        let cp = self.caches[requester as usize].ensure(home, page);
-        cp.set_line(line);
-        if self.protocol == Protocol::Bilateral && cp.validated_ts < ts {
-            cp.validated_ts = ts;
-        }
-    }
-
-    /// [`CacheSystem::access`] with the optimizer's verdict attached.
-    ///
-    /// `elide` means a must-availability fact says this processor checked
-    /// the same object earlier on every path and nothing has invalidated
-    /// the line since. The fact is treated as a *verified hint*: the fast
-    /// path peeks at the descriptor without counting a table lookup and
-    /// only takes effect when the line really is resident and valid —
-    /// anything else (stale hint, epoch-marked page) falls back to the
-    /// byte-exact ordinary path. Hits/misses therefore never change; only
-    /// where the probe count lands (`checks_elided` vs
-    /// `checks_performed`) does.
-    ///
-    /// Under [`Protocol::Bilateral`] elision is refused outright: epoch
-    /// marks are set at every acquire behind the static analysis's back,
-    /// and a marked page *must* take the revalidation round trip.
+    /// [`CacheSystem::access`] with the optimizer's `Check::Elide` verdict
+    /// attached; see [`ProcCache::probe_checked`] for what the hint may and
+    /// may not change.
     pub fn access_checked(
         &mut self,
         requester: ProcId,
@@ -300,23 +179,49 @@ impl CacheSystem {
         write: bool,
         elide: bool,
     ) -> Access {
-        if elide && self.protocol != Protocol::Bilateral {
-            let resident = self.caches[requester as usize]
-                .peek(home, page)
-                .is_some_and(|cp| cp.line_valid(line) && !cp.marked);
-            if resident {
-                if write {
-                    self.stats.remote_writes += 1;
-                } else {
-                    self.stats.remote_reads += 1;
-                }
-                self.stats.hits += 1;
-                self.stats.checks_elided += 1;
-                return Access::Hit;
+        let probe = self.caches[requester as usize].probe_checked(
+            self.protocol,
+            &mut self.stats,
+            home,
+            page,
+            line,
+            write,
+            elide,
+        );
+        self.complete(probe, requester, home, page, line)
+    }
+
+    /// Carry a probe's verdict through the home: the line fetch of a miss,
+    /// or the revalidation round trip (which a stale line turns into a
+    /// fetch on the same trip).
+    fn complete(
+        &mut self,
+        probe: Probe,
+        requester: ProcId,
+        home: ProcId,
+        page: PageNum,
+        line: LineInPage,
+    ) -> Access {
+        let revalidation = match probe {
+            Probe::Hit | Probe::ElidedHit => return Access::Hit,
+            Probe::Miss => false,
+            Probe::RevalNeeded { validated_ts } => {
+                let (ts, stale_mask) = self.homes[home as usize].revalidate(page, validated_ts);
+                self.caches[requester as usize].settle_revalidation(
+                    &mut self.stats,
+                    home,
+                    page,
+                    line,
+                    ts,
+                    stale_mask,
+                )
             }
+        };
+        if !revalidation {
+            let ts = self.homes[home as usize].register_fetch(self.protocol, page, requester);
+            self.caches[requester as usize].install_line(home, page, line, ts);
         }
-        self.stats.checks_performed += 1;
-        self.access(requester, home, page, line, write)
+        Access::Miss { revalidation }
     }
 
     /// Record a heap write for the write-tracking protocols. Called for
@@ -331,77 +236,42 @@ impl CacheSystem {
         page: PageNum,
         line: LineInPage,
     ) -> u64 {
-        if self.protocol == Protocol::LocalKnowledge {
-            return 0;
-        }
-        *self.dirty.entry((home, page)).or_insert(0) |= 1u32 << line;
-        if self.protocol == Protocol::Bilateral {
-            let hp = self.homes[home as usize].entry(page).or_default();
-            hp.line_ts[line as usize] = hp.ts + 1;
-        }
-        let shared = self.homes[home as usize]
-            .get(&page)
-            .is_some_and(|hp| !hp.sharers.is_empty());
-        let cycles = if shared {
-            TRACK_SHARED
-        } else {
-            TRACK_NONSHARED
-        };
-        self.stats.write_track_cycles += cycles;
-        cycles
+        self.epoch.note_write(self.protocol, home, page, line);
+        self.homes[home as usize].track_write(self.protocol, &mut self.stats, page, line)
     }
 
     /// A migration is leaving `from` (a release). Returns the cycle cost
     /// of any invalidation traffic generated (global scheme).
     pub fn depart(&mut self, from: ProcId, msg_cost: u64) -> u64 {
-        match self.protocol {
-            Protocol::LocalKnowledge => 0,
-            Protocol::GlobalKnowledge => {
-                let dirty = std::mem::take(&mut self.dirty);
-                let mut cost = 0;
-                for ((home, page), mask) in dirty {
-                    let sharers = self.homes[home as usize]
-                        .get(&page)
-                        .map(|hp| hp.sharers.clone())
-                        .unwrap_or_default();
-                    for s in sharers {
-                        if s == from {
-                            continue; // the writer's own copy is current
-                        }
-                        self.stats.invalidations_sent += 1;
+        let mut cost = 0;
+        match self.epoch.drain(self.protocol) {
+            Release::Nothing => {}
+            Release::Invalidate(pages) => {
+                for DirtyPage { home, page, mask } in pages {
+                    let sharers = self.homes[home as usize].sharers(page);
+                    for s in invalidation_targets(sharers, from) {
+                        self.caches[s as usize].apply_invalidation(
+                            &mut self.stats,
+                            home,
+                            page,
+                            mask,
+                        );
                         cost += msg_cost;
-                        if !self.caches[s as usize].invalidate_lines(home, page, mask) {
-                            self.stats.invalidations_spurious += 1;
-                        }
                     }
                 }
-                cost
             }
-            Protocol::Bilateral => {
-                let dirty = std::mem::take(&mut self.dirty);
-                for ((home, page), _mask) in dirty {
-                    let hp = self.homes[home as usize].entry(page).or_default();
-                    hp.ts += 1;
+            Release::Bump(by_home) => {
+                for (home, pages) in by_home {
+                    self.homes[home as usize].bump_timestamps(&pages);
                 }
-                0
             }
         }
+        cost
     }
 
     /// A migration arrived at `to` (an acquire).
     pub fn arrive(&mut self, to: ProcId, arrival: Arrival<'_>) {
-        match self.protocol {
-            Protocol::LocalKnowledge => match arrival {
-                Arrival::Call => self.caches[to as usize].clear_all(),
-                Arrival::Return { written_homes } => {
-                    self.caches[to as usize].clear_homes(written_homes)
-                }
-            },
-            Protocol::GlobalKnowledge => {
-                // Invalidations were pushed eagerly at departure.
-            }
-            Protocol::Bilateral => self.caches[to as usize].mark_all(),
-        }
+        self.caches[to as usize].acquire(self.protocol, arrival);
     }
 
     /// Direct read-only view of one processor's cache (tests, reporting).

@@ -27,8 +27,10 @@ pub struct CacheStats {
     pub revalidations: u64,
     /// Global scheme: invalidation messages pushed to sharers.
     pub invalidations_sent: u64,
-    /// Global scheme: invalidations that actually found the page cached
-    /// (the remainder are the "spurious invalidation messages" of App. A).
+    /// Global scheme: pushed invalidations that found the page *not*
+    /// resident at the sharer when they arrived (the "spurious
+    /// invalidation messages" of App. A — sharer lists only grow, so a
+    /// processor that has since dropped the page still gets the push).
     pub invalidations_spurious: u64,
     /// Global/bilateral: cycles spent in the compiler-inserted
     /// write-tracking code (7 instructions non-shared, 23 shared).
@@ -72,6 +74,24 @@ impl CacheStats {
         }
     }
 
+    /// Add every counter of `other` into `self` (summing the per-worker
+    /// halves of a distributed run). The field list lives here and in
+    /// [`CacheStats::counters`] only; a test holds the two together.
+    pub fn absorb(&mut self, other: &CacheStats) {
+        self.cacheable_reads += other.cacheable_reads;
+        self.cacheable_writes += other.cacheable_writes;
+        self.remote_reads += other.remote_reads;
+        self.remote_writes += other.remote_writes;
+        self.hits += other.hits;
+        self.misses += other.misses;
+        self.revalidations += other.revalidations;
+        self.invalidations_sent += other.invalidations_sent;
+        self.invalidations_spurious += other.invalidations_spurious;
+        self.write_track_cycles += other.write_track_cycles;
+        self.checks_performed += other.checks_performed;
+        self.checks_elided += other.checks_elided;
+    }
+
     /// Every counter as a `(stable_name, value)` list — the shape a
     /// metrics registry or a bench-JSON emitter ingests. Names are part
     /// of the `BENCH_*.json` schema; do not rename.
@@ -113,9 +133,9 @@ mod tests {
         assert!((s.write_remote_pct() - 10.0).abs() < 1e-9);
     }
 
-    #[test]
-    fn counters_cover_every_field() {
-        let s = CacheStats {
+    /// Every field set to a distinct non-zero value.
+    fn distinct() -> CacheStats {
+        CacheStats {
             cacheable_reads: 1,
             cacheable_writes: 2,
             remote_reads: 3,
@@ -128,12 +148,30 @@ mod tests {
             write_track_cycles: 10,
             checks_performed: 11,
             checks_elided: 12,
-        };
-        let c = s.counters();
+        }
+    }
+
+    #[test]
+    fn counters_cover_every_field() {
+        let c = distinct().counters();
         // One entry per struct field, values in declaration order.
-        assert_eq!(c.len(), 12);
+        assert_eq!(
+            c.len() * std::mem::size_of::<u64>(),
+            std::mem::size_of::<CacheStats>()
+        );
         assert_eq!(c.iter().map(|(_, v)| *v).sum::<u64>(), (1..=12).sum());
         assert!(c.iter().any(|&(n, v)| n == "misses" && v == 6));
+    }
+
+    /// A counter listed in `counters()` but forgotten in `absorb` would be
+    /// a silent zero in every distributed report; here it fails to double.
+    #[test]
+    fn absorb_doubles_every_counter() {
+        let mut s = distinct();
+        s.absorb(&distinct());
+        for ((name, was), (_, now)) in distinct().counters().into_iter().zip(s.counters()) {
+            assert_eq!(now, 2 * was, "{name}");
+        }
     }
 
     #[test]

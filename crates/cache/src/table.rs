@@ -100,14 +100,6 @@ impl ProcCache {
         None
     }
 
-    /// Read-only probe without statistics (used by invalidation paths).
-    fn find_mut(&mut self, home: ProcId, page: PageNum) -> Option<&mut CachedPage> {
-        let b = bucket_of(home, page);
-        self.buckets[b]
-            .iter_mut()
-            .find(|cp| cp.home == home && cp.page == page)
-    }
-
     /// Uncounted shared probe: the optimizer's elision fast path verifies
     /// its static fact against the live descriptor without charging a
     /// lookup — skipping exactly this bookkeeping is the point of eliding.
@@ -119,8 +111,9 @@ impl ProcCache {
     }
 
     /// Find-or-insert with a *single* counted probe: the miss-service
-    /// library routine walks the chain once, installing the descriptor at
-    /// the end if the walk came up empty.
+    /// library routine walks the chain once, installing a descriptor with
+    /// no valid lines at the end if the walk came up empty (allocation is
+    /// at page granularity, §3.2).
     pub fn ensure(&mut self, home: ProcId, page: PageNum) -> &mut CachedPage {
         self.lookups += 1;
         let b = bucket_of(home, page);
@@ -160,22 +153,6 @@ impl ProcCache {
         self.probes
     }
 
-    /// Allocate a descriptor for a page on first use (page-granularity
-    /// allocation, §3.2). Returns the fresh descriptor with no valid lines.
-    pub fn insert(&mut self, home: ProcId, page: PageNum) -> &mut CachedPage {
-        let b = bucket_of(home, page);
-        self.pages_ever += 1;
-        self.resident += 1;
-        self.buckets[b].push(CachedPage {
-            home,
-            page,
-            valid: 0,
-            marked: false,
-            validated_ts: 0,
-        });
-        self.buckets[b].last_mut().unwrap()
-    }
-
     /// Local-knowledge acquire: drop everything.
     pub fn clear_all(&mut self) {
         for b in &mut self.buckets {
@@ -198,13 +175,12 @@ impl ProcCache {
     /// Returns true if the page was cached here (a useful, non-spurious
     /// invalidation).
     pub fn invalidate_lines(&mut self, home: ProcId, page: PageNum, mask: u32) -> bool {
-        match self.find_mut(home, page) {
-            Some(cp) => {
-                cp.clear_lines(mask);
-                true
-            }
-            None => false,
-        }
+        // An uncounted walk: the pushed invalidation is not a lookup of
+        // the running program.
+        let cached = self.buckets[bucket_of(home, page)]
+            .iter_mut()
+            .find(|cp| cp.home == home && cp.page == page);
+        cached.map(|cp| cp.clear_lines(mask)).is_some()
     }
 
     /// Bilateral acquire: mark every cached page so its next access
@@ -254,13 +230,13 @@ mod tests {
     }
 
     #[test]
-    fn miss_then_insert_then_hit() {
+    fn miss_then_ensure_then_hit() {
         let mut c = ProcCache::new();
         assert!(c.lookup(3, 7).is_none());
-        let cp = c.insert(3, 7);
+        let cp = c.ensure(3, 7);
         assert!(!cp.line_valid(0));
         cp.set_line(5);
-        let cp = c.lookup(3, 7).expect("resident after insert");
+        let cp = c.lookup(3, 7).expect("resident after ensure");
         assert!(cp.line_valid(5));
         assert!(!cp.line_valid(4));
         assert_eq!(c.resident(), 1);
@@ -270,8 +246,8 @@ mod tests {
     #[test]
     fn distinct_homes_same_page_number_do_not_collide_logically() {
         let mut c = ProcCache::new();
-        c.insert(1, 42).set_line(0);
-        c.insert(2, 42).set_line(1);
+        c.ensure(1, 42).set_line(0);
+        c.ensure(2, 42).set_line(1);
         assert!(c.lookup(1, 42).unwrap().line_valid(0));
         assert!(!c.lookup(1, 42).unwrap().line_valid(1));
         assert!(c.lookup(2, 42).unwrap().line_valid(1));
@@ -280,8 +256,8 @@ mod tests {
     #[test]
     fn clear_all_empties() {
         let mut c = ProcCache::new();
-        c.insert(0, 1);
-        c.insert(1, 2);
+        c.ensure(0, 1);
+        c.ensure(1, 2);
         c.clear_all();
         assert_eq!(c.resident(), 0);
         assert!(c.lookup(0, 1).is_none());
@@ -292,9 +268,9 @@ mod tests {
     #[test]
     fn clear_homes_is_selective() {
         let mut c = ProcCache::new();
-        c.insert(1, 10);
-        c.insert(2, 20);
-        c.insert(3, 30);
+        c.ensure(1, 10);
+        c.ensure(2, 20);
+        c.ensure(3, 30);
         c.clear_homes(&[1, 3]);
         assert!(c.lookup(1, 10).is_none());
         assert!(c.lookup(2, 20).is_some());
@@ -305,7 +281,7 @@ mod tests {
     #[test]
     fn invalidate_lines_clears_only_mask() {
         let mut c = ProcCache::new();
-        let cp = c.insert(4, 9);
+        let cp = c.ensure(4, 9);
         cp.set_line(0);
         cp.set_line(1);
         cp.set_line(2);
@@ -321,8 +297,8 @@ mod tests {
     #[test]
     fn mark_all_sets_epoch_bits() {
         let mut c = ProcCache::new();
-        c.insert(0, 1);
-        c.insert(5, 2);
+        c.ensure(0, 1);
+        c.ensure(5, 2);
         c.mark_all();
         assert!(c.lookup(0, 1).unwrap().marked);
         assert!(c.lookup(5, 2).unwrap().marked);
@@ -344,7 +320,7 @@ mod tests {
     #[test]
     fn peek_is_uncounted_and_readonly() {
         let mut c = ProcCache::new();
-        c.insert(1, 9).set_line(0);
+        c.ensure(1, 9).set_line(0);
         let (lk, pr) = (c.lookups(), c.probes());
         assert!(c.peek(1, 9).unwrap().line_valid(0));
         assert!(c.peek(1, 10).is_none());
@@ -465,7 +441,7 @@ mod tests {
     fn chain_length_near_one_for_scattered_pages() {
         let mut c = ProcCache::new();
         for p in 0..500u64 {
-            c.insert((p % 32) as ProcId, p);
+            c.ensure((p % 32) as ProcId, p);
         }
         for p in 0..500u64 {
             assert!(c.lookup((p % 32) as ProcId, p).is_some());

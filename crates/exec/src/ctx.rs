@@ -31,14 +31,13 @@ use crate::frame::{CompleteOnDrop, FrameHandle};
 use crate::msg::{ArrivalKind, Envelope, LookupReply, Reply, Request};
 use crate::transport::ClientConn;
 use crate::{ClientSlot, Mode, Shared, C_DONE, C_JOINING, C_RUNNING, C_WAITING_BODY};
-use olden_cache::Protocol;
-use olden_gptr::{GPtr, LineInPage, PageNum, ProcId, Word, LINE_WORDS};
+use olden_cache::{invalidation_targets, DirtyPage, Release, WriteEpoch};
+use olden_gptr::{GPtr, ProcId, Word, LINE_WORDS};
 use olden_obs::{EventKind, Recorder};
 use olden_runtime::{
     Backend, Check, FaultEvent, FaultTag, Mechanism, RaceViolation, RunStats, TransportStats,
     VClock,
 };
-use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -51,9 +50,9 @@ pub(crate) struct BodyOutcome<T> {
     stats: RunStats,
     cacheable_reads: u64,
     cacheable_writes: u64,
-    /// Write-tracking schemes: the body's accumulated dirty-line masks
-    /// (continues the spawner's epoch when the body completed inline).
-    dirty: HashMap<(ProcId, PageNum), u32>,
+    /// The body's write epoch (continues the spawner's when the body
+    /// completed inline).
+    epoch: WriteEpoch,
     /// Sanitizer: the body's final vector clock, joined into the
     /// toucher's clock (the simulator's `Join` edge).
     clock: VClock,
@@ -83,6 +82,17 @@ enum HandleInner<T: Send + 'static> {
 pub struct ExecHandle<T: Send + 'static>(HandleInner<T>);
 
 impl<T: Send + 'static> ExecHandle<T> {
+    /// A future whose body completed on the spawning logical thread (its
+    /// write set already merged there): the touch is not a join.
+    fn inline(value: T) -> Self {
+        ExecHandle(HandleInner::Ready {
+            value,
+            written: Vec::new(),
+            parallel: false,
+            clock: None,
+        })
+    }
+
     /// Whether this future turned into a real parallel task.
     pub fn is_parallel(&self) -> bool {
         match &self.0 {
@@ -119,12 +129,9 @@ pub struct ExecCtx {
     /// the workers).
     cacheable_reads: u64,
     cacheable_writes: u64,
-    /// Write-tracking schemes (global/bilateral): lines this logical
-    /// thread wrote since its last migration departure, (home, page) →
-    /// line mask — the thread-side half of `CacheSystem::note_write`,
-    /// flushed by [`ExecCtx::depart_release`]. Empty under local
-    /// knowledge.
-    dirty: HashMap<(ProcId, PageNum), u32>,
+    /// Lines this logical thread wrote since its last migration
+    /// departure, drained by [`ExecCtx::depart_release`].
+    epoch: WriteEpoch,
     /// Sanitizer: this logical thread's vector clock, mirroring the
     /// simulator's per-segment clocks — advanced (with a fresh shared
     /// tick) on every migration, steal resume, and touch join. Untouched
@@ -149,14 +156,19 @@ pub struct ExecCtx {
 
 impl ExecCtx {
     pub(crate) fn root(shared: Arc<Shared>) -> ExecCtx {
-        ExecCtx::fresh(shared, 0)
+        let mut ctx = ExecCtx::fresh(shared, 0);
+        // The root segment's tick, matching the simulator's segment 0.
+        ctx.clock_bump(0);
+        ctx
     }
 
+    /// A new logical thread on `proc`: its own client id (hence its own
+    /// sequence space), connection and event lane, and nothing inherited.
     fn fresh(shared: Arc<Shared>, proc: ProcId) -> ExecCtx {
         let slot = shared.register_client(proc);
         let conn = shared.link.connect(slot.id);
         let rec = shared.record.then(|| Recorder::exec(shared.epoch));
-        let mut ctx = ExecCtx {
+        ExecCtx {
             shared,
             cur_proc: proc,
             free_depth: 0,
@@ -165,17 +177,14 @@ impl ExecCtx {
             stats: RunStats::default(),
             cacheable_reads: 0,
             cacheable_writes: 0,
-            dirty: HashMap::new(),
+            epoch: WriteEpoch::default(),
             clock: VClock::new(),
             slot,
             conn,
             seq: 0,
             delayed: Vec::new(),
             rec,
-        };
-        // The root segment's tick, matching the simulator's segment 0.
-        ctx.clock_bump(proc);
-        ctx
+        }
     }
 
     fn sanitizing(&self) -> bool {
@@ -354,205 +363,126 @@ impl ExecCtx {
         r
     }
 
-    fn read_home(&mut self, p: GPtr) -> Word {
-        let clock = self.clock_for_msg();
-        self.req(
-            p.proc(),
-            Request::ReadHome {
-                local: p.local(),
-                clock,
-            },
-        )
-        .expect_word()
-    }
-
-    fn write_home(&mut self, p: GPtr, value: Word) {
-        let clock = self.clock_for_msg();
+    /// One word access at the home: the write-through of `wval`, or a
+    /// read. Returns the word written or read.
+    fn home_access(&mut self, p: GPtr, wval: Option<Word>) -> Word {
+        let (local, clock) = (p.local(), self.clock_for_msg());
+        let Some(value) = wval else {
+            return self
+                .req(p.proc(), Request::ReadHome { local, clock })
+                .expect_word();
+        };
         // Charged writes run the home-side half of the write-tracking
         // instrumentation (global/bilateral); uncharged writes — like the
         // simulator's — are invisible to the coherence machinery.
-        let track = self.free_depth == 0 && self.shared.protocol != Protocol::LocalKnowledge;
-        self.req(
-            p.proc(),
-            Request::WriteHome {
-                local: p.local(),
-                value,
-                clock,
-                track,
-            },
-        )
-        .expect_unit()
+        let track = self.free_depth == 0 && self.shared.protocol.tracks_writes();
+        let req = Request::WriteHome {
+            local,
+            value,
+            clock,
+            track,
+        };
+        self.req(p.proc(), req).expect_unit();
+        value
     }
 
-    /// A remote access under the cache mechanism: consult the current
-    /// processor's cache; on a miss, do the fetch round trip to the home
-    /// and install the line. Returns the word seen through the cache —
-    /// which, by design, may be stale until the next acquire — and whether
-    /// the worker answered via the elision fast path.
-    fn cached_access(
-        &mut self,
-        p: GPtr,
-        write: bool,
-        wval: Option<Word>,
-        elide: bool,
-    ) -> (Word, bool) {
+    /// A remote access under the cache mechanism (a write when `wval` is
+    /// set): consult the current processor's cache; on a miss, do the
+    /// fetch round trip to the home and install the line. Returns the word
+    /// seen through the cache — which, by design, may be stale until the
+    /// next acquire — and whether the worker answered via the elision fast
+    /// path.
+    fn cached_access(&mut self, p: GPtr, wval: Option<Word>, elide: bool) -> (Word, bool) {
         let (home, page, line) = (p.proc(), p.page(), p.line_in_page());
         let word = p.local() as usize % LINE_WORDS;
+        let write = wval.is_some();
         let cur = self.cur_proc;
-        let reply = self
-            .req(
-                cur,
-                Request::CacheLookup {
-                    home,
-                    page,
-                    line,
-                    word,
-                    write,
-                    wval,
-                    elide,
-                },
-            )
-            .expect_lookup();
-        match reply {
-            LookupReply::Hit(w) | LookupReply::ElidedHit(w) => {
-                if !write {
-                    // A cached read hit never generates home traffic, but
-                    // the line's happens-before state lives at the home:
-                    // notify it. (Write hits are covered by the
-                    // write-through that follows.) Elided hits are still
-                    // real accesses, so they notify too.
-                    if let Some(clock) = self.clock_for_msg() {
-                        self.req(home, Request::SanitizeHit { page, line, clock })
-                            .expect_unit()
-                    }
-                }
-                (w, matches!(reply, LookupReply::ElidedHit(_)))
-            }
-            LookupReply::RevalNeeded { validated_ts } => {
-                // Bilateral: the page is epoch-marked, so the access takes
-                // a round trip to the home whatever happens — the same
-                // miss-class event the simulator records.
-                self.rec_instant(EventKind::LineFetch, cur, home as u64);
-                // The revalidation doubles as the sanitized read access
-                // (writes carry their clock on the write-through), so each
-                // logged access still maps to exactly one clocked message.
-                let clock = if write { None } else { self.clock_for_msg() };
-                let (ts, stale_mask) = self
-                    .req(
-                        home,
-                        Request::RevalQuery {
-                            page,
-                            line,
-                            validated_ts,
-                            clock,
-                        },
-                    )
-                    .expect_reval();
-                let applied = self
-                    .req(
-                        cur,
-                        Request::RevalApply {
-                            home,
-                            page,
-                            line,
-                            ts,
-                            stale_mask,
-                            word,
-                            write,
-                            wval,
-                        },
-                    )
-                    .expect_lookup();
-                match applied {
-                    // The line survived revalidation: answered like a hit
-                    // (one round trip total, counted as a revalidation).
-                    LookupReply::Hit(w) => (w, false),
-                    // Stale: fetch the line for real. The read was already
-                    // sanitized by the revalidation query, so no clock.
-                    LookupReply::Miss => {
-                        let w = self.fetch_and_install(cur, home, page, line, word, write, wval);
-                        (w, false)
-                    }
-                    other => unreachable!("RevalApply answered {other:?}"),
+        let lookup = Request::CacheLookup {
+            home,
+            page,
+            line,
+            word,
+            write,
+            wval,
+            elide,
+        };
+        let reply = self.req(cur, lookup).expect_lookup();
+        if let LookupReply::Hit(w) | LookupReply::ElidedHit(w) = reply {
+            if !write {
+                // A cached read hit never generates home traffic, but the
+                // line's happens-before state lives at the home: notify
+                // it. (Write hits are covered by the write-through that
+                // follows.) Elided hits are still real accesses, so they
+                // notify too.
+                if let Some(clock) = self.clock_for_msg() {
+                    self.req(home, Request::SanitizeHit { page, line, clock })
+                        .expect_unit()
                 }
             }
-            LookupReply::Miss => {
-                self.rec_instant(EventKind::LineFetch, cur, home as u64);
-                // The fetch doubles as the sanitized read access; a write
-                // miss instead carries its clock on the write-through, so
-                // each simulator-side logged access maps to exactly one
-                // clocked message.
-                let clock = if write { None } else { self.clock_for_msg() };
-                let (data, ts) = self
-                    .req(
-                        home,
-                        Request::LineFetchReq {
-                            page,
-                            line,
-                            requester: cur,
-                            clock,
-                        },
-                    )
-                    .expect_line();
-                let w = self
-                    .req(
-                        cur,
-                        Request::CacheInstall {
-                            home,
-                            page,
-                            line,
-                            data,
-                            word,
-                            write,
-                            wval,
-                            ts,
-                        },
-                    )
-                    .expect_word();
-                (w, false)
-            }
+            return (w, matches!(reply, LookupReply::ElidedHit(_)));
         }
-    }
-
-    /// The fetch + install round trips of a true miss, clock-free (used
-    /// on the revalidation path, where the query already carried the
-    /// sanitizer clock).
-    #[allow(clippy::too_many_arguments)]
-    fn fetch_and_install(
-        &mut self,
-        cur: ProcId,
-        home: ProcId,
-        page: PageNum,
-        line: LineInPage,
-        word: usize,
-        write: bool,
-        wval: Option<Word>,
-    ) -> Word {
-        let (data, ts) = self
-            .req(
-                home,
-                Request::LineFetchReq {
-                    page,
-                    line,
-                    requester: cur,
-                    clock: None,
-                },
-            )
-            .expect_line();
-        self.req(
-            cur,
-            Request::CacheInstall {
+        // Not a hit: the access takes a round trip to the home whatever
+        // happens next — the miss-class event the simulator records. That
+        // first trip (the fetch, or under bilateral the revalidation of an
+        // epoch-marked page) doubles as the sanitized read access; a write
+        // instead carries its clock on the write-through, so each
+        // simulator-side logged access maps to exactly one clocked message.
+        self.rec_instant(EventKind::LineFetch, cur, home as u64);
+        let mut clock = if write { None } else { self.clock_for_msg() };
+        if let LookupReply::RevalNeeded { validated_ts } = reply {
+            let query = Request::RevalQuery {
+                page,
+                line,
+                validated_ts,
+                clock: clock.take(),
+            };
+            let (ts, stale_mask) = self.req(home, query).expect_reval();
+            let apply = Request::RevalApply {
                 home,
                 page,
                 line,
-                data,
+                ts,
+                stale_mask,
                 word,
                 write,
                 wval,
-                ts,
-            },
-        )
-        .expect_word()
+            };
+            match self.req(cur, apply).expect_lookup() {
+                // The line survived: answered like a hit (one round trip
+                // total, counted as a revalidation).
+                LookupReply::Hit(w) => return (w, false),
+                // Stale: fetched for real below, clock-free — the query
+                // already carried the sanitized read.
+                LookupReply::Miss => {}
+                other => unreachable!("RevalApply answered {other:?}"),
+            }
+        }
+        (self.fetch_and_install(p, wval, clock), false)
+    }
+
+    /// The fetch + install round trips of a true miss. `clock` is set when
+    /// the fetch is also the access the sanitizer logs.
+    fn fetch_and_install(&mut self, p: GPtr, wval: Option<Word>, clock: Option<VClock>) -> Word {
+        let (home, page, line) = (p.proc(), p.page(), p.line_in_page());
+        let cur = self.cur_proc;
+        let fetch = Request::LineFetchReq {
+            page,
+            line,
+            requester: cur,
+            clock,
+        };
+        let (data, ts) = self.req(home, fetch).expect_line();
+        let install = Request::CacheInstall {
+            home,
+            page,
+            line,
+            data,
+            word: p.local() as usize % LINE_WORDS,
+            write: wval.is_some(),
+            wval,
+            ts,
+        };
+        self.req(cur, install).expect_word()
     }
 
     fn note_written(&mut self, home: ProcId) {
@@ -568,80 +498,73 @@ impl ExecCtx {
         }
     }
 
-    /// The release half of a migration send: flush this thread's dirty
-    /// lines per the coherence scheme. Local knowledge keeps no write
-    /// state, so it releases for free; global knowledge pushes
-    /// invalidations to every other sharer of each written page;
-    /// bilateral bumps the written pages' home timestamps. All traffic is
-    /// client-driven round trips (workers never talk to each other), and
-    /// the flush order is sorted so chaotic runs see a deterministic
-    /// message sequence.
+    /// The release half of a migration send: end this thread's write
+    /// epoch and carry out its verdict. All traffic is client-driven round
+    /// trips (workers never talk to each other), in the verdict's sorted
+    /// order so chaotic runs see a deterministic message sequence.
     fn depart_release(&mut self, from: ProcId) {
-        match self.shared.protocol {
-            Protocol::LocalKnowledge => {}
-            Protocol::GlobalKnowledge => {
-                if self.dirty.is_empty() {
-                    return;
-                }
-                let mut dirty: Vec<((ProcId, PageNum), u32)> = self.dirty.drain().collect();
-                dirty.sort_unstable_by_key(|&(key, _)| key);
-                for ((home, page), mask) in dirty {
+        match self.epoch.drain(self.shared.protocol) {
+            Release::Nothing => {}
+            Release::Invalidate(pages) => {
+                for DirtyPage { home, page, mask } in pages {
                     let sharers = self
                         .req(home, Request::SharerQuery { page })
                         .expect_sharers();
-                    for s in sharers {
-                        if s == from {
-                            continue; // the writer's own copy is current
-                        }
+                    for s in invalidation_targets(&sharers, from) {
                         self.req(s, Request::InvalidateLines { home, page, mask })
                             .expect_unit();
                     }
                 }
             }
-            Protocol::Bilateral => {
-                if self.dirty.is_empty() {
-                    return;
-                }
-                let mut by_home: BTreeMap<ProcId, Vec<PageNum>> = BTreeMap::new();
-                for (home, page) in self.dirty.drain().map(|(key, _)| key) {
-                    by_home.entry(home).or_default().push(page);
-                }
-                for (home, mut pages) in by_home {
-                    pages.sort_unstable();
+            Release::Bump(by_home) => {
+                for (home, pages) in by_home {
                     self.req(home, Request::BumpTs { pages }).expect_unit();
                 }
             }
         }
     }
 
-    /// Thread migration to `target`: release at the origin (scheme-
-    /// dependent — see [`ExecCtx::depart_release`]), make futures spawned
-    /// from the vacated processor stealable, and acquire at the
-    /// destination.
+    /// Thread migration to `target`.
     fn migrate_to(&mut self, target: ProcId) {
         let from = self.cur_proc;
         debug_assert_ne!(from, target);
         self.stats.migrations += 1;
         self.rec_instant(EventKind::MigrateSend, from, target as u64);
+        self.hop(target, ArrivalKind::Call);
+        // The worker recorded the acquire's invalidation while servicing
+        // the round trip, so this lands after it — same order as the
+        // simulator's send → invalidate → receive.
+        self.rec_instant(EventKind::MigrateRecv, target, from as u64);
+    }
+
+    /// What a forward and a return migration share: release at the origin
+    /// (see [`ExecCtx::depart_release`]), make futures spawned from the
+    /// vacated processor stealable, and acquire at the destination.
+    fn hop(&mut self, to: ProcId, arrival: ArrivalKind) {
+        let from = self.cur_proc;
         self.depart_release(from);
         // Steals are marked with the *departing* segment's clock, before
         // the bump: the resumed continuation is ordered after everything
         // up to the migration, not after the body's later work.
         self.mark_steals(from);
-        self.cur_proc = target;
-        self.slot.proc.store(target, Ordering::Relaxed);
-        self.clock_bump(target);
-        self.req(
-            target,
-            Request::MigrateThread {
-                arrival: ArrivalKind::Call,
-            },
-        )
-        .expect_unit();
-        // The worker recorded the acquire's invalidation while servicing
-        // the round trip, so this lands after it — same order as the
-        // simulator's send → invalidate → receive.
-        self.rec_instant(EventKind::MigrateRecv, target, from as u64);
+        self.cur_proc = to;
+        self.slot.proc.store(to, Ordering::Relaxed);
+        self.clock_bump(to);
+        self.arrive(arrival);
+    }
+
+    /// The idle spawn processor grabbed the continuation; resume there (no
+    /// acquire — the continuation never left). Clock-wise this rewinds to
+    /// the steal point: the continuation saw nothing the body did after
+    /// its migration.
+    fn resume_stolen(&mut self, spawn_proc: ProcId, steal_clock: Option<VClock>) {
+        if let Some(sc) = steal_clock {
+            self.clock = sc;
+        }
+        self.cur_proc = spawn_proc;
+        self.slot.proc.store(spawn_proc, Ordering::Relaxed);
+        self.clock_bump(spawn_proc);
+        self.rec_instant(EventKind::Steal, spawn_proc, 0);
     }
 
     /// A migration just vacated `proc`: every in-flight future anchored
@@ -656,52 +579,43 @@ impl ExecCtx {
         }
     }
 
-    /// The return-stub / touched-value acquire at the current processor.
-    fn arrive_return(&mut self, written: Vec<ProcId>) {
-        self.req(
-            self.cur_proc,
-            Request::MigrateThread {
-                arrival: ArrivalKind::Return(written),
-            },
-        )
-        .expect_unit();
+    /// The acquire at the current processor: a migration's arrival, or a
+    /// touched future's value receipt (a return with the body's write set).
+    fn arrive(&mut self, arrival: ArrivalKind) {
+        self.req(self.cur_proc, Request::MigrateThread { arrival })
+            .expect_unit();
     }
 
-    fn absorb(&mut self, stats: &RunStats, cacheable_reads: u64, cacheable_writes: u64) {
-        let s = &mut self.stats;
-        s.migrations += stats.migrations;
-        s.return_migrations += stats.return_migrations;
-        s.futures += stats.futures;
-        s.steals += stats.steals;
-        s.touches += stats.touches;
-        s.allocs += stats.allocs;
-        s.words_allocated += stats.words_allocated;
-        s.migrate_local += stats.migrate_local;
-        s.migrate_remote += stats.migrate_remote;
-        s.checks_performed += stats.checks_performed;
-        s.checks_elided += stats.checks_elided;
-        self.cacheable_reads += cacheable_reads;
-        self.cacheable_writes += cacheable_writes;
+    /// Fold a joined future body's counters into this thread's.
+    fn absorb<T>(&mut self, out: &BodyOutcome<T>) {
+        self.stats.absorb(&out.stats);
+        self.cacheable_reads += out.cacheable_reads;
+        self.cacheable_writes += out.cacheable_writes;
     }
 
-    /// Whether a `Check::Elide` verdict is honored in this run (mirrors
-    /// the simulator's gate in `OldenCtx::resolve`).
-    fn want_elide(&self, check: Check) -> bool {
-        check == Check::Elide && self.shared.elide_checks && self.shared.force.is_none()
-    }
-
-    fn read_impl(&mut self, ptr: GPtr, field: usize, mech: Mechanism, check: Check) -> Word {
+    /// One charged or uncharged word access — a write when `wval` is set —
+    /// resolved by `mech`. Returns the word read (or written).
+    fn access(
+        &mut self,
+        ptr: GPtr,
+        field: usize,
+        wval: Option<Word>,
+        mech: Mechanism,
+        check: Check,
+    ) -> Word {
         let p = ptr.offset(field as u64);
         debug_assert!(!p.is_null(), "null dereference");
         if self.free_depth > 0 {
-            return self.read_home(p);
+            return self.home_access(p, wval);
         }
         self.bump();
         let mech = self.shared.force.unwrap_or(mech);
-        let want = self.want_elide(check);
+        // Whether a `Check::Elide` verdict is honored in this run (the
+        // simulator's gate in `OldenCtx::resolve`).
+        let want = check == Check::Elide && self.shared.elide_checks && self.shared.force.is_none();
+        let local = p.is_local_to(self.cur_proc);
         let (value, elided) = match mech {
             Mechanism::Migrate => {
-                let local = p.is_local_to(self.cur_proc);
                 if local {
                     self.stats.migrate_local += 1;
                 } else {
@@ -709,14 +623,26 @@ impl ExecCtx {
                     self.stats.migrate_remote += 1;
                     self.migrate_to(p.proc());
                 }
-                (self.read_home(p), want && local)
+                (self.home_access(p, wval), want && local)
             }
             Mechanism::Cache => {
-                self.cacheable_reads += 1;
-                if p.is_local_to(self.cur_proc) {
-                    (self.read_home(p), want)
+                if wval.is_some() {
+                    self.cacheable_writes += 1;
                 } else {
-                    self.cached_access(p, false, None, want)
+                    self.cacheable_reads += 1;
+                }
+                if local {
+                    (self.home_access(p, wval), want)
+                } else {
+                    let seen = self.cached_access(p, wval, want);
+                    if wval.is_some() {
+                        // The cached copy is updated (the line allocated on
+                        // a miss); now write through to the home — every
+                        // write reaches the authoritative copy
+                        // synchronously.
+                        self.home_access(p, wval);
+                    }
+                    seen
                 }
             }
         };
@@ -725,302 +651,14 @@ impl ExecCtx {
         } else {
             self.stats.checks_performed += 1;
         }
-        value
-    }
-
-    fn write_impl(&mut self, ptr: GPtr, field: usize, value: Word, mech: Mechanism, check: Check) {
-        let p = ptr.offset(field as u64);
-        debug_assert!(!p.is_null(), "null dereference");
-        if self.free_depth > 0 {
-            self.write_home(p, value);
-            return;
-        }
-        self.bump();
-        let mech = self.shared.force.unwrap_or(mech);
-        let want = self.want_elide(check);
-        let elided = match mech {
-            Mechanism::Migrate => {
-                let local = p.is_local_to(self.cur_proc);
-                if local {
-                    self.stats.migrate_local += 1;
-                } else {
-                    // A stale elision hint performs the full check.
-                    self.stats.migrate_remote += 1;
-                    self.migrate_to(p.proc());
-                }
-                self.write_home(p, value);
-                want && local
-            }
-            Mechanism::Cache => {
-                self.cacheable_writes += 1;
-                if p.is_local_to(self.cur_proc) {
-                    self.write_home(p, value);
-                    want
-                } else {
-                    // Update the cached copy (allocating the line on a
-                    // miss), then write through to the home — every write
-                    // reaches the authoritative copy synchronously.
-                    let (_, elided) = self.cached_access(p, true, Some(value), want);
-                    self.write_home(p, value);
-                    elided
-                }
-            }
-        };
-        if elided {
-            self.stats.checks_elided += 1;
-        } else {
-            self.stats.checks_performed += 1;
-        }
-        if self.shared.protocol != Protocol::LocalKnowledge {
+        if wval.is_some() {
             // The thread-side half of the write tracking: remember the
             // dirty line for the next departure's release.
-            *self.dirty.entry((p.proc(), p.page())).or_insert(0) |= 1u32 << p.line_in_page();
+            self.epoch
+                .note_write(self.shared.protocol, p.proc(), p.page(), p.line_in_page());
+            self.note_written(p.proc());
         }
-        self.note_written(p.proc());
-    }
-
-    fn call_impl<R>(&mut self, f: impl FnOnce(&mut Self) -> R) -> R {
-        if self.free_depth > 0 {
-            return f(self);
-        }
-        let entry = self.cur_proc;
-        self.write_scopes.push(Vec::new());
-        let r = f(self);
-        let written = self.write_scopes.pop().expect("scope underflow");
-        self.merge_written(&written);
-        if self.cur_proc != entry {
-            self.stats.return_migrations += 1;
-            let from = self.cur_proc;
-            self.rec_instant(EventKind::ReturnSend, from, entry as u64);
-            self.depart_release(from);
-            self.mark_steals(from);
-            self.cur_proc = entry;
-            self.slot.proc.store(entry, Ordering::Relaxed);
-            self.clock_bump(entry);
-            self.arrive_return(written);
-            self.rec_instant(EventKind::ReturnRecv, entry, from as u64);
-        }
-        r
-    }
-
-    fn future_call_impl<T, F>(&mut self, f: F) -> ExecHandle<T>
-    where
-        T: Send + 'static,
-        F: FnOnce(&mut Self) -> T + Send + 'static,
-    {
-        if self.free_depth > 0 {
-            let value = f(self);
-            return ExecHandle(HandleInner::Ready {
-                value,
-                written: Vec::new(),
-                parallel: false,
-                clock: None,
-            });
-        }
-        self.bump();
-        self.stats.futures += 1;
-        let spawn_proc = self.cur_proc;
-        let frame = Arc::new(FrameHandle::new(spawn_proc));
-        self.frames.push(Arc::clone(&frame));
-        match self.shared.mode {
-            Mode::Lockstep => {
-                // The simulator's discipline exactly: body inline, one
-                // logical thread throughout.
-                self.rec_begin(EventKind::FutureBody, spawn_proc);
-                self.write_scopes.push(Vec::new());
-                let value = f(self);
-                let written = self.write_scopes.pop().expect("scope underflow");
-                self.merge_written(&written);
-                self.frames.pop().expect("frame underflow");
-                self.rec_end(EventKind::FutureBody, self.cur_proc);
-                if frame.is_stolen() {
-                    self.stats.steals += 1;
-                    // The body thread releases as it sends its value home
-                    // (the simulator's depart at the stolen arm).
-                    self.depart_release(self.cur_proc);
-                    // The idle spawn processor grabbed the continuation;
-                    // resume there (no acquire — the continuation never
-                    // left). Clock-wise this rewinds to the steal point:
-                    // the continuation saw nothing the body did after its
-                    // migration; the touch joins the body's final clock.
-                    let body_clock = self.sanitizing().then(|| self.clock.clone());
-                    if let Some(sc) = frame.steal_clock() {
-                        self.clock = sc;
-                    }
-                    self.cur_proc = spawn_proc;
-                    self.slot.proc.store(spawn_proc, Ordering::Relaxed);
-                    self.clock_bump(spawn_proc);
-                    self.rec_instant(EventKind::Steal, spawn_proc, 0);
-                    ExecHandle(HandleInner::Ready {
-                        value,
-                        written,
-                        parallel: true,
-                        clock: body_clock,
-                    })
-                } else {
-                    debug_assert_eq!(self.cur_proc, spawn_proc, "unstolen body cannot move");
-                    ExecHandle(HandleInner::Ready {
-                        value,
-                        written,
-                        parallel: false,
-                        clock: None,
-                    })
-                }
-            }
-            Mode::Parallel => {
-                let slot = self.shared.register_client(spawn_proc);
-                let conn = self.shared.link.connect(slot.id);
-                let mut child = ExecCtx {
-                    shared: Arc::clone(&self.shared),
-                    cur_proc: spawn_proc,
-                    free_depth: 0,
-                    // The body can steal its own frame and any ancestor's.
-                    frames: self.frames.clone(),
-                    write_scopes: vec![Vec::new()],
-                    stats: RunStats::default(),
-                    cacheable_reads: 0,
-                    cacheable_writes: 0,
-                    // The body continues the spawner's write epoch: dirty
-                    // lines accumulated here travel with it and flush at
-                    // its next departure (one thread in the simulator).
-                    dirty: self.dirty.clone(),
-                    // The body continues the spawner's segment (no bump
-                    // until it migrates), exactly as in the simulator.
-                    clock: self.clock.clone(),
-                    slot,
-                    conn,
-                    // A fresh client id is a fresh sequence space.
-                    seq: 0,
-                    delayed: Vec::new(),
-                    rec: self
-                        .shared
-                        .record
-                        .then(|| Recorder::exec(self.shared.epoch)),
-                };
-                let body_frame = Arc::clone(&frame);
-                let join = std::thread::Builder::new()
-                    .name(format!("olden-body-{}", child.slot.id))
-                    .spawn(move || {
-                        let _complete = CompleteOnDrop(body_frame);
-                        child.rec_begin(EventKind::FutureBody, spawn_proc);
-                        let value = f(&mut child);
-                        let written = child.write_scopes.pop().expect("scope underflow");
-                        child.rec_end(EventKind::FutureBody, child.cur_proc);
-                        if _complete.0.is_stolen() {
-                            // A forked body releases as it sends its value
-                            // home (the simulator's depart at the stolen
-                            // arm); an inline body's dirty lines return to
-                            // the spawner instead.
-                            let end_proc = child.cur_proc;
-                            child.depart_release(end_proc);
-                        }
-                        child.park_lane();
-                        child.slot.state.store(C_DONE, Ordering::Relaxed);
-                        BodyOutcome {
-                            value,
-                            written,
-                            stats: child.stats,
-                            cacheable_reads: child.cacheable_reads,
-                            cacheable_writes: child.cacheable_writes,
-                            dirty: std::mem::take(&mut child.dirty),
-                            clock: child.clock,
-                        }
-                    })
-                    .expect("spawn future body thread");
-                // Lazy task creation: the spawner is not a parallel thread
-                // yet. It waits until the body either finishes (inline
-                // future, cheap) or migrates away, stealing it the
-                // continuation.
-                self.slot.state.store(C_WAITING_BODY, Ordering::Relaxed);
-                let st = frame.wait_done_or_stolen();
-                self.slot.state.store(C_RUNNING, Ordering::Relaxed);
-                self.bump();
-                self.frames.pop().expect("frame underflow");
-                if st.stolen {
-                    self.stats.steals += 1;
-                    // The stolen body took the write epoch with it (it
-                    // cloned our dirty set and departs at its end); the
-                    // continuation starts a fresh epoch here.
-                    self.dirty.clear();
-                    // Resume from the steal point's clock (see the
-                    // lockstep arm for the reasoning).
-                    if let Some(sc) = st.steal_clock {
-                        self.clock = sc;
-                    }
-                    self.cur_proc = spawn_proc;
-                    self.slot.proc.store(spawn_proc, Ordering::Relaxed);
-                    self.clock_bump(spawn_proc);
-                    self.rec_instant(EventKind::Steal, spawn_proc, 0);
-                    ExecHandle(HandleInner::Pending { join })
-                } else {
-                    // Completed without migrating: join immediately; the
-                    // future never forked. The body never migrated, so
-                    // its clock equals ours — nothing to join.
-                    let out = join_body(join);
-                    self.absorb(&out.stats, out.cacheable_reads, out.cacheable_writes);
-                    self.merge_written(&out.written);
-                    // The inline body extended our write epoch; adopt its
-                    // final dirty set (ours was a prefix of it).
-                    self.dirty = out.dirty;
-                    ExecHandle(HandleInner::Ready {
-                        value: out.value,
-                        written: out.written,
-                        parallel: false,
-                        clock: None,
-                    })
-                }
-            }
-        }
-    }
-
-    fn touch_impl<T: Send + 'static>(&mut self, h: ExecHandle<T>) -> T {
-        if self.free_depth == 0 {
-            self.bump();
-            self.stats.touches += 1;
-        }
-        match h.0 {
-            HandleInner::Ready {
-                value,
-                written,
-                parallel,
-                clock,
-            } => {
-                if parallel && self.free_depth == 0 {
-                    self.rec_begin(EventKind::TouchStall, self.cur_proc);
-                    // The touch is a join: order this thread after the
-                    // body's final segment, in a fresh segment.
-                    if let Some(bc) = &clock {
-                        self.clock.join(bc);
-                        self.clock_bump(self.cur_proc);
-                    }
-                    // Receiving the future's value is a migration receipt:
-                    // acquire with the body's write set.
-                    self.arrive_return(written);
-                    self.rec_end(EventKind::TouchStall, self.cur_proc);
-                }
-                value
-            }
-            HandleInner::Pending { join } => {
-                if self.free_depth == 0 {
-                    self.rec_begin(EventKind::TouchStall, self.cur_proc);
-                }
-                self.slot.state.store(C_JOINING, Ordering::Relaxed);
-                let out = join_body(join);
-                self.slot.state.store(C_RUNNING, Ordering::Relaxed);
-                self.bump();
-                self.absorb(&out.stats, out.cacheable_reads, out.cacheable_writes);
-                self.merge_written(&out.written);
-                if self.free_depth == 0 {
-                    if self.sanitizing() {
-                        self.clock.join(&out.clock);
-                        self.clock_bump(self.cur_proc);
-                    }
-                    self.arrive_return(out.written);
-                    self.rec_end(EventKind::TouchStall, self.cur_proc);
-                }
-                out.value
-            }
-        }
+        value
     }
 }
 
@@ -1065,15 +703,15 @@ impl Backend for ExecCtx {
     }
 
     fn read(&mut self, ptr: GPtr, field: usize, mech: Mechanism) -> Word {
-        self.read_impl(ptr, field, mech, Check::Perform)
+        self.access(ptr, field, None, mech, Check::Perform)
     }
 
     fn write_word(&mut self, ptr: GPtr, field: usize, value: Word, mech: Mechanism) {
-        self.write_impl(ptr, field, value, mech, Check::Perform);
+        self.access(ptr, field, Some(value), mech, Check::Perform);
     }
 
     fn read_checked(&mut self, ptr: GPtr, field: usize, mech: Mechanism, check: Check) -> Word {
-        self.read_impl(ptr, field, mech, check)
+        self.access(ptr, field, None, mech, check)
     }
 
     fn write_word_checked(
@@ -1084,7 +722,7 @@ impl Backend for ExecCtx {
         mech: Mechanism,
         check: Check,
     ) {
-        self.write_impl(ptr, field, value, mech, check);
+        self.access(ptr, field, Some(value), mech, check);
     }
 
     fn uncharged<R>(&mut self, f: impl FnOnce(&mut Self) -> R) -> R {
@@ -1095,7 +733,22 @@ impl Backend for ExecCtx {
     }
 
     fn call<R>(&mut self, f: impl FnOnce(&mut Self) -> R) -> R {
-        self.call_impl(f)
+        if self.free_depth > 0 {
+            return f(self);
+        }
+        let entry = self.cur_proc;
+        self.write_scopes.push(Vec::new());
+        let r = f(self);
+        let written = self.write_scopes.pop().expect("scope underflow");
+        self.merge_written(&written);
+        if self.cur_proc != entry {
+            self.stats.return_migrations += 1;
+            let from = self.cur_proc;
+            self.rec_instant(EventKind::ReturnSend, from, entry as u64);
+            self.hop(entry, ArrivalKind::Return(written));
+            self.rec_instant(EventKind::ReturnRecv, entry, from as u64);
+        }
+        r
     }
 
     fn future_call<T, F>(&mut self, f: F) -> ExecHandle<T>
@@ -1103,11 +756,166 @@ impl Backend for ExecCtx {
         T: Send + 'static,
         F: FnOnce(&mut Self) -> T + Send + 'static,
     {
-        self.future_call_impl(f)
+        if self.free_depth > 0 {
+            return ExecHandle::inline(f(self));
+        }
+        self.bump();
+        self.stats.futures += 1;
+        let spawn_proc = self.cur_proc;
+        let frame = Arc::new(FrameHandle::new(spawn_proc));
+        self.frames.push(Arc::clone(&frame));
+        match self.shared.mode {
+            Mode::Lockstep => {
+                // The simulator's discipline exactly: body inline, one
+                // logical thread throughout.
+                self.rec_begin(EventKind::FutureBody, spawn_proc);
+                self.write_scopes.push(Vec::new());
+                let value = f(self);
+                let written = self.write_scopes.pop().expect("scope underflow");
+                self.merge_written(&written);
+                self.frames.pop().expect("frame underflow");
+                self.rec_end(EventKind::FutureBody, self.cur_proc);
+                if frame.is_stolen() {
+                    self.stats.steals += 1;
+                    // The body thread releases as it sends its value home
+                    // (the simulator's depart at the stolen arm).
+                    self.depart_release(self.cur_proc);
+                    // The touch joins the body's final clock.
+                    let body_clock = self.sanitizing().then(|| self.clock.clone());
+                    self.resume_stolen(spawn_proc, frame.steal_clock());
+                    ExecHandle(HandleInner::Ready {
+                        value,
+                        written,
+                        parallel: true,
+                        clock: body_clock,
+                    })
+                } else {
+                    debug_assert_eq!(self.cur_proc, spawn_proc, "unstolen body cannot move");
+                    ExecHandle::inline(value)
+                }
+            }
+            Mode::Parallel => {
+                let mut child = ExecCtx::fresh(Arc::clone(&self.shared), spawn_proc);
+                // The body can steal its own frame and any ancestor's.
+                child.frames = self.frames.clone();
+                // The body continues the spawner's write epoch: dirty lines
+                // accumulated here travel with it and flush at its next
+                // departure (one thread in the simulator).
+                child.epoch = self.epoch.clone();
+                // The body continues the spawner's segment (no bump until
+                // it migrates), exactly as in the simulator.
+                child.clock = self.clock.clone();
+                let body_frame = Arc::clone(&frame);
+                let join = std::thread::Builder::new()
+                    .name(format!("olden-body-{}", child.slot.id))
+                    .spawn(move || {
+                        let _complete = CompleteOnDrop(body_frame);
+                        child.rec_begin(EventKind::FutureBody, spawn_proc);
+                        let value = f(&mut child);
+                        let written = child.write_scopes.pop().expect("scope underflow");
+                        child.rec_end(EventKind::FutureBody, child.cur_proc);
+                        if _complete.0.is_stolen() {
+                            // A forked body releases as it sends its value
+                            // home (the simulator's depart at the stolen
+                            // arm); an inline body's dirty lines return to
+                            // the spawner instead.
+                            let end_proc = child.cur_proc;
+                            child.depart_release(end_proc);
+                        }
+                        child.park_lane();
+                        child.slot.state.store(C_DONE, Ordering::Relaxed);
+                        BodyOutcome {
+                            value,
+                            written,
+                            stats: child.stats,
+                            cacheable_reads: child.cacheable_reads,
+                            cacheable_writes: child.cacheable_writes,
+                            epoch: std::mem::take(&mut child.epoch),
+                            clock: child.clock,
+                        }
+                    })
+                    .expect("spawn future body thread");
+                // Lazy task creation: the spawner is not a parallel thread
+                // yet. It waits until the body either finishes (inline
+                // future, cheap) or migrates away, stealing it the
+                // continuation.
+                self.slot.state.store(C_WAITING_BODY, Ordering::Relaxed);
+                let st = frame.wait_done_or_stolen();
+                self.slot.state.store(C_RUNNING, Ordering::Relaxed);
+                self.bump();
+                self.frames.pop().expect("frame underflow");
+                if st.stolen {
+                    self.stats.steals += 1;
+                    // The stolen body took the write epoch with it (it
+                    // cloned ours and departs at its end); the
+                    // continuation starts a fresh epoch here.
+                    self.epoch = WriteEpoch::default();
+                    self.resume_stolen(spawn_proc, st.steal_clock);
+                    ExecHandle(HandleInner::Pending { join })
+                } else {
+                    // Completed without migrating: join immediately; the
+                    // future never forked. The body never migrated, so
+                    // its clock equals ours — nothing to join.
+                    let out = join_body(join);
+                    self.absorb(&out);
+                    self.merge_written(&out.written);
+                    // The inline body extended our write epoch; adopt its
+                    // final state (ours was a prefix of it).
+                    self.epoch = out.epoch;
+                    ExecHandle::inline(out.value)
+                }
+            }
+        }
     }
 
     fn touch<T: Send + 'static>(&mut self, h: ExecHandle<T>) -> T {
-        self.touch_impl(h)
+        if self.free_depth == 0 {
+            self.bump();
+            self.stats.touches += 1;
+        }
+        match h.0 {
+            HandleInner::Ready {
+                value,
+                written,
+                parallel,
+                clock,
+            } => {
+                if parallel && self.free_depth == 0 {
+                    self.rec_begin(EventKind::TouchStall, self.cur_proc);
+                    // The touch is a join: order this thread after the
+                    // body's final segment, in a fresh segment.
+                    if let Some(bc) = &clock {
+                        self.clock.join(bc);
+                        self.clock_bump(self.cur_proc);
+                    }
+                    // Receiving the future's value is a migration receipt:
+                    // acquire with the body's write set.
+                    self.arrive(ArrivalKind::Return(written));
+                    self.rec_end(EventKind::TouchStall, self.cur_proc);
+                }
+                value
+            }
+            HandleInner::Pending { join } => {
+                if self.free_depth == 0 {
+                    self.rec_begin(EventKind::TouchStall, self.cur_proc);
+                }
+                self.slot.state.store(C_JOINING, Ordering::Relaxed);
+                let out = join_body(join);
+                self.slot.state.store(C_RUNNING, Ordering::Relaxed);
+                self.bump();
+                self.absorb(&out);
+                self.merge_written(&out.written);
+                if self.free_depth == 0 {
+                    if self.sanitizing() {
+                        self.clock.join(&out.clock);
+                        self.clock_bump(self.cur_proc);
+                    }
+                    self.arrive(ArrivalKind::Return(out.written));
+                    self.rec_end(EventKind::TouchStall, self.cur_proc);
+                }
+                out.value
+            }
+        }
     }
 
     /// Snapshot of the run's global transport counters (all clients and

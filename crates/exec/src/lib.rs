@@ -6,9 +6,12 @@
 //! one OS **worker thread per simulated processor**, each owning its heap
 //! section and its software cache, exchanging the typed messages of
 //! [`msg::Request`]/[`msg::Reply`] over a pluggable [`Transport`].
-//! Migrations, cache-line fetches, and local-knowledge invalidations
-//! really happen as messages between threads; future steals and touch
-//! joins really happen as thread wake-ups.
+//! Migrations, cache-line fetches, and the coherence traffic of whichever
+//! Appendix-A scheme the run selected really happen as messages between
+//! threads; future steals and touch joins really happen as thread
+//! wake-ups. The coherence *rules* are `olden-cache`'s — the ones the
+//! simulator runs in-process; workers and logical threads here only carry
+//! them as messages.
 //!
 //! The topology is a strict client–server star (see [`msg`]): logical
 //! Olden threads send requests, workers answer from local state, and
@@ -483,16 +486,7 @@ pub fn assemble_report(
     let (mut pages_cached, mut section_words, mut messages) = (0, 0, 0);
     let mut races = Vec::new();
     for r in &reports {
-        cache.remote_reads += r.cache.remote_reads;
-        cache.remote_writes += r.cache.remote_writes;
-        cache.hits += r.cache.hits;
-        cache.misses += r.cache.misses;
-        cache.revalidations += r.cache.revalidations;
-        cache.invalidations_sent += r.cache.invalidations_sent;
-        cache.invalidations_spurious += r.cache.invalidations_spurious;
-        cache.write_track_cycles += r.cache.write_track_cycles;
-        cache.checks_performed += r.cache.checks_performed;
-        cache.checks_elided += r.cache.checks_elided;
+        cache.absorb(&r.cache);
         pages_cached += r.pages_ever;
         section_words += r.words_allocated;
         messages += r.served;

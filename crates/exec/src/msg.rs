@@ -23,7 +23,7 @@
 //! spawning and the body thread.
 
 use crate::chaos::MsgKind;
-use olden_cache::CacheStats;
+use olden_cache::{Arrival, CacheStats};
 use olden_gptr::{GPtr, LineInPage, PageNum, ProcId, Word, LINE_WORDS};
 use olden_runtime::{RaceViolation, VClock};
 
@@ -33,7 +33,8 @@ pub use crate::envelope::{Envelope, CONTROL_SRC};
 pub type LineData = [Word; LINE_WORDS];
 
 /// How a thread arrives at a processor (the acquire of the release-
-/// consistency reduction; mirrors `olden_cache::Arrival`).
+/// consistency reduction): the owned, wire-going form of
+/// [`olden_cache::Arrival`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ArrivalKind {
     /// Forward migration into a procedure body: under local knowledge the
@@ -43,6 +44,16 @@ pub enum ArrivalKind {
     /// carries the processors whose memories the thread wrote, so only
     /// lines homed there are invalidated (§3.2 refinement).
     Return(Vec<ProcId>),
+}
+
+impl ArrivalKind {
+    /// The borrowing view the cache's acquire rule takes.
+    pub fn as_arrival(&self) -> Arrival<'_> {
+        match self {
+            ArrivalKind::Call => Arrival::Call,
+            ArrivalKind::Return(written_homes) => Arrival::Return { written_homes },
+        }
+    }
 }
 
 /// Reply to a [`Request::CacheLookup`].

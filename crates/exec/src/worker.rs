@@ -1,13 +1,16 @@
 //! The worker: owner of one simulated processor.
 //!
 //! Each worker holds the processor's heap section (the authoritative copy
-//! of every word homed there) and its software cache — the same
-//! translation table ([`olden_cache::ProcCache`]) the simulator's
-//! metadata-only cache system uses, here paired with the actual line
-//! data, under the local-knowledge protocol. The worker's service loop
-//! drains its [`WorkerPort`] until a [`Request::Shutdown`] arrives; every
-//! request is serviced from local state only (see `msg` module docs for
-//! why that makes the system deadlock-free).
+//! of every word homed there), the payloads of the lines it caches, and
+//! the two per-processor halves of `olden-cache`'s coherence engine: a
+//! [`ProcCache`] (this processor as requester) and a [`HomeDir`] (this
+//! processor as home). Every coherence request is one call to a rule of
+//! those — the rules the simulator's `CacheSystem` composes in-process —
+//! under whichever Appendix-A scheme the run selected; the worker only
+//! attaches line payloads and builds the reply. The service loop drains
+//! its [`WorkerPort`] until a [`Request::Shutdown`] arrives; every request
+//! is serviced from local state only (see `msg` module docs for why that
+//! makes the system deadlock-free).
 //!
 //! The loop is generic over the transport: `olden-exec` runs it on an OS
 //! thread fed by an in-process mailbox, `olden-net` runs the very same
@@ -16,10 +19,10 @@
 //! identical on both.
 
 use crate::envelope::{Dedup, CONTROL_SRC};
-use crate::msg::{ArrivalKind, LineData, LookupReply, Reply, Request, WorkerReport};
+use crate::msg::{LineData, LookupReply, Reply, Request, WorkerReport};
 use crate::transport::WorkerPort;
 use crate::TransportCounters;
-use olden_cache::{CacheStats, HomePage, ProcCache, Protocol, TRACK_NONSHARED, TRACK_SHARED};
+use olden_cache::{Arrival, CacheStats, HomeDir, Probe, ProcCache, Protocol};
 use olden_gptr::{GPtr, LineInPage, PageNum, ProcId, Word, LINE_WORDS, PAGE_WORDS};
 use olden_obs::{EventKind, Recorder};
 use olden_runtime::{LineKey, LineSanitizer};
@@ -45,18 +48,16 @@ pub const W_EXITED: u8 = 2;
 pub struct Worker {
     proc: ProcId,
     /// Coherence scheme in force for this run (identical across the
-    /// fleet; decides arrival invalidation, write tracking, and the
-    /// revalidation protocol).
+    /// fleet), handed to the cache rules that depend on it.
     protocol: Protocol,
     /// Heap section; word 0's line reserved so the all-zero GPtr stays
     /// null (identical layout to `olden_runtime::DistributedHeap`).
     section: Vec<Word>,
     /// Line-validity metadata: the Figure-1 translation table.
     cache: ProcCache,
-    /// Home-side directory for pages homed here (global/bilateral
-    /// schemes): sharer lists and epoch timestamps, byte-identical to the
-    /// simulator's `CacheSystem` homes. Empty under local knowledge.
-    homes: HashMap<PageNum, HomePage>,
+    /// Directory of the pages homed here: sharer lists and timestamps.
+    /// Empty under local knowledge.
+    home: HomeDir,
     /// The cached lines' payloads. Cleared metadata leaves entries behind
     /// (unreachable until re-installed), which keeps invalidation O(table)
     /// as in the protocol.
@@ -101,7 +102,7 @@ impl Worker {
             protocol,
             section: vec![Word::ZERO; LINE_WORDS],
             cache: ProcCache::new(),
-            homes: HashMap::new(),
+            home: HomeDir::default(),
             lines: HashMap::new(),
             stats: CacheStats::default(),
             san: LineSanitizer::new(),
@@ -186,24 +187,10 @@ impl Worker {
                     self.san.access(self.line_of(local), true, &c);
                 }
                 self.section[local as usize] = value;
-                if track && self.protocol != Protocol::LocalKnowledge {
-                    // The compiler-inserted write tracking of Appendix A,
-                    // mirroring `CacheSystem::note_write`'s home-side half
-                    // (the dirty-line mask lives with the writing thread).
+                if track {
                     let (_, page, line) = self.line_of(local);
-                    if self.protocol == Protocol::Bilateral {
-                        let hp = self.homes.entry(page).or_default();
-                        hp.line_ts[line as usize] = hp.ts + 1;
-                    }
-                    let shared = self
-                        .homes
-                        .get(&page)
-                        .is_some_and(|hp| !hp.sharers.is_empty());
-                    self.stats.write_track_cycles += if shared {
-                        TRACK_SHARED
-                    } else {
-                        TRACK_NONSHARED
-                    };
+                    self.home
+                        .track_write(self.protocol, &mut self.stats, page, line);
                 }
                 Reply::Unit
             }
@@ -216,17 +203,7 @@ impl Worker {
                 if let Some(c) = clock {
                     self.san.access((self.proc, page, line), false, &c);
                 }
-                let ts = if self.protocol != Protocol::LocalKnowledge {
-                    // Page-granularity sharer tracking (Appendix A); the
-                    // local scheme keeps no directory state at all.
-                    let hp = self.homes.entry(page).or_default();
-                    if !hp.sharers.contains(&requester) {
-                        hp.sharers.push(requester);
-                    }
-                    hp.ts
-                } else {
-                    0
-                };
+                let ts = self.home.register_fetch(self.protocol, page, requester);
                 Reply::Line(self.read_line(page, line), ts)
             }
             Request::SanitizeHit { page, line, clock } => {
@@ -244,67 +221,30 @@ impl Worker {
                 elide,
             } => {
                 debug_assert_ne!(home, self.proc, "local references bypass the cache");
-                if write {
-                    self.stats.remote_writes += 1;
-                } else {
-                    self.stats.remote_reads += 1;
-                }
-                if elide && self.protocol != Protocol::Bilateral {
-                    // Verified elision hint: answer from an uncounted probe
-                    // (mirroring `CacheSystem::access_checked`'s fast path).
-                    // A stale hint falls through to the counted path below.
-                    // Bilateral refuses elision outright: epoch marks are
-                    // set behind the static analysis's back and a marked
-                    // page must take the revalidation round trip.
-                    let resident = self
-                        .cache
-                        .peek(home, page)
-                        .is_some_and(|cp| cp.line_valid(line) && !cp.marked);
-                    if resident {
-                        self.stats.hits += 1;
-                        self.stats.checks_elided += 1;
-                        let data = self
-                            .lines
-                            .get_mut(&(home, page, line))
-                            .expect("valid line has data");
-                        if write {
-                            data[word] = wval.expect("write carries a value");
-                        }
-                        return Reply::Lookup(LookupReply::ElidedHit(data[word]));
+                let probe = self.cache.probe_checked(
+                    self.protocol,
+                    &mut self.stats,
+                    home,
+                    page,
+                    line,
+                    write,
+                    elide,
+                );
+                let key = (home, page, line);
+                Reply::Lookup(match probe {
+                    Probe::Hit => LookupReply::Hit(self.cached_word(key, word, write, wval)),
+                    Probe::ElidedHit => {
+                        LookupReply::ElidedHit(self.cached_word(key, word, write, wval))
                     }
-                }
-                self.stats.checks_performed += 1;
-                let bilateral = self.protocol == Protocol::Bilateral;
-                let mut reval = None;
-                let valid = self.cache.lookup(home, page).is_some_and(|cp| {
-                    if bilateral && cp.marked {
-                        reval = Some(cp.validated_ts);
+                    // The client now performs the fetch round trip to the
+                    // home and installs the line.
+                    Probe::Miss => LookupReply::Miss,
+                    // The client must consult the home before this access
+                    // can be decided; [`Request::RevalApply`] settles it.
+                    Probe::RevalNeeded { validated_ts } => {
+                        LookupReply::RevalNeeded { validated_ts }
                     }
-                    cp.line_valid(line)
-                });
-                if let Some(validated_ts) = reval {
-                    // Marked page: the client must consult the home before
-                    // this access can be decided. Neither hit nor miss is
-                    // counted yet — [`Request::RevalApply`] settles it.
-                    return Reply::Lookup(LookupReply::RevalNeeded { validated_ts });
-                }
-                if valid {
-                    self.stats.hits += 1;
-                    let data = self
-                        .lines
-                        .get_mut(&(home, page, line))
-                        .expect("valid line has data");
-                    if write {
-                        data[word] = wval.expect("write carries a value");
-                    }
-                    Reply::Lookup(LookupReply::Hit(data[word]))
-                } else {
-                    // The miss (one round trip to the home) is counted
-                    // here; the client now performs that trip and installs
-                    // the line.
-                    self.stats.misses += 1;
-                    Reply::Lookup(LookupReply::Miss)
-                }
+                })
             }
             Request::CacheInstall {
                 home,
@@ -319,58 +259,35 @@ impl Worker {
                 if write {
                     data[word] = wval.expect("write carries a value");
                 }
-                // Find-or-insert in one counted probe (a second `lookup`
-                // here used to double-count the miss path's table walks).
-                let cp = self.cache.ensure(home, page);
-                cp.set_line(line);
-                if self.protocol == Protocol::Bilateral && cp.validated_ts < ts {
-                    cp.validated_ts = ts;
-                }
+                self.cache.install_line(home, page, line, ts);
                 self.lines.insert((home, page, line), data);
                 Reply::Word(data[word])
             }
             Request::MigrateThread { arrival } => {
+                let arrival = arrival.as_arrival();
                 if let Some(r) = self.rec.as_mut() {
-                    // Mirror the simulator's invalidate event exactly:
+                    // The same invalidate event the simulator records:
                     // `u64::MAX` = whole-cache call acquire, otherwise the
                     // return acquire's written-home count. Recorded under
                     // every protocol — the *acquire* happens regardless of
                     // what bookkeeping it costs.
-                    let arg = match &arrival {
-                        ArrivalKind::Call => u64::MAX,
-                        ArrivalKind::Return(written) => written.len() as u64,
+                    let arg = match arrival {
+                        Arrival::Call => u64::MAX,
+                        Arrival::Return { written_homes } => written_homes.len() as u64,
                     };
                     r.instant(EventKind::Invalidate, self.proc, arg);
                 }
-                match self.protocol {
-                    Protocol::LocalKnowledge => match arrival {
-                        ArrivalKind::Call => self.cache.clear_all(),
-                        ArrivalKind::Return(written) => self.cache.clear_homes(&written),
-                    },
-                    Protocol::GlobalKnowledge => {
-                        // Invalidations were pushed eagerly at departure.
-                    }
-                    Protocol::Bilateral => self.cache.mark_all(),
-                }
+                self.cache.acquire(self.protocol, arrival);
                 Reply::Unit
             }
-            Request::SharerQuery { page } => Reply::Sharers(
-                self.homes
-                    .get(&page)
-                    .map(|hp| hp.sharers.clone())
-                    .unwrap_or_default(),
-            ),
+            Request::SharerQuery { page } => Reply::Sharers(self.home.sharers(page).to_vec()),
             Request::InvalidateLines { home, page, mask } => {
-                self.stats.invalidations_sent += 1;
-                if !self.cache.invalidate_lines(home, page, mask) {
-                    self.stats.invalidations_spurious += 1;
-                }
+                self.cache
+                    .apply_invalidation(&mut self.stats, home, page, mask);
                 Reply::Unit
             }
             Request::BumpTs { pages } => {
-                for page in pages {
-                    self.homes.entry(page).or_default().ts += 1;
-                }
+                self.home.bump_timestamps(&pages);
                 Reply::Unit
             }
             Request::RevalQuery {
@@ -382,11 +299,8 @@ impl Worker {
                 if let Some(c) = clock {
                     self.san.access((self.proc, page, line), false, &c);
                 }
-                let hp = self.homes.entry(page).or_default();
-                Reply::Reval {
-                    ts: hp.ts,
-                    stale_mask: hp.stale_mask(validated_ts),
-                }
+                let (ts, stale_mask) = self.home.revalidate(page, validated_ts);
+                Reply::Reval { ts, stale_mask }
             }
             Request::RevalApply {
                 home,
@@ -398,31 +312,21 @@ impl Worker {
                 write,
                 wval,
             } => {
-                // Mirror the revalidation arm of `CacheSystem::access`:
-                // drop the stale lines, unmark, adopt the home's epoch,
-                // then re-examine the wanted line. The round trip counts
-                // as a miss whether or not the line survived.
-                let mut valid = false;
-                if let Some(cp) = self.cache.lookup(home, page) {
-                    cp.clear_lines(stale_mask);
-                    cp.marked = false;
-                    cp.validated_ts = ts;
-                    valid = cp.line_valid(line);
-                }
-                self.stats.misses += 1;
-                if valid {
-                    self.stats.revalidations += 1;
-                    let data = self
-                        .lines
-                        .get_mut(&(home, page, line))
-                        .expect("valid line has data");
-                    if write {
-                        data[word] = wval.expect("write carries a value");
-                    }
-                    Reply::Lookup(LookupReply::Hit(data[word]))
+                // A surviving line answers like a hit; a stale one sends
+                // the client on to the ordinary fetch.
+                let survived = self.cache.settle_revalidation(
+                    &mut self.stats,
+                    home,
+                    page,
+                    line,
+                    ts,
+                    stale_mask,
+                );
+                Reply::Lookup(if survived {
+                    LookupReply::Hit(self.cached_word((home, page, line), word, write, wval))
                 } else {
-                    Reply::Lookup(LookupReply::Miss)
-                }
+                    LookupReply::Miss
+                })
             }
             Request::Shutdown => Reply::Report(Box::new(WorkerReport {
                 cache: self.stats,
@@ -438,6 +342,22 @@ impl Worker {
                     .map(|r| r.into_lane(format!("worker{:02}", self.proc))),
             })),
         }
+    }
+
+    /// The word a cache hit answers with, after applying a write's value
+    /// to the cached copy (the client still writes through to the home).
+    fn cached_word(
+        &mut self,
+        key: (ProcId, PageNum, LineInPage),
+        word: usize,
+        write: bool,
+        wval: Option<Word>,
+    ) -> Word {
+        let data = self.lines.get_mut(&key).expect("valid line has data");
+        if write {
+            data[word] = wval.expect("write carries a value");
+        }
+        data[word]
     }
 
     /// Read one line of the home section, zero-padding past the

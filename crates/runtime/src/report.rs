@@ -42,6 +42,23 @@ pub struct RunStats {
 }
 
 impl RunStats {
+    /// Add every counter of `other` into `self` (a joined future body's
+    /// events folding into its toucher's). The field list lives here and
+    /// in [`RunStats::counters`] only; a test holds the two together.
+    pub fn absorb(&mut self, other: &RunStats) {
+        self.migrations += other.migrations;
+        self.return_migrations += other.return_migrations;
+        self.futures += other.futures;
+        self.steals += other.steals;
+        self.touches += other.touches;
+        self.allocs += other.allocs;
+        self.words_allocated += other.words_allocated;
+        self.migrate_local += other.migrate_local;
+        self.migrate_remote += other.migrate_remote;
+        self.checks_performed += other.checks_performed;
+        self.checks_elided += other.checks_elided;
+    }
+
     /// Every counter as a `(stable_name, value)` list — the shape a
     /// metrics registry or a bench-JSON emitter ingests. Names are part
     /// of the `BENCH_*.json` schema; do not rename.
@@ -350,13 +367,41 @@ mod tests {
             ctx.write(a, 0, 1i64, Mechanism::Migrate);
         });
         let c = rep.stats.counters();
-        assert_eq!(c.len(), 11);
+        assert_eq!(
+            c.len() * std::mem::size_of::<u64>(),
+            std::mem::size_of::<RunStats>()
+        );
         assert!(c
             .iter()
             .any(|&(n, v)| n == "migrations" && v == rep.stats.migrations));
         assert!(c
             .iter()
             .any(|&(n, v)| n == "allocs" && v == rep.stats.allocs));
+    }
+
+    /// A counter listed in `counters()` but forgotten in `absorb` would be
+    /// a silent zero in every parallel-mode report; here it fails to
+    /// double.
+    #[test]
+    fn run_stats_absorb_doubles_every_counter() {
+        let distinct = RunStats {
+            migrations: 1,
+            return_migrations: 2,
+            futures: 3,
+            steals: 4,
+            touches: 5,
+            allocs: 6,
+            words_allocated: 7,
+            migrate_local: 8,
+            migrate_remote: 9,
+            checks_performed: 10,
+            checks_elided: 11,
+        };
+        let mut s = distinct;
+        s.absorb(&distinct);
+        for ((name, was), (_, now)) in distinct.counters().into_iter().zip(s.counters()) {
+            assert_eq!(now, 2 * was, "{name}");
+        }
     }
 
     #[test]

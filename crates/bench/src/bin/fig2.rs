@@ -1,32 +1,25 @@
 //! Regenerates the Figure 2 analysis: one list, blocked vs cyclic
 //! distribution, migration vs caching — reporting the §4 closed-form
 //! communication counts alongside the measured makespans.
+//!
+//! Usage: `fig2 [--elements N] [--procs N]`
 
+use olden_bench::cli;
 use olden_benchmarks::listdist::{build, walk, Distribution};
 use olden_runtime::{run, Config, Mechanism};
+use std::process::ExitCode;
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut n = 4096usize;
-    let mut procs = 32usize;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--elements" => {
-                i += 1;
-                n = args[i].parse().unwrap();
-            }
-            "--procs" => {
-                i += 1;
-                procs = args[i].parse().unwrap();
-            }
-            other => {
-                eprintln!("unknown flag {other}");
-                std::process::exit(2);
-            }
-        }
-        i += 1;
-    }
+fn options(argv: &[String]) -> Result<(usize, usize), String> {
+    let a = cli::parse(argv, &["--elements", "--procs"], &[], 0)?;
+    Ok((a.num("--elements", 4096, 1..=1 << 24)?, a.procs(32)?))
+}
+
+fn main() -> ExitCode {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let (n, procs) = match options(&argv) {
+        Ok(o) => o,
+        Err(e) => return cli::usage_error("fig2 [--elements N] [--procs N]", &e),
+    };
 
     println!("Figure 2: list of {n} elements over {procs} processors");
     println!(
@@ -70,4 +63,29 @@ fn main() {
         "sequential makespan (single processor, no overheads): {}",
         seq.makespan
     );
+    ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn bad_arguments_are_usage_errors() {
+        let options_of = |line: &str| {
+            let argv: Vec<String> = line.split_whitespace().map(String::from).collect();
+            options(&argv)
+        };
+        for line in [
+            "--elements",
+            "--procs",
+            "--elements 0",
+            "--procs 0",
+            "--bogus",
+        ] {
+            assert!(options_of(line).is_err(), "{line}");
+        }
+        assert_eq!(options_of("--procs 8 --elements 64"), Ok((64, 8)));
+        assert_eq!(options_of(""), Ok((4096, 32)));
+    }
 }

@@ -1,1873 +1,258 @@
-//! `oldenc` — the static race linter over the Olden DSL.
+//! `oldenc` — the command line over the Olden DSL stack and its backends.
 //!
-//! Subcommands:
+//! This file is usage, one table of subcommands ([`SPECS`]: synopsis,
+//! accepted flags, and the call the validated flags turn into) and
+//! dispatch. Every body lives in `olden_bench` — [`reports`] for the static
+//! surfaces (`lint`, `check`, `typecheck`, `gen`, `fuzz`, `opt`, `select`,
+//! `scheme`, `predict`), [`parity`] for the executed ones (`run`, `elide`,
+//! `chaos`, `difftest`, `net`), [`profile`] and [`golden`] — where the
+//! tests call the same functions, so CLI and tests cannot drift. Each
+//! function's doc comment is its subcommand's reference.
 //!
-//! * `oldenc lint [--json | --golden PATH]` runs the release-consistency
-//!   race analysis over the DSL renditions of all ten Table-1 benchmarks
-//!   and prints one line per finding (or `name: clean`). With `--golden`
-//!   the output must match the recorded file exactly; any drift — a new
-//!   warning or a silently vanished one — fails the run. CI pins the
-//!   benchmark lint surface this way. `--json` emits the same findings
-//!   machine-readably (the text surface stays byte-identical).
-//! * `oldenc typecheck [FILE...] [--json]` runs the TC0xx front gate —
-//!   struct/field/pointer types, future-handle touch discipline, loop
-//!   induction variables, call arity — over the given files, or with no
-//!   files over the registry benchmarks plus the racy corpus (all of
-//!   which must be type-clean: races are a scheduling property, not a
-//!   typing one). Exit 1 on any diagnostic.
-//! * `oldenc gen [--seed S] [--count N] [--golden PATH]` prints N
-//!   well-typed DSL programs from consecutive seeds, each under a
-//!   `// seed S` header. A pure function of the seeds, so the surface
-//!   pins with `--golden` like the other report subcommands.
-//! * `oldenc fuzz [--seeds N] [--start S]` runs the metamorphic
-//!   verification sweep from `olden_analysis::verify` over N consecutive
-//!   seeds: per generated program, pretty-print→reparse round-trip, a
-//!   clean typecheck, totality and cross-pass consistency of every
-//!   analysis, metamorphic invariance (α-rename, dead-statement insert,
-//!   touch insert, trip monotonicity), and rejection of seeded ill-typed
-//!   mutations with the matching TC0xx code. A failing seed is
-//!   delta-debugged to a minimal reproducer saved under `tests/corpus/`
-//!   (replayed forever by the `corpus_repros_replay_clean` test). At 100
-//!   seeds or more, every mutation class must have fired — the
-//!   non-vacuity gate. The CI fuzz-smoke stage runs 500 seeds.
-//! * `oldenc opt [--golden PATH]` runs the check-elision and touch-
-//!   placement optimizer over the same DSL renditions and prints each
-//!   benchmark's per-site verdicts (site, span, mechanism, verdict,
-//!   reason) plus touch findings. `--golden` pins the surface exactly
-//!   like `lint` does.
-//! * `oldenc select [BENCH] [--golden PATH]` runs the §4 mechanism-
-//!   selection heuristic over the DSL renditions and prints each
-//!   benchmark's whole-program decision surface: the per-control-loop
-//!   selection summary (induction variable, affinity vs the 90 %
-//!   threshold, parallel/bottleneck flags) and one verdict line per
-//!   dereference site. `--golden` pins the surface; the descriptors'
-//!   `selected_mechanisms` lists are cross-checked against the same
-//!   table by `select_parity`.
-//! * `oldenc scheme [BENCH] [--golden PATH]` runs the Appendix-A
-//!   coherence-scheme selection pass over the DSL renditions and prints
-//!   each benchmark's verdict: the signals it was derived from
-//!   (migration density, cached write-set size, parallel fan-out,
-//!   shared-root bottlenecks, race findings) and the chosen scheme with
-//!   reasons. `--golden` pins the surface like `select` does.
-//! * `oldenc run BENCH [--procs N] [--protocol P]` executes one
-//!   benchmark on the thread backend under the given coherence scheme
-//!   (`local`, `global`, `bilateral`, or `auto` — the default — which
-//!   asks the scheme pass), holds the run byte-equal to the simulator,
-//!   and prints the value plus the Table-3 counter block.
-//! * `oldenc predict [BENCH] [--json]` runs the static cost model over
-//!   the same DSL renditions: per benchmark, the size-derived trip
-//!   counts it consumed and the predicted dynamic counters (migrations,
-//!   line fetches, invalidations, remote touches) at the Tiny size on 8
-//!   processors — the numbers `select_parity` holds within each
-//!   descriptor's accepted ratio bands of both backends' measurements.
-//! * `oldenc elide` runs every optimizer-annotated benchmark on the
-//!   simulator with elision enabled and prints the runtime check
-//!   counters. Exit 1 if any annotated benchmark elides zero checks —
-//!   the CI gate against the hints silently going dead.
-//! * `oldenc chaos [--seeds N] [--golden PATH]` runs every benchmark on
-//!   the thread backend under N seeded fault schedules (message drops,
-//!   duplicates, reorders) and checks each run's value and event
-//!   counters byte-equal to the fault-free simulator's. Prints one
-//!   deterministic summary line per benchmark (fault totals are pure
-//!   functions of the seeds, so the surface pins with `--golden`). Exit
-//!   1 on any divergence.
-//! * `oldenc difftest [--seeds N] [--protocol P] [--golden PATH]`
-//!   differentially fuzzes the whole stack: N generated programs, each
-//!   type-checked, mechanism-selected, lowered to the executable IR, and
-//!   executed on the simulator and the lockstep thread backend from the
-//!   same input seed — byte-equal in checksum, per-loop trips, and every
-//!   counter. `--protocol` runs both sides under one Appendix-A
-//!   coherence scheme (default `local`); the CI scheme-matrix stage
-//!   sweeps all three against per-scheme goldens. Every 8th seed re-runs
-//!   under fault injection; per seed, the static cost model at the
-//!   measured trips must bracket the executed counters. Any divergence
-//!   is delta-debugged to a minimal reproducer under `tests/corpus/`.
-//!   Exit 1 on any divergence or band miss.
-//! * `oldenc profile <bench> [--trace out.json]` runs one benchmark
-//!   recorded on both backends, reconciles each recording's exact event
-//!   counts against the run's own counters (exit 1 on any mismatch), and
-//!   prints per-processor utilization timelines. `--trace` additionally
-//!   writes a Chrome `trace_event` JSON file — open it at
-//!   `chrome://tracing` or <https://ui.perfetto.dev>.
-//! * `oldenc net [BENCH] [--procs N] [--seeds N] [--protocol P]
-//!   [--stall-timeout SECS]` runs benchmarks on the network backend —
-//!   one worker OS process per simulated processor, loopback TCP — and
-//!   holds each run's value and full counter set byte-equal to the
-//!   simulator; `--seeds` additionally sweeps that many chaos schedules
-//!   per benchmark over the real sockets, and `--protocol` runs the
-//!   whole fleet under one coherence scheme (the name travels to each
-//!   worker process on its command line). Exit 1 on any divergence. The
-//!   CI net-parity gate. (The worker processes re-enter this binary
-//!   through a hidden `net-worker` subcommand, so a single installed
-//!   `oldenc` is the whole fleet.)
-//! * `oldenc bench [--json PATH] [--check BASE --tolerance F]` measures
-//!   every benchmark on the thread backend (wall time + all deterministic
-//!   counters) and optionally compares against a committed baseline:
-//!   counters must match exactly, wall times within the tolerance after
-//!   calibration-normalizing for host speed. With `--net` each point
-//!   also gets a network-backend wall column (counters must match the
-//!   thread backend exactly). The CI perf-smoke gate.
-//! * `oldenc check FILE...` lints DSL source files, printing full
-//!   multi-line diagnostics. Exit 1 when anything is reported, 2 on
-//!   parse errors.
+//! Exit codes: 0 clean, 1 a finding / divergence / drifted golden, 2 a
+//! usage, read or parse error, 3 loopback TCP unavailable (`net`,
+//! `profile --net`).
 //!
-//! Every golden-backed subcommand takes `--bless` to re-record its golden
-//! file in place, and a mismatch prints the exact command to do so.
+//! The net backend's worker processes re-enter this binary through a
+//! hidden `net-worker` subcommand, so a single installed `oldenc` is the
+//! whole fleet.
 
-use olden_analysis::gen::gen_source;
-use olden_analysis::optimize_src;
-use olden_analysis::racecheck::racecheck_src;
-use olden_analysis::typeck::typecheck_src;
-use olden_analysis::verify::{shrink, source_fails, verify_seed, Coverage};
-use olden_bench::{benchjson, profile};
-use olden_benchmarks::SizeClass;
-use olden_obs::json::Json;
-use std::fmt::Write as _;
+use olden_bench::cli::{self, known_bench, Args};
+use olden_bench::{golden, parity, profile, reports};
+use olden_runtime::Protocol;
 use std::process::ExitCode;
 
-fn usage() -> ExitCode {
-    eprintln!("usage: oldenc lint [--json | --golden PATH [--bless]]");
-    eprintln!("       oldenc typecheck [FILE...] [--json]");
-    eprintln!("       oldenc gen [--seed S] [--count N] [--golden PATH [--bless]]");
-    eprintln!("       oldenc fuzz [--seeds N] [--start S]");
-    eprintln!("       oldenc opt [--golden PATH [--bless]]");
-    eprintln!("       oldenc select [BENCH] [--golden PATH [--bless]]");
-    eprintln!("       oldenc scheme [BENCH] [--golden PATH [--bless]]");
-    eprintln!("       oldenc run BENCH [--procs N] [--protocol local|global|bilateral|auto]");
-    eprintln!("       oldenc predict [BENCH] [--json]");
-    eprintln!("       oldenc elide");
-    eprintln!("       oldenc chaos [--seeds N] [--stall-timeout SECS] [--golden PATH [--bless]]");
-    eprintln!("       oldenc difftest [--seeds N] [--protocol P] [--golden PATH [--bless]]");
-    eprintln!("       oldenc profile BENCH [--trace PATH] [--procs N] [--width N] [--net]");
-    eprintln!("       oldenc net [BENCH] [--procs N] [--seeds N] [--protocol P]");
-    eprintln!("                  [--stall-timeout SECS]");
-    eprintln!("       oldenc bench [--json PATH] [--check BASE] [--tolerance F]");
-    eprintln!("                    [--procs N] [--reps N] [--net]");
-    eprintln!("       oldenc check FILE...");
-    ExitCode::from(2)
+/// One subcommand: its usage line, the flags it accepts, and the call
+/// they turn into. `run` validates every value (`?`) before it calls, so
+/// an `Err` means nothing ran.
+struct Spec {
+    name: &'static str,
+    synopsis: &'static str,
+    valued: &'static [&'static str],
+    switches: &'static [&'static str],
+    positionals: usize,
+    run: fn(&Args) -> Result<ExitCode, String>,
 }
 
-/// The `lint` report: one `name: ...` line per benchmark finding, in
-/// registry (paper Table 1) order. Diagnostics come out of the checker
-/// already sorted, so the report is deterministic.
-fn lint_report() -> String {
-    let mut out = String::new();
-    for d in olden_benchmarks::all() {
-        let diags = match racecheck_src(d.dsl) {
-            Ok(diags) => diags,
-            Err(e) => {
-                // A benchmark DSL that stops parsing is a bug in the
-                // repo, not in the user's input; surface it in the
-                // report so the golden comparison catches it.
-                let _ = writeln!(out, "{}: parse error: {e}", d.name);
-                continue;
+const LOCAL: Protocol = Protocol::LocalKnowledge;
+
+/// Print a report.
+fn show(report: String) -> ExitCode {
+    print!("{report}");
+    ExitCode::SUCCESS
+}
+
+const SPECS: [Spec; 16] = [
+    Spec {
+        name: "lint",
+        synopsis: "[--json]",
+        valued: &[],
+        switches: &["--json"],
+        positionals: 0,
+        run: |a| {
+            if a.has("--json") {
+                return Ok(show(reports::lint_json_report()? + "\n"));
             }
-        };
-        if diags.is_empty() {
-            let _ = writeln!(out, "{}: clean", d.name);
-        } else {
-            for diag in diags {
-                let _ = writeln!(out, "{}: {}", d.name, diag.one_line());
+            Ok(show(reports::lint_report()))
+        },
+    },
+    Spec {
+        name: "check",
+        synopsis: "FILE...",
+        valued: &[],
+        switches: &[],
+        positionals: usize::MAX,
+        run: |a| {
+            if a.positionals.is_empty() {
+                return Err("check needs at least one FILE".into());
             }
-        }
-    }
-    out
-}
-
-/// One diagnostic as a JSON object: stable code, severity name, 1-based
-/// position, and the rendered message.
-fn diag_json(d: &olden_analysis::diag::Diagnostic) -> Json {
-    Json::Obj(vec![
-        ("code".into(), Json::str(d.code)),
-        ("severity".into(), Json::str(d.severity.name())),
-        ("line".into(), Json::u64(u64::from(d.span.line))),
-        ("col".into(), Json::u64(u64::from(d.span.col))),
-        ("message".into(), Json::str(d.message.clone())),
-    ])
-}
-
-/// The `lint --json` report: the same racecheck sweep as [`lint_report`]
-/// rendered machine-readably — one object per benchmark with its
-/// diagnostics array. The text surface stays golden-pinned and
-/// byte-identical; this is the programmatic view of the same data.
-fn lint_json_report() -> Result<String, String> {
-    let mut rows = Vec::new();
-    for d in olden_benchmarks::all() {
-        let diags = racecheck_src(d.dsl).map_err(|e| format!("{} DSL: {e}", d.name))?;
-        rows.push(Json::Obj(vec![
-            ("name".into(), Json::str(d.name)),
-            (
-                "diagnostics".into(),
-                Json::Arr(diags.iter().map(diag_json).collect()),
-            ),
-        ]));
-    }
-    Ok(Json::Arr(rows).render())
-}
-
-/// `oldenc typecheck [FILE...] [--json]`: the TC0xx front gate. With no
-/// files it sweeps the registry benchmarks plus the racy corpus, all of
-/// which must be type-clean (races are a scheduling property, not a
-/// typing one); with files it checks each one. Exit 1 on any
-/// diagnostic, 2 on read or parse errors.
-fn typecheck_cmd(files: &[String], json: bool) -> ExitCode {
-    let mut units: Vec<(String, String)> = Vec::new();
-    if files.is_empty() {
-        for d in olden_benchmarks::all() {
-            units.push((d.name.to_string(), d.dsl.to_string()));
-        }
-        for s in olden_benchmarks::racy::seeds() {
-            units.push((format!("racy/{}", s.name), s.dsl.to_string()));
-        }
-    } else {
-        for path in files {
-            match std::fs::read_to_string(path) {
-                Ok(src) => units.push((path.clone(), src)),
-                Err(e) => {
-                    eprintln!("oldenc: cannot read {path}: {e}");
-                    return ExitCode::from(2);
-                }
+            Ok(reports::check(&a.positionals))
+        },
+    },
+    Spec {
+        name: "typecheck",
+        synopsis: "[FILE...] [--json]",
+        valued: &[],
+        switches: &["--json"],
+        positionals: usize::MAX,
+        run: |a| Ok(reports::typecheck(&a.positionals, a.has("--json"))),
+    },
+    Spec {
+        name: "gen",
+        synopsis: "[--seed S] [--count N]",
+        valued: &["--seed", "--count"],
+        switches: &[],
+        positionals: 0,
+        run: |a| {
+            let seed = a.num("--seed", 0, 0..=u64::MAX)?;
+            Ok(show(reports::gen_report(
+                seed,
+                a.num("--count", 1, 1..=10_000)?,
+            )))
+        },
+    },
+    Spec {
+        name: "fuzz",
+        synopsis: "[--seeds N] [--start S]",
+        valued: &["--seeds", "--start"],
+        switches: &[],
+        positionals: 0,
+        run: |a| {
+            let seeds = a.seeds(reports::NON_VACUITY_SEEDS)?;
+            Ok(reports::fuzz(seeds, a.num("--start", 0, 0..=u64::MAX)?))
+        },
+    },
+    Spec {
+        name: "opt",
+        synopsis: "",
+        valued: &[],
+        switches: &[],
+        positionals: 0,
+        run: |_| Ok(show(reports::opt_report())),
+    },
+    Spec {
+        name: "select",
+        synopsis: "[BENCH]",
+        valued: &[],
+        switches: &[],
+        positionals: 1,
+        run: |a| Ok(show(reports::select_report(a.bench()?))),
+    },
+    Spec {
+        name: "scheme",
+        synopsis: "[BENCH]",
+        valued: &[],
+        switches: &[],
+        positionals: 1,
+        run: |a| Ok(show(reports::scheme_report(a.bench()?))),
+    },
+    Spec {
+        name: "predict",
+        synopsis: "[BENCH] [--json]",
+        valued: &[],
+        switches: &["--json"],
+        positionals: 1,
+        run: |a| {
+            let bench = a.bench()?;
+            if a.has("--json") {
+                return Ok(show(reports::predict_json_report(bench)? + "\n"));
             }
-        }
-    }
-    let mut findings = 0usize;
-    let mut rows = Vec::new();
-    for (name, src) in &units {
-        let diags = match typecheck_src(src) {
-            Ok(diags) => diags,
-            Err(e) => {
-                eprintln!("{name}: parse error: {e}");
-                return ExitCode::from(2);
-            }
-        };
-        findings += diags.len();
-        if json {
-            rows.push(Json::Obj(vec![
-                ("name".into(), Json::str(name.clone())),
-                (
-                    "diagnostics".into(),
-                    Json::Arr(diags.iter().map(diag_json).collect()),
-                ),
-            ]));
-        } else if diags.is_empty() {
-            println!("{name}: clean");
-        } else {
-            for d in &diags {
-                println!("{name}: {}", d.one_line());
-            }
-        }
-    }
-    if json {
-        println!("{}", Json::Arr(rows).render());
-    }
-    if findings == 0 {
-        if !json {
-            eprintln!("oldenc: {} unit(s) type-clean", units.len());
-        }
-        ExitCode::SUCCESS
-    } else {
-        eprintln!("oldenc: {findings} type error(s)");
-        ExitCode::FAILURE
-    }
-}
-
-/// The `gen` report: `count` well-typed programs from consecutive seeds
-/// starting at `seed`, each under a `// seed N` header. A pure function
-/// of the seeds, so the surface pins with `--golden`.
-fn gen_report(seed: u64, count: u64) -> String {
-    let mut out = String::new();
-    for s in seed..seed.saturating_add(count) {
-        let _ = writeln!(out, "// seed {s}");
-        out.push_str(&gen_source(s));
-    }
-    out
-}
-
-fn gen_cmd(seed: u64, count: u64, golden: Option<&str>, bless: bool) -> ExitCode {
-    let regen = format!("gen --seed {seed} --count {count}");
-    golden_check("gen", &regen, &gen_report(seed, count), golden, bless)
-}
-
-/// The mutation classes `verify_seed` seeds into generated programs;
-/// each must be rejected with its matching TC0xx code somewhere in any
-/// sweep of at least [`NON_VACUITY_SEEDS`] seeds.
-const MUTATION_CLASSES: [&str; 5] = [
-    "drop-touch",
-    "break-arity",
-    "retype-arg",
-    "retype-field",
-    "double-touch",
+            Ok(show(reports::predict_report(bench)))
+        },
+    },
+    Spec {
+        name: "run",
+        synopsis: "[BENCH] [--procs N] [--protocol local|global|bilateral|auto]",
+        valued: &["--procs", "--protocol"],
+        switches: &[],
+        positionals: 1,
+        run: |a| {
+            // `auto`, the default, asks the scheme pass.
+            let protocol = match a.get("--protocol") {
+                Some("auto") => None,
+                _ => a.protocol()?,
+            };
+            Ok(parity::run(a.bench()?, a.procs(8)?, protocol))
+        },
+    },
+    Spec {
+        name: "elide",
+        synopsis: "",
+        valued: &[],
+        switches: &[],
+        positionals: 0,
+        run: |_| Ok(parity::elide()),
+    },
+    Spec {
+        name: "chaos",
+        synopsis: "[--seeds N] [--stall-timeout SECS]",
+        valued: &["--seeds", "--stall-timeout"],
+        switches: &[],
+        positionals: 0,
+        run: |a| Ok(parity::chaos(a.seeds(32)?, a.stall()?)),
+    },
+    Spec {
+        name: "difftest",
+        synopsis: "[--seeds N] [--protocol local|global|bilateral]",
+        valued: &["--seeds", "--protocol"],
+        switches: &[],
+        positionals: 0,
+        run: |a| {
+            let protocol = a.protocol()?.unwrap_or(LOCAL);
+            Ok(parity::difftest(a.seeds(200)?, protocol))
+        },
+    },
+    Spec {
+        name: "profile",
+        synopsis: "BENCH [--trace PATH] [--procs N] [--width N] [--net]",
+        valued: &["--trace", "--procs", "--width"],
+        switches: &["--net"],
+        positionals: 1,
+        run: |a| {
+            let bench = a.positionals.first().ok_or("profile needs a BENCH")?;
+            let (d, procs) = (known_bench(bench)?, a.procs(8)?);
+            let width = a.num("--width", 72, 8..=usize::MAX)?;
+            let trace = a.get("--trace");
+            Ok(profile::profile(&d, trace, procs, width, a.has("--net")))
+        },
+    },
+    Spec {
+        name: "net",
+        synopsis: "[BENCH] [--procs N] [--seeds N] [--protocol P] [--stall-timeout SECS]",
+        valued: &["--procs", "--seeds", "--protocol", "--stall-timeout"],
+        switches: &[],
+        positionals: 1,
+        run: |a| {
+            let (bench, procs, seeds) = (a.bench()?, a.procs(4)?, a.seeds(0)?);
+            let protocol = a.protocol()?.unwrap_or(LOCAL);
+            Ok(parity::net(bench, procs, seeds, protocol, a.stall()?))
+        },
+    },
+    Spec {
+        name: "golden",
+        synopsis: "[NAME...] [--bless]",
+        valued: &[],
+        switches: &["--bless"],
+        positionals: usize::MAX,
+        run: |a| {
+            let rows = golden::select(&a.positionals)?;
+            Ok(golden::golden(&rows, a.has("--bless")))
+        },
+    },
 ];
 
-/// Sweep length from which the non-vacuity gate is enforced: every
-/// class provably fires within any 100 consecutive seeds starting at 0
-/// (pinned by `every_mutation_class_is_exercised`).
-const NON_VACUITY_SEEDS: u64 = 100;
-
-/// `oldenc fuzz`: the metamorphic verification sweep as a CLI gate. A
-/// failing seed is delta-debugged to a minimal reproducer written under
-/// `tests/corpus/`, where the `corpus_repros_replay_clean` test replays
-/// it on every future `cargo test`.
-fn fuzz_cmd(seeds: u64, start: u64) -> ExitCode {
-    let mut cov = Coverage::default();
-    for seed in start..start.saturating_add(seeds) {
-        if let Err(f) = verify_seed(seed, &mut cov) {
-            eprintln!("oldenc: {f}");
-            let small = shrink(&f.source, &source_fails);
-            let path = format!("tests/corpus/fail-seed{seed}.dsl");
-            match std::fs::write(&path, &small) {
-                Ok(()) => eprintln!("oldenc: shrunken reproducer written to {path}"),
-                Err(e) => {
-                    eprintln!("oldenc: cannot write {path}: {e}; reproducer:\n{small}");
-                }
-            }
-            return ExitCode::FAILURE;
-        }
+fn usage() {
+    for (i, s) in SPECS.iter().enumerate() {
+        let lead = if i == 0 { "usage:" } else { "      " };
+        eprintln!("{lead} oldenc {} {}", s.name, s.synopsis);
     }
-    print!("{}", cov.render());
-    if seeds >= NON_VACUITY_SEEDS {
-        for class in MUTATION_CLASSES {
-            if cov.mutations.get(class).copied().unwrap_or(0) == 0 {
-                eprintln!("oldenc: mutation class `{class}` never fired over {seeds} seed(s)");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    ExitCode::SUCCESS
+    let rows: Vec<&str> = golden::GOLDENS.iter().map(|g| g.name).collect();
+    eprintln!("golden NAMEs: {}", rows.join(" "));
 }
 
-/// The `opt` report: each benchmark's full elision report under a
-/// `== name ==` header, in registry order. [`OptReport::render`] is
-/// deterministic, so the whole surface pins bit-for-bit.
-fn opt_report() -> String {
-    let mut out = String::new();
-    for d in olden_benchmarks::all() {
-        let _ = writeln!(out, "== {} ==", d.name);
-        match optimize_src(d.dsl) {
-            Ok(r) => out.push_str(&r.render()),
-            Err(e) => {
-                let _ = writeln!(out, "parse error: {e}");
-            }
-        }
-    }
-    out
-}
-
-/// The `select` report: each benchmark's whole-program mechanism table —
-/// the per-loop selection summary followed by one verdict line per
-/// dereference site — under a `== name ==` header, in registry order.
-/// [`olden_analysis::MechTable::render`] is deterministic, so the
-/// surface pins bit-for-bit.
-fn select_report(bench: Option<&str>) -> String {
-    use olden_analysis::{mech_table, parse};
-    let mut out = String::new();
-    for d in olden_benchmarks::all() {
-        if bench.is_some_and(|b| !d.name.eq_ignore_ascii_case(b)) {
-            continue;
-        }
-        let _ = writeln!(out, "== {} ==", d.name);
-        match parse(d.dsl) {
-            Ok(prog) => out.push_str(&mech_table(&prog).render()),
-            Err(e) => {
-                let _ = writeln!(out, "parse error: {e}");
-            }
-        }
-    }
-    out
-}
-
-fn select_cmd(bench: Option<&str>, golden: Option<&str>, bless: bool) -> ExitCode {
-    if let Some(b) = bench {
-        if olden_benchmarks::by_name(b).is_none() {
-            eprintln!("oldenc: unknown benchmark {b:?}; known:");
-            for d in olden_benchmarks::all() {
-                eprintln!("  {}", d.name);
-            }
-            return ExitCode::from(2);
-        }
-    }
-    let regen = match bench {
-        Some(b) => format!("select {b}"),
-        None => "select".to_string(),
-    };
-    golden_check("select", &regen, &select_report(bench), golden, bless)
-}
-
-/// The `scheme` report: each benchmark's coherence-scheme verdict — the
-/// signal summary and the chosen Appendix-A scheme with reasons — under
-/// a `== name ==` header, in registry order.
-/// [`olden_analysis::SchemeVerdict::render`] is deterministic, so the
-/// surface pins bit-for-bit.
-fn scheme_report(bench: Option<&str>) -> String {
-    use olden_analysis::select_scheme_src;
-    let mut out = String::new();
-    for d in olden_benchmarks::all() {
-        if bench.is_some_and(|b| !d.name.eq_ignore_ascii_case(b)) {
-            continue;
-        }
-        let _ = writeln!(out, "== {} ==", d.name);
-        match select_scheme_src(d.dsl) {
-            Ok(v) => out.push_str(&v.render()),
-            Err(e) => {
-                let _ = writeln!(out, "parse error: {e}");
-            }
-        }
-    }
-    out
-}
-
-fn scheme_cmd(bench: Option<&str>, golden: Option<&str>, bless: bool) -> ExitCode {
-    if let Some(b) = bench {
-        if olden_benchmarks::by_name(b).is_none() {
-            eprintln!("oldenc: unknown benchmark {b:?}; known:");
-            for d in olden_benchmarks::all() {
-                eprintln!("  {}", d.name);
-            }
-            return ExitCode::from(2);
-        }
-    }
-    let regen = match bench {
-        Some(b) => format!("scheme {b}"),
-        None => "scheme".to_string(),
-    };
-    golden_check("scheme", &regen, &scheme_report(bench), golden, bless)
-}
-
-/// `oldenc run`: one benchmark on the thread backend under a chosen (or
-/// scheme-pass-selected) coherence protocol, held byte-equal to the
-/// simulator, with the Table-3 counter block printed.
-fn run_cmd(bench: &str, procs: usize, protocol: Option<olden_runtime::Protocol>) -> ExitCode {
-    use olden_benchmarks::generic_run;
-    use olden_exec::{run_exec, ExecConfig};
-    use olden_runtime::{Config, OldenCtx, Protocol};
-    let Some(d) = olden_benchmarks::by_name(bench) else {
-        eprintln!("oldenc: unknown benchmark {bench:?}; known:");
-        for d in olden_benchmarks::all() {
-            eprintln!("  {}", d.name);
-        }
-        return ExitCode::from(2);
-    };
-    let (protocol, why) = match protocol {
-        Some(p) => (p, "requested"),
-        None => {
-            // `auto`: ask the scheme-selection pass.
-            let v = match olden_analysis::select_scheme_src(d.dsl) {
-                Ok(v) => v,
-                Err(e) => {
-                    eprintln!("oldenc: {} DSL: {e}", d.name);
-                    return ExitCode::from(2);
-                }
-            };
-            let p = Protocol::from_name(v.scheme.name()).expect("scheme names match protocols");
-            (p, "scheme pass")
-        }
-    };
-    let name = d.name;
-    let mut sim = OldenCtx::new(Config::olden(procs).with_protocol(protocol));
-    let sim_val = generic_run(name, &mut sim, SizeClass::Tiny).expect("registry benchmark");
-    let (val, rep) = run_exec(
-        ExecConfig::lockstep(procs).with_protocol(protocol),
-        move |ctx| generic_run(name, ctx, SizeClass::Tiny).expect("registry benchmark"),
-    );
-    println!(
-        "{name} on {procs} procs, protocol {} ({why}): value {val}",
-        protocol.name()
-    );
-    let cols: Vec<String> = rep
-        .cache
-        .counters()
-        .iter()
-        .map(|(k, n)| format!("{k}={n}"))
-        .collect();
-    println!("cache: {}", cols.join(" "));
-    println!(
-        "runtime: migrations={} futures={} steals={} messages={}",
-        rep.stats.migrations, rep.stats.futures, rep.stats.steals, rep.messages
-    );
-    if val == sim_val && rep.stats == *sim.stats() && rep.cache == *sim.cache().stats() {
-        println!("parity: byte-equal to the simulator");
-        ExitCode::SUCCESS
-    } else {
-        eprintln!(
-            "oldenc: {name} DIVERGED from the simulator under {}",
-            protocol.name()
-        );
-        ExitCode::FAILURE
-    }
-}
-
-/// `oldenc predict`: the static cost model (§4 affinities pushed through
-/// the selected mechanisms and size-derived trip counts) evaluated at
-/// the same point `select_parity` measures — `SizeClass::Tiny` on 8
-/// processors — so the printed numbers are exactly the ones the parity
-/// gate compares against both backends.
-fn predict_cmd(bench: Option<&str>, json: bool) -> ExitCode {
-    use olden_analysis::{mech_table, parse, predict};
-    const PROCS: usize = 8;
-    if let Some(b) = bench {
-        if olden_benchmarks::by_name(b).is_none() {
-            eprintln!("oldenc: unknown benchmark {b:?}; known:");
-            for d in olden_benchmarks::all() {
-                eprintln!("  {}", d.name);
-            }
-            return ExitCode::from(2);
-        }
-    }
-    let mut out = String::new();
-    let mut objects = Vec::new();
-    for d in olden_benchmarks::all() {
-        if bench.is_some_and(|b| !d.name.eq_ignore_ascii_case(b)) {
-            continue;
-        }
-        let prog = match parse(d.dsl) {
-            Ok(p) => p,
-            Err(e) => {
-                eprintln!("oldenc: {} DSL: {e}", d.name);
-                return ExitCode::from(2);
-            }
-        };
-        let table = mech_table(&prog);
-        let trips = (d.trips)(SizeClass::Tiny, PROCS);
-        let p = predict(&prog, &table, &trips, PROCS);
-        if json {
-            let trips_json: Vec<String> =
-                trips.iter().map(|(k, n)| format!("\"{k}\": {n}")).collect();
-            let counters_json: Vec<String> = p
-                .counters()
-                .iter()
-                .map(|(k, n)| format!("\"{k}\": {n}"))
-                .collect();
-            objects.push(format!(
-                "  {{\"name\": \"{}\", \"procs\": {PROCS}, \"trips\": {{{}}}, \
-                 \"predicted\": {{{}}}}}",
-                d.name,
-                trips_json.join(", "),
-                counters_json.join(", ")
-            ));
-        } else {
-            let _ = writeln!(out, "== {} ==", d.name);
-            let trip_cols: Vec<String> = trips.iter().map(|(k, n)| format!("{k}={n}")).collect();
-            let _ = writeln!(out, "trips ({PROCS} procs): {}", trip_cols.join(" "));
-            let counter_cols: Vec<String> = p
-                .counters()
-                .iter()
-                .map(|(k, n)| format!("{k}={n}"))
-                .collect();
-            let _ = writeln!(out, "predicted: {}", counter_cols.join(" "));
-        }
-    }
-    if json {
-        println!("[\n{}\n]", objects.join(",\n"));
-    } else {
-        print!("{out}");
-    }
-    ExitCode::SUCCESS
-}
-
-/// Compare `report` to the golden file (or, with `--bless`, re-record
-/// it). `regen` is the subcommand with any arguments needed to reproduce
-/// this exact report, so a mismatch prints a ready-to-run bless command.
-fn golden_check(
-    what: &str,
-    regen: &str,
-    report: &str,
-    golden: Option<&str>,
-    bless: bool,
-) -> ExitCode {
-    print!("{report}");
-    let Some(path) = golden else {
-        return ExitCode::SUCCESS;
-    };
-    if bless {
-        if let Err(e) = std::fs::write(path, report) {
-            eprintln!("oldenc: cannot write golden file {path}: {e}");
-            return ExitCode::from(2);
-        }
-        eprintln!("oldenc: blessed {what} output into {path}");
-        return ExitCode::SUCCESS;
-    }
-    let want = match std::fs::read_to_string(path) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("oldenc: cannot read golden file {path}: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    if report == want {
-        eprintln!("oldenc: {what} output matches {path}");
-        ExitCode::SUCCESS
-    } else {
-        eprintln!("oldenc: {what} output diverges from {path}:");
-        for diff in diff_lines(&want, report) {
-            eprintln!("  {diff}");
-        }
-        eprintln!(
-            "re-record with: cargo run --release -q -p olden-bench --bin oldenc -- \
-             {regen} --golden {path} --bless"
-        );
-        ExitCode::FAILURE
-    }
-}
-
-fn lint(golden: Option<&str>, bless: bool) -> ExitCode {
-    golden_check("lint", "lint", &lint_report(), golden, bless)
-}
-
-fn opt(golden: Option<&str>, bless: bool) -> ExitCode {
-    golden_check("opt", "opt", &opt_report(), golden, bless)
-}
-
-/// Run every annotated benchmark with elision on and report the runtime
-/// check counters. A benchmark whose descriptor carries elision sites
-/// but whose run elides nothing means the `Check::Elide` hints in its
-/// kernel went dead — fail so CI catches the regression.
-fn elide() -> ExitCode {
-    use olden_benchmarks::{generic_run, SizeClass};
-    use olden_runtime::{Config, OldenCtx};
-    let mut dead = 0usize;
-    for d in olden_benchmarks::all() {
-        if d.elided_sites.is_empty() {
-            continue;
-        }
-        let mut ctx = OldenCtx::new(Config::olden(8).optimized());
-        generic_run(d.name, &mut ctx, SizeClass::Tiny).expect("registry benchmark");
-        let s = ctx.stats();
-        let total = s.checks_performed + s.checks_elided;
-        println!(
-            "{}: {} static sites, {} of {} runtime checks elided ({:.1}%)",
-            d.name,
-            d.elided_sites.len(),
-            s.checks_elided,
-            total,
-            100.0 * s.checks_elided as f64 / total.max(1) as f64
-        );
-        if s.checks_elided == 0 {
-            eprintln!("oldenc: {} is annotated but elided no checks", d.name);
-            dead += 1;
-        }
-    }
-    if dead == 0 {
-        ExitCode::SUCCESS
-    } else {
-        eprintln!("oldenc: {dead} benchmark(s) with dead elision hints");
-        ExitCode::FAILURE
-    }
-}
-
-/// The `chaos` report: every benchmark, executed for real on worker
-/// threads under `seeds` seeded fault schedules, held byte-equal — in
-/// value, runtime event counters, cache hit/miss totals, pages cached,
-/// and serviced-message count — to the fault-free simulator run.
-///
-/// Fault verdicts are pure integer functions of the seed and each
-/// message's identity, and lockstep execution sends a deterministic
-/// message sequence, so the per-benchmark fault totals are reproducible
-/// bit-for-bit: the whole surface pins with `--golden`. Returns the
-/// report and the number of divergent runs.
-///
-/// Seeds are swept in parallel across the host's cores: each seed's run
-/// is fully independent, and the per-benchmark lines aggregate plain
-/// sums over results collected back into seed order — so the report is
-/// byte-identical to a sequential sweep.
-fn chaos_report(seeds: u64, stall: Option<std::time::Duration>) -> (String, usize) {
-    use olden_benchmarks::{generic_run, SizeClass};
-    use olden_exec::{run_exec, ExecConfig, ExecReport};
-    use olden_runtime::{Config, FaultTag, OldenCtx, RunStats, TransportStats};
-    use std::sync::atomic::{AtomicU64, Ordering};
-    const PROCS: usize = 8;
-
-    /// Apply the CLI stall override, if any, on top of the default
-    /// watchdog timeout.
-    fn with_stall(cfg: ExecConfig, stall: Option<std::time::Duration>) -> ExecConfig {
-        match stall {
-            Some(d) => cfg.with_stall_timeout(d),
-            None => cfg,
-        }
-    }
-
-    /// What every faulted run must byte-equal (snapshotted before the
-    /// sweep so worker threads share it by reference).
-    struct Expect {
-        sim_val: u64,
-        base_val: u64,
-        stats: RunStats,
-        hits: u64,
-        misses: u64,
-        pages: u64,
-        messages: u64,
-    }
-    struct SeedOutcome {
-        equivalent: bool,
-        transport: TransportStats,
-        injected: [u64; 3], // drops, duplicates, delayed duplicates
-    }
-
-    fn run_seed(
-        name: &'static str,
-        seed: u64,
-        e: &Expect,
-        stall: Option<std::time::Duration>,
-    ) -> SeedOutcome {
-        let (v, rep): (u64, ExecReport) = run_exec(
-            with_stall(ExecConfig::lockstep(PROCS).chaotic(seed), stall),
-            move |ctx| generic_run(name, ctx, SizeClass::Tiny).expect("registry benchmark"),
-        );
-        SeedOutcome {
-            equivalent: v == e.base_val
-                && v == e.sim_val
-                && rep.stats == e.stats
-                && (rep.cache.hits, rep.cache.misses) == (e.hits, e.misses)
-                && rep.pages_cached == e.pages
-                && rep.messages == e.messages,
-            transport: rep.transport,
-            injected: [
-                rep.faults.count(FaultTag::Dropped),
-                rep.faults.count(FaultTag::Duplicated),
-                rep.faults.count(FaultTag::DelayedDuplicate),
-            ],
-        }
-    }
-
-    let workers = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1)
-        .min(seeds as usize)
-        .max(1);
-    let mut out = String::new();
-    let mut divergent = 0usize;
-    for d in olden_benchmarks::all() {
-        let name = d.name;
-        let mut sim = OldenCtx::new(Config::olden(PROCS));
-        let sim_val = generic_run(name, &mut sim, SizeClass::Tiny).expect("registry benchmark");
-        let (base_val, base) =
-            run_exec(with_stall(ExecConfig::lockstep(PROCS), stall), move |ctx| {
-                generic_run(name, ctx, SizeClass::Tiny).expect("registry benchmark")
-            });
-        let expect = Expect {
-            sim_val,
-            base_val,
-            stats: *sim.stats(),
-            hits: sim.cache().stats().hits,
-            misses: sim.cache().stats().misses,
-            pages: sim.cache().pages_cached(),
-            messages: base.messages,
-        };
-        // Work-stealing sweep: an atomic next-seed index, results slotted
-        // back by seed so aggregation order never depends on scheduling.
-        let next = AtomicU64::new(0);
-        let mut results: Vec<Option<SeedOutcome>> = (0..seeds).map(|_| None).collect();
-        std::thread::scope(|s| {
-            let (tx, rx) = std::sync::mpsc::channel::<(u64, SeedOutcome)>();
-            for _ in 0..workers {
-                let tx = tx.clone();
-                let (next, expect) = (&next, &expect);
-                s.spawn(move || loop {
-                    let seed = next.fetch_add(1, Ordering::Relaxed);
-                    if seed >= seeds {
-                        break;
-                    }
-                    tx.send((seed, run_seed(name, seed, expect, stall)))
-                        .expect("collector alive");
-                });
-            }
-            drop(tx);
-            for (seed, r) in rx {
-                results[seed as usize] = Some(r);
-            }
-        });
-        let mut bad = 0usize;
-        let mut agg = TransportStats::default();
-        let mut injected = [0u64; 3];
-        for (seed, r) in results.iter().enumerate() {
-            let r = r.as_ref().expect("every seed ran");
-            if !r.equivalent {
-                let _ = writeln!(out, "{name}: seed {seed} DIVERGED from the fault-free run");
-                bad += 1;
-            }
-            agg.absorb(&r.transport);
-            for (slot, n) in injected.iter_mut().zip(r.injected) {
-                *slot += n;
-            }
-        }
-        let _ = writeln!(
-            out,
-            "{name}: {}/{seeds} seeds equivalent; injected drops={} dups={} delayed={}; \
-             retries={} suppressed={}",
-            seeds - bad as u64,
-            injected[0],
-            injected[1],
-            injected[2],
-            agg.retries,
-            agg.dupes_suppressed,
-        );
-        divergent += bad;
-    }
-    let runs = olden_benchmarks::all().len() as u64 * seeds;
-    let _ = writeln!(
-        out,
-        "chaos: {}/{runs} faulted runs byte-equal to the fault-free simulator",
-        runs - divergent as u64
-    );
-    (out, divergent)
-}
-
-fn chaos(
-    seeds: u64,
-    stall: Option<std::time::Duration>,
-    golden: Option<&str>,
-    bless: bool,
-) -> ExitCode {
-    let (report, divergent) = chaos_report(seeds, stall);
-    let regen = format!("chaos --seeds {seeds}");
-    let code = golden_check("chaos", &regen, &report, golden, bless);
-    if divergent > 0 {
-        eprintln!("oldenc: {divergent} chaotic run(s) diverged");
-        return ExitCode::FAILURE;
-    }
-    code
-}
-
-/// Processor count for the differential sweep. Smaller than the chaos
-/// gate's 8 so generated heaps spread across procs without drowning the
-/// migrate/cache signal in placement noise.
-const DIFF_PROCS: usize = 4;
-
-/// Every `CHAOS_EVERY`-th seed also runs under seeded fault injection
-/// (seed 0, 8, 16, … — 25 chaotic runs per 200-seed sweep).
-const DIFF_CHAOS_EVERY: u64 = 8;
-
-/// Accepted band on `(predicted + 1) / (measured + 1)` per counter. The
-/// static model is order-of-magnitude on benchmark-shaped code, but
-/// generated programs hit corners it deliberately smooths over — above
-/// all loops whose pointer goes null early, where the model charges
-/// every predicted trip while execution skips the heap entirely — so the
-/// per-seed gate only catches catastrophic breakage. The *pinned* part
-/// is the golden file, which records the exact live spread: any model or
-/// runtime change that moves a counter shows up as a diff there, and the
-/// tight-band claim lives on the mixed-mechanism flip seed (asserted at
-/// [0.05, 20] by `mechanism_mix_drives_execution_within_cost_bands`).
-const DIFF_BAND: (f64, f64) = (0.01, 5000.0);
-
-/// True when `src` still reproduces a sim-vs-lockstep divergence for
-/// `seed`'s input data: values/trips unequal, any counter unequal, the
-/// exec backend erroring out, or either side panicking. This is the
-/// predicate the delta-debugging shrinker minimizes under; sources that
-/// stop compiling don't count (the divergence must survive the front
-/// gate to be a *differential* finding).
-fn difftest_diverges(src: &str, seed: u64, protocol: olden_runtime::Protocol) -> bool {
-    use olden_analysis::compile;
-    use olden_exec::{try_run_exec, ExecConfig};
-    use olden_runtime::{run_ir, Config, OldenCtx, DEFAULT_FUEL};
-    use std::panic::{catch_unwind, AssertUnwindSafe};
-    use std::sync::Arc;
-    let Ok((_, _, ir)) = compile(src) else {
-        return false;
-    };
-    let ir = Arc::new(ir);
-    catch_unwind(AssertUnwindSafe(|| {
-        let mut sim = OldenCtx::new(Config::olden(DIFF_PROCS).with_protocol(protocol));
-        let out_sim = run_ir(&mut sim, &ir, seed, DEFAULT_FUEL, None);
-        let stats = *sim.stats();
-        let cache = *sim.cache().stats();
-        let pages = sim.cache().pages_cached();
-        let ir2 = Arc::clone(&ir);
-        match try_run_exec(
-            ExecConfig::lockstep(DIFF_PROCS).with_protocol(protocol),
-            move |ctx| run_ir(ctx, &ir2, seed, DEFAULT_FUEL, None),
-        ) {
-            Ok((out, rep)) => {
-                out != out_sim
-                    || rep.stats != stats
-                    || rep.cache != cache
-                    || rep.pages_cached != pages
-            }
-            Err(_) => true,
-        }
-    }))
-    .unwrap_or(true)
-}
-
-/// The `difftest` report: `seeds` generated programs, each type-checked,
-/// mechanism-selected, lowered to the executable IR, and run on the
-/// simulator and the lockstep thread backend from the same input seed —
-/// held byte-equal in checksum, per-loop trip counts, every runtime
-/// event counter, cache hit/miss totals, and pages cached. Every
-/// [`DIFF_CHAOS_EVERY`]-th seed re-runs under seeded fault injection and
-/// must stay equal to the fault-free simulator (plus lockstep's serviced
-/// message count). Per seed, the static cost model evaluated at the
-/// *measured* trip counts must bracket the executed counters within
-/// [`DIFF_BAND`].
-///
-/// Everything printed is a pure function of the seeds, so the surface
-/// pins with `--golden`. Seeds sweep in parallel work-stealing style
-/// (results slotted back by seed before aggregation, as in
-/// [`chaos_report`]). Returns the report, the divergent seeds
-/// (parity or chaos), and the band-miss count.
-fn difftest_report(seeds: u64, protocol: olden_runtime::Protocol) -> (String, Vec<u64>, usize) {
-    use olden_analysis::{compile, predict, Mech};
-    use olden_exec::{run_exec, ExecConfig};
-    use olden_runtime::{run_ir, Config, OldenCtx, Protocol, DEFAULT_FUEL};
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::Arc;
-
-    struct SeedOutcome {
-        parity_ok: bool,
-        /// Some(equal) when this seed also ran under fault injection.
-        chaos_ok: Option<bool>,
-        /// `(pred + 1)/(meas + 1)` for migrations, line fetches, remote
-        /// touches.
-        ratios: [f64; 3],
-        mixed: bool,
-        fuel_cut: bool,
-        /// migrations, cache misses, steals, checks performed.
-        totals: [u64; 4],
-    }
-
-    fn run_seed(seed: u64, protocol: Protocol) -> SeedOutcome {
-        let src = gen_source(seed);
-        let (prog, table, ir) =
-            compile(&src).unwrap_or_else(|e| panic!("seed {seed} failed to lower: {e}"));
-        let ir = Arc::new(ir);
-        let mut sim = OldenCtx::new(Config::olden(DIFF_PROCS).with_protocol(protocol));
-        let out_sim = run_ir(&mut sim, &ir, seed, DEFAULT_FUEL, None);
-        let stats = *sim.stats();
-        let cache = *sim.cache().stats();
-        let misses = cache.misses;
-        let pages = sim.cache().pages_cached();
-        let ir2 = Arc::clone(&ir);
-        let (out_exec, rep) = run_exec(
-            ExecConfig::lockstep(DIFF_PROCS).with_protocol(protocol),
-            move |ctx| run_ir(ctx, &ir2, seed, DEFAULT_FUEL, None),
-        );
-        let parity_ok = out_exec == out_sim
-            && rep.stats == stats
-            && rep.cache == cache
-            && rep.pages_cached == pages;
-        let chaos_ok = seed.is_multiple_of(DIFF_CHAOS_EVERY).then(|| {
-            let ir3 = Arc::clone(&ir);
-            let (cv, crep) = run_exec(
-                ExecConfig::lockstep(DIFF_PROCS)
-                    .with_protocol(protocol)
-                    .chaotic(seed),
-                move |ctx| run_ir(ctx, &ir3, seed, DEFAULT_FUEL, None),
-            );
-            cv == out_sim
-                && crep.stats == stats
-                && crep.cache == cache
-                && crep.pages_cached == pages
-                && crep.messages == rep.messages
-        });
-        let trips: Vec<(&str, u64)> = out_sim
-            .trips
-            .iter()
-            .map(|(k, n)| (k.as_str(), *n))
-            .collect();
-        let p = predict(&prog, &table, &trips, DIFF_PROCS);
-        let pairs = [
-            (p.migrations, stats.migrations),
-            (p.line_fetches, misses),
-            (p.remote_touches, stats.steals),
-        ];
-        let migrate = table
-            .sites
-            .iter()
-            .filter(|s| s.mech == Mech::Migrate)
-            .count();
-        SeedOutcome {
-            parity_ok,
-            chaos_ok,
-            ratios: pairs.map(|(pr, m)| (pr + 1.0) / (m as f64 + 1.0)),
-            mixed: migrate > 0 && migrate < table.sites.len(),
-            fuel_cut: out_sim.halted,
-            totals: [
-                stats.migrations,
-                misses,
-                stats.steals,
-                stats.checks_performed,
-            ],
-        }
-    }
-
-    let workers = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1)
-        .min(seeds as usize)
-        .max(1);
-    let next = AtomicU64::new(0);
-    let mut results: Vec<Option<SeedOutcome>> = (0..seeds).map(|_| None).collect();
-    std::thread::scope(|s| {
-        let (tx, rx) = std::sync::mpsc::channel::<(u64, SeedOutcome)>();
-        for _ in 0..workers {
-            let tx = tx.clone();
-            let next = &next;
-            s.spawn(move || loop {
-                let seed = next.fetch_add(1, Ordering::Relaxed);
-                if seed >= seeds {
-                    break;
-                }
-                tx.send((seed, run_seed(seed, protocol)))
-                    .expect("collector alive");
-            });
-        }
-        drop(tx);
-        for (seed, r) in rx {
-            results[seed as usize] = Some(r);
-        }
-    });
-
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "difftest: {seeds} generated programs on {DIFF_PROCS} procs, \
-         fuel {}, protocol {}, input seed = program seed",
-        olden_runtime::DEFAULT_FUEL,
-        protocol.name()
-    );
-    let mut divergent = Vec::new();
-    let mut parity_bad = 0u64;
-    let (mut chaos_runs, mut chaos_ok) = (0u64, 0u64);
-    let mut band_misses = 0usize;
-    let (mut mixed, mut fuel_cut) = (0u64, 0u64);
-    let mut totals = [0u64; 4];
-    let mut spread = [(f64::INFINITY, f64::NEG_INFINITY); 3];
-    for (seed, r) in results.iter().enumerate() {
-        let r = r.as_ref().expect("every seed ran");
-        if !r.parity_ok {
-            let _ = writeln!(out, "seed {seed} DIVERGED: sim vs exec-lockstep");
-            divergent.push(seed as u64);
-            parity_bad += 1;
-        }
-        if let Some(ok) = r.chaos_ok {
-            chaos_runs += 1;
-            if ok {
-                chaos_ok += 1;
-            } else {
-                let _ = writeln!(out, "seed {seed} chaos DIVERGED from the fault-free run");
-                if r.parity_ok {
-                    divergent.push(seed as u64);
-                }
-            }
-        }
-        let in_band = r
-            .ratios
-            .iter()
-            .all(|x| (DIFF_BAND.0..=DIFF_BAND.1).contains(x));
-        if !in_band {
-            let _ = writeln!(
-                out,
-                "seed {seed} OUT OF BAND: migrations {:.3} line-fetches {:.3} \
-                 remote-touches {:.3}",
-                r.ratios[0], r.ratios[1], r.ratios[2]
-            );
-            band_misses += 1;
-        }
-        for (slot, x) in spread.iter_mut().zip(r.ratios) {
-            *slot = (slot.0.min(x), slot.1.max(x));
-        }
-        mixed += u64::from(r.mixed);
-        fuel_cut += u64::from(r.fuel_cut);
-        for (slot, n) in totals.iter_mut().zip(r.totals) {
-            *slot += n;
-        }
-    }
-    let _ = writeln!(
-        out,
-        "parity: {}/{seeds} programs byte-equal on sim vs exec-lockstep \
-         (checksum, trips, runtime counters, cache, pages)",
-        seeds - parity_bad
-    );
-    let _ = writeln!(
-        out,
-        "chaos: {chaos_ok}/{chaos_runs} fault-injected runs byte-equal to the \
-         fault-free simulator"
-    );
-    let _ = writeln!(
-        out,
-        "bands: {}/{seeds} seeds inside [{:.2}, {:.1}] on (predicted+1)/(measured+1); \
-         spread migrations [{:.3}, {:.3}] line-fetches [{:.3}, {:.3}] \
-         remote-touches [{:.3}, {:.3}]",
-        seeds - band_misses as u64,
-        DIFF_BAND.0,
-        DIFF_BAND.1,
-        spread[0].0,
-        spread[0].1,
-        spread[1].0,
-        spread[1].1,
-        spread[2].0,
-        spread[2].1,
-    );
-    let _ = writeln!(
-        out,
-        "mix: {mixed}/{seeds} programs select both mechanisms; {fuel_cut} fuel-cut"
-    );
-    // The mechanism-flip experiment: on the first mixed-mechanism seed,
-    // the live verdicts must execute differently from forcing either
-    // mechanism everywhere — proof the selection *drives* execution.
-    if let Some(seed) = (0..seeds).find(|&s| results[s as usize].as_ref().unwrap().mixed) {
-        let src = gen_source(seed);
-        let (_, _, ir) = compile(&src).expect("mixed seed lowers");
-        let ir = Arc::new(ir);
-        let counters = |force: Option<Mech>| {
-            let mut ctx = OldenCtx::new(Config::olden(DIFF_PROCS).with_protocol(protocol));
-            run_ir(&mut ctx, &ir, seed, DEFAULT_FUEL, force);
-            (ctx.stats().migrations, ctx.cache().stats().misses)
-        };
-        let live = counters(None);
-        let mig = counters(Some(Mech::Migrate));
-        let cache = counters(Some(Mech::Cache));
-        let _ = writeln!(
-            out,
-            "flip seed {seed}: live migrations={} misses={} | all-migrate \
-             migrations={} misses={} | all-cache migrations={} misses={}",
-            live.0, live.1, mig.0, mig.1, cache.0, cache.1
-        );
-    }
-    let _ = writeln!(
-        out,
-        "totals: migrations={} line-fetches={} steals={} checks={}",
-        totals[0], totals[1], totals[2], totals[3]
-    );
-    let _ = writeln!(out, "difftest: {} divergence(s)", divergent.len());
-    (out, divergent, band_misses)
-}
-
-fn difftest(
-    seeds: u64,
-    protocol: olden_runtime::Protocol,
-    golden: Option<&str>,
-    bless: bool,
-) -> ExitCode {
-    let (report, divergent, band_misses) = difftest_report(seeds, protocol);
-    let regen = format!("difftest --seeds {seeds} --protocol {}", protocol.name());
-    let code = golden_check("difftest", &regen, &report, golden, bless);
-    // Any divergence gets delta-debugged down to a minimal reproducer in
-    // the corpus, where `corpus_repros_execute_differentially` replays it
-    // on both backends forever.
-    for seed in &divergent {
-        let seed = *seed;
-        let small = shrink(&gen_source(seed), &|s| difftest_diverges(s, seed, protocol));
-        let path = format!("tests/corpus/difftest-seed{}-{}.dsl", seed, protocol.name());
-        match std::fs::write(&path, &small) {
-            Ok(()) => eprintln!("oldenc: shrunken reproducer written to {path}"),
-            Err(e) => eprintln!("oldenc: cannot write {path}: {e}; reproducer:\n{small}"),
-        }
-    }
-    if !divergent.is_empty() || band_misses > 0 {
-        eprintln!(
-            "oldenc: {} divergence(s), {band_misses} band miss(es)",
-            divergent.len()
-        );
-        return ExitCode::FAILURE;
-    }
-    code
-}
-
-/// The command prefix that re-enters this binary as a net worker: the
-/// parent appends `<proc> <parent_port> <record> <protocol>` per
-/// process.
-fn self_worker_cmd() -> Result<Vec<String>, String> {
-    let exe = std::env::current_exe().map_err(|e| format!("cannot locate own binary: {e}"))?;
-    let exe = exe
-        .into_os_string()
-        .into_string()
-        .map_err(|p| format!("own binary path is not unicode: {p:?}"))?;
-    Ok(vec![exe, "net-worker".to_string()])
-}
-
-/// `oldenc net`: every benchmark (or one) executed on the multi-process
-/// network backend — worker processes over loopback TCP — held to value
-/// and counter parity with the simulator, plus an optional chaos-seed
-/// sweep over the real sockets. Exit 1 on any divergence: the CI
-/// net-parity gate.
-fn net_run_cmd(
-    bench: Option<&str>,
-    procs: usize,
-    seeds: u64,
-    protocol: olden_runtime::Protocol,
-    stall: Option<std::time::Duration>,
-) -> ExitCode {
-    use olden_benchmarks::generic_run;
-    use olden_exec::ExecConfig;
-    use olden_net::{loopback_available, run_net, NetConfig};
-    use olden_runtime::{Config, OldenCtx};
-    use std::time::Instant;
-
-    if !loopback_available() {
-        // Distinct from a parity failure: the environment cannot run the
-        // backend at all. CI treats this exit as "skip".
-        eprintln!("oldenc: loopback TCP unavailable; cannot run the net backend here");
-        return ExitCode::from(3);
-    }
-    let worker_cmd = match self_worker_cmd() {
-        Ok(cmd) => cmd,
-        Err(e) => {
-            eprintln!("oldenc: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let exec_cfg = || {
-        let cfg = ExecConfig::lockstep(procs).with_protocol(protocol);
-        match stall {
-            Some(d) => cfg.with_stall_timeout(d),
-            None => cfg,
-        }
-    };
-    let net_with = |name: &'static str, cfg: ExecConfig| {
-        run_net(NetConfig::new(cfg, worker_cmd.clone()), move |ctx| {
-            generic_run(name, ctx, SizeClass::Tiny).expect("registry benchmark")
-        })
-    };
-
-    let descriptors: Vec<_> = olden_benchmarks::all()
-        .iter()
-        .filter(|d| bench.is_none_or(|b| d.name == b))
-        .cloned()
-        .collect();
-    if descriptors.is_empty() {
-        eprintln!(
-            "oldenc: unknown benchmark {:?}; known:",
-            bench.unwrap_or("")
-        );
-        for d in olden_benchmarks::all() {
-            eprintln!("  {}", d.name);
-        }
-        return ExitCode::from(2);
-    }
-
-    let mut divergent = 0usize;
-    for d in &descriptors {
-        let name = d.name;
-        let mut sim = OldenCtx::new(Config::olden(procs).with_protocol(protocol));
-        let sim_val = generic_run(name, &mut sim, SizeClass::Tiny).expect("registry benchmark");
-        let t = Instant::now();
-        let (val, rep) = net_with(name, exec_cfg());
-        let wall_ms = t.elapsed().as_nanos() as f64 / 1e6;
-        let clean = val == sim_val
-            && rep.stats == *sim.stats()
-            && rep.cache == *sim.cache().stats()
-            && rep.pages_cached == sim.cache().pages_cached();
-        if !clean {
-            println!("{name}: DIVERGED from the simulator over TCP");
-            divergent += 1;
-        }
-        let mut chaos_bad = 0usize;
-        for seed in 0..seeds {
-            let (cv, crep) = net_with(name, exec_cfg().chaotic(seed));
-            if cv != sim_val || crep.stats != *sim.stats() || crep.messages != rep.messages {
-                println!("{name}: chaos seed {seed} DIVERGED over TCP");
-                chaos_bad += 1;
-            }
-        }
-        divergent += chaos_bad;
-        println!(
-            "{name}: {} on {procs} worker processes, {} frames, {wall_ms:.2} ms{}",
-            if clean { "parity ok" } else { "PARITY BROKEN" },
-            rep.messages,
-            if seeds > 0 {
-                format!(", chaos {}/{seeds} seeds ok", seeds as usize - chaos_bad)
-            } else {
-                String::new()
-            }
-        );
-    }
-    if divergent == 0 {
-        println!(
-            "net: {} benchmark(s) byte-equal to the simulator across process boundaries \
-             (protocol {})",
-            descriptors.len(),
-            protocol.name()
-        );
-        ExitCode::SUCCESS
-    } else {
-        eprintln!("oldenc: {divergent} net run(s) diverged");
-        ExitCode::FAILURE
-    }
-}
-
-/// `oldenc profile`: one benchmark recorded on both backends, the
-/// recordings reconciled against the runs' counters, timelines printed,
-/// and optionally a Chrome trace written.
-fn profile_cmd(
-    bench: &str,
-    trace: Option<&str>,
-    procs: usize,
-    width: usize,
-    net: bool,
-) -> ExitCode {
-    let Some(d) = olden_benchmarks::by_name(bench) else {
-        eprintln!("oldenc: unknown benchmark {bench:?}; known:");
-        for d in olden_benchmarks::all() {
-            eprintln!("  {}", d.name);
-        }
-        return ExitCode::from(2);
-    };
-    let sim = profile::profile_sim(&d, procs, SizeClass::Tiny);
-    let exec = profile::profile_exec(&d, procs, SizeClass::Tiny);
-    let net_prof = if net {
-        if !olden_net::loopback_available() {
-            eprintln!("oldenc: --net requires loopback TCP, unavailable here");
-            return ExitCode::from(3);
-        }
-        match self_worker_cmd() {
-            Ok(cmd) => Some(profile::profile_net(&d, procs, SizeClass::Tiny, cmd)),
-            Err(e) => {
-                eprintln!("oldenc: {e}");
-                return ExitCode::from(2);
-            }
-        }
-    } else {
-        None
-    };
-    let mut broken = 0usize;
-    let mut surfaces = vec![("sim", sim.reconcile()), ("exec", exec.reconcile())];
-    if let Some(n) = &net_prof {
-        surfaces.push(("net", n.reconcile()));
-    }
-    for (which, bad) in surfaces {
-        for b in &bad {
-            eprintln!(
-                "oldenc: {} {which} recording does not reconcile: {b}",
-                d.name
-            );
-        }
-        broken += bad.len();
-    }
-    if broken > 0 {
-        eprintln!("oldenc: trace untrustworthy; nothing written");
-        return ExitCode::FAILURE;
-    }
-    println!(
-        "{} on {procs} procs: makespan {} cycles (sim), wall {:.2} ms (exec lockstep){}",
-        d.name,
-        sim.report.makespan,
-        exec.wall_ns as f64 / 1e6,
-        match &net_prof {
-            Some(n) => format!(", wall {:.2} ms (net lockstep)", n.wall_ns as f64 / 1e6),
-            None => String::new(),
-        }
-    );
-    println!(
-        "events: {} stored (sim) / {} stored (exec){}; counters reconcile on every backend",
-        sim.recording.events_stored(),
-        exec.recording.events_stored(),
-        match &net_prof {
-            Some(n) => format!(" / {} stored (net)", n.recording.events_stored()),
-            None => String::new(),
-        }
-    );
-    let metrics = exec.recording.metrics();
-    print!("{}", metrics.render());
-    println!("-- sim lane activity (logical time) --");
-    print!(
-        "{}",
-        olden_obs::timeline::event_timeline(&sim.recording, width)
-    );
-    println!("-- exec lane activity (wall time) --");
-    print!(
-        "{}",
-        olden_obs::timeline::event_timeline(&exec.recording, width)
-    );
-    if let Some(n) = &net_prof {
-        println!("-- net lane activity (wall time, per-process epochs) --");
-        print!(
-            "{}",
-            olden_obs::timeline::event_timeline(&n.recording, width)
-        );
-    }
-    if let Some(path) = trace {
-        let mut groups = vec![("sim", &sim.recording), ("exec", &exec.recording)];
-        if let Some(n) = &net_prof {
-            groups.push(("net", &n.recording));
-        }
-        let text = olden_obs::chrome::trace_json(&groups);
-        if let Err(e) = std::fs::write(path, text) {
-            eprintln!("oldenc: cannot write {path}: {e}");
-            return ExitCode::from(2);
-        }
-        println!("wrote Chrome trace to {path} (open at https://ui.perfetto.dev)");
-    }
-    ExitCode::SUCCESS
-}
-
-/// `oldenc bench`: measure every benchmark, optionally write the JSON
-/// and/or gate against a baseline (the CI perf-smoke stage).
-fn bench_cmd(
-    json: Option<&str>,
-    check_path: Option<&str>,
-    tolerance: f64,
-    procs: usize,
-    reps: usize,
-    net: bool,
-) -> ExitCode {
-    let net_cmd = if net {
-        if !olden_net::loopback_available() {
-            eprintln!("oldenc: --net requires loopback TCP, unavailable here");
-            return ExitCode::from(3);
-        }
-        match self_worker_cmd() {
-            Ok(cmd) => Some(cmd),
-            Err(e) => {
-                eprintln!("oldenc: {e}");
-                return ExitCode::from(2);
-            }
-        }
-    } else {
-        None
-    };
-    let file = benchjson::measure(procs, SizeClass::Tiny, reps, net_cmd.as_deref());
-    println!(
-        "{} benchmarks on {procs} procs, best of {reps}; calibration {:.2} ms",
-        file.points.len(),
-        file.calib_ns as f64 / 1e6
-    );
-    for p in &file.points {
-        let net_col = match p.net_wall_ns {
-            Some(ns) => format!("  net {:>9.3} ms", ns as f64 / 1e6),
-            None => String::new(),
-        };
-        println!(
-            "  {:<10} {:>9.3} ms{net_col}  migrations={} misses={} messages={}",
-            p.name,
-            p.wall_ns as f64 / 1e6,
-            p.counters["migrations"],
-            p.counters["misses"],
-            p.counters["messages"]
-        );
-    }
-    if let Some(path) = json {
-        if let Err(e) = std::fs::write(path, file.render()) {
-            eprintln!("oldenc: cannot write {path}: {e}");
-            return ExitCode::from(2);
-        }
-        println!("wrote {path}");
-    }
-    let Some(base_path) = check_path else {
-        return ExitCode::SUCCESS;
-    };
-    let base = match std::fs::read_to_string(base_path)
-        .map_err(|e| e.to_string())
-        .and_then(|s| benchjson::BenchFile::parse(&s))
-    {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("oldenc: cannot load baseline {base_path}: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let out = benchjson::check(&file, &base, tolerance);
-    for n in &out.notes {
-        eprintln!("oldenc: note: {n}");
-    }
-    if out.violations.is_empty() {
-        eprintln!(
-            "oldenc: perf-smoke clean against {base_path} (tolerance {:.0}%)",
-            tolerance * 100.0
-        );
-        ExitCode::SUCCESS
-    } else {
-        for v in &out.violations {
-            eprintln!("oldenc: perf-smoke violation: {v}");
-        }
-        eprintln!(
-            "re-baseline with: cargo run --release -q -p olden-bench --bin oldenc -- \
-             bench --procs {procs} --reps {reps} --json {base_path}"
-        );
-        ExitCode::FAILURE
-    }
-}
-
-/// Minimal line diff: every golden line not in the output (`-`) and
-/// every output line not in the golden (`+`), in file order.
-fn diff_lines(want: &str, got: &str) -> Vec<String> {
-    let want: Vec<&str> = want.lines().collect();
-    let got: Vec<&str> = got.lines().collect();
-    let mut out = Vec::new();
-    for w in &want {
-        if !got.contains(w) {
-            out.push(format!("- {w}"));
-        }
-    }
-    for g in &got {
-        if !want.contains(g) {
-            out.push(format!("+ {g}"));
-        }
-    }
-    out
-}
-
-fn check(files: &[String]) -> ExitCode {
-    if files.is_empty() {
-        return usage();
-    }
-    let mut findings = 0usize;
-    for path in files {
-        let src = match std::fs::read_to_string(path) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("oldenc: cannot read {path}: {e}");
-                return ExitCode::from(2);
-            }
-        };
-        match racecheck_src(&src) {
-            Ok(diags) => {
-                for d in &diags {
-                    println!("{path}: {d}");
-                }
-                findings += diags.len();
-            }
-            Err(e) => {
-                eprintln!("{path}: parse error: {e}");
-                return ExitCode::from(2);
-            }
-        }
-    }
-    if findings == 0 {
-        eprintln!("oldenc: {} file(s) clean", files.len());
-        ExitCode::SUCCESS
-    } else {
-        eprintln!("oldenc: {findings} finding(s)");
-        ExitCode::FAILURE
-    }
-}
-
-/// Parse a `--protocol` value: an Appendix-A scheme name.
-fn parse_protocol(s: &str) -> Option<olden_runtime::Protocol> {
-    olden_runtime::Protocol::from_name(s)
-}
-
-/// Parse `[--golden PATH] [--bless]`.
-fn golden_flags(args: &[String]) -> Option<(Option<String>, bool)> {
-    let (mut golden, mut bless) = (None, false);
-    let mut rest = args.iter();
-    loop {
-        match rest.next().map(String::as_str) {
-            None => break,
-            Some("--golden") => golden = Some(rest.next()?.clone()),
-            Some("--bless") => bless = true,
-            Some(_) => return None,
-        }
-    }
-    if bless && golden.is_none() {
-        return None; // --bless needs a file to bless
-    }
-    Some((golden, bless))
+/// Look the subcommand up and walk its flags.
+fn resolve(argv: &[String]) -> Result<(&'static Spec, Args), String> {
+    let (name, rest) = argv.split_first().ok_or("no subcommand given")?;
+    let spec = SPECS.iter().find(|s| s.name == name);
+    let spec = spec.ok_or_else(|| format!("unknown subcommand {name:?}"))?;
+    let args = cli::parse(rest, spec.valued, spec.switches, spec.positionals)?;
+    Ok((spec, args))
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("lint") if args.len() == 2 && args[1] == "--json" => match lint_json_report() {
-            Ok(report) => {
-                println!("{report}");
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("oldenc: {e}");
-                ExitCode::from(2)
-            }
-        },
-        Some("lint") => match golden_flags(&args[1..]) {
-            Some((golden, bless)) => lint(golden.as_deref(), bless),
-            None => usage(),
-        },
-        Some("typecheck") => {
-            let mut json = false;
-            let mut files = Vec::new();
-            for a in &args[1..] {
-                match a.as_str() {
-                    "--json" => json = true,
-                    f if !f.starts_with("--") => files.push(f.to_string()),
-                    _ => return usage(),
-                }
-            }
-            typecheck_cmd(&files, json)
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    if argv.first().is_some_and(|name| name == "net-worker") {
+        // Spawned by the orchestrator, never typed by a user, so it stays
+        // out of SPECS and usage().
+        olden_net::worker::main_from_args(&argv[1..]);
+    }
+    match resolve(&argv).and_then(|(spec, args)| (spec.run)(&args)) {
+        Ok(code) => code,
+        Err(e) => {
+            eprintln!("oldenc: {e}");
+            usage();
+            ExitCode::from(2)
         }
-        Some("gen") => {
-            let (mut seed, mut count) = (0u64, 1u64);
-            let (mut golden, mut bless) = (None::<String>, false);
-            let mut rest = args[1..].iter();
-            loop {
-                match rest.next().map(String::as_str) {
-                    None => break,
-                    Some("--seed") => match rest.next().and_then(|s| s.parse().ok()) {
-                        Some(n) => seed = n,
-                        _ => return usage(),
-                    },
-                    Some("--count") => match rest.next().and_then(|s| s.parse().ok()) {
-                        Some(n) if (1..=10_000).contains(&n) => count = n,
-                        _ => return usage(),
-                    },
-                    Some("--golden") => match rest.next() {
-                        Some(p) => golden = Some(p.clone()),
-                        None => return usage(),
-                    },
-                    Some("--bless") => bless = true,
-                    Some(_) => return usage(),
-                }
-            }
-            if bless && golden.is_none() {
-                return usage();
-            }
-            gen_cmd(seed, count, golden.as_deref(), bless)
-        }
-        Some("fuzz") => {
-            let (mut seeds, mut start) = (NON_VACUITY_SEEDS, 0u64);
-            let mut rest = args[1..].iter();
-            loop {
-                match rest.next().map(String::as_str) {
-                    None => break,
-                    Some("--seeds") => match rest.next().and_then(|s| s.parse().ok()) {
-                        Some(n) if n > 0 => seeds = n,
-                        _ => return usage(),
-                    },
-                    Some("--start") => match rest.next().and_then(|s| s.parse().ok()) {
-                        Some(n) => start = n,
-                        _ => return usage(),
-                    },
-                    Some(_) => return usage(),
-                }
-            }
-            fuzz_cmd(seeds, start)
-        }
-        Some("opt") => match golden_flags(&args[1..]) {
-            Some((golden, bless)) => opt(golden.as_deref(), bless),
-            None => usage(),
-        },
-        Some("select") => {
-            let bench = args.get(1).filter(|a| !a.starts_with("--")).cloned();
-            let flags_from = if bench.is_some() { 2 } else { 1 };
-            match golden_flags(&args[flags_from..]) {
-                Some((golden, bless)) => select_cmd(bench.as_deref(), golden.as_deref(), bless),
-                None => usage(),
-            }
-        }
-        Some("scheme") => {
-            let bench = args.get(1).filter(|a| !a.starts_with("--")).cloned();
-            let flags_from = if bench.is_some() { 2 } else { 1 };
-            match golden_flags(&args[flags_from..]) {
-                Some((golden, bless)) => scheme_cmd(bench.as_deref(), golden.as_deref(), bless),
-                None => usage(),
-            }
-        }
-        Some("run") => {
-            let Some(bench) = args.get(1).filter(|a| !a.starts_with("--")).cloned() else {
-                return usage();
-            };
-            let mut procs = 8usize;
-            let mut protocol = None;
-            let mut rest = args[2..].iter();
-            loop {
-                match rest.next().map(String::as_str) {
-                    None => break,
-                    Some("--procs") => match rest.next().and_then(|s| s.parse().ok()) {
-                        Some(n) if (1..=64).contains(&n) => procs = n,
-                        _ => return usage(),
-                    },
-                    Some("--protocol") => match rest.next().map(String::as_str) {
-                        Some("auto") => protocol = None,
-                        Some(p) => match parse_protocol(p) {
-                            Some(p) => protocol = Some(p),
-                            None => return usage(),
-                        },
-                        None => return usage(),
-                    },
-                    Some(_) => return usage(),
-                }
-            }
-            run_cmd(&bench, procs, protocol)
-        }
-        Some("predict") => {
-            let bench = args.get(1).filter(|a| !a.starts_with("--")).cloned();
-            let flags_from = if bench.is_some() { 2 } else { 1 };
-            let mut json = false;
-            for a in &args[flags_from..] {
-                match a.as_str() {
-                    "--json" => json = true,
-                    _ => return usage(),
-                }
-            }
-            predict_cmd(bench.as_deref(), json)
-        }
-        Some("elide") if args.len() == 1 => elide(),
-        // Hidden: the net backend's worker processes re-enter this binary
-        // here. Spawned by the orchestrator, never typed by a user, so it
-        // stays out of usage().
-        Some("net-worker") if args.len() == 5 => {
-            let proc: u8 = args[1].parse().expect("net-worker: <proc> must be a u8");
-            let port: u16 = args[2]
-                .parse()
-                .expect("net-worker: <parent_port> must be a u16");
-            let record = match args[3].as_str() {
-                "0" => false,
-                "1" => true,
-                other => panic!("net-worker: <record> must be 0 or 1, got {other:?}"),
-            };
-            let protocol = olden_exec::Protocol::from_name(&args[4])
-                .unwrap_or_else(|| panic!("net-worker: unknown protocol {:?}", args[4]));
-            olden_net::worker::worker_main(proc, port, record, protocol);
-        }
-        Some("chaos") => {
-            let (mut seeds, mut golden, mut bless) = (32u64, None::<String>, false);
-            let mut stall = None;
-            let mut rest = args[1..].iter();
-            loop {
-                match rest.next().map(String::as_str) {
-                    None => break,
-                    Some("--seeds") => match rest.next().and_then(|s| s.parse().ok()) {
-                        Some(n) if n > 0 => seeds = n,
-                        _ => return usage(),
-                    },
-                    Some("--stall-timeout") => match rest.next().and_then(|s| s.parse().ok()) {
-                        Some(secs) if secs > 0.0 && secs <= 3600.0 => {
-                            stall = Some(std::time::Duration::from_secs_f64(secs));
-                        }
-                        _ => return usage(),
-                    },
-                    Some("--golden") => match rest.next() {
-                        Some(p) => golden = Some(p.clone()),
-                        None => return usage(),
-                    },
-                    Some("--bless") => bless = true,
-                    Some(_) => return usage(),
-                }
-            }
-            if bless && golden.is_none() {
-                return usage();
-            }
-            chaos(seeds, stall, golden.as_deref(), bless)
-        }
-        Some("difftest") => {
-            let (mut seeds, mut golden, mut bless) = (200u64, None::<String>, false);
-            let mut protocol = olden_runtime::Protocol::LocalKnowledge;
-            let mut rest = args[1..].iter();
-            loop {
-                match rest.next().map(String::as_str) {
-                    None => break,
-                    Some("--seeds") => match rest.next().and_then(|s| s.parse().ok()) {
-                        Some(n) if n > 0 => seeds = n,
-                        _ => return usage(),
-                    },
-                    Some("--protocol") => match rest.next().and_then(|s| parse_protocol(s)) {
-                        Some(p) => protocol = p,
-                        None => return usage(),
-                    },
-                    Some("--golden") => match rest.next() {
-                        Some(p) => golden = Some(p.clone()),
-                        None => return usage(),
-                    },
-                    Some("--bless") => bless = true,
-                    Some(_) => return usage(),
-                }
-            }
-            if bless && golden.is_none() {
-                return usage();
-            }
-            difftest(seeds, protocol, golden.as_deref(), bless)
-        }
-        Some("net") => {
-            let bench = args.get(1).filter(|a| !a.starts_with("--")).cloned();
-            let flags_from = if bench.is_some() { 2 } else { 1 };
-            let (mut procs, mut seeds) = (4usize, 0u64);
-            let mut protocol = olden_runtime::Protocol::LocalKnowledge;
-            let mut stall = None;
-            let mut rest = args[flags_from..].iter();
-            loop {
-                match rest.next().map(String::as_str) {
-                    None => break,
-                    Some("--procs") => match rest.next().and_then(|s| s.parse().ok()) {
-                        Some(n) if (1..=64).contains(&n) => procs = n,
-                        _ => return usage(),
-                    },
-                    Some("--seeds") => match rest.next().and_then(|s| s.parse().ok()) {
-                        Some(n) => seeds = n,
-                        _ => return usage(),
-                    },
-                    Some("--protocol") => match rest.next().and_then(|s| parse_protocol(s)) {
-                        Some(p) => protocol = p,
-                        None => return usage(),
-                    },
-                    Some("--stall-timeout") => match rest.next().and_then(|s| s.parse().ok()) {
-                        Some(secs) if secs > 0.0 && secs <= 3600.0 => {
-                            stall = Some(std::time::Duration::from_secs_f64(secs));
-                        }
-                        _ => return usage(),
-                    },
-                    Some(_) => return usage(),
-                }
-            }
-            net_run_cmd(bench.as_deref(), procs, seeds, protocol, stall)
-        }
-        Some("profile") => {
-            let Some(bench) = args.get(1).filter(|a| !a.starts_with("--")) else {
-                return usage();
-            };
-            let (mut trace, mut procs, mut width) = (None::<String>, 8usize, 72usize);
-            let mut net = false;
-            let mut rest = args[2..].iter();
-            loop {
-                match rest.next().map(String::as_str) {
-                    None => break,
-                    Some("--trace") => match rest.next() {
-                        Some(p) => trace = Some(p.clone()),
-                        None => return usage(),
-                    },
-                    Some("--procs") => match rest.next().and_then(|s| s.parse().ok()) {
-                        Some(n) if (1..=64).contains(&n) => procs = n,
-                        _ => return usage(),
-                    },
-                    Some("--width") => match rest.next().and_then(|s| s.parse().ok()) {
-                        Some(n) if n >= 8 => width = n,
-                        _ => return usage(),
-                    },
-                    Some("--net") => net = true,
-                    Some(_) => return usage(),
-                }
-            }
-            profile_cmd(bench, trace.as_deref(), procs, width, net)
-        }
-        Some("bench") => {
-            let (mut json, mut check_path) = (None::<String>, None::<String>);
-            let (mut tolerance, mut procs, mut reps) = (0.35f64, 8usize, 3usize);
-            let mut net = false;
-            let mut rest = args[1..].iter();
-            loop {
-                match rest.next().map(String::as_str) {
-                    None => break,
-                    Some("--json") => match rest.next() {
-                        Some(p) => json = Some(p.clone()),
-                        None => return usage(),
-                    },
-                    Some("--check") => match rest.next() {
-                        Some(p) => check_path = Some(p.clone()),
-                        None => return usage(),
-                    },
-                    Some("--tolerance") => match rest.next().and_then(|s| s.parse().ok()) {
-                        Some(t) if (0.0..10.0).contains(&t) => tolerance = t,
-                        _ => return usage(),
-                    },
-                    Some("--procs") => match rest.next().and_then(|s| s.parse().ok()) {
-                        Some(n) if (1..=64).contains(&n) => procs = n,
-                        _ => return usage(),
-                    },
-                    Some("--reps") => match rest.next().and_then(|s| s.parse().ok()) {
-                        Some(n) if (1..=100).contains(&n) => reps = n,
-                        _ => return usage(),
-                    },
-                    Some("--net") => net = true,
-                    Some(_) => return usage(),
-                }
-            }
-            bench_cmd(
-                json.as_deref(),
-                check_path.as_deref(),
-                tolerance,
-                procs,
-                reps,
-                net,
-            )
-        }
-        Some("check") => check(&args[1..]),
-        _ => usage(),
     }
 }
 
@@ -1875,222 +260,97 @@ fn main() -> ExitCode {
 mod tests {
     use super::*;
 
-    /// The checked-in golden file is exactly what `oldenc lint` prints
-    /// today. `ci.sh` re-asserts this through the real binary; this test
-    /// keeps `cargo test` self-contained.
+    fn resolve_line(line: &str) -> Result<(&'static Spec, Args), String> {
+        let argv: Vec<String> = line.split_whitespace().map(String::from).collect();
+        resolve(&argv)
+    }
+
+    /// The `Err` a malformed line yields — from the flag walk or from a
+    /// typed accessor inside `run`, which validates before it calls.
+    fn rejection(line: &str) -> String {
+        let outcome = resolve_line(line).and_then(|(spec, args)| (spec.run)(&args));
+        outcome
+            .err()
+            .unwrap_or_else(|| panic!("{line:?} must be rejected"))
+    }
+
+    /// The positional `BENCH` is accepted anywhere among the flags.
     #[test]
-    fn golden_file_is_current() {
-        let want = include_str!("../../../../tests/golden/oldenc-benchmarks.txt");
+    fn bench_position_does_not_matter() {
+        for (first, second) in [
+            ("net --procs 4 TreeAdd", "net TreeAdd --procs 4"),
+            ("run --procs 4 Power", "run Power --procs 4"),
+            ("profile --procs 4 health", "profile health --procs 4"),
+            ("predict --json em3d", "predict em3d --json"),
+        ] {
+            let (a, b) = (resolve_line(first).unwrap(), resolve_line(second).unwrap());
+            assert_eq!(a.0.name, b.0.name, "{first}");
+            assert_eq!(a.1, b.1, "{first}");
+        }
+        let (_, a) = resolve_line("net --procs 4 TreeAdd").unwrap();
+        assert_eq!(a.bench(), Ok(Some("TreeAdd")));
+        assert_eq!(a.procs(8), Ok(4));
+    }
+
+    /// Every malformed invocation is a usage error (exit 2) — never a
+    /// panic, never a silent default, and nothing runs.
+    #[test]
+    fn malformed_invocations_are_usage_errors() {
+        for line in [
+            "",
+            "frobnicate",
+            "bench",
+            "net --bogus",
+            "net --procs",
+            "net TreeAdd --stall-timeout",
+            "net --procs 0",
+            "run --procs 65",
+            "chaos --seeds 0",
+            "difftest --seeds 0",
+            "fuzz --seeds 0",
+            "difftest --protocol auto",
+            "run NoSuchBench",
+            "run TreeAdd Power",
+            "profile",
+            "check",
+            "gen --count 0",
+            "opt extra",
+        ] {
+            rejection(line);
+        }
+        let err = rejection("golden --bless nope");
+        for g in &golden::GOLDENS {
+            assert!(err.contains(g.name), "{err}");
+        }
+    }
+
+    /// Goldens are checked and blessed through `oldenc golden` only: no
+    /// subcommand keeps a `--golden` flag.
+    #[test]
+    fn no_subcommand_accepts_a_golden_flag() {
+        for s in &SPECS {
+            let err = rejection(&format!("{} --golden tests/golden/x.txt", s.name));
+            assert!(err.contains("unknown flag --golden"), "{}: {err}", s.name);
+        }
+        let (_, a) = resolve_line("golden run lint --bless").unwrap();
+        assert_eq!(golden::select(&a.positionals).unwrap(), ["lint", "run"]);
+        assert!(a.has("--bless"));
+    }
+
+    /// The command lines CI and the nightly workflow type.
+    #[test]
+    fn documented_invocations_resolve() {
+        let (_, a) = resolve_line("fuzz --seeds 5000").unwrap();
+        assert_eq!(a.seeds(100), Ok(5000));
+        let (_, a) = resolve_line("difftest --seeds 1000 --protocol bilateral").unwrap();
+        assert_eq!(a.seeds(200), Ok(1000));
+        assert_eq!(a.protocol(), Ok(Some(Protocol::Bilateral)));
+        let (_, a) = resolve_line("net --procs 4 --seeds 2").unwrap();
         assert_eq!(
-            lint_report(),
-            want,
-            "benchmark lint surface drifted; re-record tests/golden/oldenc-benchmarks.txt"
+            (a.bench(), a.procs(8), a.seeds(0)),
+            (Ok(None), Ok(4), Ok(2))
         );
-    }
-
-    /// Same pinning for the optimizer surface: `tests/golden/oldenc-opt.txt`
-    /// is exactly what `oldenc opt` prints today.
-    #[test]
-    fn opt_golden_file_is_current() {
-        let want = include_str!("../../../../tests/golden/oldenc-opt.txt");
-        assert_eq!(
-            opt_report(),
-            want,
-            "benchmark opt surface drifted; re-record tests/golden/oldenc-opt.txt"
-        );
-    }
-
-    /// The generator surface pins too: `tests/golden/oldenc-gen.txt` is
-    /// exactly what `oldenc gen --seed 0 --count 5` prints today. Any
-    /// grammar or seeding change to `olden_analysis::gen` shows up here
-    /// as a reviewable diff rather than silently shifting every fuzz
-    /// seed.
-    #[test]
-    fn gen_golden_file_is_current() {
-        let want = include_str!("../../../../tests/golden/oldenc-gen.txt");
-        assert_eq!(
-            gen_report(0, 5),
-            want,
-            "generator surface drifted; re-record tests/golden/oldenc-gen.txt"
-        );
-    }
-
-    /// `lint --json` parses back through the same hand-rolled JSON layer
-    /// and carries one row per registry benchmark.
-    #[test]
-    fn lint_json_round_trips() {
-        let report = lint_json_report().unwrap();
-        let parsed = Json::parse(&report).unwrap();
-        let rows = parsed.as_arr().unwrap();
-        assert_eq!(rows.len(), olden_benchmarks::all().len());
-        for row in rows {
-            assert!(row.get("name").and_then(Json::as_str).is_some());
-            assert!(row.get("diagnostics").and_then(Json::as_arr).is_some());
-        }
-    }
-
-    /// The default `typecheck` sweep units — registry benchmarks and the
-    /// racy corpus — are all type-clean: the TC0xx front gate must never
-    /// reject a program the later passes are specified over.
-    #[test]
-    fn typecheck_sweep_units_are_clean() {
-        for d in olden_benchmarks::all() {
-            let diags = typecheck_src(d.dsl).unwrap_or_else(|e| panic!("{}: {e}", d.name));
-            assert!(diags.is_empty(), "{}: {}", d.name, diags[0].one_line());
-        }
-        for s in olden_benchmarks::racy::seeds() {
-            let diags = typecheck_src(s.dsl).unwrap_or_else(|e| panic!("{}: {e}", s.name));
-            assert!(diags.is_empty(), "{}: {}", s.name, diags[0].one_line());
-        }
-    }
-
-    /// The chaos surface pins too: fault totals are pure functions of
-    /// the seeds, so `tests/golden/oldenc-chaos.txt` is exactly what
-    /// `oldenc chaos --seeds 32` prints today — and zero runs diverge.
-    #[test]
-    fn chaos_golden_file_is_current() {
-        let want = include_str!("../../../../tests/golden/oldenc-chaos.txt");
-        let (report, divergent) = chaos_report(32, None);
-        assert_eq!(divergent, 0, "chaotic runs diverged:\n{report}");
-        assert_eq!(
-            report, want,
-            "chaos surface drifted; re-record tests/golden/oldenc-chaos.txt"
-        );
-    }
-
-    /// The differential surface pins as well: every counter, ratio
-    /// spread, and the flip experiment are pure functions of the seeds,
-    /// so `tests/golden/oldenc-difftest.txt` is exactly what
-    /// `oldenc difftest --seeds 25` prints today — with zero divergences
-    /// and zero band misses. (CI's ci.sh stage sweeps the full 200 seeds
-    /// through the real binary; 25 keeps `cargo test` fast while still
-    /// crossing several chaos seeds and the flip demonstration.)
-    #[test]
-    fn difftest_golden_file_is_current() {
-        let want = include_str!("../../../../tests/golden/oldenc-difftest-25.txt");
-        let (report, divergent, band_misses) =
-            difftest_report(25, olden_runtime::Protocol::LocalKnowledge);
-        assert!(
-            divergent.is_empty(),
-            "divergent seeds {divergent:?}:\n{report}"
-        );
-        assert_eq!(band_misses, 0, "cost-model band misses:\n{report}");
-        assert_eq!(
-            report, want,
-            "difftest surface drifted; re-record tests/golden/oldenc-difftest-25.txt"
-        );
-    }
-
-    /// The differential harness is clean under the other two Appendix-A
-    /// schemes as well — a narrow sweep here (the 200-seed-per-scheme
-    /// matrix lives in ci.sh) that still crosses one chaos seed each and
-    /// compares the *full* cache-counter block, scheme-specific Table-3
-    /// columns included.
-    #[test]
-    fn difftest_clean_under_every_scheme() {
-        use olden_runtime::Protocol;
-        for protocol in [Protocol::GlobalKnowledge, Protocol::Bilateral] {
-            let (report, divergent, band_misses) = difftest_report(8, protocol);
-            assert!(
-                divergent.is_empty(),
-                "{protocol:?} divergent seeds {divergent:?}:\n{report}"
-            );
-            assert_eq!(band_misses, 0, "{protocol:?} band misses:\n{report}");
-            assert!(
-                report.contains(&format!("protocol {}", protocol.name())),
-                "{protocol:?} report must name its scheme:\n{report}"
-            );
-        }
-    }
-
-    /// Same pinning for the coherence-scheme surface:
-    /// `tests/golden/oldenc-scheme.txt` is exactly what `oldenc scheme`
-    /// prints today.
-    #[test]
-    fn scheme_golden_file_is_current() {
-        let want = include_str!("../../../../tests/golden/oldenc-scheme.txt");
-        assert_eq!(
-            scheme_report(None),
-            want,
-            "scheme-selection surface drifted; re-record tests/golden/oldenc-scheme.txt"
-        );
-    }
-
-    /// Every scheme verdict names a scheme the runtime can actually run:
-    /// the analysis-side `Scheme` spellings and the runtime's `Protocol`
-    /// spellings are the same namespace.
-    #[test]
-    fn scheme_verdicts_name_runnable_protocols() {
-        for d in olden_benchmarks::all() {
-            let v = olden_analysis::select_scheme_src(d.dsl)
-                .unwrap_or_else(|e| panic!("{} DSL: {e}", d.name));
-            assert!(
-                olden_runtime::Protocol::from_name(v.scheme.name()).is_some(),
-                "{}: scheme {:?} has no runtime protocol",
-                d.name,
-                v.scheme
-            );
-        }
-    }
-
-    /// Every descriptor's recorded `elided_sites` list is byte-equal to
-    /// what the live optimizer proves on its DSL — the runtime trusts
-    /// these keys, so they must never go stale.
-    #[test]
-    fn descriptor_elided_sites_match_optimizer() {
-        for d in olden_benchmarks::all() {
-            let rep = optimize_src(d.dsl).unwrap_or_else(|e| panic!("{} DSL: {e}", d.name));
-            let live = rep.elided_keys();
-            let recorded: Vec<String> = d.elided_sites.iter().map(|s| s.to_string()).collect();
-            assert_eq!(
-                recorded, live,
-                "{}: descriptor elided_sites diverge from the optimizer",
-                d.name
-            );
-        }
-    }
-
-    /// Same pinning for the selection surface:
-    /// `tests/golden/oldenc-select.txt` is exactly what `oldenc select`
-    /// prints today.
-    #[test]
-    fn select_golden_file_is_current() {
-        let want = include_str!("../../../../tests/golden/oldenc-select.txt");
-        assert_eq!(
-            select_report(None),
-            want,
-            "benchmark selection surface drifted; re-record tests/golden/oldenc-select.txt"
-        );
-    }
-
-    /// Every descriptor's recorded `selected_mechanisms` list is
-    /// byte-equal to what the live heuristic decides on its DSL — same
-    /// discipline as `elided_sites`. (`select_parity` re-asserts this
-    /// plus kernel conformance; this keeps `cargo test -p olden-bench`
-    /// self-contained.)
-    #[test]
-    fn descriptor_selected_mechanisms_match_heuristic() {
-        use olden_analysis::{mech_table, parse};
-        for d in olden_benchmarks::all() {
-            let prog = parse(d.dsl).unwrap_or_else(|e| panic!("{} DSL: {e}", d.name));
-            let live = mech_table(&prog).keys();
-            let recorded: Vec<String> = d
-                .selected_mechanisms
-                .iter()
-                .map(|s| s.to_string())
-                .collect();
-            assert_eq!(
-                recorded, live,
-                "{}: descriptor selected_mechanisms diverge from the heuristic",
-                d.name
-            );
-        }
-    }
-
-    #[test]
-    fn every_benchmark_dsl_parses() {
-        for d in olden_benchmarks::all() {
-            racecheck_src(d.dsl).unwrap_or_else(|e| panic!("{} DSL: {e}", d.name));
-        }
+        let (_, a) = resolve_line("run --procs 8 --protocol local").unwrap();
+        assert_eq!((a.bench(), a.protocol()), (Ok(None), Ok(Some(LOCAL))));
     }
 }

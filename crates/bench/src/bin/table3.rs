@@ -4,32 +4,24 @@
 //! Appendix-A bookkeeping columns (pushed invalidations, spurious
 //! invalidations, revalidation round trips) printed per scheme.
 //!
-//! Usage: `table3 [--procs N] [--paper-sizes] [--tiny]`
+//! Usage: `table3 [--procs N] [--paper-sizes | --tiny]`
 //! (the paper reports 32 processors).
 
-use olden_bench::table3_row;
+use olden_bench::{cli, table3_row};
 use olden_benchmarks::SizeClass;
+use std::process::ExitCode;
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut size = SizeClass::Default;
-    let mut procs = 32usize;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--paper-sizes" => size = SizeClass::Paper,
-            "--tiny" => size = SizeClass::Tiny,
-            "--procs" => {
-                i += 1;
-                procs = args[i].parse().expect("processor count");
-            }
-            other => {
-                eprintln!("unknown flag {other}");
-                std::process::exit(2);
-            }
-        }
-        i += 1;
-    }
+fn options(argv: &[String]) -> Result<(SizeClass, usize), String> {
+    let a = cli::parse(argv, &["--procs"], &["--paper-sizes", "--tiny"], 0)?;
+    Ok((a.size(), a.procs(32)?))
+}
+
+fn main() -> ExitCode {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let (size, procs) = match options(&argv) {
+        Ok(o) => o,
+        Err(e) => return cli::usage_error("table3 [--procs N] [--paper-sizes | --tiny]", &e),
+    };
 
     println!("Table 3: Caching Statistics on {procs} processors ({size:?} sizes)");
     println!("{:-<112}", "");
@@ -90,5 +82,26 @@ fn main() {
             "{:<12} {:>12} {:>12} {:>10.1} {:>14}",
             row.name, g.invalidations_sent, g.invalidations_spurious, spur_pct, b.revalidations
         );
+    }
+    ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn bad_arguments_are_usage_errors() {
+        let options_of = |line: &str| {
+            let argv: Vec<String> = line.split_whitespace().map(String::from).collect();
+            options(&argv)
+        };
+        for line in ["--procs", "--procs 0", "--procs many", "--bogus", "extra"] {
+            assert!(options_of(line).is_err(), "{line}");
+        }
+        let (size, procs) = options_of("--paper-sizes --procs 16").unwrap();
+        assert!(matches!(size, SizeClass::Paper));
+        assert_eq!(procs, 16);
+        assert_eq!(options_of("").unwrap().1, 32, "the paper reports 32");
     }
 }

@@ -1,15 +1,26 @@
-//! Benchmark harness utilities shared by the table regenerators and the
-//! wall-clock benches.
+//! The reproduction's front end as a library: the Table 2 / Table 3 row
+//! computations behind the regenerator binaries, and every `oldenc`
+//! surface as a report function the binary prints and the tests pin.
 
-pub mod benchjson;
-pub mod microbench;
+pub mod cli;
+pub mod golden;
+pub mod parity;
 pub mod profile;
+pub mod reports;
 
 use olden_benchmarks::{Descriptor, SizeClass};
 use olden_runtime::{run, Config, Mechanism, Protocol, RunReport};
 
 /// Processor counts evaluated in the paper's Table 2.
 pub const TABLE2_PROCS: [usize; 6] = [1, 2, 4, 8, 16, 32];
+
+/// The registry in paper Table 1 order, narrowed to `bench` when given
+/// (a name `cli::known_bench` resolved).
+pub fn selected(bench: Option<&str>) -> Vec<Descriptor> {
+    let mut all = olden_benchmarks::all();
+    all.retain(|d| bench.is_none_or(|b| d.name.eq_ignore_ascii_case(b)));
+    all
+}
 
 /// Run one benchmark at one configuration, verifying the value against
 /// its serial reference.

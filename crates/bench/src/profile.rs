@@ -13,6 +13,7 @@ use olden_exec::{run_exec, ExecConfig, ExecReport};
 use olden_net::{run_net, NetConfig};
 use olden_obs::{EventKind, Recording};
 use olden_runtime::{run, Config, RunReport};
+use std::process::ExitCode;
 use std::time::Instant;
 
 /// A recorded simulator run.
@@ -161,6 +162,103 @@ impl ExecProfile {
             self.report.cache.misses,
         )
     }
+}
+
+/// `oldenc profile BENCH [--trace PATH] [--procs N] [--width N] [--net]`:
+/// one benchmark recorded on the simulator and the thread backend (and,
+/// with `--net`, on worker processes), each recording reconciled against
+/// its run's counters (exit 1 on any mismatch), per-processor timelines
+/// printed, and optionally a Chrome `trace_event` JSON file written —
+/// open it at `chrome://tracing` or <https://ui.perfetto.dev>.
+pub fn profile(
+    d: &Descriptor,
+    trace: Option<&str>,
+    procs: usize,
+    width: usize,
+    net: bool,
+) -> ExitCode {
+    let sim = profile_sim(d, procs, SizeClass::Tiny);
+    let exec = profile_exec(d, procs, SizeClass::Tiny);
+    let net_prof = if net {
+        if !olden_net::loopback_available() {
+            eprintln!("oldenc: --net requires loopback TCP, unavailable here");
+            return ExitCode::from(3);
+        }
+        match crate::parity::self_worker_cmd() {
+            Ok(cmd) => Some(profile_net(d, procs, SizeClass::Tiny, cmd)),
+            Err(e) => {
+                eprintln!("oldenc: {e}");
+                return ExitCode::from(2);
+            }
+        }
+    } else {
+        None
+    };
+    let mut broken = 0usize;
+    let mut surfaces = vec![("sim", sim.reconcile()), ("exec", exec.reconcile())];
+    if let Some(n) = &net_prof {
+        surfaces.push(("net", n.reconcile()));
+    }
+    for (which, bad) in surfaces {
+        for b in &bad {
+            eprintln!(
+                "oldenc: {} {which} recording does not reconcile: {b}",
+                d.name
+            );
+        }
+        broken += bad.len();
+    }
+    if broken > 0 {
+        eprintln!("oldenc: trace untrustworthy; nothing written");
+        return ExitCode::FAILURE;
+    }
+    println!(
+        "{} on {procs} procs: makespan {} cycles (sim), wall {:.2} ms (exec lockstep){}",
+        d.name,
+        sim.report.makespan,
+        exec.wall_ns as f64 / 1e6,
+        match &net_prof {
+            Some(n) => format!(", wall {:.2} ms (net lockstep)", n.wall_ns as f64 / 1e6),
+            None => String::new(),
+        }
+    );
+    println!(
+        "events: {} stored (sim) / {} stored (exec){}; counters reconcile on every backend",
+        sim.recording.events_stored(),
+        exec.recording.events_stored(),
+        match &net_prof {
+            Some(n) => format!(" / {} stored (net)", n.recording.events_stored()),
+            None => String::new(),
+        }
+    );
+    print!("{}", exec.recording.metrics().render());
+    let mut lanes = vec![
+        ("sim lane activity (logical time)", &sim.recording),
+        ("exec lane activity (wall time)", &exec.recording),
+    ];
+    if let Some(n) = &net_prof {
+        lanes.push((
+            "net lane activity (wall time, per-process epochs)",
+            &n.recording,
+        ));
+    }
+    for (title, recording) in lanes {
+        println!("-- {title} --");
+        print!("{}", olden_obs::timeline::event_timeline(recording, width));
+    }
+    if let Some(path) = trace {
+        let mut groups = vec![("sim", &sim.recording), ("exec", &exec.recording)];
+        if let Some(n) = &net_prof {
+            groups.push(("net", &n.recording));
+        }
+        let text = olden_obs::chrome::trace_json(&groups);
+        if let Err(e) = std::fs::write(path, text) {
+            eprintln!("oldenc: cannot write {path}: {e}");
+            return ExitCode::from(2);
+        }
+        println!("wrote Chrome trace to {path} (open at https://ui.perfetto.dev)");
+    }
+    ExitCode::SUCCESS
 }
 
 #[cfg(test)]

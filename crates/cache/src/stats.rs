@@ -93,8 +93,9 @@ impl CacheStats {
     }
 
     /// Every counter as a `(stable_name, value)` list — the shape a
-    /// metrics registry or a bench-JSON emitter ingests. Names are part
-    /// of the `BENCH_*.json` schema; do not rename.
+    /// metrics registry or a report printer ingests. Names are part of
+    /// the pinned `oldenc run` surface (`tests/golden/oldenc-run.txt`)
+    /// and of `ExecReport::diff_from_sim`'s messages; do not rename.
     pub fn counters(&self) -> [(&'static str, u64); 12] {
         [
             ("cacheable_reads", self.cacheable_reads),

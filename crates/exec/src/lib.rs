@@ -350,6 +350,33 @@ pub struct ExecReport {
     pub recording: Option<Recording>,
 }
 
+impl ExecReport {
+    /// The lockstep parity predicate, written once: `None` when this
+    /// run's full `RunStats`, all twelve `CacheStats` counters and
+    /// `pages_cached` equal the simulator's, otherwise the first counter
+    /// that differs as `block.name: exec N, sim M`. Called after a run,
+    /// by every sim-vs-backend gate; values are the caller's to compare
+    /// (their type varies by program).
+    pub fn diff_from_sim(
+        &self,
+        stats: &RunStats,
+        cache: &CacheStats,
+        pages_cached: u64,
+    ) -> Option<String> {
+        let first_diff = |block: &str, exec: &[(&str, u64)], sim: &[(&str, u64)]| {
+            let mut pairs = exec.iter().zip(sim);
+            let ((name, exec), (_, sim)) = pairs.find(|((_, exec), (_, sim))| exec != sim)?;
+            Some(format!("{block}{name}: exec {exec}, sim {sim}"))
+        };
+        first_diff("runtime.", &self.stats.counters(), &stats.counters())
+            .or_else(|| first_diff("cache.", &self.cache.counters(), &cache.counters()))
+            .or_else(|| {
+                let pages = |n| [("pages_cached", n)];
+                first_diff("", &pages(self.pages_cached), &pages(pages_cached))
+            })
+    }
+}
+
 /// The client half of the watchdog's state dump. Public so alternative
 /// orchestrators compose it with their own worker-side dump (a worker
 /// *process* has no in-memory [`WorkerSlot`] to read).
@@ -642,6 +669,56 @@ mod tests {
         assert_eq!(rep.stats.migrations, 3, "procs 1..3 are remote");
         assert!(rep.messages > 0);
         assert_eq!(rep.clients, 1);
+    }
+
+    /// `diff_from_sim` is `None` on an equal pair and, for every counter
+    /// of both blocks and `pages_cached` bumped in turn, names exactly
+    /// that counter.
+    #[test]
+    fn diff_from_sim_names_the_first_differing_counter() {
+        macro_rules! bumps {
+            ($ty:ty: $($f:ident)*) => {
+                [$((stringify!($f), (|s| s.$f += 1) as fn(&mut $ty))),*]
+            };
+        }
+        let runtime = bumps!(RunStats: migrations return_migrations futures steals touches
+            allocs words_allocated migrate_local migrate_remote checks_performed checks_elided);
+        let cache = bumps!(CacheStats: cacheable_reads cacheable_writes remote_reads
+            remote_writes hits misses revalidations invalidations_sent
+            invalidations_spurious write_track_cycles checks_performed checks_elided);
+        let (_, rep) = run_exec(ExecConfig::lockstep(2), |ctx| {
+            let a = ctx.alloc(1, 2);
+            ctx.write(a, 0, 7i64, Mechanism::Cache);
+        });
+        let (stats, cached, pages) = (rep.stats, rep.cache, rep.pages_cached);
+        assert_eq!(rep.diff_from_sim(&stats, &cached, pages), None);
+
+        assert_eq!(
+            runtime.len(),
+            stats.counters().len(),
+            "a RunStats field is unlisted"
+        );
+        for ((field, bump), (name, _)) in runtime.iter().zip(stats.counters()) {
+            assert_eq!(*field, name, "counters() order");
+            let mut sim = stats;
+            bump(&mut sim);
+            let msg = rep.diff_from_sim(&sim, &cached, pages).expect(name);
+            assert!(msg.starts_with(&format!("runtime.{name}:")), "{msg}");
+        }
+        assert_eq!(
+            cache.len(),
+            cached.counters().len(),
+            "a CacheStats field is unlisted"
+        );
+        for ((field, bump), (name, _)) in cache.iter().zip(cached.counters()) {
+            assert_eq!(*field, name, "counters() order");
+            let mut sim = cached;
+            bump(&mut sim);
+            let msg = rep.diff_from_sim(&stats, &sim, pages).expect(name);
+            assert!(msg.starts_with(&format!("cache.{name}:")), "{msg}");
+        }
+        let msg = rep.diff_from_sim(&stats, &cached, pages + 1).unwrap();
+        assert!(msg.starts_with("pages_cached:"), "{msg}");
     }
 
     /// A kernel generic over `Backend` produces identical values AND

@@ -38,8 +38,7 @@ fn all_benchmark_values_match_references_on_workers() {
 }
 
 /// Lockstep counter parity with the simulator, for every benchmark: the
-/// same migrations, return migrations, futures, steals, touches, allocs,
-/// and the same cache hit/miss/remote traffic and pages-cached totals.
+/// full `RunStats`, all twelve `CacheStats` counters and pages cached.
 #[test]
 fn all_benchmark_counters_reconcile_with_simulator() {
     for d in all() {
@@ -47,30 +46,10 @@ fn all_benchmark_counters_reconcile_with_simulator() {
         let sim_val = generic_run(d.name, &mut sim, SizeClass::Tiny).unwrap();
         let (exec_val, rep) = exec_lockstep(d.name, PROCS);
         assert_eq!(exec_val, sim_val, "{} value", d.name);
-        assert_eq!(rep.stats, *sim.stats(), "{} runtime counters", d.name);
-        let sc = sim.cache().stats();
         assert_eq!(
-            (rep.cache.cacheable_reads, rep.cache.cacheable_writes),
-            (sc.cacheable_reads, sc.cacheable_writes),
-            "{} cacheable totals",
-            d.name
-        );
-        assert_eq!(
-            (rep.cache.remote_reads, rep.cache.remote_writes),
-            (sc.remote_reads, sc.remote_writes),
-            "{} remote traffic",
-            d.name
-        );
-        assert_eq!(
-            (rep.cache.hits, rep.cache.misses),
-            (sc.hits, sc.misses),
-            "{} hit/miss",
-            d.name
-        );
-        assert_eq!(
-            rep.pages_cached,
-            sim.cache().pages_cached(),
-            "{} pages cached",
+            rep.diff_from_sim(sim.stats(), sim.cache().stats(), sim.cache().pages_cached()),
+            None,
+            "{} counters",
             d.name
         );
     }
@@ -93,15 +72,9 @@ fn every_scheme_reconciles_with_simulator() {
             );
             assert_eq!(exec_val, sim_val, "{} value under {protocol:?}", d.name);
             assert_eq!(
-                rep.stats,
-                *sim.stats(),
-                "{} runtime counters under {protocol:?}",
-                d.name
-            );
-            assert_eq!(
-                rep.cache,
-                *sim.cache().stats(),
-                "{} cache counters under {protocol:?}",
+                rep.diff_from_sim(sim.stats(), sim.cache().stats(), sim.cache().pages_cached()),
+                None,
+                "{} counters under {protocol:?}",
                 d.name
             );
         }

@@ -26,15 +26,11 @@ fn assert_parity(name: &str, src: &str, seed: u64) -> (RunOutcome, OldenCtx) {
         run_ir(ctx, &ir2, seed, DEFAULT_FUEL, None)
     });
     assert_eq!(out_exec, out_sim, "{name}: values/trips diverged");
-    assert_eq!(rep.stats, *sim.stats(), "{name}: runtime event counters");
-    let sc = sim.cache().stats();
-    assert_eq!(rep.cache.cacheable_reads, sc.cacheable_reads, "{name}");
-    assert_eq!(rep.cache.cacheable_writes, sc.cacheable_writes, "{name}");
-    assert_eq!(rep.cache.remote_reads, sc.remote_reads, "{name}");
-    assert_eq!(rep.cache.remote_writes, sc.remote_writes, "{name}");
-    assert_eq!(rep.cache.hits, sc.hits, "{name}");
-    assert_eq!(rep.cache.misses, sc.misses, "{name}");
-    assert_eq!(rep.pages_cached, sim.cache().pages_cached(), "{name}");
+    assert_eq!(
+        rep.diff_from_sim(sim.stats(), sim.cache().stats(), sim.cache().pages_cached()),
+        None,
+        "{name}: counters"
+    );
     (out_sim, sim)
 }
 
@@ -194,7 +190,11 @@ fn chaotic_generated_run_matches_simulator() {
             move |ctx| run_ir(ctx, &ir2, 0, DEFAULT_FUEL, None),
         );
         assert_eq!(out, out_sim, "chaos seed {chaos_seed}");
-        assert_eq!(rep.stats, *sim.stats(), "chaos seed {chaos_seed}");
+        assert_eq!(
+            rep.diff_from_sim(sim.stats(), sim.cache().stats(), sim.cache().pages_cached()),
+            None,
+            "chaos seed {chaos_seed}"
+        );
     }
 }
 

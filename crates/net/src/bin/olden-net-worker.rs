@@ -8,24 +8,7 @@
 //! `net-worker` subcommand so a single installed binary can serve as
 //! both driver and fleet.
 
-use olden_exec::Protocol;
-
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    if args.len() != 5 {
-        eprintln!("usage: olden-net-worker <proc> <parent_port> <record:0|1> <protocol>");
-        std::process::exit(2);
-    }
-    let proc: u8 = args[1].parse().expect("worker: <proc> must be a u8");
-    let parent_port: u16 = args[2]
-        .parse()
-        .expect("worker: <parent_port> must be a u16");
-    let record = match args[3].as_str() {
-        "0" => false,
-        "1" => true,
-        other => panic!("worker: <record> must be 0 or 1, got {other:?}"),
-    };
-    let protocol = Protocol::from_name(&args[4])
-        .unwrap_or_else(|| panic!("worker: unknown protocol {:?}", args[4]));
-    olden_net::worker::worker_main(proc, parent_port, record, protocol);
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    olden_net::worker::main_from_args(&args);
 }

@@ -92,6 +92,39 @@ fn read_loop(mut conn: TcpStream, tx: Sender<Envelope>, writers: Writers) {
     }
 }
 
+/// The spawn protocol's argument list, as the parent appends it to the
+/// worker command.
+pub const WORKER_USAGE: &str = "<proc> <parent_port> <record:0|1> <protocol>";
+
+fn parse_args(args: &[String]) -> Option<(ProcId, u16, bool, Protocol)> {
+    let [proc, port, record, protocol] = args else {
+        return None;
+    };
+    let record = match record.as_str() {
+        "0" => false,
+        "1" => true,
+        _ => return None,
+    };
+    Some((
+        proc.parse().ok()?,
+        port.parse().ok()?,
+        record,
+        Protocol::from_name(protocol)?,
+    ))
+}
+
+/// Parse [`WORKER_USAGE`] and run [`worker_main`]: the whole `main` of a
+/// worker binary. A malformed list exits 2 with the usage line.
+pub fn main_from_args(args: &[String]) -> ! {
+    match parse_args(args) {
+        Some((proc, port, record, protocol)) => worker_main(proc, port, record, protocol),
+        None => {
+            eprintln!("net worker: bad arguments {args:?}; usage: {WORKER_USAGE}");
+            std::process::exit(2);
+        }
+    }
+}
+
 /// Run one worker process to completion. Never returns: exits 0 after a
 /// clean shutdown, or immediately when the parent's tether drops.
 pub fn worker_main(proc: ProcId, parent_port: u16, record: bool, protocol: Protocol) -> ! {
@@ -159,4 +192,28 @@ pub fn worker_main(proc: ProcId, parent_port: u16, record: bool, protocol: Proto
     );
     worker.serve(NetWorkerPort { rx, writers });
     std::process::exit(0);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn worker_argv_parses_or_is_rejected_whole() {
+        let argv = |s: &str| s.split(' ').map(String::from).collect::<Vec<_>>();
+        assert_eq!(
+            parse_args(&argv("3 4100 1 global")),
+            Some((3, 4100, true, Protocol::GlobalKnowledge))
+        );
+        for bad in [
+            "3 4100 1",
+            "3 4100 1 global extra",
+            "x 4100 0 local",
+            "3 70000 0 local",
+            "3 4100 2 local",
+            "3 4100 0 mesi",
+        ] {
+            assert_eq!(parse_args(&argv(bad)), None, "{bad}");
+        }
+    }
 }

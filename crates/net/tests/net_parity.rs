@@ -20,7 +20,7 @@ use olden_benchmarks::{all, generic_run, SizeClass};
 use olden_exec::{run_exec, ExecConfig, ExecReport, Protocol};
 use olden_net::{loopback_available, run_net, NetConfig};
 use olden_obs::EventKind;
-use olden_runtime::{Config, FaultTag, OldenCtx, RunStats, TransportStats};
+use olden_runtime::{Config, FaultTag, OldenCtx, TransportStats};
 
 const PROCS: usize = 4;
 
@@ -49,6 +49,11 @@ macro_rules! require_loopback {
     };
 }
 
+/// The first counter on which `rep` differs from the simulator run.
+fn sim_diff(rep: &ExecReport, sim: &OldenCtx) -> Option<String> {
+    rep.diff_from_sim(sim.stats(), sim.cache().stats(), sim.cache().pages_cached())
+}
+
 /// Every benchmark: reference value and full counter parity with the
 /// simulator, across four worker processes.
 #[test]
@@ -65,32 +70,7 @@ fn all_benchmark_counters_reconcile_with_simulator_over_tcp() {
             d.name
         );
         assert_eq!(got, sim_val, "{} value vs simulator", d.name);
-        assert_eq!(rep.stats, *sim.stats(), "{} runtime counters", d.name);
-        let sc = sim.cache().stats();
-        assert_eq!(
-            (rep.cache.cacheable_reads, rep.cache.cacheable_writes),
-            (sc.cacheable_reads, sc.cacheable_writes),
-            "{} cacheable totals",
-            d.name
-        );
-        assert_eq!(
-            (rep.cache.remote_reads, rep.cache.remote_writes),
-            (sc.remote_reads, sc.remote_writes),
-            "{} remote traffic",
-            d.name
-        );
-        assert_eq!(
-            (rep.cache.hits, rep.cache.misses),
-            (sc.hits, sc.misses),
-            "{} hit/miss",
-            d.name
-        );
-        assert_eq!(
-            rep.pages_cached,
-            sim.cache().pages_cached(),
-            "{} pages cached",
-            d.name
-        );
+        assert_eq!(sim_diff(&rep, &sim), None, "{} counters", d.name);
         assert!(rep.messages > 0, "{} exchanged no frames", d.name);
         assert_eq!(
             rep.transport,
@@ -121,47 +101,11 @@ fn every_scheme_reconciles_with_simulator_over_tcp() {
             let (got, rep) = net_with(d.name, ExecConfig::lockstep(PROCS).with_protocol(protocol));
             assert_eq!(got, sim_val, "{} value under {protocol:?}", d.name);
             assert_eq!(
-                rep.stats,
-                *sim.stats(),
-                "{} runtime counters under {protocol:?}",
+                sim_diff(&rep, &sim),
+                None,
+                "{} counters under {protocol:?}",
                 d.name
             );
-            assert_eq!(
-                rep.cache,
-                *sim.cache().stats(),
-                "{} cache counters under {protocol:?}",
-                d.name
-            );
-        }
-    }
-}
-
-/// The observable fingerprint that must be invariant under fault
-/// injection (mirrors the thread backend's chaos suite).
-#[derive(PartialEq, Debug)]
-struct Fingerprint {
-    value: u64,
-    stats: RunStats,
-    cache: (u64, u64, u64, u64, u64, u64),
-    pages_cached: u64,
-    messages: u64,
-}
-
-impl Fingerprint {
-    fn of(value: u64, rep: &ExecReport) -> Fingerprint {
-        Fingerprint {
-            value,
-            stats: rep.stats,
-            cache: (
-                rep.cache.cacheable_reads,
-                rep.cache.cacheable_writes,
-                rep.cache.remote_reads,
-                rep.cache.remote_writes,
-                rep.cache.hits,
-                rep.cache.misses,
-            ),
-            pages_cached: rep.pages_cached,
-            messages: rep.messages,
         }
     }
 }
@@ -172,17 +116,23 @@ fn chaos_over_sockets(name: &'static str) {
     let mut sim = OldenCtx::new(Config::olden(PROCS));
     let sim_val = generic_run(name, &mut sim, SizeClass::Tiny).expect("known benchmark");
     let (base_val, base_rep) = net_with(name, ExecConfig::lockstep(PROCS));
-    let base = Fingerprint::of(base_val, &base_rep);
     assert_eq!(base_val, sim_val, "{name}: fault-free net vs simulator");
-    assert_eq!(base.stats, *sim.stats(), "{name}: fault-free counters");
+    assert_eq!(
+        sim_diff(&base_rep, &sim),
+        None,
+        "{name}: fault-free counters"
+    );
 
     let mut injected = [0u64; 3];
     for seed in 0..CHAOS_SEEDS {
+        // Value, every counter and even the serviced-frame count: faults
+        // on a real socket must be invisible above the transport.
         let (val, rep) = net_with(name, ExecConfig::lockstep(PROCS).chaotic(seed));
+        assert_eq!(val, sim_val, "{name} seed {seed}: value");
+        assert_eq!(sim_diff(&rep, &sim), None, "{name} seed {seed}: counters");
         assert_eq!(
-            Fingerprint::of(val, &rep),
-            base,
-            "{name} seed {seed}: faults on a real socket must be invisible above the transport"
+            rep.messages, base_rep.messages,
+            "{name} seed {seed}: frames"
         );
         assert_eq!(
             rep.faults.count(FaultTag::Dropped),

@@ -11,7 +11,7 @@
 use olden_benchmarks::{generic_run, Descriptor, SizeClass};
 use olden_exec::{run_exec, ExecConfig, ExecReport};
 use olden_net::{run_net, NetConfig};
-use olden_obs::{EventKind, Recording};
+use olden_obs::Recording;
 use olden_runtime::{run, Config, RunReport};
 use std::process::ExitCode;
 use std::time::Instant;
@@ -88,78 +88,30 @@ pub fn profile_net(
     }
 }
 
-/// The count identities a recording must satisfy against its run's
-/// counters. Returns every broken identity (empty = trustworthy trace).
-pub fn reconcile(
-    rec: &Recording,
-    migrations: u64,
-    return_migrations: u64,
-    futures: u64,
-    steals: u64,
-    misses: u64,
-) -> Vec<String> {
-    let mut bad = Vec::new();
-    let mut check = |what: &str, got: u64, want: u64| {
-        if got != want {
-            bad.push(format!("{what}: recording says {got}, counters say {want}"));
-        }
-    };
-    check(
-        "migrate-send",
-        rec.count(EventKind::MigrateSend),
-        migrations,
-    );
-    check(
-        "migrate-recv",
-        rec.count(EventKind::MigrateRecv),
-        migrations,
-    );
-    check(
-        "return-send",
-        rec.count(EventKind::ReturnSend),
-        return_migrations,
-    );
-    check(
-        "return-recv",
-        rec.count(EventKind::ReturnRecv),
-        return_migrations,
-    );
-    check("future-body", rec.count(EventKind::FutureBody), futures);
-    check("steal", rec.count(EventKind::Steal), steals);
-    check("line-fetch", rec.count(EventKind::LineFetch), misses);
-    check(
-        "invalidate",
-        rec.count(EventKind::Invalidate),
-        migrations + return_migrations + rec.count(EventKind::TouchStall),
-    );
-    if let Err(e) = rec.span_nesting_ok() {
-        bad.push(format!("span nesting: {e}"));
-    }
-    bad
-}
-
 impl SimProfile {
+    /// Every count identity the recording breaks ([`Recording::reconcile`]).
     pub fn reconcile(&self) -> Vec<String> {
-        reconcile(
-            &self.recording,
-            self.report.stats.migrations,
-            self.report.stats.return_migrations,
-            self.report.stats.futures,
-            self.report.stats.steals,
-            self.report.cache.misses,
+        let (s, misses) = (&self.report.stats, self.report.cache.misses);
+        self.recording.reconcile(
+            s.migrations,
+            s.return_migrations,
+            s.futures,
+            s.steals,
+            misses,
         )
     }
 }
 
 impl ExecProfile {
+    /// Every count identity the recording breaks ([`Recording::reconcile`]).
     pub fn reconcile(&self) -> Vec<String> {
-        reconcile(
-            &self.recording,
-            self.report.stats.migrations,
-            self.report.stats.return_migrations,
-            self.report.stats.futures,
-            self.report.stats.steals,
-            self.report.cache.misses,
+        let (s, misses) = (&self.report.stats, self.report.cache.misses);
+        self.recording.reconcile(
+            s.migrations,
+            s.return_migrations,
+            s.futures,
+            s.steals,
+            misses,
         )
     }
 }
@@ -323,8 +275,7 @@ mod tests {
     fn reconcile_flags_a_mismatch() {
         let d = by_name("TreeAdd").unwrap();
         let p = profile_sim(&d, 4, SizeClass::Tiny);
-        let bad = reconcile(
-            &p.recording,
+        let bad = p.recording.reconcile(
             p.report.stats.migrations + 1, // off by one
             p.report.stats.return_migrations,
             p.report.stats.futures,

@@ -493,6 +493,32 @@ where
     Ok(out)
 }
 
+/// The deterministic shutdown drain: a [`Request::Shutdown`] to each of
+/// `procs` workers over `control`, in processor order, collecting each
+/// one's final report. Control-plane envelopes bypass the fault layer but
+/// still count as transport sends, keeping the conservation law exact.
+/// Shared between [`try_run_exec`] and `olden-net`.
+pub fn drain_fleet(
+    control: &mut dyn ClientConn,
+    procs: usize,
+    counters: &TransportCounters,
+) -> Vec<WorkerReport> {
+    (0..procs as ProcId)
+        .map(|p| {
+            counters.sends.fetch_add(1, Ordering::Relaxed);
+            control.send(
+                p,
+                &Envelope {
+                    src: CONTROL_SRC,
+                    seq: 0,
+                    req: Request::Shutdown,
+                },
+            );
+            *control.recv_reply(p).expect_report()
+        })
+        .collect()
+}
+
 /// Aggregate one run's report from the root client's finals and the
 /// workers' shutdown reports, verifying the transport conservation law.
 /// Shared between [`try_run_exec`] and `olden-net`'s parent orchestrator
@@ -552,10 +578,9 @@ pub fn assemble_report(
 /// failures as values.
 ///
 /// Spawns the worker fleet over an in-process [`MailboxTransport`], runs
-/// the program as the root logical thread, then performs a deterministic
-/// shutdown: a [`Request::Shutdown`] to each worker in processor order,
-/// collecting each one's final statistics. The calling thread meanwhile
-/// acts as the watchdog — if the run's progress counter stalls for
+/// the program as the root logical thread, then drains the fleet
+/// ([`drain_fleet`]). The calling thread meanwhile acts as the
+/// watchdog — if the run's progress counter stalls for
 /// `cfg.stall_timeout`, it fails with [`ExecError::Stalled`] carrying a
 /// state dump of every worker and logical thread instead of hanging. A
 /// message class starved by the fault plan fails with
@@ -605,23 +630,8 @@ where
         program,
     )?;
 
-    // Deterministic shutdown: each worker reports and exits, in processor
-    // order. Control-plane envelopes bypass the fault layer but still
-    // count as transport traffic, keeping the conservation law exact.
     let mut control = shared.link.connect(CONTROL_SRC);
-    let mut reports: Vec<WorkerReport> = Vec::with_capacity(cfg.procs);
-    for p in 0..cfg.procs {
-        counters.sends.fetch_add(1, Ordering::Relaxed);
-        control.send(
-            p as ProcId,
-            &Envelope {
-                src: CONTROL_SRC,
-                seq: 0,
-                req: Request::Shutdown,
-            },
-        );
-        reports.push(*control.recv_reply(p as ProcId).expect_report());
-    }
+    let reports = drain_fleet(control.as_mut(), cfg.procs, &counters);
     for jh in worker_joins {
         jh.join().expect("worker exited cleanly");
     }

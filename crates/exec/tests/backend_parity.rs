@@ -1,15 +1,12 @@
-//! Cross-validation of the thread backend against the simulator and the
-//! serial references: the tentpole guarantee of olden-exec.
+//! Cross-validation of the thread backend against the simulator under
+//! the non-default coherence schemes, and in parallel mode.
 //!
-//! Three layers of agreement, in increasing strictness:
-//!
-//! 1. **Values** — every benchmark, executed for real across ≥ 4 worker
-//!    threads, computes the same checksum as its plain serial reference.
-//! 2. **Counters** — in lockstep mode, the migration / steal / cache
-//!    counters of the real execution equal the simulator's for the same
-//!    program (each backend is the other's oracle).
-//! 3. **Determinism** — two runs of the same seed are identical, values
-//!    and counters both.
+//! Local knowledge in lockstep is pinned elsewhere: the `run` row of
+//! `goldens_are_current` executes all ten benchmarks on 8 workers and
+//! prints each value, every counter and a `parity:` verdict against the
+//! simulator, so a divergence or a nondeterministic counter is a diff;
+//! `tests/integration.rs` holds the simulator's values to the serial
+//! references.
 
 use olden_benchmarks::{all, generic_run, SizeClass};
 use olden_exec::{run_exec, ExecConfig, Protocol};
@@ -17,52 +14,15 @@ use olden_runtime::{Config, OldenCtx};
 
 const PROCS: usize = 8;
 
-fn exec_lockstep(name: &'static str, procs: usize) -> (u64, olden_exec::ExecReport) {
-    let (v, rep) = run_exec(ExecConfig::lockstep(procs), move |ctx| {
-        generic_run(name, ctx, SizeClass::Tiny).expect("known benchmark")
-    });
-    (v, rep)
-}
-
-/// Every benchmark's value on the thread backend equals its serial
-/// reference — the structures really lived in per-worker heap sections,
-/// every remote word really crossed a channel.
-#[test]
-fn all_benchmark_values_match_references_on_workers() {
-    for d in all() {
-        let expected = (d.reference)(SizeClass::Tiny);
-        let (got, rep) = exec_lockstep(d.name, PROCS);
-        assert_eq!(got, expected, "{} value on {PROCS} workers", d.name);
-        assert!(rep.messages > 0, "{} exchanged no messages", d.name);
-    }
-}
-
-/// Lockstep counter parity with the simulator, for every benchmark: the
-/// full `RunStats`, all twelve `CacheStats` counters and pages cached.
-#[test]
-fn all_benchmark_counters_reconcile_with_simulator() {
-    for d in all() {
-        let mut sim = OldenCtx::new(Config::olden(PROCS));
-        let sim_val = generic_run(d.name, &mut sim, SizeClass::Tiny).unwrap();
-        let (exec_val, rep) = exec_lockstep(d.name, PROCS);
-        assert_eq!(exec_val, sim_val, "{} value", d.name);
-        assert_eq!(
-            rep.diff_from_sim(sim.stats(), sim.cache().stats(), sim.cache().pages_cached()),
-            None,
-            "{} counters",
-            d.name
-        );
-    }
-}
-
-/// Full counter parity under every Appendix-A coherence scheme: global
-/// knowledge's pushed invalidations (sent + spurious) and write-tracking
-/// cycles, and the bilateral scheme's timestamp revalidations, all
-/// reconcile with the simulator's — the coherence traffic really crossed
-/// worker mailboxes and produced the exact same Table-3 numbers.
+/// Full counter parity under the other Appendix-A coherence schemes:
+/// global knowledge's pushed invalidations (sent + spurious) and
+/// write-tracking cycles, and the bilateral scheme's timestamp
+/// revalidations, all reconcile with the simulator's — the coherence
+/// traffic really crossed worker mailboxes and produced the exact same
+/// Table-3 numbers.
 #[test]
 fn every_scheme_reconciles_with_simulator() {
-    for protocol in Protocol::ALL {
+    for protocol in [Protocol::GlobalKnowledge, Protocol::Bilateral] {
         for d in all() {
             let mut sim = OldenCtx::new(Config::olden(PROCS).with_protocol(protocol));
             let sim_val = generic_run(d.name, &mut sim, SizeClass::Tiny).unwrap();
@@ -78,20 +38,6 @@ fn every_scheme_reconciles_with_simulator() {
                 d.name
             );
         }
-    }
-}
-
-/// Two same-seed runs are bit-identical: values, event counters, cache
-/// counters, and even the message count.
-#[test]
-fn same_seed_runs_are_identical() {
-    for name in ["TreeAdd", "EM3D", "Health"] {
-        let (v1, r1) = exec_lockstep(name, PROCS);
-        let (v2, r2) = exec_lockstep(name, PROCS);
-        assert_eq!(v1, v2, "{name} value");
-        assert_eq!(r1.stats, r2.stats, "{name} runtime counters");
-        assert_eq!(r1.cache, r2.cache, "{name} cache counters");
-        assert_eq!(r1.messages, r2.messages, "{name} message count");
     }
 }
 

@@ -10,9 +10,11 @@
 //! (client lanes) from invalidation acquires (worker lanes) — which is
 //! exactly what [`Recording::site_sequences`] normalizes away.
 
+use std::sync::OnceLock;
+
 use olden_benchmarks::{all, generic_run, SizeClass};
 use olden_exec::{run_exec, ExecConfig, ExecReport, Protocol};
-use olden_runtime::{Config, EventKind, OldenCtx, Site};
+use olden_runtime::{Config, EventKind, OldenCtx, Recording, RunStats, Site};
 
 const PROCS: usize = 8;
 
@@ -23,24 +25,58 @@ fn recorded_exec(name: &'static str, cfg: ExecConfig) -> ExecReport {
     rep
 }
 
+/// Every count identity `rec` breaks against its run's own counters.
+fn broken_identities(rec: &Recording, stats: &RunStats, misses: u64) -> Vec<String> {
+    rec.reconcile(
+        stats.migrations,
+        stats.return_migrations,
+        stats.futures,
+        stats.steals,
+        misses,
+    )
+}
+
+/// One benchmark's recorded simulator run beside its recorded lockstep
+/// exec run.
+struct LockstepPair {
+    name: &'static str,
+    sim_rec: Recording,
+    sim_stats: RunStats,
+    sim_misses: u64,
+    rep: ExecReport,
+}
+
+/// Every benchmark's recorded sim and lockstep exec runs, made once per
+/// test binary and shared by the tests that read them.
+fn lockstep_pairs() -> &'static [LockstepPair] {
+    static PAIRS: OnceLock<Vec<LockstepPair>> = OnceLock::new();
+    PAIRS.get_or_init(|| {
+        all()
+            .iter()
+            .map(|d| {
+                let mut sim = OldenCtx::new(Config::olden(PROCS).recorded());
+                generic_run(d.name, &mut sim, SizeClass::Tiny).unwrap();
+                LockstepPair {
+                    name: d.name,
+                    sim_rec: sim.take_recording().expect("recorded sim run"),
+                    sim_stats: *sim.stats(),
+                    sim_misses: sim.cache().stats().misses,
+                    rep: recorded_exec(d.name, ExecConfig::lockstep(PROCS)),
+                }
+            })
+            .collect()
+    })
+}
+
 /// Every benchmark, both sites: the sim's per-processor `(kind, phase,
-/// arg)` sequences equal the exec backend's in lockstep mode.
+/// arg)` sequences equal the exec backend's in lockstep mode, and the
+/// sim recording reconciles with the sim's own counters.
 #[test]
 fn lockstep_event_sequences_match_simulator_per_processor() {
-    for d in all() {
-        let name = d.name;
-        let mut sim = OldenCtx::new(Config::olden(PROCS).recorded());
-        generic_run(name, &mut sim, SizeClass::Tiny).unwrap();
-        let sim_rec = sim.take_recording().expect("recorded sim run");
-        let rep = recorded_exec(name, ExecConfig::lockstep(PROCS));
-        let exec_rec = rep.recording.as_ref().expect("recorded exec run");
+    for p in lockstep_pairs() {
+        let (name, sim_rec) = (p.name, &p.sim_rec);
+        let exec_rec = p.rep.recording.as_ref().expect("recorded exec run");
 
-        sim_rec
-            .span_nesting_ok()
-            .unwrap_or_else(|e| panic!("{name} sim nesting: {e}"));
-        exec_rec
-            .span_nesting_ok()
-            .unwrap_or_else(|e| panic!("{name} exec nesting: {e}"));
         assert_eq!(sim_rec.dropped(), 0, "{name}: sim lane overflowed");
         assert_eq!(exec_rec.dropped(), 0, "{name}: exec lane overflowed");
         for site in [Site::Client, Site::Worker] {
@@ -50,6 +86,27 @@ fn lockstep_event_sequences_match_simulator_per_processor() {
                 "{name}: per-processor {site:?}-site event sequences diverge"
             );
         }
+        let sim_bad = broken_identities(sim_rec, &p.sim_stats, p.sim_misses);
+        assert!(sim_bad.is_empty(), "{name} sim: {sim_bad:?}");
+    }
+}
+
+/// The recording's exact per-kind counts reconcile with the run's own
+/// counters — the same identities `oldenc profile` checks
+/// (`Recording::reconcile`), here asserted for every benchmark on the
+/// exec backend.
+#[test]
+fn lockstep_event_counts_reconcile_with_exec_report() {
+    for p in lockstep_pairs() {
+        let (name, rep) = (p.name, &p.rep);
+        let rec = rep.recording.as_ref().expect("recorded exec run");
+        let bad = broken_identities(rec, &rep.stats, rep.cache.misses);
+        assert!(bad.is_empty(), "{name}: {bad:?}");
+        assert_eq!(
+            rec.count(EventKind::Retry),
+            0,
+            "{name}: fault-free run retried"
+        );
     }
 }
 
@@ -84,57 +141,6 @@ fn coherence_scheme_event_streams_match_simulator() {
     }
 }
 
-/// The recording's exact per-kind counts reconcile with the run's own
-/// counters — the same identity `oldenc profile` checks, here asserted
-/// for every benchmark on the exec backend.
-#[test]
-fn lockstep_event_counts_reconcile_with_exec_report() {
-    for d in all() {
-        let name = d.name;
-        let rep = recorded_exec(name, ExecConfig::lockstep(PROCS));
-        let rec = rep.recording.as_ref().expect("recorded exec run");
-        assert_eq!(
-            rec.count(EventKind::MigrateSend),
-            rep.stats.migrations,
-            "{name}"
-        );
-        assert_eq!(
-            rec.count(EventKind::MigrateRecv),
-            rep.stats.migrations,
-            "{name}"
-        );
-        assert_eq!(
-            rec.count(EventKind::ReturnSend),
-            rep.stats.return_migrations,
-            "{name}"
-        );
-        assert_eq!(
-            rec.count(EventKind::ReturnRecv),
-            rep.stats.return_migrations,
-            "{name}"
-        );
-        assert_eq!(
-            rec.count(EventKind::FutureBody),
-            rep.stats.futures,
-            "{name}"
-        );
-        assert_eq!(rec.count(EventKind::Steal), rep.stats.steals, "{name}");
-        assert_eq!(rec.count(EventKind::LineFetch), rep.cache.misses, "{name}");
-        // Every invalidation acquire is a call arrival, a return-stub
-        // arrival, or a touched value's receipt.
-        assert_eq!(
-            rec.count(EventKind::Invalidate),
-            rep.stats.migrations + rep.stats.return_migrations + rec.count(EventKind::TouchStall),
-            "{name}"
-        );
-        assert_eq!(
-            rec.count(EventKind::Retry),
-            0,
-            "{name}: fault-free run retried"
-        );
-    }
-}
-
 /// Recording is observation, not perturbation: a recorded lockstep run
 /// produces byte-identical counters and message counts to a plain one.
 #[test]
@@ -158,31 +164,14 @@ fn recording_does_not_perturb_the_run() {
 }
 
 /// Parallel mode — real body threads, child lanes pushed concurrently —
-/// still yields well-formed recordings whose deterministic counts match
-/// the report.
+/// still yields well-formed recordings whose counts reconcile with the
+/// report.
 #[test]
 fn parallel_mode_recording_is_well_formed_and_reconciles() {
     for name in ["TreeAdd", "Power", "EM3D", "Health"] {
         let rep = recorded_exec(name, ExecConfig::parallel(4));
         let rec = rep.recording.as_ref().expect("recorded parallel run");
-        rec.span_nesting_ok()
-            .unwrap_or_else(|e| panic!("{name} nesting: {e}"));
-        assert_eq!(
-            rec.count(EventKind::MigrateRecv),
-            rep.stats.migrations,
-            "{name}"
-        );
-        assert_eq!(
-            rec.count(EventKind::FutureBody),
-            rep.stats.futures,
-            "{name}"
-        );
-        assert_eq!(rec.count(EventKind::Steal), rep.stats.steals, "{name}");
-        assert_eq!(rec.count(EventKind::LineFetch), rep.cache.misses, "{name}");
-        assert_eq!(
-            rec.count(EventKind::Invalidate),
-            rep.stats.migrations + rep.stats.return_migrations + rec.count(EventKind::TouchStall),
-            "{name}"
-        );
+        let bad = broken_identities(rec, &rep.stats, rep.cache.misses);
+        assert!(bad.is_empty(), "{name}: {bad:?}");
     }
 }

@@ -22,7 +22,6 @@
 //! spurious race, which is exactly the direction the static-superset
 //! cross-validation needs.
 
-use crate::trace::{SegId, Trace};
 use olden_gptr::ProcId;
 
 /// A vector clock: one monotone counter per processor. Missing
@@ -53,16 +52,16 @@ impl VClock {
 
     /// Advance processor `p`'s component past `counter`'s current value
     /// and return the new per-processor tick. Callers thread one counter
-    /// per processor (see [`segment_clocks`]).
+    /// per processor (the simulator's `OldenCtx`).
     pub fn bump(&mut self, p: ProcId, counter: &mut u64) {
         *counter += 1;
         self.set(p, *counter);
     }
 
     /// Set processor `p`'s component to `tick`, which must not move it
-    /// backwards. Online clock implementations (the thread backend) draw
-    /// ticks from shared per-processor counters instead of threading a
-    /// `&mut u64` through [`VClock::bump`].
+    /// backwards. Clients of the thread backend draw ticks from shared
+    /// per-processor counters instead of threading a `&mut u64` through
+    /// [`VClock::bump`].
     pub fn advance(&mut self, p: ProcId, tick: u64) {
         debug_assert!(tick >= self.get(p), "clocks are monotone");
         self.set(p, tick);
@@ -103,39 +102,9 @@ impl VClock {
     }
 }
 
-/// Replay a recorded trace into one clock per segment.
-///
-/// Valid because segment ids are created in execution order and every
-/// edge goes from a lower to a higher id, so ascending id order is a
-/// topological order of the DAG.
-pub fn segment_clocks(trace: &Trace) -> Vec<VClock> {
-    let mut clocks: Vec<VClock> = vec![VClock::new(); trace.len()];
-    // One tick counter per processor; each segment gets a fresh tick on
-    // its own processor so distinct segments are distinguishable.
-    let mut counters: Vec<u64> = Vec::new();
-    for e in trace.edges() {
-        debug_assert!(e.from < e.to, "trace edges must go forward");
-    }
-    for (i, seg) in trace.segments().iter().enumerate() {
-        let id = SegId(i as u32);
-        let mut c = VClock::new();
-        for e in trace.edges().iter().filter(|e| e.to == id) {
-            c.join(&clocks[e.from.index()]);
-        }
-        let p = seg.proc as usize;
-        if counters.len() <= p {
-            counters.resize(p + 1, 0);
-        }
-        c.bump(seg.proc, &mut counters[p]);
-        clocks[i] = c;
-    }
-    clocks
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::EdgeKind;
 
     #[test]
     fn clock_basics() {
@@ -153,64 +122,5 @@ mod tests {
         assert!(a.leq(&b));
         assert_eq!(b.get(0), 1);
         assert_eq!(b.get(1), 1);
-    }
-
-    #[test]
-    fn edges_order_segments() {
-        // a --Migrate--> b --Return--> c ; a and d unordered.
-        let mut t = Trace::new();
-        let a = t.new_segment(0);
-        let b = t.new_segment(1);
-        let c = t.new_segment(0);
-        let d = t.new_segment(2);
-        t.add_edge(a, b, 0, EdgeKind::Migrate);
-        t.add_edge(b, c, 0, EdgeKind::Return);
-        let clocks = segment_clocks(&t);
-        assert!(clocks[a.index()].leq(&clocks[b.index()]));
-        assert!(clocks[a.index()].leq(&clocks[c.index()]));
-        assert!(clocks[b.index()].leq(&clocks[c.index()]));
-        assert!(!clocks[c.index()].leq(&clocks[a.index()]));
-        assert!(!clocks[a.index()].leq(&clocks[d.index()]));
-        assert!(!clocks[d.index()].leq(&clocks[a.index()]));
-    }
-
-    #[test]
-    fn steal_and_join_diamond() {
-        // spawn --Seq--> body --Join--> post
-        //   \----Steal--> cont --Seq---^
-        // body and cont are concurrent; post sees both.
-        let mut t = Trace::new();
-        let spawn = t.new_segment(0);
-        let body = t.new_segment(1);
-        let cont = t.new_segment(0);
-        let post = t.new_segment(0);
-        t.add_edge(spawn, body, 0, EdgeKind::Migrate);
-        t.add_edge(spawn, cont, 0, EdgeKind::Steal);
-        t.add_edge(cont, post, 0, EdgeKind::Seq);
-        t.add_edge(body, post, 0, EdgeKind::Join);
-        let clocks = segment_clocks(&t);
-        let (b, c, p) = (
-            &clocks[body.index()],
-            &clocks[cont.index()],
-            &clocks[post.index()],
-        );
-        assert!(!b.leq(c) && !c.leq(b), "body and continuation race");
-        assert!(b.leq(p) && c.leq(p), "join orders both before post");
-    }
-
-    #[test]
-    fn same_proc_unordered_segments_alias_conservatively() {
-        // Two segments on proc 1 with no path between them: per-processor
-        // counters make the earlier one's clock ≤ the later one's. This
-        // is the documented approximation: missed races are possible,
-        // spurious races are not.
-        let mut t = Trace::new();
-        let a = t.new_segment(0);
-        let b = t.new_segment(1);
-        let c = t.new_segment(1);
-        t.add_edge(a, b, 0, EdgeKind::Migrate);
-        t.add_edge(a, c, 0, EdgeKind::Steal);
-        let clocks = segment_clocks(&t);
-        assert!(clocks[b.index()].leq(&clocks[c.index()]));
     }
 }

@@ -28,7 +28,7 @@ pub mod cost;
 pub mod sched;
 pub mod trace;
 
-pub use clocks::{segment_clocks, VClock};
+pub use clocks::VClock;
 pub use cost::CostModel;
 pub use sched::{Schedule, ScheduleError};
 pub use trace::{EdgeKind, FaultEvent, FaultLog, FaultTag, SegId, Segment, Trace};

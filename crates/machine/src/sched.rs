@@ -11,7 +11,7 @@
 //! property tests): the critical path of the DAG and `total_work / P`
 //! per-processor capacity (per processor, since segments are bound).
 
-use crate::trace::{EdgeKind, SegId, Trace};
+use crate::trace::{SegId, Trace};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -251,11 +251,6 @@ pub fn makespan_lower_bound(trace: &Trace, procs: usize) -> u64 {
     let cp = critical_path(trace);
     let per = per_proc_work(trace, procs).into_iter().max().unwrap_or(0);
     cp.max(per)
-}
-
-/// Count migrations of any kind for reporting.
-pub fn migration_count(trace: &Trace) -> usize {
-    trace.count_edges(EdgeKind::Migrate) + trace.count_edges(EdgeKind::Return)
 }
 
 #[cfg(test)]

@@ -45,15 +45,15 @@
 pub mod wire;
 pub mod worker;
 
-use olden_exec::msg::{Envelope, Reply, Request, WorkerReport, CONTROL_SRC};
+use olden_exec::msg::{Envelope, Reply};
 use olden_exec::{
-    assemble_report, drive_root, dump_clients, ClientConn, ExecConfig, ExecCtx, ExecError,
-    ExecReport, Shared, Transport, TransportCounters,
+    assemble_report, drain_fleet, drive_root, dump_clients, ClientConn, ExecConfig, ExecCtx,
+    ExecError, ExecReport, Shared, Transport, TransportCounters,
 };
 use olden_gptr::{ProcId, MAX_PROCS};
 use std::net::{TcpListener, TcpStream};
 use std::process::{Child, Command};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::AtomicU64;
 use std::sync::{mpsc, Arc};
 use std::thread;
 use std::time::Duration;
@@ -335,25 +335,10 @@ where
         program,
     )?;
 
-    // Deterministic shutdown in processor order, mirroring the thread
-    // backend's drain: control envelopes bypass the fault layer but
-    // still count as transport traffic, keeping the conservation law
-    // exact. The control connection reads under a timeout so a hung
-    // worker fails the run instead of wedging it.
+    // The control connection reads under a timeout so a hung worker
+    // fails the run instead of wedging it.
     let mut control = TcpConn::new(ports, Some(DRAIN_TIMEOUT));
-    let mut reports: Vec<WorkerReport> = Vec::with_capacity(procs);
-    for p in 0..procs {
-        counters.sends.fetch_add(1, Ordering::Relaxed);
-        control.send(
-            p as ProcId,
-            &Envelope {
-                src: CONTROL_SRC,
-                seq: 0,
-                req: Request::Shutdown,
-            },
-        );
-        reports.push(*control.recv_reply(p as ProcId).expect_report());
-    }
+    let reports = drain_fleet(&mut control, procs, &counters);
     drop(control);
     drop(tethers);
     guard.join();

@@ -3,9 +3,9 @@
 //!
 //! - **Lockstep counter equality, all ten benchmarks** — values equal
 //!   the serial references and every runtime / cache counter equals the
-//!   simulator's, exactly as the thread backend's `backend_parity`
-//!   suite pins, but with every remote word crossing a TCP frame
-//!   between OS processes.
+//!   simulator's, exactly as the thread backend's `run` golden pins,
+//!   but with every remote word crossing a TCP frame between OS
+//!   processes.
 //! - **Chaos over real sockets** — ≥ 25 seeded fault schedules replayed
 //!   over the socket transport are byte-equal to the fault-free
 //!   simulator in values, stats, and cache counters, with transport

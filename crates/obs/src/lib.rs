@@ -398,6 +398,46 @@ impl Recording {
         Ok(())
     }
 
+    /// The count identities a recording must satisfy against its run's
+    /// counters, plus well-formed span nesting. Returns every broken
+    /// identity (empty = trustworthy trace).
+    pub fn reconcile(
+        &self,
+        migrations: u64,
+        return_migrations: u64,
+        futures: u64,
+        steals: u64,
+        misses: u64,
+    ) -> Vec<String> {
+        let mut bad = Vec::new();
+        let mut check = |kind: EventKind, want: u64| {
+            let got = self.count(kind);
+            if got != want {
+                bad.push(format!(
+                    "{}: recording says {got}, counters say {want}",
+                    kind.name()
+                ));
+            }
+        };
+        check(EventKind::MigrateSend, migrations);
+        check(EventKind::MigrateRecv, migrations);
+        check(EventKind::ReturnSend, return_migrations);
+        check(EventKind::ReturnRecv, return_migrations);
+        check(EventKind::FutureBody, futures);
+        check(EventKind::Steal, steals);
+        check(EventKind::LineFetch, misses);
+        // Every invalidation acquire is a call arrival, a return-stub
+        // arrival, or a touched value's receipt.
+        check(
+            EventKind::Invalidate,
+            migrations + return_migrations + self.count(EventKind::TouchStall),
+        );
+        if let Err(e) = self.span_nesting_ok() {
+            bad.push(format!("span nesting: {e}"));
+        }
+        bad
+    }
+
     /// Earliest and latest timestamp stored, if any events were.
     pub fn ts_bounds(&self) -> Option<(u64, u64)> {
         let mut bounds: Option<(u64, u64)> = None;

@@ -47,7 +47,7 @@ pub trait Backend: Sized {
 
     /// Charge `cycles` of benchmark-specific local computation. The
     /// simulator adds them to the current segment; the thread backend
-    /// spins a calibrated delay so wall-clock scaling reflects them.
+    /// only counts the call as progress for its stall watchdog.
     fn work(&mut self, cycles: u64);
 
     /// `ALLOC(proc, words)`: allocate on the named processor (§2).

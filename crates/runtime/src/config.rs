@@ -57,9 +57,9 @@ pub struct Config {
     /// the benchmark requested — reproduces Table 2's "Migrate-only"
     /// column (and allows cache-only experiments).
     pub force: Option<Mechanism>,
-    /// Record every heap access for the happens-before race sanitizer
-    /// (the dynamic half of `olden-racecheck`). Off by default: the log
-    /// costs memory proportional to the access count.
+    /// Check every heap access with the happens-before race sanitizer
+    /// (the dynamic half of `olden-racecheck`). Off by default: it keeps
+    /// two vector clocks per cache line touched.
     pub sanitize: bool,
     /// Honor [`Check::Elide`] verdicts at `*_checked` access sites. Off by
     /// default so every existing configuration keeps its exact cycle
@@ -109,7 +109,7 @@ impl Config {
         self
     }
 
-    /// Same configuration with the happens-before sanitizer recording.
+    /// Same configuration with the happens-before sanitizer on.
     pub fn sanitized(mut self) -> Config {
         self.sanitize = true;
         self

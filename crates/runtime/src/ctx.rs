@@ -29,10 +29,11 @@
 use crate::config::{Check, Config, Mechanism};
 use crate::heap::DistributedHeap;
 use crate::report::RunStats;
-use crate::sanitize::{check_trace, LineKey, RaceViolation};
+use crate::sanitize::{LineSanitizer, RaceViolation};
 use olden_cache::{Access, Arrival, CacheSystem};
 use olden_gptr::{GPtr, ProcId, Word};
 use olden_machine::trace::{EdgeKind, SegId, Trace};
+use olden_machine::VClock;
 use olden_obs::{EventKind, Recorder, Recording};
 
 /// A pending future's bookkeeping while its body runs.
@@ -41,8 +42,9 @@ struct FutureFrame {
     /// waits on the work list).
     spawn_proc: ProcId,
     /// Set when a migration vacates `spawn_proc` during the body: the
-    /// segment whose end lets the idle processor grab the continuation.
-    stolen: Option<SegId>,
+    /// segment whose end lets the idle processor grab the continuation,
+    /// and (sanitizer only) that segment's clock.
+    stolen: Option<(SegId, VClock)>,
 }
 
 /// The result of a [`OldenCtx::future_call`], to be claimed by
@@ -50,9 +52,10 @@ struct FutureFrame {
 #[must_use = "a future must be touched before its value is used"]
 pub struct FutureHandle<T> {
     value: T,
-    /// `Some(body_end_segment)` if the body migrated and the continuation
-    /// was stolen (a real fork); `None` if it completed inline.
-    parallel: Option<SegId>,
+    /// `Some((body_end_segment, body_clock))` if the body migrated and the
+    /// continuation was stolen (a real fork); `None` if it completed
+    /// inline. The clock is the body's final one (sanitizer only).
+    parallel: Option<(SegId, VClock)>,
     /// Processors written by the body (for the return-acquire).
     written: Vec<ProcId>,
 }
@@ -79,9 +82,14 @@ pub struct OldenCtx {
     /// but no costs, traffic, or statistics are recorded (used to exclude
     /// structure-building phases from kernel-time benchmarks, §5).
     free_depth: u32,
-    /// Sanitizer access log: (segment, line, is-write) per charged heap
-    /// access. Empty unless `Config::sanitize` is set.
-    access_log: Vec<(SegId, LineKey, bool)>,
+    /// Sanitizer: the current segment's vector clock — what
+    /// `olden_machine::clocks` defines for it, maintained online. Advanced
+    /// with a fresh per-processor tick (`ticks`) at every new segment.
+    /// Untouched when `Config::sanitize` is off.
+    clock: VClock,
+    ticks: Vec<u64>,
+    /// Sanitizer: fed every charged heap access, in execution order.
+    sanitizer: LineSanitizer,
     /// Structured event recorder (`Config::record` runs only); `None`
     /// otherwise, so unrecorded runs pay one branch per hook.
     rec: Option<Recorder>,
@@ -92,7 +100,7 @@ impl OldenCtx {
         assert!(cfg.procs >= 1 && cfg.procs <= olden_gptr::MAX_PROCS);
         let mut trace = Trace::new();
         let cur_seg = trace.new_segment(0);
-        OldenCtx {
+        let mut ctx = OldenCtx {
             heap: DistributedHeap::new(cfg.procs),
             cache: CacheSystem::new(cfg.procs, cfg.protocol),
             trace,
@@ -102,10 +110,14 @@ impl OldenCtx {
             write_scopes: vec![Vec::new()],
             stats: RunStats::default(),
             free_depth: 0,
-            access_log: Vec::new(),
+            clock: VClock::new(),
+            ticks: vec![0; cfg.procs],
+            sanitizer: LineSanitizer::new(),
             rec: cfg.record.then(Recorder::sim),
             cfg,
-        }
+        };
+        ctx.clock_bump(0);
+        ctx
     }
 
     /// Number of processors in this configuration (for placement math).
@@ -133,12 +145,20 @@ impl OldenCtx {
         &self.cache
     }
 
-    /// Happens-before violations among the heap accesses recorded so far
-    /// (always empty unless the run was configured with
-    /// [`Config::sanitized`]). Replays the access log against the
-    /// trace-derived segment clocks, so it can be called mid-run.
+    /// Happens-before violations among the heap accesses so far (always
+    /// empty unless the run was configured with [`Config::sanitized`]).
+    /// The sanitizer runs online, so this can be called mid-run.
     pub fn race_violations(&self) -> Vec<RaceViolation> {
-        check_trace(&self.trace, &self.access_log)
+        self.sanitizer.violations().to_vec()
+    }
+
+    /// Start a new segment on `p`: draw `p`'s next tick and advance the
+    /// clock's `p` component to it (the segment-clock rule of
+    /// `olden_machine::clocks`, applied as segments are created).
+    fn clock_bump(&mut self, p: ProcId) {
+        if self.cfg.sanitize {
+            self.clock.bump(p, &mut self.ticks[p as usize]);
+        }
     }
 
     /// Take the run's event recording (once; `None` unless the run was
@@ -175,13 +195,8 @@ impl OldenCtx {
         }
     }
 
-    /// The recorded trace (consumed by the report layer).
-    pub(crate) fn into_parts(self) -> (Trace, RunStats, CacheSystem) {
-        (self.trace, self.stats, self.cache)
-    }
-
-    /// Public variant of [`Self::into_parts`] for external tools that
-    /// inspect raw traces (debug binaries, custom reports).
+    /// The recorded trace, counters and cache system (consumed by the
+    /// report layer and by external tools that inspect raw traces).
     pub fn into_parts_public(self) -> (Trace, RunStats, CacheSystem) {
         (self.trace, self.stats, self.cache)
     }
@@ -381,13 +396,13 @@ impl OldenCtx {
             self.note_written(ptr.proc());
         }
         if self.cfg.sanitize {
-            // After any migration, so the segment is the one that really
-            // performs the access.
-            self.access_log.push((
-                self.cur_seg,
+            // After any migration, so the clock is the segment's that
+            // really performs the access.
+            self.sanitizer.access(
                 (ptr.proc(), ptr.page(), ptr.line_in_page()),
                 write,
-            ));
+                &self.clock,
+            );
         }
     }
 
@@ -415,6 +430,7 @@ impl OldenCtx {
             .add_edge(self.cur_seg, seg, self.cfg.cost.mig_wire, EdgeKind::Migrate);
         self.cur_seg = seg;
         self.cur_proc = target;
+        self.clock_bump(target);
         self.charge(self.cfg.cost.mig_recv);
         self.cache.arrive(target, Arrival::Call);
         // The call-arrival acquire clears the whole destination cache
@@ -431,7 +447,7 @@ impl OldenCtx {
         let src = self.cur_seg;
         for f in self.frames.iter_mut().rev() {
             if f.spawn_proc == proc && f.stolen.is_none() {
-                f.stolen = Some(src);
+                f.stolen = Some((src, self.clock.clone()));
             }
         }
     }
@@ -466,6 +482,7 @@ impl OldenCtx {
                 .add_edge(self.cur_seg, seg, self.cfg.cost.ret_wire, EdgeKind::Return);
             self.cur_seg = seg;
             self.cur_proc = entry;
+            self.clock_bump(entry);
             self.charge(self.cfg.cost.ret_recv);
             self.cache.arrive(
                 entry,
@@ -512,7 +529,7 @@ impl OldenCtx {
         let frame = self.frames.pop().expect("frame underflow");
         self.rec_end(EventKind::FutureBody, self.cur_proc);
         match frame.stolen {
-            Some(steal_src) => {
+            Some((steal_src, steal_clock)) => {
                 self.stats.steals += 1;
                 // The body thread releases and sends its value home.
                 let inval = self
@@ -520,12 +537,17 @@ impl OldenCtx {
                     .depart(self.cur_proc, self.cfg.cost.write_through);
                 self.charge(inval);
                 self.charge(self.cfg.cost.ret_send);
-                let body_end = self.cur_seg;
-                // The idle spawn processor grabs the continuation.
+                let body_end = (
+                    self.cur_seg,
+                    std::mem::replace(&mut self.clock, steal_clock),
+                );
+                // The idle spawn processor grabs the continuation; its
+                // clock rewinds to the steal point's.
                 let cont = self.trace.new_segment(spawn_proc);
                 self.trace.add_edge(steal_src, cont, 0, EdgeKind::Steal);
                 self.cur_seg = cont;
                 self.cur_proc = spawn_proc;
+                self.clock_bump(spawn_proc);
                 self.charge(self.cfg.cost.steal);
                 self.rec_instant(EventKind::Steal, spawn_proc, 0);
                 FutureHandle {
@@ -553,13 +575,15 @@ impl OldenCtx {
         }
         self.charge(self.cfg.cost.touch);
         self.stats.touches += 1;
-        if let Some(body_end) = h.parallel {
+        if let Some((body_end, body_clock)) = h.parallel {
             self.rec_begin(EventKind::TouchStall, self.cur_proc);
             let post = self.trace.new_segment(self.cur_proc);
             self.trace.add_edge(self.cur_seg, post, 0, EdgeKind::Seq);
             self.trace
                 .add_edge(body_end, post, self.cfg.cost.ret_wire, EdgeKind::Join);
             self.cur_seg = post;
+            self.clock.join(&body_clock);
+            self.clock_bump(self.cur_proc);
             self.charge(self.cfg.cost.ret_recv);
             // Receiving the future's value is a migration receipt: acquire
             // with the body's write set (local-knowledge refinement).

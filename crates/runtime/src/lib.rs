@@ -31,11 +31,9 @@ pub use heap::DistributedHeap;
 pub use interp::{run_ir, RunOutcome, Value, DEFAULT_FUEL};
 pub use olden_cache::{Access, CacheStats, Protocol};
 pub use olden_gptr::{GPtr, ProcId, Word};
-pub use olden_machine::{
-    segment_clocks, CostModel, EdgeKind, FaultEvent, FaultLog, FaultTag, VClock,
-};
+pub use olden_machine::{CostModel, EdgeKind, FaultEvent, FaultLog, FaultTag, VClock};
 pub use olden_obs::{
     EventKind, Histogram, Lane, MetricsRegistry, Phase, Recorder, Recording, Site,
 };
 pub use report::{run, speedup_curve, RunReport, RunStats, TransportStats};
-pub use sanitize::{check_trace, LineKey, LineSanitizer, RaceViolation};
+pub use sanitize::{LineKey, LineSanitizer, RaceViolation};

@@ -204,7 +204,7 @@ pub fn run<R>(cfg: Config, program: impl FnOnce(&mut OldenCtx) -> R) -> (R, RunR
     };
     let recording = ctx.take_recording();
     let (trace, _, cache_sys) = {
-        let (t, s, c) = ctx.into_parts();
+        let (t, s, c) = ctx.into_parts_public();
         debug_assert_eq!(s, stats);
         (t, s, c)
     };

@@ -12,10 +12,12 @@
 //!
 //! Feeding order: accesses must be fed in **some linearization of
 //! happens-before** (if `a` happens before `b`, `a` is fed first).
-//! The simulator's log order qualifies (it executes depth-first and
-//! every trace edge points forward); in the thread backend each line's
-//! home worker qualifies (clients only send a request after all their
-//! happens-before predecessors' round trips completed).
+//! The simulator feeds each access as it executes, which qualifies (it
+//! executes depth-first and every trace edge points forward); in the
+//! thread backend each line's home worker qualifies (clients only send a
+//! request after all their happens-before predecessors' round trips
+//! completed). Both stamp accesses with a clock maintained online, bumped
+//! at every new segment.
 //!
 //! Because the per-processor clock bump aliases unordered same-processor
 //! segments (see `olden_machine::clocks`), the sanitizer can *miss*
@@ -24,7 +26,7 @@
 //! detections.
 
 use olden_gptr::{LineInPage, PageNum, ProcId};
-use olden_machine::{segment_clocks, SegId, Trace, VClock};
+use olden_machine::VClock;
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 
@@ -124,23 +126,6 @@ impl LineSanitizer {
     pub fn into_violations(self) -> Vec<RaceViolation> {
         self.violations
     }
-}
-
-/// Offline check of a simulator run: compute every segment's vector clock
-/// from the recorded trace, then replay the access log (segment, line,
-/// is-write) through a [`LineSanitizer`].
-///
-/// The log's append order is a valid happens-before linearization: the
-/// simulator executes depth-first and every trace edge goes from an
-/// earlier to a later segment, so nothing recorded later can happen
-/// before anything recorded earlier.
-pub fn check_trace(trace: &Trace, log: &[(SegId, LineKey, bool)]) -> Vec<RaceViolation> {
-    let clocks = segment_clocks(trace);
-    let mut san = LineSanitizer::new();
-    for &(seg, line, write) in log {
-        san.access(line, write, &clocks[seg.index()]);
-    }
-    san.into_violations()
 }
 
 #[cfg(test)]
@@ -249,6 +234,6 @@ mod tests {
         let h = c.future_call(move |c| c.call(move |c| c.write(a, 0, 1i64, Mechanism::Migrate)));
         c.write(a, 0, 2i64, Mechanism::Cache);
         c.touch(h);
-        assert!(c.race_violations().is_empty(), "no log, no findings");
+        assert!(c.race_violations().is_empty(), "no sanitizer, no findings");
     }
 }

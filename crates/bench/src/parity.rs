@@ -115,7 +115,8 @@ fn exit_unless_zero(bad: usize, what: &str) -> ExitCode {
 /// The `run` report: each selected benchmark executed on the thread
 /// backend under `protocol` (`None` asks the scheme pass, per benchmark),
 /// with its value, every `RunStats` and `CacheStats` counter, the
-/// serviced-message and cached-page totals, and a `parity:` verdict
+/// inter-processor message total with its nonzero kinds, the cached-page
+/// total, and a `parity:` verdict
 /// against the simulator. Lockstep runs are deterministic, so the whole
 /// surface pins: at 8 procs under `local` it is the exact-counter gate of
 /// the thread backend. Returns the report and the divergent-run count.
@@ -146,10 +147,13 @@ pub fn run_report(
         );
         let _ = writeln!(out, "runtime: {}", columns(&rep.stats.counters()));
         let _ = writeln!(out, "cache: {}", columns(&rep.cache.counters()));
+        let by_kind: Vec<_> = rep.sent.nonzero().collect();
         let _ = writeln!(
             out,
-            "messages={} pages_cached={}",
-            rep.messages, rep.pages_cached
+            "messages={} ({}) pages_cached={}",
+            rep.messages,
+            columns(&by_kind),
+            rep.pages_cached
         );
         let value_diff = || (val != sim_val).then(|| format!("value: exec {val}, sim {sim_val}"));
         match oracle.diff(&rep).or_else(value_diff) {

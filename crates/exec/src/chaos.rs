@@ -112,6 +112,41 @@ impl fmt::Display for MsgKind {
     }
 }
 
+/// Logical messages sent, per [`MsgKind`]: each primary send counts once,
+/// however many copies the fault layer transmits, and a request serviced
+/// in place counts nothing.
+#[derive(Clone, Copy, Default, PartialEq, Eq, Debug)]
+pub struct MsgCounts([u64; MsgKind::DATA_PLANE.len() + 1]);
+
+impl MsgCounts {
+    pub fn add(&mut self, kind: MsgKind, n: u64) {
+        self.0[kind as usize] += n;
+    }
+
+    pub fn get(&self, kind: MsgKind) -> u64 {
+        self.0[kind as usize]
+    }
+
+    pub fn absorb(&mut self, other: &MsgCounts) {
+        for (a, b) in self.0.iter_mut().zip(other.0) {
+            *a += b;
+        }
+    }
+
+    pub fn total(&self) -> u64 {
+        self.0.iter().sum()
+    }
+
+    /// The kinds sent at least once, in declaration order.
+    pub fn nonzero(&self) -> impl Iterator<Item = (MsgKind, u64)> + '_ {
+        MsgKind::DATA_PLANE
+            .into_iter()
+            .chain([MsgKind::Shutdown])
+            .map(|k| (k, self.get(k)))
+            .filter(|&(_, n)| n > 0)
+    }
+}
+
 /// The fate of one transmission attempt.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Verdict {
@@ -369,6 +404,25 @@ mod tests {
             Verdict::Deliver,
             "control plane is never faulted"
         );
+    }
+
+    /// `MsgCounts` indexes by discriminant and lists kinds in
+    /// `DATA_PLANE` order then `Shutdown`: the two must agree.
+    #[test]
+    fn msg_counts_index_every_kind_by_its_discriminant() {
+        let mut c = MsgCounts::default();
+        for (i, kind) in MsgKind::DATA_PLANE.into_iter().enumerate() {
+            assert_eq!(kind as usize, i, "{kind}");
+            c.add(kind, i as u64 + 1);
+        }
+        c.add(MsgKind::Shutdown, 100);
+        let listed: Vec<_> = c.nonzero().collect();
+        assert_eq!(listed.len(), MsgKind::DATA_PLANE.len() + 1);
+        assert_eq!(listed.last(), Some(&(MsgKind::Shutdown, 100)));
+        assert_eq!(c.total(), 100 + (1..=14).sum::<u64>());
+        let mut twice = c;
+        twice.absorb(&c);
+        assert_eq!(twice.get(MsgKind::Migrate), 2 * c.get(MsgKind::Migrate));
     }
 
     #[test]

@@ -3,8 +3,12 @@
 //! One `ExecCtx` is the state of one *logical Olden thread* — the thread
 //! of control the paper's runtime migrates between processors. It tracks
 //! the current processor, the future-frame stack, and the write-set
-//! scopes, and turns every heap operation into messages to the worker
-//! that owns the touched processor.
+//! scopes, and turns every heap operation into requests to the worker
+//! that owns the touched processor. A request to another processor — a
+//! remote word, a line fetch, a migration arrival, coherence traffic — is
+//! a message; one to the processor the thread occupies (a local load or
+//! store, a cache probe or install, a local allocation) is serviced in
+//! place on threads and is a message over `net` (see `ExecCtx::req`).
 //!
 //! ### Lockstep parity
 //!
@@ -26,7 +30,7 @@
 //! interleaving-dependent, since concurrent threads really do share the
 //! per-processor caches.
 
-use crate::chaos::{ExecError, Verdict};
+use crate::chaos::{ExecError, MsgCounts, Verdict};
 use crate::frame::{CompleteOnDrop, FrameHandle};
 use crate::msg::{ArrivalKind, Envelope, LookupReply, Reply, Request};
 use crate::transport::ClientConn;
@@ -50,6 +54,7 @@ pub(crate) struct BodyOutcome<T> {
     stats: RunStats,
     cacheable_reads: u64,
     cacheable_writes: u64,
+    sent: MsgCounts,
     /// The body's write epoch (continues the spawner's when the body
     /// completed inline).
     epoch: WriteEpoch,
@@ -144,6 +149,8 @@ pub struct ExecCtx {
     /// Per-sender logical sequence number (the exactly-once key); the
     /// next message will carry `seq + 1`.
     seq: u64,
+    /// Primary sends by kind, this thread's and its joined bodies'.
+    sent: MsgCounts,
     /// Injected *delayed* duplicates, held back here and flushed before
     /// the next send — so the copy really does arrive out of order with
     /// the traffic in between.
@@ -182,6 +189,7 @@ impl ExecCtx {
             slot,
             conn,
             seq: 0,
+            sent: MsgCounts::default(),
             delayed: Vec::new(),
             rec,
         }
@@ -214,6 +222,7 @@ impl ExecCtx {
             stats: self.stats,
             cacheable_reads: self.cacheable_reads,
             cacheable_writes: self.cacheable_writes,
+            sent: self.sent,
         }
     }
 
@@ -273,7 +282,7 @@ impl ExecCtx {
         }
     }
 
-    /// One request/reply round trip to a worker, through the fault layer.
+    /// One request to a worker: a round trip through the fault layer.
     ///
     /// The reply doubles as the acknowledgement: a dropped transmission
     /// is re-sent after exponential backoff (the stand-in for an ack
@@ -282,9 +291,25 @@ impl ExecCtx {
     /// every allowed attempt is dropped fails the run with a typed
     /// [`ExecError::Starved`] — under [`FaultPlan`](crate::FaultPlan)'s
     /// liveness rule that can only happen to a 100%-dropped class.
+    ///
+    /// A request to the processor this thread occupies is serviced in
+    /// place when that processor's state lives in this process (threads,
+    /// not `net`): the thread calls the worker's `handle` itself under its
+    /// lock — no envelope, sequence number, fault verdict or reply lane,
+    /// as the paper's local load or inline cache probe needs none. An
+    /// arrival stays a message wherever it lands, so every migration
+    /// still costs exactly one.
     fn req(&mut self, proc: ProcId, req: Request) -> Reply {
+        if proc == self.cur_proc && !matches!(req, Request::MigrateThread { .. }) {
+            if let Some(worker) = self.shared.link.resident(proc) {
+                let reply = worker.lock().unwrap().handle(req);
+                self.bump();
+                return reply;
+            }
+        }
         self.flush_delayed();
         let kind = req.kind();
+        self.sent.add(kind, 1);
         self.seq += 1;
         let env = Envelope {
             src: self.slot.id,
@@ -591,6 +616,7 @@ impl ExecCtx {
         self.stats.absorb(&out.stats);
         self.cacheable_reads += out.cacheable_reads;
         self.cacheable_writes += out.cacheable_writes;
+        self.sent.absorb(&out.sent);
     }
 
     /// One charged or uncharged word access — a write when `wval` is set —
@@ -670,6 +696,8 @@ pub struct ClientFinal {
     pub stats: RunStats,
     pub cacheable_reads: u64,
     pub cacheable_writes: u64,
+    /// Primary sends by kind over the whole program.
+    pub sent: MsgCounts,
 }
 
 impl Backend for ExecCtx {
@@ -830,6 +858,7 @@ impl Backend for ExecCtx {
                             stats: child.stats,
                             cacheable_reads: child.cacheable_reads,
                             cacheable_writes: child.cacheable_writes,
+                            sent: child.sent,
                             epoch: std::mem::take(&mut child.epoch),
                             clock: child.clock,
                         }

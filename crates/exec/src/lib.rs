@@ -8,15 +8,19 @@
 //! [`msg::Request`]/[`msg::Reply`] over a pluggable [`Transport`].
 //! Migrations, cache-line fetches, and the coherence traffic of whichever
 //! Appendix-A scheme the run selected really happen as messages between
-//! threads; future steals and touch joins really happen as thread
-//! wake-ups. The coherence *rules* are `olden-cache`'s — the ones the
-//! simulator runs in-process; workers and logical threads here only carry
-//! them as messages.
+//! threads; a request to the processor the logical thread occupies (a
+//! local dereference, a cache probe, a local allocation) is serviced in
+//! place, under that worker's lock, as the paper's inline check would be.
+//! Future steals and touch joins really happen as thread wake-ups. The
+//! coherence *rules* are `olden-cache`'s — the ones the simulator runs
+//! in-process; workers and logical threads here only drive them.
 //!
 //! The topology is a strict client–server star (see [`msg`]): logical
 //! Olden threads send requests, workers answer from local state, and
 //! workers never wait on anything — so no wait cycle can form and the
-//! message system is deadlock-free by construction. Program-level hangs
+//! message system is deadlock-free by construction. A worker's lock is
+//! held only while one request is handled, never across a wait, so the
+//! in-place path adds no cycle either. Program-level hangs
 //! (a buggy kernel blocking forever) are caught by a watchdog that fails
 //! the run with a per-worker/per-client state dump instead of hanging the
 //! test suite.
@@ -43,7 +47,7 @@ pub mod worker;
 
 mod ctx;
 
-pub use chaos::{ExecError, FaultPlan, MsgKind, Verdict};
+pub use chaos::{ExecError, FaultPlan, MsgCounts, MsgKind, Verdict};
 pub use ctx::{ClientFinal, ExecCtx, ExecHandle};
 pub use olden_cache::Protocol;
 pub use transport::{ClientConn, MailboxTransport, Transport, WorkerPort};
@@ -331,8 +335,14 @@ pub struct ExecReport {
     /// Words held in the workers' heap sections at shutdown (includes
     /// uncharged allocations, unlike `stats.words_allocated`).
     pub section_words: u64,
-    /// Messages serviced across all workers.
+    /// Inter-processor messages: logical messages serviced by the
+    /// workers' serve loops, the shutdown drain included. A request a
+    /// logical thread serviced in place on the processor it occupies is
+    /// not one (threads only — over `net` every request is a message).
     pub messages: u64,
+    /// `messages` by kind, tallied at the senders (the drain's
+    /// `Shutdown`s included); the kinds sum to `messages`.
+    pub sent: MsgCounts,
     /// Logical threads that existed over the run (1 in lockstep mode).
     pub clients: u64,
     /// Happens-before violations found by the sanitizer, over all
@@ -554,6 +564,8 @@ pub fn assemble_report(
         Recording::new(shared.procs, lanes)
     });
     let clients = shared.clients.lock().unwrap().len() as u64;
+    let mut sent = client.sent;
+    sent.add(MsgKind::Shutdown, reports.len() as u64);
     // Self-check the exactly-once machinery on every successful run:
     // nothing lost silently, nothing serviced twice.
     if let Some(violation) = transport.conservation_violation(messages) {
@@ -566,6 +578,7 @@ pub fn assemble_report(
         pages_cached,
         section_words,
         messages,
+        sent,
         clients,
         races,
         transport,
@@ -596,32 +609,40 @@ where
     assert!(cfg.procs >= 1 && cfg.procs <= MAX_PROCS);
     let progress = Arc::new(AtomicU64::new(0));
     let counters = Arc::new(TransportCounters::default());
-    let (hub, ports) = MailboxTransport::new(cfg.procs);
-    let shared = Arc::new(Shared::new(
-        &cfg,
-        hub,
-        Arc::clone(&counters),
-        Arc::clone(&progress),
-    ));
-    let mut worker_slots = Vec::with_capacity(cfg.procs);
-    let mut worker_joins = Vec::with_capacity(cfg.procs);
-    for (p, port) in ports.into_iter().enumerate() {
-        let slot = Arc::new(WorkerSlot::default());
-        let worker = Worker::new(
-            p as ProcId,
-            cfg.protocol,
-            Arc::clone(&slot),
-            Arc::clone(&progress),
-            Arc::clone(&counters),
-            cfg.record.then(|| Recorder::exec(shared.epoch)),
-        );
-        let jh = thread::Builder::new()
-            .name(format!("olden-worker-{p}"))
-            .spawn(move || worker.serve(port))
-            .expect("spawn worker thread");
-        worker_slots.push(slot);
-        worker_joins.push(jh);
-    }
+    let epoch = Instant::now();
+    let worker_slots: Vec<_> = (0..cfg.procs)
+        .map(|_| Arc::new(WorkerSlot::default()))
+        .collect();
+    let workers: Vec<_> = worker_slots
+        .iter()
+        .enumerate()
+        .map(|(p, slot)| {
+            Arc::new(Mutex::new(Worker::new(
+                p as ProcId,
+                cfg.protocol,
+                Arc::clone(slot),
+                Arc::clone(&progress),
+                Arc::clone(&counters),
+                cfg.record.then(|| Recorder::exec(epoch)),
+            )))
+        })
+        .collect();
+    let (hub, ports) = MailboxTransport::new(workers.clone());
+    let shared = Arc::new(Shared {
+        epoch,
+        ..Shared::new(&cfg, hub, Arc::clone(&counters), Arc::clone(&progress))
+    });
+    let worker_joins: Vec<_> = workers
+        .into_iter()
+        .zip(ports)
+        .enumerate()
+        .map(|(p, (worker, port))| {
+            thread::Builder::new()
+                .name(format!("olden-worker-{p}"))
+                .spawn(move || Worker::serve(&worker, port))
+                .expect("spawn worker thread")
+        })
+        .collect();
 
     let (value, client) = drive_root(
         &shared,

@@ -14,6 +14,11 @@
 //! path belongs to the [`Transport`](crate::Transport): the mailbox
 //! transport routes replies over per-client channels, the socket
 //! transport writes them back on the connection the request arrived on.
+//! On the thread backend a request addressed to the processor the
+//! logical thread occupies never reaches a transport at all: the thread
+//! hands it to that worker's `handle` in place (every `CacheLookup`,
+//! `CacheInstall` and `RevalApply`, and the local `ReadHome`, `WriteHome`
+//! and `Alloc`; a `MigrateThread` always travels).
 //!
 //! Two of the protocol's events never appear on a transport because they
 //! are in-process by nature: *StealNotify* (a migration vacating a

@@ -17,7 +17,11 @@
 //! * [`Transport`] — the factory that mints a [`ClientConn`] per client
 //!   id (fresh logical threads appear mid-run in parallel mode, and the
 //!   orchestrator's control plane is just the client id
-//!   [`CONTROL_SRC`](crate::msg::CONTROL_SRC)).
+//!   [`CONTROL_SRC`](crate::msg::CONTROL_SRC)), and that says whether a
+//!   processor's [`Worker`] lives in this process
+//!   ([`Transport::resident`]). A logical thread services a request
+//!   addressed to the resident processor it occupies in place instead of
+//!   sending it: in place on threads, a message over `net`.
 //!
 //! The exactly-once contract the protocol relies on: a transport
 //! delivers every transmitted envelope (losses are *injected* by the
@@ -27,12 +31,13 @@
 //! answered).
 //!
 //! [`MailboxTransport`] is the in-process implementation backing
-//! [`try_run_exec`](crate::try_run_exec): an mpsc mailbox per worker and
-//! an mpsc reply lane per client, which together are exactly the typed
-//! channel pairs the pre-transport backend wired ad hoc.
+//! [`try_run_exec`](crate::try_run_exec): an mpsc mailbox per worker, an
+//! mpsc reply lane per client, and every worker's state behind a lock
+//! shared by its serve loop and the logical threads resident on it.
 
 use crate::envelope::Envelope;
 use crate::msg::Reply;
+use crate::worker::Worker;
 use olden_gptr::ProcId;
 use std::collections::HashMap;
 use std::sync::mpsc::{self, Receiver, Sender};
@@ -66,25 +71,37 @@ pub trait Transport: Send + Sync {
     /// Open the connection for client id `client`. Called once per
     /// logical thread (and once for the control plane).
     fn connect(&self, client: u64) -> Box<dyn ClientConn>;
+
+    /// Processor `proc`'s worker state, when it lives in this process;
+    /// `None` when only messages reach it. Whoever takes the lock holds
+    /// it while one request is serviced and nothing else, as the serve
+    /// loop does, so no wait ever happens under it.
+    fn resident(&self, proc: ProcId) -> Option<&Mutex<Worker>>;
 }
 
 /// The in-process transport: one mpsc mailbox per worker thread, one
-/// mpsc reply lane per client.
+/// mpsc reply lane per client, and the workers themselves.
 pub struct MailboxTransport {
     mailboxes: Vec<Sender<Envelope>>,
     /// Reply lanes by client id. A lock per reply is fine here — the
     /// mailbox transport is the testing/parity fleet, not a throughput
     /// play — and it keeps the worker loop free of per-client state.
     replies: Mutex<HashMap<u64, Sender<Reply>>>,
+    /// Every processor's state, shared with its worker thread's serve
+    /// loop.
+    workers: Vec<Arc<Mutex<Worker>>>,
 }
 
 impl MailboxTransport {
-    /// Build the transport for `procs` workers, returning the per-worker
-    /// ports to hand to each worker thread.
-    pub fn new(procs: usize) -> (Arc<MailboxTransport>, Vec<MailboxWorkerPort>) {
-        let mut mailboxes = Vec::with_capacity(procs);
-        let mut rxs = Vec::with_capacity(procs);
-        for _ in 0..procs {
+    /// Build the transport over `workers` (processor `p` is
+    /// `workers[p]`), returning the per-worker ports to hand to each
+    /// worker thread.
+    pub fn new(
+        workers: Vec<Arc<Mutex<Worker>>>,
+    ) -> (Arc<MailboxTransport>, Vec<MailboxWorkerPort>) {
+        let mut mailboxes = Vec::with_capacity(workers.len());
+        let mut rxs = Vec::with_capacity(workers.len());
+        for _ in &workers {
             let (tx, rx) = mpsc::channel();
             mailboxes.push(tx);
             rxs.push(rx);
@@ -92,6 +109,7 @@ impl MailboxTransport {
         let hub = Arc::new(MailboxTransport {
             mailboxes,
             replies: Mutex::new(HashMap::new()),
+            workers,
         });
         let ports = rxs
             .into_iter()
@@ -112,6 +130,10 @@ impl Transport for MailboxTransport {
             mailboxes: self.mailboxes.clone(),
             rx,
         })
+    }
+
+    fn resident(&self, proc: ProcId) -> Option<&Mutex<Worker>> {
+        Some(&self.workers[proc as usize])
     }
 }
 

@@ -7,19 +7,24 @@
 //! processor as home). Every coherence request is one call to a rule of
 //! those — the rules the simulator's `CacheSystem` composes in-process —
 //! under whichever Appendix-A scheme the run selected; the worker only
-//! attaches line payloads and builds the reply. The service loop drains
-//! its [`WorkerPort`] until a [`Request::Shutdown`] arrives; every request
-//! is serviced from local state only (see `msg` module docs for why that
-//! makes the system deadlock-free).
+//! attaches line payloads and builds the reply. [`Worker::handle`] is the
+//! one definition of every request arm, and it services each request from
+//! local state only (see `msg` module docs for why that makes the system
+//! deadlock-free).
 //!
-//! The loop is generic over the transport: `olden-exec` runs it on an OS
-//! thread fed by an in-process mailbox, `olden-net` runs the very same
-//! loop in a worker *process* fed by TCP frames. Dedup, sanitizer
-//! feeding, obs recording, and the statistics it reports at shutdown are
-//! identical on both.
+//! A request reaches `handle` one of two ways. The service loop
+//! ([`Worker::serve`]) drains its [`WorkerPort`] until a
+//! [`Request::Shutdown`] arrives: that is every *message*, over an
+//! in-process mailbox on the thread backend or TCP frames in a worker
+//! *process* under `olden-net`, with identical dedup and shutdown
+//! statistics. On the thread backend a logical thread also calls `handle`
+//! directly, under the worker's lock, for a request addressed to the
+//! processor it occupies — in place on threads, a message over `net`. The
+//! sanitizer and obs recorder sit inside `handle`, so they see both paths
+//! alike.
 
 use crate::envelope::{Dedup, CONTROL_SRC};
-use crate::msg::{LineData, LookupReply, Reply, Request, WorkerReport};
+use crate::msg::{Envelope, LineData, LookupReply, Reply, Request, WorkerReport};
 use crate::transport::WorkerPort;
 use crate::TransportCounters;
 use olden_cache::{Arrival, CacheStats, HomeDir, Probe, ProcCache, Protocol};
@@ -28,7 +33,7 @@ use olden_obs::{EventKind, Recorder};
 use olden_runtime::{LineKey, LineSanitizer};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Lock-free view of a worker's liveness for the watchdog's state dump
 /// (a stalled worker cannot answer a mailbox query, so this must be
@@ -65,10 +70,10 @@ pub struct Worker {
     stats: CacheStats,
     /// Happens-before state of every line homed here. All accesses to a
     /// line reach its home worker (sanitized runs route cache read hits
-    /// here via [`Request::SanitizeHit`]), and clients only send a
-    /// request after every happens-before predecessor's round trip
-    /// completed, so this worker's arrival order is a valid feeding
-    /// order.
+    /// here via [`Request::SanitizeHit`]), and clients only issue a
+    /// request — a message or an in-place call — after every
+    /// happens-before predecessor's request completed, so the order in
+    /// which `handle` runs is a valid feeding order.
     san: LineSanitizer,
     slot: Arc<WorkerSlot>,
     progress: Arc<AtomicU64>,
@@ -123,47 +128,61 @@ impl Worker {
         (self.proc, page, line)
     }
 
-    /// Service messages until shutdown.
-    pub fn serve<P: WorkerPort>(mut self, mut port: P) {
+    /// Service messages until shutdown. The lock is taken per delivered
+    /// envelope and released before the reply goes out, so threads
+    /// resident on this processor call `handle` in between. Nothing under
+    /// the lock blocks.
+    pub fn serve<P: WorkerPort>(this: &Mutex<Worker>, mut port: P) {
+        let slot = Arc::clone(&this.lock().unwrap().slot);
         loop {
-            self.slot.state.store(W_WAITING, Ordering::Relaxed);
+            slot.state.store(W_WAITING, Ordering::Relaxed);
             let Some(env) = port.recv() else {
                 // Every client gone without a shutdown: the run aborted
                 // (e.g. a client panicked); exit quietly.
                 break;
             };
-            self.slot.state.store(W_SERVING, Ordering::Relaxed);
-            self.deliveries += 1;
-            self.transport.deliveries.fetch_add(1, Ordering::Relaxed);
-            self.progress.fetch_add(1, Ordering::Relaxed);
-            if !self.dedup.admit(env.src, env.seq) {
-                // A retry's or injected duplicate's copy of a message
-                // already serviced: discard it (the primary already
-                // answered). Delivered but not *served*, so
-                // `ExecReport.messages` stays byte-equal to the
-                // fault-free run.
-                self.dupes_suppressed += 1;
-                self.transport
-                    .dupes_suppressed
-                    .fetch_add(1, Ordering::Relaxed);
-                continue;
-            }
-            self.slot.served.fetch_add(1, Ordering::Relaxed);
-            let is_shutdown = matches!(env.req, Request::Shutdown);
+            slot.state.store(W_SERVING, Ordering::Relaxed);
+            let (src, is_shutdown) = (env.src, matches!(env.req, Request::Shutdown));
             debug_assert!(
-                !is_shutdown || env.src == CONTROL_SRC,
+                !is_shutdown || src == CONTROL_SRC,
                 "shutdown is control-plane only"
             );
-            let reply = self.handle(env.req);
-            port.reply(env.src, reply);
+            let Some(reply) = this.lock().unwrap().deliver(env) else {
+                continue;
+            };
+            port.reply(src, reply);
             if is_shutdown {
                 break;
             }
         }
-        self.slot.state.store(W_EXITED, Ordering::Relaxed);
+        slot.state.store(W_EXITED, Ordering::Relaxed);
     }
 
-    fn handle(&mut self, req: Request) -> Reply {
+    /// Count one delivered envelope and service it, or `None` when it is a
+    /// copy of a message already serviced.
+    fn deliver(&mut self, env: Envelope) -> Option<Reply> {
+        self.deliveries += 1;
+        self.transport.deliveries.fetch_add(1, Ordering::Relaxed);
+        self.progress.fetch_add(1, Ordering::Relaxed);
+        if !self.dedup.admit(env.src, env.seq) {
+            // A retry's or injected duplicate's copy of a message already
+            // serviced: discard it (the primary already answered).
+            // Delivered but not *served*, so `ExecReport.messages` stays
+            // byte-equal to the fault-free run.
+            self.dupes_suppressed += 1;
+            self.transport
+                .dupes_suppressed
+                .fetch_add(1, Ordering::Relaxed);
+            return None;
+        }
+        self.slot.served.fetch_add(1, Ordering::Relaxed);
+        Some(self.handle(env.req))
+    }
+
+    /// Service one request from this processor's local state: the single
+    /// definition of every request arm, whether the request arrived as a
+    /// message or was issued in place by a resident logical thread.
+    pub(crate) fn handle(&mut self, req: Request) -> Reply {
         match req {
             Request::Alloc { words } => {
                 assert!(words > 0, "zero-size allocation");

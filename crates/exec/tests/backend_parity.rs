@@ -1,5 +1,6 @@
 //! Cross-validation of the thread backend against the simulator under
-//! the non-default coherence schemes, and in parallel mode.
+//! the non-default coherence schemes, and in parallel mode; and the
+//! per-kind message counts against the counters they must follow from.
 //!
 //! Local knowledge in lockstep is pinned elsewhere: the `run` row of
 //! `goldens_are_current` executes all ten benchmarks on 8 workers and
@@ -9,10 +10,49 @@
 //! references.
 
 use olden_benchmarks::{all, generic_run, SizeClass};
-use olden_exec::{run_exec, ExecConfig, Protocol};
+use olden_exec::{run_exec, ExecConfig, ExecReport, MsgKind, Protocol};
 use olden_runtime::{Config, OldenCtx};
 
 const PROCS: usize = 8;
+
+/// The per-kind message counts against the run's own counters: one
+/// `Migrate` per forward migration, return and stolen-future receipt;
+/// one `LineFetch` per miss that a revalidation did not save; nothing
+/// sent of the kinds a thread always services in place; and the kinds
+/// sum to `messages`.
+fn assert_kinds_account_for_messages(name: &str, rep: &ExecReport) {
+    let (s, c, sent) = (&rep.stats, &rep.cache, &rep.sent);
+    assert_eq!(
+        sent.get(MsgKind::Migrate),
+        s.migrations + s.return_migrations + s.steals,
+        "{name}: Migrate"
+    );
+    assert_eq!(
+        sent.get(MsgKind::LineFetch),
+        c.misses - c.revalidations,
+        "{name}: LineFetch"
+    );
+    for kind in [
+        MsgKind::CacheLookup,
+        MsgKind::CacheInstall,
+        MsgKind::RevalApply,
+    ] {
+        assert_eq!(sent.get(kind), 0, "{name}: {kind} is serviced in place");
+    }
+    assert_eq!(sent.total(), rep.messages, "{name}: kinds sum to messages");
+}
+
+/// Every kernel of the `run` golden (8 workers, local knowledge,
+/// lockstep): the message breakdown `oldenc run` prints is exact.
+#[test]
+fn message_kinds_account_for_every_message() {
+    for d in all() {
+        let (_, rep) = run_exec(ExecConfig::lockstep(PROCS), move |ctx| {
+            generic_run(d.name, ctx, SizeClass::Tiny).expect("known benchmark")
+        });
+        assert_kinds_account_for_messages(d.name, &rep);
+    }
+}
 
 /// Full counter parity under the other Appendix-A coherence schemes:
 /// global knowledge's pushed invalidations (sent + spurious) and
@@ -37,6 +77,7 @@ fn every_scheme_reconciles_with_simulator() {
                 "{} counters under {protocol:?}",
                 d.name
             );
+            assert_kinds_account_for_messages(d.name, &rep);
         }
     }
 }

@@ -46,6 +46,7 @@ pub mod wire;
 pub mod worker;
 
 use olden_exec::msg::{Envelope, Reply};
+use olden_exec::worker::Worker;
 use olden_exec::{
     assemble_report, drain_fleet, drive_root, dump_clients, ClientConn, ExecConfig, ExecCtx,
     ExecError, ExecReport, Shared, Transport, TransportCounters,
@@ -54,7 +55,7 @@ use olden_gptr::{ProcId, MAX_PROCS};
 use std::net::{TcpListener, TcpStream};
 use std::process::{Child, Command};
 use std::sync::atomic::AtomicU64;
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, Mutex};
 use std::thread;
 use std::time::Duration;
 use wire::{decode_hello, decode_reply, encode_envelope, read_frame, write_frame};
@@ -107,6 +108,12 @@ struct TcpTransport {
 impl Transport for TcpTransport {
     fn connect(&self, _client: u64) -> Box<dyn ClientConn> {
         Box::new(TcpConn::new(self.ports.clone(), None))
+    }
+
+    /// Every processor's state lives in its worker process, so every
+    /// request — local ones included — is a round trip.
+    fn resident(&self, _proc: ProcId) -> Option<&Mutex<Worker>> {
+        None
     }
 }
 

@@ -190,7 +190,7 @@ pub fn worker_main(proc: ProcId, parent_port: u16, record: bool, protocol: Proto
         Arc::new(TransportCounters::default()),
         record.then(|| Recorder::exec(Instant::now())),
     );
-    worker.serve(NetWorkerPort { rx, writers });
+    Worker::serve(&Mutex::new(worker), NetWorkerPort { rx, writers });
     std::process::exit(0);
 }
 

@@ -13,14 +13,18 @@
 //!   reliability and the fault model compose instead of fighting.
 //! - The sanitizer's piggybacked vector clocks and the obs recording
 //!   both survive serialization end-to-end.
+//! - The three kinds the thread backend services in place are frames
+//!   here, and starving one fails typed.
 //!
 //! Every test skips (loudly) when the sandbox denies loopback TCP.
 
 use olden_benchmarks::{all, generic_run, SizeClass};
-use olden_exec::{run_exec, ExecConfig, ExecReport, Protocol};
-use olden_net::{loopback_available, run_net, NetConfig};
+use olden_exec::{
+    run_exec, ExecConfig, ExecCtx, ExecError, ExecReport, FaultPlan, MsgKind, Protocol,
+};
+use olden_net::{loopback_available, run_net, try_run_net, NetConfig};
 use olden_obs::EventKind;
-use olden_runtime::{Config, FaultTag, OldenCtx, TransportStats};
+use olden_runtime::{Backend, Config, FaultTag, Mechanism, OldenCtx, TransportStats};
 
 const PROCS: usize = 4;
 
@@ -205,6 +209,45 @@ fn sanitizer_clocks_survive_the_wire() {
             "{}: detection flag must match the corpus label",
             seed.name
         );
+    }
+}
+
+/// The kinds the thread backend services in place are messages over
+/// sockets, so starving one fails the run with a typed `Starved` naming
+/// it — the half of the starvation property `starvation.rs` cannot reach
+/// on threads. The bilateral kernel sends all three: a cached write's
+/// lookup and install, then a revalidation's apply after the return.
+#[test]
+fn in_place_kinds_starve_over_sockets() {
+    require_loopback!();
+    fn kernel(ctx: &mut ExecCtx) {
+        let a = ctx.alloc(1, 1);
+        let probe = ctx.alloc(2, 1);
+        ctx.write(a, 0, 1i64, Mechanism::Cache); // CacheLookup miss → CacheInstall
+        ctx.call(|c| c.read_i64(probe, 0, Mechanism::Migrate)); // return marks proc 0
+        ctx.read_i64(a, 0, Mechanism::Cache); // RevalQuery → RevalApply
+    }
+    for kind in [
+        MsgKind::CacheLookup,
+        MsgKind::CacheInstall,
+        MsgKind::RevalApply,
+    ] {
+        let plan = FaultPlan::none().starving(kind);
+        let exec = ExecConfig::lockstep(PROCS)
+            .with_protocol(Protocol::Bilateral)
+            .with_faults(plan);
+        match try_run_net(net_cfg(exec), kernel) {
+            Err(ExecError::Starved {
+                kind: got,
+                attempts,
+                ..
+            }) => {
+                assert_eq!(got, kind, "error names the starved class");
+                assert_eq!(attempts, plan.max_attempts, "{kind}: retry budget");
+            }
+            Err(other) => panic!("{kind}: expected Starved, got {other:?}"),
+            Ok(_) => panic!("{kind}: never sent over sockets"),
+        }
     }
 }
 

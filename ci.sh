@@ -42,7 +42,8 @@
 #                      tests/integration.rs
 #   net-parity      -> `oldenc net --procs 4 --seeds 2` and `--protocol
 #                      global` were net_parity.rs's checks; the stage now
-#                      runs only what no test can: oldenc as its own worker
+#                      runs only what no test can: oldenc as its own worker,
+#                      on TreeAdd and Perimeter
 #
 # A drifted golden prints its diff and `oldenc golden NAME --bless`.
 set -euo pipefail
@@ -133,9 +134,11 @@ stage "fuzz-smoke" \
     oldenc fuzz --seeds 500
 
 # Net parity: the only exercise of `oldenc` re-entering itself as its
-# own worker process (`oldenc net-worker`) — one benchmark on two worker
-# processes over loopback TCP, counters byte-equal to the simulator, plus
-# one chaos seed over the sockets. Every other net check is in
+# own worker process (`oldenc net-worker`) — the two kernels of the
+# benchmark's net-loopback workload on two worker processes over loopback
+# TCP: TreeAdd (migration frames) and Perimeter (cache-probe, install and
+# line-fetch frames), counters byte-equal to the simulator, plus one
+# chaos seed each over the sockets. Every other net check is in
 # net_parity.rs. Exit 3 means the sandbox denies loopback; skip
 # gracefully rather than fail.
 net_parity() {
@@ -145,7 +148,8 @@ net_parity() {
         echo "    (net parity skipped: loopback TCP unavailable)"
         return 0
     fi
-    return "$rc"
+    [ "$rc" -eq 0 ] || return "$rc"
+    oldenc net Perimeter --procs 2 --seeds 1
 }
 
 stage "net-parity" net_parity

@@ -50,7 +50,7 @@ mod ctx;
 pub use chaos::{ExecError, FaultPlan, MsgCounts, MsgKind, Verdict};
 pub use ctx::{ClientFinal, ExecCtx, ExecHandle};
 pub use olden_cache::Protocol;
-pub use transport::{ClientConn, MailboxTransport, Transport, WorkerPort};
+pub use transport::{ClientConn, MailboxTransport, Transport};
 
 use crate::msg::{Envelope, Request, WorkerReport, CONTROL_SRC};
 use crate::worker::{Worker, WorkerSlot, W_EXITED, W_SERVING, W_WAITING};
@@ -335,8 +335,8 @@ pub struct ExecReport {
     /// Words held in the workers' heap sections at shutdown (includes
     /// uncharged allocations, unlike `stats.words_allocated`).
     pub section_words: u64,
-    /// Inter-processor messages: logical messages serviced by the
-    /// workers' serve loops, the shutdown drain included. A request a
+    /// Inter-processor messages: logical messages the workers serviced
+    /// through `Worker::deliver`, the shutdown drain included. A request a
     /// logical thread serviced in place on the processor it occupies is
     /// not one (threads only — over `net` every request is a message).
     pub messages: u64,
@@ -627,22 +627,23 @@ where
             )))
         })
         .collect();
-    let (hub, ports) = MailboxTransport::new(workers.clone());
+    let (hub, mailboxes) = MailboxTransport::new(workers.clone());
+    let worker_joins: Vec<_> = workers
+        .into_iter()
+        .zip(mailboxes)
+        .enumerate()
+        .map(|(p, (worker, mailbox))| {
+            let hub = Arc::clone(&hub);
+            thread::Builder::new()
+                .name(format!("olden-worker-{p}"))
+                .spawn(move || Worker::serve(&worker, mailbox, &hub))
+                .expect("spawn worker thread")
+        })
+        .collect();
     let shared = Arc::new(Shared {
         epoch,
         ..Shared::new(&cfg, hub, Arc::clone(&counters), Arc::clone(&progress))
     });
-    let worker_joins: Vec<_> = workers
-        .into_iter()
-        .zip(ports)
-        .enumerate()
-        .map(|(p, (worker, port))| {
-            thread::Builder::new()
-                .name(format!("olden-worker-{p}"))
-                .spawn(move || Worker::serve(&worker, port))
-                .expect("spawn worker thread")
-        })
-        .collect();
 
     let (value, client) = drive_root(
         &shared,

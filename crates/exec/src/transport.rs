@@ -1,19 +1,17 @@
 //! The [`Transport`] abstraction: how envelopes reach workers and how
 //! replies come back.
 //!
-//! The protocol layer above ([`ExecCtx::req`](crate::ExecCtx) and
-//! [`Worker::serve`](crate::worker::Worker::serve)) is written against
-//! two small traits, so the fault injection, retry/backoff, dedup, obs
-//! recording, and sanitizer machinery run *identically* whether the
-//! fleet is in-process threads or `olden-net`'s one-OS-process-per-
-//! processor TCP fleet:
+//! The client side of the protocol ([`ExecCtx::req`](crate::ExecCtx)) is
+//! written against two small traits, and the worker side enters through
+//! [`Worker::deliver`](crate::worker::Worker::deliver) on either fleet,
+//! so the fault injection, retry/backoff, dedup, obs recording, and
+//! sanitizer machinery run *identically* whether the fleet is in-process
+//! threads or `olden-net`'s one-OS-process-per-processor TCP fleet:
 //!
 //! * [`ClientConn`] — one logical thread's outbound half: transmit an
 //!   [`Envelope`] to a worker, block for that worker's [`Reply`]. A
 //!   client has at most one request in flight (the reply doubles as the
 //!   acknowledgement), so the reply path needs no request matching.
-//! * [`WorkerPort`] — one worker's inbound half: receive the next
-//!   envelope from any client, send a reply back to a given client.
 //! * [`Transport`] — the factory that mints a [`ClientConn`] per client
 //!   id (fresh logical threads appear mid-run in parallel mode, and the
 //!   orchestrator's control plane is just the client id
@@ -55,17 +53,6 @@ pub trait ClientConn: Send {
     fn recv_reply(&mut self, dst: ProcId) -> Reply;
 }
 
-/// One worker's connection to its clients.
-pub trait WorkerPort: Send {
-    /// Next envelope from any client, in transport arrival order.
-    /// `None` means every client is gone and no shutdown will come: the
-    /// run aborted (e.g. a client panicked); the worker exits quietly.
-    fn recv(&mut self) -> Option<Envelope>;
-
-    /// Send `reply` to client `dst` (an envelope's `src`).
-    fn reply(&mut self, dst: u64, reply: Reply);
-}
-
 /// Factory for per-client connections; the run's link to its fleet.
 pub trait Transport: Send + Sync {
     /// Open the connection for client id `client`. Called once per
@@ -94,31 +81,25 @@ pub struct MailboxTransport {
 
 impl MailboxTransport {
     /// Build the transport over `workers` (processor `p` is
-    /// `workers[p]`), returning the per-worker ports to hand to each
-    /// worker thread.
+    /// `workers[p]`), returning the mailbox each worker thread serves.
     pub fn new(
         workers: Vec<Arc<Mutex<Worker>>>,
-    ) -> (Arc<MailboxTransport>, Vec<MailboxWorkerPort>) {
-        let mut mailboxes = Vec::with_capacity(workers.len());
-        let mut rxs = Vec::with_capacity(workers.len());
-        for _ in &workers {
-            let (tx, rx) = mpsc::channel();
-            mailboxes.push(tx);
-            rxs.push(rx);
-        }
+    ) -> (Arc<MailboxTransport>, Vec<Receiver<Envelope>>) {
+        let (mailboxes, rxs) = workers.iter().map(|_| mpsc::channel()).unzip();
         let hub = Arc::new(MailboxTransport {
             mailboxes,
             replies: Mutex::new(HashMap::new()),
             workers,
         });
-        let ports = rxs
-            .into_iter()
-            .map(|rx| MailboxWorkerPort {
-                rx,
-                hub: Arc::clone(&hub),
-            })
-            .collect();
-        (hub, ports)
+        (hub, rxs)
+    }
+
+    /// Send `reply` to client `dst` (an envelope's `src`). A client that
+    /// already exited simply misses its reply.
+    pub(crate) fn reply(&self, dst: u64, reply: Reply) {
+        if let Some(tx) = self.replies.lock().unwrap().get(&dst) {
+            let _ = tx.send(reply);
+        }
     }
 }
 
@@ -152,25 +133,5 @@ impl ClientConn for MailboxConn {
 
     fn recv_reply(&mut self, _dst: ProcId) -> Reply {
         self.rx.recv().expect("worker dropped a reply")
-    }
-}
-
-/// Worker half of [`MailboxTransport`].
-pub struct MailboxWorkerPort {
-    rx: Receiver<Envelope>,
-    hub: Arc<MailboxTransport>,
-}
-
-impl WorkerPort for MailboxWorkerPort {
-    fn recv(&mut self) -> Option<Envelope> {
-        self.rx.recv().ok()
-    }
-
-    fn reply(&mut self, dst: u64, reply: Reply) {
-        // A client that already exited simply misses its reply — the
-        // same shape as a dropped rendezvous sender before the refactor.
-        if let Some(tx) = self.hub.replies.lock().unwrap().get(&dst) {
-            let _ = tx.send(reply);
-        }
     }
 }

@@ -12,20 +12,20 @@
 //! local state only (see `msg` module docs for why that makes the system
 //! deadlock-free).
 //!
-//! A request reaches `handle` one of two ways. The service loop
-//! ([`Worker::serve`]) drains its [`WorkerPort`] until a
-//! [`Request::Shutdown`] arrives: that is every *message*, over an
-//! in-process mailbox on the thread backend or TCP frames in a worker
-//! *process* under `olden-net`, with identical dedup and shutdown
-//! statistics. On the thread backend a logical thread also calls `handle`
-//! directly, under the worker's lock, for a request addressed to the
-//! processor it occupies — in place on threads, a message over `net`. The
-//! sanitizer and obs recorder sit inside `handle`, so they see both paths
-//! alike.
+//! A request reaches `handle` one of two ways. Every *message* goes
+//! through [`Worker::deliver`], the one home of dedup and delivery
+//! accounting: on the thread backend the service loop (`Worker::serve`)
+//! drains the processor's in-process mailbox until a
+//! [`Request::Shutdown`] arrives, and in a worker *process* under
+//! `olden-net` each connection's thread delivers the TCP frames it reads.
+//! On the thread backend a logical thread also calls `handle` directly,
+//! under the worker's lock, for a request addressed to the processor it
+//! occupies — in place on threads, a message over `net`. The sanitizer
+//! and obs recorder sit inside `handle`, so they see both paths alike.
 
 use crate::envelope::{Dedup, CONTROL_SRC};
 use crate::msg::{Envelope, LineData, LookupReply, Reply, Request, WorkerReport};
-use crate::transport::WorkerPort;
+use crate::transport::MailboxTransport;
 use crate::TransportCounters;
 use olden_cache::{Arrival, CacheStats, HomeDir, Probe, ProcCache, Protocol};
 use olden_gptr::{GPtr, LineInPage, PageNum, ProcId, Word, LINE_WORDS, PAGE_WORDS};
@@ -33,6 +33,7 @@ use olden_obs::{EventKind, Recorder};
 use olden_runtime::{LineKey, LineSanitizer};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::mpsc::Receiver;
 use std::sync::{Arc, Mutex};
 
 /// Lock-free view of a worker's liveness for the watchdog's state dump
@@ -128,29 +129,26 @@ impl Worker {
         (self.proc, page, line)
     }
 
-    /// Service messages until shutdown. The lock is taken per delivered
+    /// Service this processor's mailbox until shutdown, answering on the
+    /// sender's reply lane in `hub`. The lock is taken per delivered
     /// envelope and released before the reply goes out, so threads
     /// resident on this processor call `handle` in between. Nothing under
     /// the lock blocks.
-    pub fn serve<P: WorkerPort>(this: &Mutex<Worker>, mut port: P) {
+    pub(crate) fn serve(this: &Mutex<Worker>, mailbox: Receiver<Envelope>, hub: &MailboxTransport) {
         let slot = Arc::clone(&this.lock().unwrap().slot);
         loop {
             slot.state.store(W_WAITING, Ordering::Relaxed);
-            let Some(env) = port.recv() else {
+            let Ok(env) = mailbox.recv() else {
                 // Every client gone without a shutdown: the run aborted
                 // (e.g. a client panicked); exit quietly.
                 break;
             };
             slot.state.store(W_SERVING, Ordering::Relaxed);
             let (src, is_shutdown) = (env.src, matches!(env.req, Request::Shutdown));
-            debug_assert!(
-                !is_shutdown || src == CONTROL_SRC,
-                "shutdown is control-plane only"
-            );
             let Some(reply) = this.lock().unwrap().deliver(env) else {
                 continue;
             };
-            port.reply(src, reply);
+            hub.reply(src, reply);
             if is_shutdown {
                 break;
             }
@@ -159,8 +157,13 @@ impl Worker {
     }
 
     /// Count one delivered envelope and service it, or `None` when it is a
-    /// copy of a message already serviced.
-    fn deliver(&mut self, env: Envelope) -> Option<Reply> {
+    /// copy of a message already serviced. Every message — mailbox or TCP
+    /// frame — enters here, under the worker's lock.
+    pub fn deliver(&mut self, env: Envelope) -> Option<Reply> {
+        debug_assert!(
+            !matches!(env.req, Request::Shutdown) || env.src == CONTROL_SRC,
+            "shutdown is control-plane only"
+        );
         self.deliveries += 1;
         self.transport.deliveries.fetch_add(1, Ordering::Relaxed);
         self.progress.fetch_add(1, Ordering::Relaxed);

@@ -6,11 +6,11 @@
 //! processor — speaking a hand-rolled, length-prefixed binary protocol
 //! over loopback TCP (see [`wire`]). Everything above the transport is
 //! shared with the thread backend through `olden_exec`'s [`Transport`]
-//! abstraction: the client logic (`ExecCtx`), the worker serve loop, the
-//! chaos fault layer, sequence-number dedup, the stall watchdog, obs
-//! recording, and the vector-clock sanitizer are byte-for-byte the same
-//! code, so lockstep runs reconcile with the simulator exactly as the
-//! thread backend does.
+//! abstraction: the client logic (`ExecCtx`), the worker's delivery entry
+//! (`Worker::deliver`), the chaos fault layer, sequence-number dedup, the
+//! stall watchdog, obs recording, and the vector-clock sanitizer are
+//! byte-for-byte the same code, so lockstep runs reconcile with the
+//! simulator exactly as the thread backend does.
 //!
 //! Topology per run:
 //!
@@ -26,9 +26,10 @@
 //! - Clients (the root logical thread, and one thread per spawned future
 //!   in parallel mode) each get a [`ClientConn`] holding one lazy TCP
 //!   connection per worker. Clients block for the reply to each request,
-//!   so a connection never has more than one frame in flight per
-//!   direction, and the worker can route replies purely by envelope
-//!   `src`.
+//!   so a connection never has more than one request outstanding: the
+//!   worker serves each connection on its own thread and writes every
+//!   reply back on the connection its request came in on, with no reply
+//!   routing at all.
 //! - Shutdown drains the fleet in processor order over a control
 //!   connection (src = `CONTROL_SRC`, bypasses dedup), collecting each
 //!   worker's [`WorkerReport`] — cache counters, receiver-side transport
@@ -52,6 +53,7 @@ use olden_exec::{
     ExecError, ExecReport, Shared, Transport, TransportCounters,
 };
 use olden_gptr::{ProcId, MAX_PROCS};
+use std::io::BufReader;
 use std::net::{TcpListener, TcpStream};
 use std::process::{Child, Command};
 use std::sync::atomic::AtomicU64;
@@ -121,7 +123,9 @@ impl Transport for TcpTransport {
 /// a client that never touches a worker costs that worker nothing.
 struct TcpConn {
     ports: Vec<u16>,
-    streams: Vec<Option<TcpStream>>,
+    /// Replies are read through the buffer; requests are written to the
+    /// stream underneath it.
+    streams: Vec<Option<BufReader<TcpStream>>>,
     /// Set on the control connection only: a worker that hangs during
     /// the shutdown drain should fail the run loudly, not wedge it.
     read_timeout: Option<Duration>,
@@ -137,7 +141,7 @@ impl TcpConn {
         }
     }
 
-    fn stream(&mut self, dst: ProcId) -> &mut TcpStream {
+    fn stream(&mut self, dst: ProcId) -> &mut BufReader<TcpStream> {
         let i = dst as usize;
         if self.streams[i].is_none() {
             let s = TcpStream::connect(("127.0.0.1", self.ports[i]))
@@ -145,7 +149,7 @@ impl TcpConn {
             s.set_nodelay(true).expect("net: set NODELAY");
             s.set_read_timeout(self.read_timeout)
                 .expect("net: set read timeout");
-            self.streams[i] = Some(s);
+            self.streams[i] = Some(BufReader::new(s));
         }
         self.streams[i].as_mut().unwrap()
     }
@@ -153,7 +157,7 @@ impl TcpConn {
 
 impl ClientConn for TcpConn {
     fn send(&mut self, dst: ProcId, env: &Envelope) {
-        write_frame(self.stream(dst), &encode_envelope(env))
+        write_frame(self.stream(dst).get_mut(), &encode_envelope(env))
             .expect("net: worker connection lost mid-send");
     }
 

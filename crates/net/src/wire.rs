@@ -27,8 +27,7 @@ use olden_exec::msg::{ArrivalKind, Envelope, LineData, LookupReply, Reply, Reque
 use olden_gptr::{GPtr, ProcId, Word, LINE_WORDS};
 use olden_obs::{Event, EventKind, Lane, Phase};
 use olden_runtime::{RaceViolation, VClock};
-use std::io::{Read as _, Write as _};
-use std::net::TcpStream;
+use std::io::{self, Read, Write};
 
 /// Ceiling on a single frame's payload, far above anything the protocol
 /// produces (the largest legitimate frame is a shutdown report carrying
@@ -40,31 +39,39 @@ pub const MAX_FRAME: usize = 64 << 20;
 // Frame I/O
 // ---------------------------------------------------------------------
 
-/// Write one length-prefixed frame.
-pub fn write_frame(stream: &mut TcpStream, body: &[u8]) -> std::io::Result<()> {
+/// Write one length-prefixed frame: prefix and body go out in a single
+/// `write`, so a `TCP_NODELAY` socket sends one segment, not two.
+pub fn write_frame<W: Write>(out: &mut W, body: &[u8]) -> io::Result<()> {
     assert!(body.len() <= MAX_FRAME, "oversized frame");
-    let len = (body.len() as u32).to_le_bytes();
-    stream.write_all(&len)?;
-    stream.write_all(body)
+    let mut frame = Vec::with_capacity(4 + body.len());
+    frame.extend_from_slice(&(body.len() as u32).to_le_bytes());
+    frame.extend_from_slice(body);
+    out.write_all(&frame)
 }
 
 /// Read one length-prefixed frame. An EOF cleanly between frames maps to
-/// `Ok(None)`; anything else short is an error.
-pub fn read_frame(stream: &mut TcpStream) -> std::io::Result<Option<Vec<u8>>> {
+/// `Ok(None)`; an EOF inside a frame is an error. Sockets are read
+/// through a `BufReader`, so a frame normally costs one `read` call.
+pub fn read_frame<R: Read>(input: &mut R) -> io::Result<Option<Vec<u8>>> {
     let mut len = [0u8; 4];
-    match stream.read_exact(&mut len) {
-        Ok(()) => {}
-        Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => return Ok(None),
-        Err(e) => return Err(e),
+    let got = loop {
+        match input.read(&mut len) {
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            got => break got?,
+        }
+    };
+    if got == 0 {
+        return Ok(None);
     }
+    input.read_exact(&mut len[got..])?;
     let n = u32::from_le_bytes(len) as usize;
     if n > MAX_FRAME {
-        return Err(std::io::Error::other(format!(
+        return Err(io::Error::other(format!(
             "frame length {n} exceeds MAX_FRAME"
         )));
     }
     let mut body = vec![0u8; n];
-    stream.read_exact(&mut body)?;
+    input.read_exact(&mut body)?;
     Ok(Some(body))
 }
 

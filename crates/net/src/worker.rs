@@ -1,7 +1,7 @@
 //! The worker half of the network backend: one OS process per simulated
-//! processor, running the exact same [`olden_exec::worker::Worker`] loop
-//! as the thread backend, fed by a [`NetWorkerPort`] instead of an
-//! in-process mailbox.
+//! processor, delivering every frame through the same
+//! [`olden_exec::worker::Worker::deliver`] entry as the thread backend's
+//! mailbox loop (dedup, delivery accounting, then `handle`).
 //!
 //! Process lifecycle:
 //!
@@ -11,85 +11,74 @@
 //!    then kept open as a **tether**: a thread blocks reading it, and an
 //!    EOF (parent exited, cleanly or not) terminates this process, so a
 //!    crashed parent can never leak worker processes.
-//! 3. Accept data connections. Each client holds one connection per
-//!    worker, so a connection carries envelopes from exactly one `src`;
-//!    a reader thread per connection decodes frames and funnels them
-//!    into the single serve loop, registering the connection as the
-//!    reply route for that `src` first.
-//! 4. Run [`olden_exec::worker::Worker::serve`] until a `Shutdown`
-//!    envelope arrives, then exit 0.
+//! 3. The main thread accepts data connections and gives each one its
+//!    own thread. A client blocks for the reply to each request, so a
+//!    connection never has more than one request outstanding: its thread
+//!    reads a frame, delivers it under the worker's lock, and writes the
+//!    reply back on the connection the frame came in on. No reply routes,
+//!    no hand-off between threads.
+//! 4. A `Shutdown` envelope (on the parent's control connection) first
+//!    waits for every other connection to close, so each copy a client
+//!    transmitted has been delivered and counted; it then answers with
+//!    the report and exits the process 0.
 //!
 //! The worker's [`TransportCounters`] and progress counter are
 //! process-local throwaways — receiver-side accounting travels home in
 //! the shutdown report (`deliveries` / `dupes_suppressed` fields), and
 //! the parent's watchdog is driven by client-side progress alone.
 
-use crate::wire::{decode_envelope, encode_reply, read_frame, write_frame};
-use olden_exec::msg::{Envelope, Reply};
+use crate::wire::{decode_envelope, encode_hello, encode_reply, read_frame, write_frame};
+use olden_exec::msg::Request;
 use olden_exec::worker::{Worker, WorkerSlot};
-use olden_exec::{Protocol, TransportCounters, WorkerPort};
+use olden_exec::{Protocol, TransportCounters};
 use olden_gptr::ProcId;
 use olden_obs::Recorder;
-use std::collections::HashMap;
-use std::io::Read as _;
+use std::io::{BufReader, Read as _};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::AtomicU64;
-use std::sync::mpsc::{Receiver, Sender};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
 use std::time::Instant;
 
-/// Reply routes: the latest connection each `src` sent an envelope on.
-type Writers = Arc<Mutex<HashMap<u64, TcpStream>>>;
-
-/// [`WorkerPort`] over TCP: envelopes arrive via the per-connection
-/// reader threads, replies go back on the connection the request came
-/// in on.
-pub struct NetWorkerPort {
-    rx: Receiver<Envelope>,
-    writers: Writers,
+/// What every connection thread of the process shares.
+struct Served {
+    worker: Mutex<Worker>,
+    /// Data connections open right now, a shutdown's own included.
+    open: Mutex<usize>,
+    closed: Condvar,
 }
 
-impl WorkerPort for NetWorkerPort {
-    fn recv(&mut self) -> Option<Envelope> {
-        self.rx.recv().ok()
-    }
+const POISONED: &str = "worker: a connection thread panicked holding the lock";
 
-    fn reply(&mut self, dst: u64, reply: Reply) {
-        let conn = {
-            let writers = self.writers.lock().unwrap();
-            writers.get(&dst).and_then(|c| c.try_clone().ok())
+/// Serve one client connection until it closes (or a shutdown on it
+/// ends the process).
+fn serve_conn(conn: TcpStream, served: &Served) {
+    let mut frames = BufReader::new(&conn);
+    // A clean or dirty close either way: this client is done.
+    while let Ok(Some(body)) = read_frame(&mut frames) {
+        let env =
+            decode_envelope(&body).unwrap_or_else(|e| panic!("malformed envelope frame: {e}"));
+        let is_shutdown = matches!(env.req, Request::Shutdown);
+        if is_shutdown {
+            // Every client has finished, but a copy it sent after its
+            // last answered primary (a duplicate) may still be queued on
+            // another connection: wait until that connection's thread
+            // has read it to EOF, so the report counts it.
+            let open = served.open.lock().expect(POISONED);
+            drop(served.closed.wait_while(open, |n| *n > 1).expect(POISONED));
+        }
+        let Some(reply) = served.worker.lock().expect(POISONED).deliver(env) else {
+            continue;
         };
-        // A missing or dead route means the client is gone — the run has
-        // already aborted, so the reply has no reader; drop it.
-        if let Some(mut conn) = conn {
-            let _ = write_frame(&mut conn, &encode_reply(&reply));
+        // A failed write means the client is gone — the run has already
+        // aborted, so the reply has no reader.
+        let _ = write_frame(&mut &conn, &encode_reply(&reply));
+        if is_shutdown {
+            std::process::exit(0);
         }
     }
-}
-
-/// Decode envelopes off one client connection into the serve loop.
-fn read_loop(mut conn: TcpStream, tx: Sender<Envelope>, writers: Writers) {
-    loop {
-        let body = match read_frame(&mut conn) {
-            Ok(Some(body)) => body,
-            // Clean or dirty close either way: this client connection is
-            // done. The serve loop keeps running for the others.
-            Ok(None) | Err(_) => return,
-        };
-        let env = match decode_envelope(&body) {
-            Ok(env) => env,
-            Err(e) => panic!("malformed envelope frame: {e}"),
-        };
-        // Register the reply route before handing the envelope over so
-        // the serve loop can always answer it.
-        if let Ok(back) = conn.try_clone() {
-            writers.lock().unwrap().insert(env.src, back);
-        }
-        if tx.send(env).is_err() {
-            return; // serve loop exited (shutdown)
-        }
-    }
+    *served.open.lock().expect(POISONED) -= 1;
+    served.closed.notify_all();
 }
 
 /// The spawn protocol's argument list, as the parent appends it to the
@@ -139,42 +128,17 @@ pub fn worker_main(proc: ProcId, parent_port: u16, record: bool, protocol: Proto
     // parent-death tether.
     let mut tether =
         TcpStream::connect(("127.0.0.1", parent_port)).expect("worker: dial parent rendezvous");
-    write_frame(&mut tether, &crate::wire::encode_hello(proc, port))
-        .expect("worker: send hello frame");
-    {
-        let mut tether = tether.try_clone().expect("worker: clone tether");
-        thread::Builder::new()
-            .name("olden-net-tether".into())
-            .spawn(move || {
-                // The parent never writes here; the read only completes
-                // when the parent process is gone.
-                let mut byte = [0u8; 1];
-                let _ = tether.read(&mut byte);
-                std::process::exit(0);
-            })
-            .expect("worker: spawn tether thread");
-    }
-
-    let (tx, rx) = mpsc::channel();
-    let writers: Writers = Arc::default();
-    {
-        let writers = Arc::clone(&writers);
-        thread::Builder::new()
-            .name("olden-net-accept".into())
-            .spawn(move || {
-                for conn in listener.incoming() {
-                    let Ok(conn) = conn else { continue };
-                    let _ = conn.set_nodelay(true);
-                    let tx = tx.clone();
-                    let writers = Arc::clone(&writers);
-                    thread::Builder::new()
-                        .name("olden-net-read".into())
-                        .spawn(move || read_loop(conn, tx, writers))
-                        .expect("worker: spawn reader thread");
-                }
-            })
-            .expect("worker: spawn accept thread");
-    }
+    write_frame(&mut tether, &encode_hello(proc, port)).expect("worker: send hello frame");
+    thread::Builder::new()
+        .name("olden-net-tether".into())
+        .spawn(move || {
+            // The parent never writes here; the read only completes
+            // when the parent process is gone.
+            let mut byte = [0u8; 1];
+            let _ = tether.read(&mut byte);
+            std::process::exit(0);
+        })
+        .expect("worker: spawn tether thread");
 
     // The slot / progress / counters instances are process-local: nobody
     // on this side reads them. The values that matter (deliveries,
@@ -182,16 +146,30 @@ pub fn worker_main(proc: ProcId, parent_port: u16, record: bool, protocol: Proto
     // shutdown report. The recorder epoch is likewise local — cross-lane
     // timestamp alignment is meaningless across processes, and the
     // parity surface compares (kind, phase, arg) only.
-    let worker = Worker::new(
-        proc,
-        protocol,
-        Arc::new(WorkerSlot::default()),
-        Arc::new(AtomicU64::new(0)),
-        Arc::new(TransportCounters::default()),
-        record.then(|| Recorder::exec(Instant::now())),
-    );
-    Worker::serve(&Mutex::new(worker), NetWorkerPort { rx, writers });
-    std::process::exit(0);
+    let served = Arc::new(Served {
+        worker: Mutex::new(Worker::new(
+            proc,
+            protocol,
+            Arc::new(WorkerSlot::default()),
+            Arc::new(AtomicU64::new(0)),
+            Arc::new(TransportCounters::default()),
+            record.then(|| Recorder::exec(Instant::now())),
+        )),
+        open: Mutex::new(0),
+        closed: Condvar::new(),
+    });
+    loop {
+        let Ok((conn, _)) = listener.accept() else {
+            continue;
+        };
+        let _ = conn.set_nodelay(true);
+        *served.open.lock().expect(POISONED) += 1;
+        let served = Arc::clone(&served);
+        thread::Builder::new()
+            .name("olden-net-conn".into())
+            .spawn(move || serve_conn(conn, &served))
+            .expect("worker: spawn connection thread");
+    }
 }
 
 #[cfg(test)]

@@ -58,6 +58,36 @@ fn sim_diff(rep: &ExecReport, sim: &OldenCtx) -> Option<String> {
     rep.diff_from_sim(sim.stats(), sim.cache().stats(), sim.cache().pages_cached())
 }
 
+/// The per-kind frame counts against the run's own counters, the same
+/// identities the thread backend's message breakdown satisfies — except
+/// that over sockets every remote cache probe is a `CacheLookup` frame
+/// rather than an in-place call.
+fn assert_kinds_account_for_frames(name: &str, rep: &ExecReport) {
+    let (s, c, sent) = (&rep.stats, &rep.cache, &rep.sent);
+    assert_eq!(sent.total(), rep.messages, "{name}: kinds sum to frames");
+    assert_eq!(
+        sent.get(MsgKind::Migrate),
+        s.migrations + s.return_migrations + s.steals,
+        "{name}: Migrate"
+    );
+    assert_eq!(
+        sent.get(MsgKind::LineFetch),
+        c.misses - c.revalidations,
+        "{name}: LineFetch"
+    );
+    assert_eq!(
+        sent.get(MsgKind::CacheLookup),
+        c.remote_reads + c.remote_writes,
+        "{name}: one CacheLookup frame per remote cacheable access"
+    );
+    if ["Bisort", "Voronoi", "Perimeter", "Health"].contains(&name) {
+        assert!(
+            sent.get(MsgKind::CacheLookup) > 0,
+            "{name}: a cache kernel probes its cache over sockets"
+        );
+    }
+}
+
 /// Every benchmark: reference value and full counter parity with the
 /// simulator, across four worker processes.
 #[test]
@@ -86,6 +116,7 @@ fn all_benchmark_counters_reconcile_with_simulator_over_tcp() {
             "{} quiet socket transport is perfect",
             d.name
         );
+        assert_kinds_account_for_frames(d.name, &rep);
     }
 }
 

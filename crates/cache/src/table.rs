@@ -6,6 +6,14 @@
 //! to a local one), one valid bit per 64-byte line, and the bookkeeping the
 //! bilateral protocol needs (an epoch mark and the timestamp at which the
 //! page was last validated against its home).
+//!
+//! Beside the buckets the table keeps an index of the non-empty ones, so
+//! the three whole-cache operations an acquire performs (`clear_all`,
+//! `clear_homes`, `mark_all`) walk only the occupied chains and cost
+//! O(resident pages), not O(1 024). The clears really drop descriptors:
+//! a generation counter that left stale entries in the chains would
+//! lengthen the walks `lookup` counts, and those probes are the §3.2
+//! chain-length claim (`mean_chain_length`, pinned by the benchmark).
 
 use olden_gptr::{LineInPage, PageNum, ProcId, LINES_PER_PAGE};
 
@@ -52,6 +60,10 @@ impl CachedPage {
 #[derive(Clone, Debug)]
 pub struct ProcCache {
     buckets: Vec<Vec<CachedPage>>,
+    /// Each non-empty bucket exactly once, in no particular order. `ensure`
+    /// (the only insertion) adds a bucket when its chain becomes non-empty;
+    /// the clears remove the buckets they empty.
+    occupied: Vec<u16>,
     /// Distinct pages ever inserted (monotone; Table 3's "Total Pages
     /// Cached" sums this across processors).
     pages_ever: u64,
@@ -78,6 +90,7 @@ impl ProcCache {
     pub fn new() -> ProcCache {
         ProcCache {
             buckets: vec![Vec::new(); HASH_BUCKETS],
+            occupied: Vec::new(),
             pages_ever: 0,
             resident: 0,
             probes: 0,
@@ -128,6 +141,9 @@ impl ProcCache {
             }
             None => {
                 self.probes += chain.len() as u64;
+                if chain.is_empty() {
+                    self.occupied.push(b as u16);
+                }
                 self.pages_ever += 1;
                 self.resident += 1;
                 chain.push(CachedPage {
@@ -153,22 +169,27 @@ impl ProcCache {
         self.probes
     }
 
-    /// Local-knowledge acquire: drop everything.
+    /// Local-knowledge acquire: drop everything. Walks the occupied
+    /// chains only, O(resident pages).
     pub fn clear_all(&mut self) {
-        for b in &mut self.buckets {
-            b.clear();
+        for &b in &self.occupied {
+            self.buckets[b as usize].clear();
         }
+        self.occupied.clear();
         self.resident = 0;
     }
 
     /// Local-knowledge return refinement: drop only pages homed on the
-    /// given processors.
+    /// given processors. Filters the occupied chains only and unindexes
+    /// those it empties.
     pub fn clear_homes(&mut self, homes: &[ProcId]) {
-        for b in &mut self.buckets {
-            let before = b.len();
-            b.retain(|cp| !homes.contains(&cp.home));
-            self.resident -= before - b.len();
-        }
+        self.occupied.retain(|&b| {
+            let chain = &mut self.buckets[b as usize];
+            let before = chain.len();
+            chain.retain(|cp| !homes.contains(&cp.home));
+            self.resident -= before - chain.len();
+            !chain.is_empty()
+        });
     }
 
     /// Global-knowledge invalidation: clear specific lines of one page.
@@ -184,10 +205,11 @@ impl ProcCache {
     }
 
     /// Bilateral acquire: mark every cached page so its next access
-    /// revalidates (the epoch-bit technique of Darnell et al.).
+    /// revalidates (the epoch-bit technique of Darnell et al.). Visits the
+    /// occupied chains only.
     pub fn mark_all(&mut self) {
-        for b in &mut self.buckets {
-            for cp in b.iter_mut() {
+        for &b in &self.occupied {
+            for cp in self.buckets[b as usize].iter_mut() {
                 cp.marked = true;
             }
         }
@@ -452,5 +474,189 @@ mod tests {
             "chain length {}",
             c.mean_chain_length()
         );
+    }
+
+    /// The table without the occupied-bucket index: every whole-cache
+    /// operation walks all `HASH_BUCKETS` chains. Counted the same way.
+    #[derive(Default)]
+    struct AllBuckets {
+        buckets: Vec<Vec<CachedPage>>,
+        pages_ever: u64,
+        resident: usize,
+        probes: u64,
+        lookups: u64,
+    }
+
+    impl AllBuckets {
+        fn new() -> AllBuckets {
+            AllBuckets {
+                buckets: vec![Vec::new(); HASH_BUCKETS],
+                ..AllBuckets::default()
+            }
+        }
+
+        fn find(&mut self, home: ProcId, page: PageNum, insert: bool) -> Option<&mut CachedPage> {
+            self.lookups += 1;
+            let chain = &mut self.buckets[bucket_of(home, page)];
+            match chain
+                .iter()
+                .position(|cp| cp.home == home && cp.page == page)
+            {
+                Some(i) => {
+                    self.probes += (i + 1) as u64;
+                    Some(&mut chain[i])
+                }
+                None => {
+                    self.probes += chain.len() as u64;
+                    if !insert {
+                        return None;
+                    }
+                    self.pages_ever += 1;
+                    self.resident += 1;
+                    chain.push(CachedPage {
+                        home,
+                        page,
+                        valid: 0,
+                        marked: false,
+                        validated_ts: 0,
+                    });
+                    chain.last_mut()
+                }
+            }
+        }
+
+        fn clear_all(&mut self) {
+            for b in &mut self.buckets {
+                b.clear();
+            }
+            self.resident = 0;
+        }
+
+        fn clear_homes(&mut self, homes: &[ProcId]) {
+            for b in &mut self.buckets {
+                let before = b.len();
+                b.retain(|cp| !homes.contains(&cp.home));
+                self.resident -= before - b.len();
+            }
+        }
+
+        fn mark_all(&mut self) {
+            for cp in self.buckets.iter_mut().flatten() {
+                cp.marked = true;
+            }
+        }
+    }
+
+    type Desc = (ProcId, PageNum, u32, bool, u64);
+
+    fn desc(cp: &CachedPage) -> Desc {
+        (cp.home, cp.page, cp.valid, cp.marked, cp.validated_ts)
+    }
+
+    fn assert_same(c: &ProcCache, r: &AllBuckets, step: usize) {
+        assert_eq!(
+            (c.lookups, c.probes, c.resident, c.pages_ever),
+            (r.lookups, r.probes, r.resident, r.pages_ever),
+            "counters after op {step}"
+        );
+        for (b, (ours, theirs)) in c.buckets.iter().zip(&r.buckets).enumerate() {
+            assert!(
+                ours.iter().map(desc).eq(theirs.iter().map(desc)),
+                "bucket {b} after op {step}: {ours:?} vs {theirs:?}"
+            );
+        }
+        let mut index: Vec<usize> = c.occupied.iter().map(|&b| b as usize).collect();
+        index.sort_unstable();
+        let non_empty: Vec<usize> = (0..HASH_BUCKETS)
+            .filter(|&b| !c.buckets[b].is_empty())
+            .collect();
+        assert_eq!(
+            index, non_empty,
+            "index lists each non-empty bucket once, after op {step}"
+        );
+    }
+
+    /// Seeded random operation sequences over more pages than buckets on
+    /// a few homes, so chains collide: the indexed table must agree with
+    /// the all-bucket one on every counter and every descriptor, in chain
+    /// order, after every operation.
+    #[test]
+    fn occupied_index_matches_an_all_bucket_walk() {
+        use olden_rng::SplitMix64;
+        const HOMES: u64 = 3;
+        let pages = HASH_BUCKETS as u64 + 512;
+        for seed in 0..3 {
+            let mut rng = SplitMix64::new(seed);
+            let (mut c, mut r) = (ProcCache::new(), AllBuckets::new());
+            let mut collided = false;
+            for step in 0..3000 {
+                let home = rng.below(HOMES) as ProcId;
+                let page = rng.below(pages);
+                let line = rng.below(LINES_PER_PAGE as u64) as LineInPage;
+                // Per mille, so whole-cache operations are rare enough for
+                // hundreds of pages to pile up between them.
+                match rng.below(1000) {
+                    0..=449 => {
+                        let ts = rng.below(8);
+                        c.install_line(home, page, line, ts);
+                        let cp = r.find(home, page, true).unwrap();
+                        cp.set_line(line);
+                        cp.validated_ts = cp.validated_ts.max(ts);
+                    }
+                    450..=549 => {
+                        let ours = desc(c.ensure(home, page));
+                        let theirs = desc(r.find(home, page, true).unwrap());
+                        assert_eq!(ours, theirs, "ensure at op {step}");
+                    }
+                    550..=749 => {
+                        // A hit settles the page the way a revalidation does.
+                        let ours = c.lookup(home, page).map(|cp| {
+                            cp.marked = false;
+                            desc(cp)
+                        });
+                        let theirs = r.find(home, page, false).map(|cp| {
+                            cp.marked = false;
+                            desc(cp)
+                        });
+                        assert_eq!(ours, theirs, "lookup at op {step}");
+                    }
+                    750..=829 => {
+                        let theirs = r.buckets[bucket_of(home, page)]
+                            .iter()
+                            .find(|cp| cp.home == home && cp.page == page)
+                            .map(desc);
+                        assert_eq!(c.peek(home, page).map(desc), theirs, "peek at op {step}");
+                    }
+                    830..=979 => {
+                        let mask = rng.next_u64() as u32;
+                        let cp = r.buckets[bucket_of(home, page)]
+                            .iter_mut()
+                            .find(|cp| cp.home == home && cp.page == page);
+                        let theirs = cp.map(|cp| cp.clear_lines(mask)).is_some();
+                        assert_eq!(c.invalidate_lines(home, page, mask), theirs);
+                    }
+                    980..=989 => {
+                        c.mark_all();
+                        r.mark_all();
+                    }
+                    990..=996 => {
+                        let homes: Vec<ProcId> =
+                            (0..HOMES as ProcId).filter(|_| rng.chance(0.5)).collect();
+                        c.clear_homes(&homes);
+                        r.clear_homes(&homes);
+                    }
+                    _ => {
+                        c.clear_all();
+                        r.clear_all();
+                    }
+                }
+                assert_same(&c, &r, step);
+                collided |= c.occupied.len() < c.resident();
+            }
+            assert!(
+                c.pages_ever() > HASH_BUCKETS as u64 && collided,
+                "seed {seed} inserted more pages than buckets and shared a chain"
+            );
+        }
     }
 }

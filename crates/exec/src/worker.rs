@@ -64,9 +64,10 @@ pub struct Worker {
     /// Directory of the pages homed here: sharer lists and timestamps.
     /// Empty under local knowledge.
     home: HomeDir,
-    /// The cached lines' payloads. Cleared metadata leaves entries behind
-    /// (unreachable until re-installed), which keeps invalidation O(table)
-    /// as in the protocol.
+    /// The cached lines' payloads. Clearing the table's metadata leaves
+    /// their entries behind (unreachable until re-installed), so an
+    /// acquire costs what the table holds, O(resident pages), and never
+    /// touches this map.
     lines: HashMap<(ProcId, PageNum, LineInPage), LineData>,
     stats: CacheStats,
     /// Happens-before state of every line homed here. All accesses to a

@@ -10,6 +10,7 @@
 use olden_exec::msg::{
     ArrivalKind, Envelope, LookupReply, Reply, Request, WorkerReport, CONTROL_SRC,
 };
+use olden_exec::MsgKind;
 use olden_gptr::{GPtr, Word, LINES_PER_PAGE, LINE_WORDS, LOCAL_MASK, MAX_PROCS};
 use olden_net::wire::{
     decode_envelope, decode_hello, decode_reply, encode_envelope, encode_hello, encode_reply,
@@ -425,4 +426,403 @@ fn corrupt_frames_are_rejected() {
     );
     assert!(decode_reply(&[99]).is_err(), "unknown reply tag must fail");
     assert!(decode_envelope(&[]).is_err(), "empty frame must fail");
+}
+
+// ---------------------------------------------------------------------
+// Pinned frames
+// ---------------------------------------------------------------------
+
+/// A frame payload of either direction.
+#[derive(Debug, PartialEq)]
+enum Frame {
+    Env(Envelope),
+    Reply(Reply),
+}
+
+impl Frame {
+    fn encode(&self) -> Vec<u8> {
+        match self {
+            Frame::Env(env) => encode_envelope(env),
+            Frame::Reply(reply) => encode_reply(reply),
+        }
+    }
+
+    /// Decode `buf` with the decoder of this frame's direction.
+    fn decode(&self, buf: &[u8]) -> Result<Frame, String> {
+        match self {
+            Frame::Env(_) => decode_envelope(buf).map(Frame::Env),
+            Frame::Reply(_) => decode_reply(buf).map(Frame::Reply),
+        }
+    }
+}
+
+fn pin_env(req: Request) -> Frame {
+    Frame::Env(Envelope {
+        src: 2,
+        seq: 7,
+        req,
+    })
+}
+
+fn hex(bytes: &[u8]) -> String {
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
+}
+
+/// Hex digits to bytes; whitespace between digits is ignored.
+fn unhex(digits: &str) -> Vec<u8> {
+    let digits: Vec<u8> = digits
+        .bytes()
+        .filter(|b| !b.is_ascii_whitespace())
+        .collect();
+    digits
+        .chunks(2)
+        .map(|d| u8::from_str_radix(std::str::from_utf8(d).unwrap(), 16).unwrap())
+        .collect()
+}
+
+/// One fixed instance of every frame shape, with the bytes it encodes
+/// to: each `Request` variant inside an envelope (`MigrateThread` once
+/// per `ArrivalKind`), each `Reply` variant (`Lookup` once per
+/// `LookupReply`, `Report` with and without a lane).
+fn pinned_frames() -> Vec<(Frame, &'static str)> {
+    let clock = || VClock::from_components(vec![3, 0, 1]);
+    let data = [1, 2, 3, 4, 5, 6, 7, 8].map(Word);
+    let race = RaceViolation {
+        line: (1, 16, 3),
+        write: true,
+        prev_write: false,
+    };
+    let report = |lane: Option<Lane>| {
+        let mut rep = WorkerReport {
+            pages_ever: 1,
+            words_allocated: 40,
+            served: 9,
+            deliveries: 10,
+            dupes_suppressed: 1,
+            races: vec![race],
+            lane,
+            ..WorkerReport::default()
+        };
+        rep.cache.cacheable_reads = 12;
+        rep.cache.hits = 3;
+        rep.cache.misses = 2;
+        rep.cache.checks_elided = 5;
+        Frame::Reply(Reply::Report(Box::new(rep)))
+    };
+    let mut counts = [0u64; 10];
+    counts[EventKind::Invalidate.index()] = 1;
+    let lane = Lane::from_parts(
+        "worker01".to_string(),
+        true,
+        vec![Event {
+            kind: EventKind::Invalidate,
+            phase: Phase::Instant,
+            proc: 1,
+            ts: 10,
+            arg: 11,
+        }],
+        0,
+        counts,
+    );
+    vec![
+        (
+            pin_env(Request::Alloc { words: 4 }),
+            "0200000000000000 0700000000000000 00 0400000000000000",
+        ),
+        (
+            pin_env(Request::ReadHome {
+                local: 4096,
+                clock: None,
+            }),
+            "0200000000000000 0700000000000000 01 0010000000000000 00",
+        ),
+        (
+            pin_env(Request::WriteHome {
+                local: 4104,
+                value: Word(42),
+                clock: Some(clock()),
+                track: true,
+            }),
+            "\
+                0200000000000000 0700000000000000 02 0810000000000000 \
+                2a00000000000000 01 0300 0300000000000000 0000000000000000 \
+                0100000000000000 01",
+        ),
+        (
+            pin_env(Request::LineFetchReq {
+                page: 16,
+                line: 3,
+                requester: 1,
+                clock: Some(clock()),
+            }),
+            "\
+                0200000000000000 0700000000000000 03 1000000000000000 03 01 01 0300 \
+                0300000000000000 0000000000000000 0100000000000000",
+        ),
+        (
+            pin_env(Request::SanitizeHit {
+                page: 16,
+                line: 31,
+                clock: clock(),
+            }),
+            "\
+                0200000000000000 0700000000000000 04 1000000000000000 1f 0300 \
+                0300000000000000 0000000000000000 0100000000000000",
+        ),
+        (
+            pin_env(Request::RaceQuery),
+            "0200000000000000 0700000000000000 05",
+        ),
+        (
+            pin_env(Request::CacheLookup {
+                home: 1,
+                page: 16,
+                line: 3,
+                word: 5,
+                write: true,
+                wval: Some(Word(9)),
+                elide: false,
+            }),
+            "\
+                0200000000000000 0700000000000000 06 01 1000000000000000 03 05 01 01 \
+                0900000000000000 00",
+        ),
+        (
+            pin_env(Request::CacheInstall {
+                home: 1,
+                page: 16,
+                line: 3,
+                data,
+                word: 7,
+                write: false,
+                wval: None,
+                ts: 9,
+            }),
+            "\
+                0200000000000000 0700000000000000 07 01 1000000000000000 03 \
+                0100000000000000 0200000000000000 0300000000000000 0400000000000000 \
+                0500000000000000 0600000000000000 0700000000000000 0800000000000000 \
+                07 00 00 0900000000000000",
+        ),
+        (
+            pin_env(Request::MigrateThread {
+                arrival: ArrivalKind::Call,
+            }),
+            "0200000000000000 0700000000000000 08 00",
+        ),
+        (
+            pin_env(Request::MigrateThread {
+                arrival: ArrivalKind::Return(vec![0, 2]),
+            }),
+            "0200000000000000 0700000000000000 08 01 0200 00 02",
+        ),
+        (
+            pin_env(Request::SharerQuery { page: 17 }),
+            "0200000000000000 0700000000000000 09 1100000000000000",
+        ),
+        (
+            pin_env(Request::InvalidateLines {
+                home: 2,
+                page: 17,
+                mask: 0x8000_0001,
+            }),
+            "\
+                0200000000000000 0700000000000000 0a 02 1100000000000000 01000080",
+        ),
+        (
+            pin_env(Request::BumpTs {
+                pages: vec![16, 17],
+            }),
+            "\
+                0200000000000000 0700000000000000 0b 02000000 1000000000000000 \
+                1100000000000000",
+        ),
+        (
+            pin_env(Request::RevalQuery {
+                page: 16,
+                line: 4,
+                validated_ts: 5,
+                clock: None,
+            }),
+            "\
+                0200000000000000 0700000000000000 0c 1000000000000000 04 \
+                0500000000000000 00",
+        ),
+        (
+            pin_env(Request::RevalApply {
+                home: 1,
+                page: 16,
+                line: 4,
+                ts: 6,
+                stale_mask: 0x10,
+                word: 2,
+                write: true,
+                wval: Some(Word(77)),
+            }),
+            "\
+                0200000000000000 0700000000000000 0d 01 1000000000000000 04 \
+                0600000000000000 10000000 02 01 01 4d00000000000000",
+        ),
+        (
+            Frame::Env(Envelope {
+                src: CONTROL_SRC,
+                seq: 0,
+                req: Request::Shutdown,
+            }),
+            "ffffffffffffffff 0000000000000000 0e",
+        ),
+        (
+            Frame::Reply(Reply::Ptr(GPtr::new(1, 4096))),
+            "00 0010000000000001",
+        ),
+        (Frame::Reply(Reply::Word(Word(42))), "01 2a00000000000000"),
+        (Frame::Reply(Reply::Unit), "02"),
+        (
+            Frame::Reply(Reply::Line(data, 9)),
+            "\
+                03 0100000000000000 0200000000000000 0300000000000000 \
+                0400000000000000 0500000000000000 0600000000000000 0700000000000000 \
+                0800000000000000 0900000000000000",
+        ),
+        (
+            Frame::Reply(Reply::Races(vec![race])),
+            "04 01000000 01 1000000000000000 03 01 00",
+        ),
+        (
+            Frame::Reply(Reply::Lookup(LookupReply::Hit(Word(5)))),
+            "05 00 0500000000000000",
+        ),
+        (Frame::Reply(Reply::Lookup(LookupReply::Miss)), "05 01"),
+        (
+            Frame::Reply(Reply::Lookup(LookupReply::ElidedHit(Word(6)))),
+            "05 02 0600000000000000",
+        ),
+        (
+            Frame::Reply(Reply::Lookup(LookupReply::RevalNeeded { validated_ts: 7 })),
+            "05 03 0700000000000000",
+        ),
+        (Frame::Reply(Reply::Sharers(vec![0, 3])), "06 0200 00 03"),
+        (
+            Frame::Reply(Reply::Reval {
+                ts: 8,
+                stale_mask: 0x3,
+            }),
+            "07 0800000000000000 03000000",
+        ),
+        (
+            report(None),
+            "\
+                08 0c00000000000000 0000000000000000 0000000000000000 \
+                0000000000000000 0300000000000000 0200000000000000 0000000000000000 \
+                0000000000000000 0000000000000000 0000000000000000 0000000000000000 \
+                0500000000000000 0100000000000000 2800000000000000 0900000000000000 \
+                0a00000000000000 0100000000000000 01000000 01 1000000000000000 03 01 \
+                00 00",
+        ),
+        (
+            report(Some(lane)),
+            "\
+                08 0c00000000000000 0000000000000000 0000000000000000 \
+                0000000000000000 0300000000000000 0200000000000000 0000000000000000 \
+                0000000000000000 0000000000000000 0000000000000000 0000000000000000 \
+                0500000000000000 0100000000000000 2800000000000000 0900000000000000 \
+                0a00000000000000 0100000000000000 01000000 01 1000000000000000 03 01 \
+                00 01 0800 776f726b65723031 01 0000000000000000 0000000000000000 \
+                0000000000000000 0000000000000000 0000000000000000 0000000000000000 \
+                0000000000000000 0000000000000000 0000000000000000 0100000000000000 \
+                0000000000000000 01000000 08 02 01 0a00000000000000 0b00000000000000",
+        ),
+    ]
+}
+
+/// `perf`'s wire sample (`perf/src/layers.rs::wire_sample`): eight
+/// envelopes whose mean size is the benchmark's `net.bytes_per_msg`.
+fn perf_wire_sample() -> Vec<Envelope> {
+    let line = [Word(0x0123_4567_89ab_cdef); LINE_WORDS];
+    let reqs = vec![
+        Request::Alloc { words: 4 },
+        Request::ReadHome {
+            local: 4096,
+            clock: None,
+        },
+        Request::WriteHome {
+            local: 4104,
+            value: Word(42),
+            clock: None,
+            track: true,
+        },
+        Request::LineFetchReq {
+            page: 16,
+            line: 3,
+            requester: 1,
+            clock: None,
+        },
+        Request::CacheLookup {
+            home: 1,
+            page: 16,
+            line: 3,
+            word: 5,
+            write: false,
+            wval: None,
+            elide: false,
+        },
+        Request::CacheInstall {
+            home: 1,
+            page: 16,
+            line: 3,
+            data: line,
+            word: 5,
+            write: false,
+            wval: None,
+            ts: 9,
+        },
+        Request::MigrateThread {
+            arrival: ArrivalKind::Call,
+        },
+        Request::MigrateThread {
+            arrival: ArrivalKind::Return(vec![0, 1]),
+        },
+    ];
+    reqs.into_iter()
+        .enumerate()
+        .map(|(i, req)| Envelope {
+            src: 1,
+            seq: i as u64 + 1,
+            req,
+        })
+        .collect()
+}
+
+/// Every frame shape encodes to exactly its pinned bytes and decodes back
+/// to itself, and the pins cover every request kind and reply tag.
+#[test]
+fn every_variant_encodes_to_its_pinned_bytes() {
+    let pinned = pinned_frames();
+    for (frame, want) in &pinned {
+        let bytes = frame.encode();
+        assert_eq!(hex(&bytes), hex(&unhex(want)), "{frame:?}");
+        assert_eq!(frame.decode(&bytes).as_ref(), Ok(frame));
+    }
+    let kinds: std::collections::HashSet<_> = pinned
+        .iter()
+        .filter_map(|(f, _)| match f {
+            Frame::Env(env) => Some(env.req.kind()),
+            Frame::Reply(_) => None,
+        })
+        .collect();
+    assert_eq!(kinds.len(), MsgKind::DATA_PLANE.len() + 1, "{kinds:?}");
+    let reply_tags: std::collections::BTreeSet<_> = pinned
+        .iter()
+        .filter(|(f, _)| matches!(f, Frame::Reply(_)))
+        .map(|(f, _)| f.encode()[0])
+        .collect();
+    assert_eq!(reply_tags.len(), 9, "{reply_tags:?}");
+    let sample_bytes: usize = perf_wire_sample()
+        .iter()
+        .map(|e| encode_envelope(e).len())
+        .sum();
+    assert_eq!(
+        sample_bytes, 287,
+        "8 envelopes averaging net.bytes_per_msg = 35.875"
+    );
 }

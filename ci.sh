@@ -156,8 +156,11 @@ stage "net-parity" net_parity
 
 # Bench harness: perf/ is a package of its own with path-deps on
 # crates/*, so a refactor can break it without the workspace build or
-# tests noticing. The smoke run builds it and checks every workload's
-# outputs and every BENCHMARK.json metric name (no timing verdicts).
+# tests noticing: perf/src/layers.rs builds `Request` values by field
+# name, so renaming a field of the message table in exec/src/msg.rs or
+# changing its type breaks perf/ alone. The smoke run builds it and
+# checks every workload's outputs and every BENCHMARK.json metric name
+# (no timing verdicts).
 # Exit 3 is its "loopback TCP unavailable" code, as for net-parity.
 bench_harness() {
     local rc=0

@@ -31,92 +31,16 @@
 //! a *primary* is indistinguishable from drop + retry under a rendezvous
 //! transport, so the plan folds that case into `drop`.)
 
+use crate::msg::MsgKind;
 use olden_gptr::ProcId;
 use olden_rng::{mix2, SplitMix64};
 use std::fmt;
-
-/// The kind of a mailbox message, for per-class fault targeting and for
-/// naming the starved class in [`ExecError::Starved`].
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub enum MsgKind {
-    Alloc,
-    ReadHome,
-    WriteHome,
-    LineFetch,
-    SanitizeHit,
-    RaceQuery,
-    CacheLookup,
-    CacheInstall,
-    Migrate,
-    /// Global knowledge: the departing thread asks a home for a page's
-    /// sharer list.
-    SharerQuery,
-    /// Global knowledge: a pushed invalidation of specific lines, sent to
-    /// a sharer on the departing thread's behalf.
-    InvalidateLines,
-    /// Bilateral: bump the home timestamps of pages the departing thread
-    /// wrote.
-    BumpTs,
-    /// Bilateral: ask a home which lines went stale since a validation.
-    RevalQuery,
-    /// Bilateral: apply a home's revalidation verdict to the local cache.
-    RevalApply,
-    /// Control plane: never faulted (a worker exits on its first
-    /// shutdown, so a duplicate would hit a closed mailbox).
-    Shutdown,
-}
-
-impl MsgKind {
-    /// Every data-plane kind (the ones the fault layer may target).
-    pub const DATA_PLANE: [MsgKind; 14] = [
-        MsgKind::Alloc,
-        MsgKind::ReadHome,
-        MsgKind::WriteHome,
-        MsgKind::LineFetch,
-        MsgKind::SanitizeHit,
-        MsgKind::RaceQuery,
-        MsgKind::CacheLookup,
-        MsgKind::CacheInstall,
-        MsgKind::Migrate,
-        MsgKind::SharerQuery,
-        MsgKind::InvalidateLines,
-        MsgKind::BumpTs,
-        MsgKind::RevalQuery,
-        MsgKind::RevalApply,
-    ];
-
-    pub fn name(self) -> &'static str {
-        match self {
-            MsgKind::Alloc => "Alloc",
-            MsgKind::ReadHome => "ReadHome",
-            MsgKind::WriteHome => "WriteHome",
-            MsgKind::LineFetch => "LineFetch",
-            MsgKind::SanitizeHit => "SanitizeHit",
-            MsgKind::RaceQuery => "RaceQuery",
-            MsgKind::CacheLookup => "CacheLookup",
-            MsgKind::CacheInstall => "CacheInstall",
-            MsgKind::Migrate => "Migrate",
-            MsgKind::SharerQuery => "SharerQuery",
-            MsgKind::InvalidateLines => "InvalidateLines",
-            MsgKind::BumpTs => "BumpTs",
-            MsgKind::RevalQuery => "RevalQuery",
-            MsgKind::RevalApply => "RevalApply",
-            MsgKind::Shutdown => "Shutdown",
-        }
-    }
-}
-
-impl fmt::Display for MsgKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
 
 /// Logical messages sent, per [`MsgKind`]: each primary send counts once,
 /// however many copies the fault layer transmits, and a request serviced
 /// in place counts nothing.
 #[derive(Clone, Copy, Default, PartialEq, Eq, Debug)]
-pub struct MsgCounts([u64; MsgKind::DATA_PLANE.len() + 1]);
+pub struct MsgCounts([u64; MsgKind::ALL.len()]);
 
 impl MsgCounts {
     pub fn add(&mut self, kind: MsgKind, n: u64) {
@@ -137,11 +61,10 @@ impl MsgCounts {
         self.0.iter().sum()
     }
 
-    /// The kinds sent at least once, in declaration order.
+    /// The kinds sent at least once, in tag order.
     pub fn nonzero(&self) -> impl Iterator<Item = (MsgKind, u64)> + '_ {
-        MsgKind::DATA_PLANE
+        MsgKind::ALL
             .into_iter()
-            .chain([MsgKind::Shutdown])
             .map(|k| (k, self.get(k)))
             .filter(|&(_, n)| n > 0)
     }
@@ -406,10 +329,13 @@ mod tests {
         );
     }
 
-    /// `MsgCounts` indexes by discriminant and lists kinds in
-    /// `DATA_PLANE` order then `Shutdown`: the two must agree.
+    /// `MsgCounts` indexes by discriminant and lists kinds in `ALL`
+    /// order, which is `DATA_PLANE` then `Shutdown`: the three must agree.
     #[test]
     fn msg_counts_index_every_kind_by_its_discriminant() {
+        for (i, kind) in MsgKind::ALL.into_iter().enumerate() {
+            assert_eq!(kind as usize, i, "{kind}");
+        }
         let mut c = MsgCounts::default();
         for (i, kind) in MsgKind::DATA_PLANE.into_iter().enumerate() {
             assert_eq!(kind as usize, i, "{kind}");

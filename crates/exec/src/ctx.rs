@@ -419,7 +419,7 @@ impl ExecCtx {
     /// path.
     fn cached_access(&mut self, p: GPtr, wval: Option<Word>, elide: bool) -> (Word, bool) {
         let (home, page, line) = (p.proc(), p.page(), p.line_in_page());
-        let word = p.local() as usize % LINE_WORDS;
+        let word = (p.local() % LINE_WORDS as u64) as u8;
         let write = wval.is_some();
         let cur = self.cur_proc;
         let lookup = Request::CacheLookup {
@@ -502,7 +502,7 @@ impl ExecCtx {
             page,
             line,
             data,
-            word: p.local() as usize % LINE_WORDS,
+            word: (p.local() % LINE_WORDS as u64) as u8,
             write: wval.is_some(),
             wval,
             ts,

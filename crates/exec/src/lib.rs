@@ -43,12 +43,14 @@ pub mod envelope;
 pub mod frame;
 pub mod msg;
 pub mod transport;
+pub mod wire;
 pub mod worker;
 
 mod ctx;
 
-pub use chaos::{ExecError, FaultPlan, MsgCounts, MsgKind, Verdict};
+pub use chaos::{ExecError, FaultPlan, MsgCounts, Verdict};
 pub use ctx::{ClientFinal, ExecCtx, ExecHandle};
+pub use msg::MsgKind;
 pub use olden_cache::Protocol;
 pub use transport::{ClientConn, MailboxTransport, Transport};
 

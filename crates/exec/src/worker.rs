@@ -280,11 +280,11 @@ impl Worker {
                 ts,
             } => {
                 if write {
-                    data[word] = wval.expect("write carries a value");
+                    data[word as usize] = wval.expect("write carries a value");
                 }
                 self.cache.install_line(home, page, line, ts);
                 self.lines.insert((home, page, line), data);
-                Reply::Word(data[word])
+                Reply::Word(data[word as usize])
             }
             Request::MigrateThread { arrival } => {
                 let arrival = arrival.as_arrival();
@@ -372,15 +372,15 @@ impl Worker {
     fn cached_word(
         &mut self,
         key: (ProcId, PageNum, LineInPage),
-        word: usize,
+        word: u8,
         write: bool,
         wval: Option<Word>,
     ) -> Word {
         let data = self.lines.get_mut(&key).expect("valid line has data");
         if write {
-            data[word] = wval.expect("write carries a value");
+            data[word as usize] = wval.expect("write carries a value");
         }
-        data[word]
+        data[word as usize]
     }
 
     /// Read one line of the home section, zero-padding past the

@@ -3,6 +3,12 @@
 //! random instances, including the boundary shapes the protocol leans
 //! on — max-size line payloads, page-straddling fetches, clocks with
 //! zero and `MAX_PROCS` components, reports carrying full event lanes.
+//! The sweeps must generate every `MsgKind` and every reply tag, so a
+//! message added to the table without a generator here fails them.
+//!
+//! One instance of every variant is also pinned to its exact bytes, and
+//! every truncation, trailing byte and unused tag value of a pinned frame
+//! must be rejected.
 //!
 //! Randomness comes from `olden-rng`'s SplitMix64 with fixed seeds, so a
 //! failure names a reproducible instance.
@@ -18,6 +24,7 @@ use olden_net::wire::{
 use olden_obs::{Event, EventKind, Lane, Phase, Recorder};
 use olden_rng::SplitMix64;
 use olden_runtime::{RaceViolation, VClock};
+use std::collections::{BTreeSet, HashSet};
 
 const TRIALS: usize = 200;
 
@@ -29,12 +36,23 @@ fn rt_reply(reply: &Reply) -> Reply {
     decode_reply(&encode_reply(reply)).expect("reply decodes")
 }
 
-fn check_env(env: Envelope) {
+/// Round-trip one envelope; returns its request's kind.
+fn check_env(env: Envelope) -> MsgKind {
     assert_eq!(rt_env(&env), env, "envelope round trip");
+    env.req.kind()
 }
 
-fn check_reply(reply: Reply) {
+/// Round-trip one reply; returns its tag byte.
+fn check_reply(reply: Reply) -> u8 {
     assert_eq!(rt_reply(&reply), reply, "reply round trip");
+    encode_reply(&reply)[0]
+}
+
+/// The tags the reply decoder accepts.
+fn reply_tags() -> BTreeSet<u8> {
+    (0..=255u8)
+        .filter(|&t| !decode_reply(&[t]).is_err_and(|e| e.starts_with("bad Reply tag")))
+        .collect()
 }
 
 fn rand_clock(rng: &mut SplitMix64) -> VClock {
@@ -79,21 +97,22 @@ fn envelope(req: Request, rng: &mut SplitMix64) -> Envelope {
 #[test]
 fn every_request_variant_round_trips() {
     let mut rng = SplitMix64::new(0x0522_1995);
+    let mut kinds = HashSet::new();
     for _ in 0..TRIALS {
-        check_env(envelope(
+        kinds.insert(check_env(envelope(
             Request::Alloc {
                 words: rng.next_u64() as usize,
             },
             &mut rng,
-        ));
-        check_env(envelope(
+        )));
+        kinds.insert(check_env(envelope(
             Request::ReadHome {
                 local: rng.next_u64() & LOCAL_MASK,
                 clock: rand_opt_clock(&mut rng),
             },
             &mut rng,
-        ));
-        check_env(envelope(
+        )));
+        kinds.insert(check_env(envelope(
             Request::WriteHome {
                 local: rng.next_u64() & LOCAL_MASK,
                 value: Word(rng.next_u64()),
@@ -101,8 +120,8 @@ fn every_request_variant_round_trips() {
                 track: rng.chance(0.5),
             },
             &mut rng,
-        ));
-        check_env(envelope(
+        )));
+        kinds.insert(check_env(envelope(
             Request::LineFetchReq {
                 page: rng.next_u64(),
                 line: rng.below(LINES_PER_PAGE as u64) as u8,
@@ -110,70 +129,73 @@ fn every_request_variant_round_trips() {
                 clock: rand_opt_clock(&mut rng),
             },
             &mut rng,
-        ));
-        check_env(envelope(
+        )));
+        kinds.insert(check_env(envelope(
             Request::SanitizeHit {
                 page: rng.next_u64(),
                 line: rng.below(LINES_PER_PAGE as u64) as u8,
                 clock: rand_clock(&mut rng),
             },
             &mut rng,
-        ));
-        check_env(envelope(Request::RaceQuery, &mut rng));
-        check_env(envelope(
+        )));
+        kinds.insert(check_env(envelope(Request::RaceQuery, &mut rng)));
+        kinds.insert(check_env(envelope(
             Request::CacheLookup {
                 home: rng.below(256) as u8,
                 page: rng.next_u64(),
                 line: rng.below(LINES_PER_PAGE as u64) as u8,
-                word: rng.range(0, LINE_WORDS),
+                word: rng.range(0, LINE_WORDS) as u8,
                 write: rng.chance(0.5),
                 wval: rng.chance(0.5).then(|| Word(rng.next_u64())),
                 elide: rng.chance(0.5),
             },
             &mut rng,
-        ));
-        check_env(envelope(
+        )));
+        kinds.insert(check_env(envelope(
             Request::CacheInstall {
                 home: rng.below(256) as u8,
                 page: rng.next_u64(),
                 line: rng.below(LINES_PER_PAGE as u64) as u8,
                 data: rand_line(&mut rng),
-                word: rng.range(0, LINE_WORDS),
+                word: rng.range(0, LINE_WORDS) as u8,
                 write: rng.chance(0.5),
                 wval: rng.chance(0.5).then(|| Word(rng.next_u64())),
                 ts: rng.next_u64(),
             },
             &mut rng,
-        ));
+        )));
         let arrival = if rng.chance(0.5) {
             ArrivalKind::Call
         } else {
             let n = rng.range(0, MAX_PROCS + 1);
             ArrivalKind::Return((0..n).map(|_| rng.below(256) as u8).collect())
         };
-        check_env(envelope(Request::MigrateThread { arrival }, &mut rng));
-        check_env(envelope(
+        kinds.insert(check_env(envelope(
+            Request::MigrateThread { arrival },
+            &mut rng,
+        )));
+        kinds.insert(check_env(envelope(
             Request::SharerQuery {
                 page: rng.next_u64(),
             },
             &mut rng,
-        ));
-        check_env(envelope(
+        )));
+        kinds.insert(check_env(envelope(
             Request::InvalidateLines {
                 home: rng.below(256) as u8,
                 page: rng.next_u64(),
                 mask: rng.next_u64() as u32,
             },
             &mut rng,
-        ));
+        )));
         let n = rng.range(0, 32);
-        check_env(envelope(
+        kinds.insert(check_env(envelope(
             Request::BumpTs {
                 pages: (0..n).map(|_| rng.next_u64()).collect(),
             },
             &mut rng,
-        ));
-        check_env(envelope(
+        )));
+        kinds.insert(check_env(envelope(
             Request::RevalQuery {
                 page: rng.next_u64(),
                 line: rng.below(LINES_PER_PAGE as u64) as u8,
@@ -181,59 +203,73 @@ fn every_request_variant_round_trips() {
                 clock: rand_opt_clock(&mut rng),
             },
             &mut rng,
-        ));
-        check_env(envelope(
+        )));
+        kinds.insert(check_env(envelope(
             Request::RevalApply {
                 home: rng.below(256) as u8,
                 page: rng.next_u64(),
                 line: rng.below(LINES_PER_PAGE as u64) as u8,
                 ts: rng.next_u64(),
                 stale_mask: rng.next_u64() as u32,
-                word: rng.range(0, LINE_WORDS),
+                word: rng.range(0, LINE_WORDS) as u8,
                 write: rng.chance(0.5),
                 wval: rng.chance(0.5).then(|| Word(rng.next_u64())),
             },
             &mut rng,
-        ));
-        check_env(Envelope {
+        )));
+        kinds.insert(check_env(Envelope {
             src: CONTROL_SRC,
             seq: 0,
             req: Request::Shutdown,
-        });
+        }));
     }
+    assert_eq!(
+        kinds,
+        HashSet::from(MsgKind::ALL),
+        "the sweep sends every kind"
+    );
 }
 
 #[test]
 fn every_reply_variant_round_trips() {
     let mut rng = SplitMix64::new(0x6f6c_64656e);
-    for _ in 0..TRIALS {
+    let mut tags = BTreeSet::new();
+    for trial in 0..TRIALS {
         let (proc, local) = (
             rng.below(MAX_PROCS as u64) as u8,
             rng.next_u64() & LOCAL_MASK,
         );
-        check_reply(Reply::Ptr(GPtr::new(proc, local)));
-        check_reply(Reply::Word(Word(rng.next_u64())));
-        check_reply(Reply::Unit);
-        check_reply(Reply::Line(rand_line(&mut rng), rng.next_u64()));
+        tags.insert(check_reply(Reply::Ptr(GPtr::new(proc, local))));
+        tags.insert(check_reply(Reply::Word(Word(rng.next_u64()))));
+        tags.insert(check_reply(Reply::Unit));
+        tags.insert(check_reply(Reply::Line(
+            rand_line(&mut rng),
+            rng.next_u64(),
+        )));
         let n = rng.range(0, 64);
-        check_reply(Reply::Races((0..n).map(|_| rand_race(&mut rng)).collect()));
-        check_reply(Reply::Lookup(match rng.below(4) {
+        tags.insert(check_reply(Reply::Races(
+            (0..n).map(|_| rand_race(&mut rng)).collect(),
+        )));
+        tags.insert(check_reply(Reply::Lookup(match rng.below(4) {
             0 => LookupReply::Hit(Word(rng.next_u64())),
             1 => LookupReply::Miss,
             2 => LookupReply::ElidedHit(Word(rng.next_u64())),
             _ => LookupReply::RevalNeeded {
                 validated_ts: rng.next_u64(),
             },
-        }));
+        })));
         let n = rng.range(0, MAX_PROCS + 1);
-        check_reply(Reply::Sharers(
+        tags.insert(check_reply(Reply::Sharers(
             (0..n).map(|_| rng.below(256) as u8).collect(),
-        ));
-        check_reply(Reply::Reval {
+        )));
+        tags.insert(check_reply(Reply::Reval {
             ts: rng.next_u64(),
             stale_mask: rng.next_u64() as u32,
-        });
+        }));
+        let report = rand_report(&mut rng, &format!("worker{trial:02}"));
+        tags.insert(check_reply(Reply::Report(Box::new(report))));
     }
+    assert_eq!(tags, reply_tags(), "the sweep sends every reply");
 }
 
 /// A cache line whose every word is at the extremes of the encoding:
@@ -250,7 +286,7 @@ fn max_size_line_payloads_round_trip() {
             page: u64::MAX,
             line: (LINES_PER_PAGE - 1) as u8,
             data: full,
-            word: LINE_WORDS - 1,
+            word: (LINE_WORDS - 1) as u8,
             write: true,
             wval: Some(Word(u64::MAX)),
             ts: u64::MAX,
@@ -337,32 +373,36 @@ fn rand_lane(rng: &mut SplitMix64, label: &str) -> Lane {
     )
 }
 
+/// A report with every counter drawn, and a lane half the time.
+fn rand_report(rng: &mut SplitMix64, label: &str) -> WorkerReport {
+    let mut rep = WorkerReport::default();
+    rep.cache.hits = rng.next_u64();
+    rep.cache.misses = rng.next_u64();
+    rep.cache.remote_reads = rng.next_u64();
+    rep.cache.remote_writes = rng.next_u64();
+    rep.cache.revalidations = rng.next_u64();
+    rep.cache.invalidations_sent = rng.next_u64();
+    rep.cache.invalidations_spurious = rng.next_u64();
+    rep.cache.write_track_cycles = rng.next_u64();
+    rep.cache.checks_performed = rng.next_u64();
+    rep.cache.checks_elided = rng.next_u64();
+    rep.cache.cacheable_reads = rng.next_u64();
+    rep.cache.cacheable_writes = rng.next_u64();
+    rep.pages_ever = rng.next_u64();
+    rep.words_allocated = rng.next_u64();
+    rep.served = rng.next_u64();
+    rep.deliveries = rng.next_u64();
+    rep.dupes_suppressed = rng.next_u64();
+    rep.races = (0..rng.range(0, 16)).map(|_| rand_race(rng)).collect();
+    rep.lane = rng.chance(0.5).then(|| rand_lane(rng, label));
+    rep
+}
+
 #[test]
 fn shutdown_reports_round_trip_with_and_without_lanes() {
     let mut rng = SplitMix64::new(0xdead_beef);
     for trial in 0..64 {
-        let mut rep = WorkerReport::default();
-        rep.cache.hits = rng.next_u64();
-        rep.cache.misses = rng.next_u64();
-        rep.cache.remote_reads = rng.next_u64();
-        rep.cache.remote_writes = rng.next_u64();
-        rep.cache.revalidations = rng.next_u64();
-        rep.cache.invalidations_sent = rng.next_u64();
-        rep.cache.invalidations_spurious = rng.next_u64();
-        rep.cache.write_track_cycles = rng.next_u64();
-        rep.cache.checks_performed = rng.next_u64();
-        rep.cache.checks_elided = rng.next_u64();
-        rep.cache.cacheable_reads = rng.next_u64();
-        rep.cache.cacheable_writes = rng.next_u64();
-        rep.pages_ever = rng.next_u64();
-        rep.words_allocated = rng.next_u64();
-        rep.served = rng.next_u64();
-        rep.deliveries = rng.next_u64();
-        rep.dupes_suppressed = rng.next_u64();
-        rep.races = (0..rng.range(0, 16)).map(|_| rand_race(&mut rng)).collect();
-        rep.lane = rng
-            .chance(0.5)
-            .then(|| rand_lane(&mut rng, &format!("worker{trial:02}")));
+        let rep = rand_report(&mut rng, &format!("worker{trial:02}"));
         check_reply(Reply::Report(Box::new(rep)));
     }
 }
@@ -403,29 +443,114 @@ fn hello_round_trips() {
     }
 }
 
-/// Truncated and trailing-garbage frames are rejected, never misread.
+/// `frame` with byte `at` replaced by `b`.
+fn patched(frame: &[u8], at: usize, b: u8) -> Vec<u8> {
+    let mut out = frame.to_vec();
+    out[at] = b;
+    out
+}
+
+/// The tag bytes of a pinned frame, as `(offset, first unused value)`.
+/// Offsets follow the pinned hex; an envelope's request tag follows its
+/// 16-byte `src`/`seq` header.
+fn tag_sites(frame: &Frame, len: usize) -> Vec<(usize, u8)> {
+    match frame {
+        Frame::Env(env) => {
+            let sub = match env.req {
+                Request::MigrateThread { .. } => Some((17, 2)),
+                Request::ReadHome { .. } => Some((25, 2)),
+                Request::LineFetchReq { .. } => Some((27, 2)),
+                Request::CacheLookup { .. } => Some((29, 2)),
+                Request::WriteHome { .. } => Some((33, 2)),
+                Request::RevalQuery { .. } => Some((34, 2)),
+                Request::RevalApply { .. } => Some((41, 2)),
+                Request::CacheInstall { .. } => Some((93, 2)),
+                _ => None,
+            };
+            [(16, 15)].into_iter().chain(sub).collect()
+        }
+        Frame::Reply(reply) => {
+            let sub = match reply {
+                Reply::Lookup(_) => vec![(1, 4)],
+                Reply::Report(rep) if rep.lane.is_some() => vec![(153, 2), (len - 18, 3)],
+                Reply::Report(_) => vec![(153, 2)],
+                _ => vec![],
+            };
+            [(0, 9)].into_iter().chain(sub).collect()
+        }
+    }
+}
+
+/// Truncated, padded and mis-tagged copies of every pinned frame are
+/// rejected, never misread, and no byte value anywhere in a frame makes
+/// the decoder panic.
 #[test]
 fn corrupt_frames_are_rejected() {
-    let env = Envelope {
-        src: 3,
-        seq: 9,
-        req: Request::Alloc { words: 5 },
-    };
-    let good = encode_envelope(&env);
-    for cut in 0..good.len() {
+    for (frame, _) in pinned_frames() {
+        let good = frame.encode();
+        for cut in 0..good.len() {
+            assert!(
+                frame.decode(&good[..cut]).is_err(),
+                "{frame:?}: truncation at {cut} must fail"
+            );
+        }
+        let mut padded = good.clone();
+        padded.push(0);
         assert!(
-            decode_envelope(&good[..cut]).is_err(),
-            "truncation at {cut} must fail"
+            frame.decode(&padded).is_err(),
+            "{frame:?}: trailing bytes must fail"
         );
+        for (at, unused) in tag_sites(&frame, good.len()) {
+            assert!(good[at] < unused, "{frame:?}: byte {at} is a tag");
+            for b in unused..=255 {
+                assert!(
+                    frame.decode(&patched(&good, at, b)).is_err(),
+                    "{frame:?}: tag {b} at byte {at} must fail"
+                );
+            }
+        }
+        for at in 0..good.len() {
+            for b in 0..=255 {
+                let _ = frame.decode(&patched(&good, at, b));
+            }
+        }
     }
-    let mut padded = good.clone();
-    padded.push(0);
-    assert!(
-        decode_envelope(&padded).is_err(),
-        "trailing bytes must fail"
-    );
-    assert!(decode_reply(&[99]).is_err(), "unknown reply tag must fail");
     assert!(decode_envelope(&[]).is_err(), "empty frame must fail");
+    assert!(decode_reply(&[]).is_err(), "empty frame must fail");
+}
+
+/// A `line` or `word` index past the end of its page or line is rejected
+/// at decode: a worker would otherwise read the next page's line or index
+/// past a line's words.
+#[test]
+fn out_of_range_line_and_word_indices_are_rejected() {
+    let mut sites = 0;
+    for (frame, _) in pinned_frames() {
+        let Frame::Env(env) = &frame else { continue };
+        let indices = match env.req {
+            Request::LineFetchReq { .. } | Request::SanitizeHit { .. } => {
+                vec![(25, LINES_PER_PAGE)]
+            }
+            Request::RevalQuery { .. } => vec![(25, LINES_PER_PAGE)],
+            Request::CacheLookup { .. } => vec![(26, LINES_PER_PAGE), (27, LINE_WORDS)],
+            Request::CacheInstall { .. } => vec![(26, LINES_PER_PAGE), (91, LINE_WORDS)],
+            Request::RevalApply { .. } => vec![(26, LINES_PER_PAGE), (39, LINE_WORDS)],
+            _ => vec![],
+        };
+        let good = frame.encode();
+        for (at, limit) in indices {
+            sites += 1;
+            for b in 0..=255u8 {
+                let back = frame.decode(&patched(&good, at, b));
+                assert_eq!(
+                    back.is_ok(),
+                    (b as usize) < limit,
+                    "{frame:?}: {b} at byte {at}"
+                );
+            }
+        }
+    }
+    assert_eq!(sites, 9, "every line and word field is covered");
 }
 
 // ---------------------------------------------------------------------

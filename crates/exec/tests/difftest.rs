@@ -131,6 +131,102 @@ fn null_unknown_path_parity() {
     assert_eq!(sim.stats().checks_performed, 0, "null paths skip the heap");
 }
 
+/// Fuel cuts land on the same block on both backends, wherever they
+/// fall. `main` spawns and touches a future of `body` per iteration and
+/// makes a plain call to `leaf`, which calls `twig`; every fuel value from
+/// 1 up to the uncut cost must give equal outcomes and counters. `body`'s
+/// and `leaf`'s loops run only under `main` (their top-level runs get
+/// `k <= 7`), so a trip count that rises between fuel `f` and `f + 1`
+/// shows the cut at `f` landed on that loop's body block: inside a future
+/// body, or inside a plain callee.
+#[test]
+fn every_fuel_cut_agrees_across_backends() {
+    let src = "struct s { s *n @ 80; int v; }\n\
+               int main(s *p) {\n\
+                   t = 0;\n\
+                   i = 0;\n\
+                   while (i < 3) {\n\
+                       h = futurecall body(p, i + 10);\n\
+                       c = leaf(p, i + 10);\n\
+                       touch h;\n\
+                       t = t * 31 + h * 7 + c;\n\
+                       i = i + 1;\n\
+                       p = p->n;\n\
+                   }\n\
+                   return t;\n\
+               }\n\
+               int body(s *p, int k) {\n\
+                   j = 0;\n\
+                   while (j < k - 9) { j = j + 1; }\n\
+                   return j + p->v;\n\
+               }\n\
+               int leaf(s *p, int k) {\n\
+                   m = 0;\n\
+                   while (m < k - 9) { m = m + twig(p); }\n\
+                   return m;\n\
+               }\n\
+               int twig(s *p) { return p->v; }\n";
+    let (_, _, ir) = compile(src).unwrap();
+    let ir = Arc::new(ir);
+    let run = |fuel: i64| {
+        let mut sim = OldenCtx::new(Config::olden(PROCS));
+        let out_sim = run_ir(&mut sim, &ir, 3, fuel, None);
+        let ir2 = Arc::clone(&ir);
+        let (out_exec, rep) = run_exec(ExecConfig::lockstep(PROCS), move |ctx| {
+            run_ir(ctx, &ir2, 3, fuel, None)
+        });
+        assert_eq!(out_exec, out_sim, "fuel {fuel}: values/trips diverged");
+        let diff = rep.diff_from_sim(sim.stats(), sim.cache().stats(), sim.cache().pages_cached());
+        assert_eq!(diff, None, "fuel {fuel}: counters");
+        out_sim
+    };
+    // rows[f - 1] is the outcome at fuel f; the last row is the first uncut.
+    let mut rows = vec![run(1)];
+    while rows.last().unwrap().halted {
+        assert!(
+            rows.len() < 2_000,
+            "the program should finish well within 2 000 fuel"
+        );
+        rows.push(run(rows.len() as i64 + 1));
+    }
+    assert_eq!(rows.len(), 234, "the uncut cost");
+    let keys: Vec<&str> = rows[0].trips.iter().map(|(k, _)| k.as_str()).collect();
+    assert_eq!(keys, ["main#0", "body#0", "leaf#0"]);
+    let trips = |f: usize| -> Vec<u64> { rows[f - 1].trips.iter().map(|(_, n)| *n).collect() };
+    let cuts_in = |slot: usize| -> Vec<usize> {
+        (1..rows.len())
+            .filter(|&f| trips(f + 1)[slot] > trips(f)[slot])
+            .collect()
+    };
+    assert_eq!(
+        cuts_in(1),
+        [40, 100, 108, 168, 176, 184],
+        "cuts inside a future body"
+    );
+    assert_eq!(cuts_in(2), [58, 126, 202], "cuts inside a plain callee");
+    // Every cut under `main` returns zero from it: the checksum only moves
+    // once the cuts reach the top-level runs of `body`, `leaf` and `twig`.
+    let cut_to_zero = 17531236018355781396;
+    let pinned: [(usize, u64, [u64; 3], bool); 8] = [
+        (40, cut_to_zero, [1, 0, 0], true),
+        (41, cut_to_zero, [1, 1, 0], true),
+        (58, cut_to_zero, [1, 1, 0], true),
+        (59, cut_to_zero, [1, 1, 1], true),
+        (101, cut_to_zero, [2, 2, 1], true),
+        (214, 911176399111507098, [3, 6, 3], true),
+        (233, 13756121196452938701, [3, 6, 3], true),
+        (234, 17163712724697802224, [3, 6, 3], false),
+    ];
+    for (f, checksum, t, halted) in pinned {
+        let out = &rows[f - 1];
+        assert_eq!(
+            (out.checksum, trips(f), out.halted),
+            (checksum, t.to_vec(), halted),
+            "fuel {f}"
+        );
+    }
+}
+
 /// Statement-nesting depth of a function body (while/if nesting).
 fn nesting_depth(stmts: &[Stmt]) -> usize {
     stmts

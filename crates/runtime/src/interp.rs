@@ -469,6 +469,80 @@ mod tests {
         assert_eq!(ctx.stats().touches, 1, "fire-and-forget stays untouched");
     }
 
+    /// The checksum `run_ir` folds from the top-level return values.
+    fn checksum_of(values: &[i64]) -> u64 {
+        values
+            .iter()
+            .enumerate()
+            .fold(0xcbf29ce484222325, |c, (fi, &v)| {
+                mix2(c, mix2(fi as u64, v as u64))
+            })
+    }
+
+    /// A second `futurecall` into the same register before its touch
+    /// replaces the first handle: both bodies run, one touch claims the
+    /// second body's value. (The `if` makes `h` a maybe-touched int, so
+    /// the respawn type-checks; `k` is at least 1.)
+    #[test]
+    fn respawn_before_touch_claims_the_second_body() {
+        let src = "struct s { s *n; int v; }\n\
+                   int one(s *p) { return 1; }\n\
+                   int two(s *p) { return 2; }\n\
+                   int main(s *p, int k) {\n\
+                       h = 0;\n\
+                       if (k > 0) { h = futurecall one(p); }\n\
+                       h = futurecall two(p);\n\
+                       touch h;\n\
+                       return h;\n\
+                   }\n";
+        let (out, ctx) = run_sim(src, 4);
+        assert!(!out.halted);
+        assert_eq!(ctx.stats().futures, 2);
+        assert_eq!(ctx.stats().touches, 1);
+        assert_eq!(out.checksum, checksum_of(&[1, 2, 2]));
+    }
+
+    /// `touch` of a register that never held a future is a no-op: one
+    /// some `futurecall` could have written (not on this path), and one
+    /// holding an extern's value.
+    #[test]
+    fn touch_without_a_future_is_a_noop() {
+        let src = "struct s { s *n; int v; }\n\
+                   int one(s *p) { return 1; }\n\
+                   int main(s *p, int k) {\n\
+                       x = 5;\n\
+                       if (k > 100) { x = futurecall one(p); }\n\
+                       touch x;\n\
+                       y = ext0(k);\n\
+                       touch y;\n\
+                       return x;\n\
+                   }\n";
+        let (out, ctx) = run_sim(src, 4);
+        assert!(!out.halted);
+        assert_eq!(ctx.stats().futures, 0);
+        assert_eq!(ctx.stats().touches, 0);
+        assert_eq!(out.checksum, checksum_of(&[1, 5]));
+    }
+
+    /// Fire-and-forget futures in a loop: every iteration spawns, none is
+    /// touched, and the loop runs to completion.
+    #[test]
+    fn fire_and_forget_futures_in_a_loop() {
+        let src = "struct s { s *n; int v; }\n\
+                   int one(s *p) { return 1; }\n\
+                   int main(s *p) {\n\
+                       i = 0;\n\
+                       while (i < 4) { futurecall one(p); i = i + 1; }\n\
+                       return i;\n\
+                   }\n";
+        let (out, ctx) = run_sim(src, 4);
+        assert!(!out.halted);
+        assert_eq!(ctx.stats().futures, 4);
+        assert_eq!(ctx.stats().touches, 0);
+        assert_eq!(out.trips, vec![("main#0".to_string(), 4)]);
+        assert_eq!(out.checksum, checksum_of(&[1, 4]));
+    }
+
     /// Zero-trip loops: a while whose condition is false on entry
     /// executes no body and measures zero trips.
     #[test]

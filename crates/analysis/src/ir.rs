@@ -160,23 +160,29 @@ pub enum Inst {
         func: usize,
         args: Vec<Reg>,
     },
-    /// `dst = futurecall funcs[func](args…)`: `dst` holds the pending
-    /// future until a `Touch` of the same register claims it.
+    /// `dst = futurecall funcs[func](args…)`: the pending future waits
+    /// in the frame's future slot `slot` (below [`IrFunc::nslots`]) until
+    /// a `Touch` of `dst` claims it. Every `FutureCall` writing one
+    /// register shares that register's slot.
     FutureCall {
         dst: Reg,
+        slot: usize,
         func: usize,
         args: Vec<Reg>,
     },
     /// A call to an undefined (extern) function: a deterministic pure
-    /// function of the callee name and argument values.
+    /// function of the callee name, pre-hashed into `hash` (FNV-1a), and
+    /// the argument values.
     ExternCall {
         dst: Reg,
         name: String,
+        hash: u64,
         args: Vec<Reg>,
     },
-    /// `touch reg`: claim the future pending in `reg` (no-op if `reg`
-    /// holds a plain value).
-    Touch { reg: Reg },
+    /// `touch reg`: claim the future pending in `slot`, the slot of the
+    /// `FutureCall`s writing `reg`. A no-op when `slot` is `None` (no
+    /// `FutureCall` writes `reg`) or holds no future.
+    Touch { reg: Reg, slot: Option<usize> },
 }
 
 /// Block terminators.
@@ -212,6 +218,9 @@ pub struct IrFunc {
     /// folds the value in).
     pub returns_value: bool,
     pub nregs: usize,
+    /// Future-handle slots a frame needs: one per register some
+    /// `FutureCall` writes.
+    pub nslots: usize,
     /// Entry is block 0.
     pub blocks: Vec<IrBlock>,
     /// Check sites in evaluation order, each pointing at its verdict.

@@ -124,6 +124,8 @@ struct FnLower<'a> {
     /// in pre-order as lowering encounters them.
     while_slots: Vec<usize>,
     next_while: usize,
+    /// Future slot of each register some `FutureCall` writes.
+    future_slots: HashMap<Reg, usize>,
 }
 
 struct BlockBuf {
@@ -150,6 +152,18 @@ impl<'a> FnLower<'a> {
 
     fn emit(&mut self, inst: Inst) {
         self.blocks[self.cur].insts.push(inst);
+    }
+
+    /// Emit `dst = futurecall funcs[func](args…)` in `dst`'s future slot.
+    fn emit_future(&mut self, dst: Reg, func: usize, args: Vec<Reg>) {
+        let next = self.future_slots.len();
+        let slot = *self.future_slots.entry(dst).or_insert(next);
+        self.emit(Inst::FutureCall {
+            dst,
+            slot,
+            func,
+            args,
+        });
     }
 
     fn new_block(&mut self) -> BlockId {
@@ -249,12 +263,11 @@ impl<'a> FnLower<'a> {
                         // before its value can be used (typeck enforces
                         // assignment-then-touch; this keeps stray shapes
                         // total).
-                        self.emit(Inst::FutureCall {
-                            dst,
-                            func: fi,
-                            args: arg_regs,
+                        self.emit_future(dst, fi, arg_regs);
+                        self.emit(Inst::Touch {
+                            reg: dst,
+                            slot: None,
                         });
-                        self.emit(Inst::Touch { reg: dst });
                     }
                     Some(&fi) => self.emit(Inst::Call {
                         dst,
@@ -264,6 +277,7 @@ impl<'a> FnLower<'a> {
                     None => self.emit(Inst::ExternCall {
                         dst,
                         name: func.clone(),
+                        hash: fnv1a(func),
                         args: arg_regs,
                     }),
                 }
@@ -326,11 +340,7 @@ impl<'a> FnLower<'a> {
                             .map(|a| self.lower_expr(a))
                             .collect::<Result<Vec<_>, _>>()?;
                         let dreg = self.var(dst);
-                        self.emit(Inst::FutureCall {
-                            dst: dreg,
-                            func: fi,
-                            args: arg_regs,
-                        });
+                        self.emit_future(dreg, fi, arg_regs);
                         return Ok(());
                     }
                 }
@@ -428,11 +438,7 @@ impl<'a> FnLower<'a> {
                             .map(|a| self.lower_expr(a))
                             .collect::<Result<Vec<_>, _>>()?;
                         let dst = self.fresh();
-                        self.emit(Inst::FutureCall {
-                            dst,
-                            func: fi,
-                            args: arg_regs,
-                        });
+                        self.emit_future(dst, fi, arg_regs);
                         return Ok(());
                     }
                 }
@@ -441,7 +447,7 @@ impl<'a> FnLower<'a> {
             }
             Stmt::Touch { var, .. } => {
                 let r = self.var(var);
-                self.emit(Inst::Touch { reg: r });
+                self.emit(Inst::Touch { reg: r, slot: None });
                 Ok(())
             }
             Stmt::Return(e) => {
@@ -481,6 +487,7 @@ fn lower_func(
         next_verdict: 0,
         while_slots,
         next_while: 0,
+        future_slots: HashMap::new(),
     };
     lw.new_block();
     for p in &func.params {
@@ -520,13 +527,23 @@ fn lower_func(
         })
         .collect();
     let returns_value = func.ret.name != "void" || func.ret.is_pointer;
+    // A touch can precede the futurecall it claims (across a loop's back
+    // edge), so touches take their slots once every call is lowered.
+    let slots = &lw.future_slots;
     let blocks = lw
         .blocks
         .into_iter()
-        .map(|b| IrBlock {
-            insts: b.insts,
-            term: b.term.unwrap_or(Term::Ret(None)),
-            trip_slot: b.trip_slot,
+        .map(|mut b| {
+            for inst in &mut b.insts {
+                if let Inst::Touch { reg, slot } = inst {
+                    *slot = slots.get(reg).copied();
+                }
+            }
+            IrBlock {
+                insts: b.insts,
+                term: b.term.unwrap_or(Term::Ret(None)),
+                trip_slot: b.trip_slot,
+            }
         })
         .collect();
     Ok(IrFunc {
@@ -534,9 +551,17 @@ fn lower_func(
         params,
         returns_value,
         nregs: lw.nregs,
+        nslots: slots.len(),
         blocks,
         sites: lw.sites,
         rec_slot,
+    })
+}
+
+/// FNV-1a of an extern callee's name: the seed of its value hash.
+fn fnv1a(name: &str) -> u64 {
+    name.bytes().fold(0xcbf29ce484222325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x100000001b3)
     })
 }
 
@@ -662,6 +687,53 @@ mod tests {
                 "seed {seed}: every control loop owns exactly one trip slot"
             );
         }
+    }
+
+    /// Lowering fixes every future slot and extern hash the interpreter
+    /// indexes: each `FutureCall` slot is in range and shared by the calls
+    /// writing one register, a `Touch` has a slot exactly when some
+    /// `FutureCall` writes its register (and it is that call's slot), and
+    /// each extern carries its name's FNV-1a hash.
+    #[test]
+    fn future_slots_and_extern_hashes_are_fixed_at_lowering() {
+        let (mut touches, mut externs) = (0, 0);
+        for seed in 0..300 {
+            let prog = gen_program(seed);
+            let ir = lower_ir(&prog, &mech_table(&prog)).unwrap();
+            for f in &ir.funcs {
+                let insts: Vec<&Inst> = f.blocks.iter().flat_map(|b| &b.insts).collect();
+                let mut slot_of = HashMap::new();
+                for inst in &insts {
+                    if let Inst::FutureCall { dst, slot, .. } = inst {
+                        assert!(*slot < f.nslots, "seed {seed} {}", f.name);
+                        let first = *slot_of.entry(*dst).or_insert(*slot);
+                        assert_eq!(
+                            first, *slot,
+                            "seed {seed} {}: one slot per register",
+                            f.name
+                        );
+                    }
+                }
+                for inst in &insts {
+                    match inst {
+                        Inst::Touch { reg, slot } => {
+                            assert_eq!(*slot, slot_of.get(reg).copied(), "seed {seed} {}", f.name);
+                            touches += 1;
+                        }
+                        Inst::ExternCall { name, hash, .. } => {
+                            let mut h = 0xcbf29ce484222325u64;
+                            for byte in name.bytes() {
+                                h = (h ^ u64::from(byte)).wrapping_mul(0x100000001b3);
+                            }
+                            assert_eq!(*hash, h, "seed {seed} {name}");
+                            externs += 1;
+                        }
+                        _ => {}
+                    }
+                }
+            }
+        }
+        assert!(touches > 0 && externs > 0, "the seeds exercise both");
     }
 
     /// Field slots are global: structs sharing a field name share its

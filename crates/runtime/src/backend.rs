@@ -37,7 +37,7 @@ use olden_gptr::{GPtr, ProcId, Word};
 /// of the paper for the source semantics.
 pub trait Backend: Sized {
     /// A pending future's value, claimed by [`Backend::touch`].
-    type Handle<T: Send + 'static>;
+    type Handle<T: Send + 'static>: Send;
 
     /// Number of processors in this configuration (for placement math).
     fn nprocs(&self) -> usize;

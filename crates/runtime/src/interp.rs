@@ -9,6 +9,13 @@
 //! testing possible: the *same* program, under the *same* olden-select
 //! verdicts, on executors that must agree byte-for-byte.
 //!
+//! A logical thread is a small record: a register stack whose windows
+//! are its frames, the future handles beside them, and its fuel. A call
+//! pushes its arguments on top and the callee's frame starts there; a
+//! future body runs on a stack of its own, recycled within the run.
+//! Lowering fixes every index a step needs (registers, future slots,
+//! extern hashes), so a step only indexes and never allocates.
+//!
 //! ## Determinism contract
 //!
 //! Every semantic decision here is a pure function of computed values,
@@ -25,9 +32,9 @@
 //!   hash of the callee name and argument values.
 //! * **Arithmetic** wraps; division and remainder by zero yield zero.
 //! * **Runaway programs** (generated heap cycles or unbounded mutual
-//!   recursion) are cut by an instruction *fuel* budget and a call-depth
-//!   cap — both counted in execution order, so the cut lands on the same
-//!   instruction everywhere.
+//!   recursion) are cut by a *fuel* budget ([`DEFAULT_FUEL`]) and a
+//!   call-depth cap — both counted in execution order, so the cut lands
+//!   on the same block everywhere.
 
 use crate::backend::Backend;
 use crate::config::Mechanism;
@@ -35,13 +42,18 @@ use olden_analysis::ir::{BinOp, Inst, IrProgram, IrSite, IrTy, Term, UnOp};
 use olden_analysis::Mech;
 use olden_gptr::{GPtr, ProcId, Word};
 use olden_rng::{mix2, SplitMix64};
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering::Relaxed};
+use std::sync::{Arc, Mutex};
 
-/// Default instruction budget for one program run: far above what any
-/// generated program needs to terminate, small enough that a generated
-/// heap cycle or accidental mutual recursion halts in microseconds.
+/// Default fuel for one program run: far above what any generated
+/// program needs, small enough that a heap cycle or runaway recursion
+/// halts in microseconds. Entering a block costs its instruction count
+/// plus one; the block is refused, halting the run, when the fuel left
+/// is ≤ that cost. A thread counts fuel in its own record and syncs with
+/// the run's cell only at `futurecall` and `touch`, by plain loads and
+/// stores: exact wherever bodies run inline (the simulator and lockstep,
+/// every `run_ir` caller). In parallel mode a reload keeps the minimum,
+/// so no thread's count ever rises and runs still halt.
 pub const DEFAULT_FUEL: i64 = 60_000;
 
 /// Call-depth cap (stack safety on worker threads; generated recursion
@@ -64,10 +76,7 @@ pub enum Value {
 
 impl Value {
     fn truthy(self) -> bool {
-        match self {
-            Value::Int(n) => n != 0,
-            Value::Ptr(p) => !p.is_null(),
-        }
+        self.as_i64() != 0
     }
 
     /// Integer view. Pointers coerce to 0/1 (null/non-null), never to
@@ -90,21 +99,33 @@ impl Value {
     /// Backend-independent digest for checksums and extern hashing:
     /// integers contribute their bits, pointers only their nullness.
     fn digest(self) -> u64 {
-        match self {
-            Value::Int(n) => n as u64,
-            Value::Ptr(p) => u64::from(!p.is_null()),
-        }
+        self.as_i64() as u64
     }
 }
 
-/// Shared run accounting: instruction fuel, per-control-loop trip
-/// counters (indexed like `IrProgram::trip_keys`), and whether any
-/// budget cut fired.
-struct RunState {
+/// One run, shared by its threads: the program, the fuel cell they
+/// sync through, trip counters (indexed like `IrProgram::trip_keys`,
+/// bumped by plain load and store: exact where fuel is), whether a cut
+/// fired, and finished future bodies' stacks for later spawns to reuse.
+struct Run<B: Backend> {
+    prog: Arc<IrProgram>,
+    /// Override every site's mechanism (the flip experiment); `None`
+    /// honors the live olden-select verdicts baked into the IR.
+    force: Option<Mech>,
     fuel: AtomicI64,
     halted: AtomicBool,
     trips: Vec<AtomicU64>,
+    spare: Mutex<Vec<(Vec<Value>, Handles<B>)>>,
 }
+
+/// A logical thread: its register and future-handle stacks, fuel left.
+struct Thread<B: Backend> {
+    regs: Vec<Value>,
+    futs: Handles<B>,
+    fuel: i64,
+}
+
+type Handles<B> = Vec<Option<<B as Backend>::Handle<Value>>>;
 
 /// What one IR run produced, beyond the backend's own counters.
 #[derive(Clone, Debug, PartialEq)]
@@ -120,16 +141,7 @@ pub struct RunOutcome {
     pub halted: bool,
 }
 
-#[derive(Clone)]
-struct Interp {
-    prog: Arc<IrProgram>,
-    state: Arc<RunState>,
-    /// Override every site's mechanism (the flip experiment); `None`
-    /// honors the live olden-select verdicts baked into the IR.
-    force: Option<Mech>,
-}
-
-impl Interp {
+impl<B: Backend + 'static> Run<B> {
     fn mech(&self, site: &IrSite) -> Mechanism {
         match self.force.unwrap_or(site.mech) {
             Mech::Migrate => Mechanism::Migrate,
@@ -137,147 +149,153 @@ impl Interp {
         }
     }
 
-    /// A DSL-level call: a procedure-call boundary on the backend, like
-    /// the hand-written kernels wrap every call.
-    fn call_func<B: Backend>(&self, ctx: &mut B, fi: usize, args: Vec<Value>, depth: u32) -> Value {
-        ctx.call(|c| self.exec_func(c, fi, args, depth))
-    }
-
-    fn exec_func<B: Backend>(&self, ctx: &mut B, fi: usize, args: Vec<Value>, depth: u32) -> Value {
+    /// A DSL-level call of `funcs[fi]` whose arguments start at `base`
+    /// of `t.regs`: a procedure-call boundary on the backend, like the
+    /// hand-written kernels wrap every call. Pops the frame on return.
+    fn call(
+        self: &Arc<Self>,
+        ctx: &mut B,
+        t: &mut Thread<B>,
+        fi: usize,
+        base: usize,
+        depth: u32,
+    ) -> Value {
         let f = &self.prog.funcs[fi];
-        if depth > MAX_CALL_DEPTH {
-            self.state.halted.store(true, Ordering::Relaxed);
-            return Value::Int(0);
-        }
-        if let Some(slot) = f.rec_slot {
-            self.state.trips[slot].fetch_add(1, Ordering::Relaxed);
-        }
-        let mut regs = vec![Value::Int(0); f.nregs.max(args.len())];
-        regs[..args.len()].copy_from_slice(&args);
-        let mut futures: HashMap<usize, B::Handle<Value>> = HashMap::new();
-        let mut bi = 0usize;
-        loop {
-            let b = &f.blocks[bi];
-            let cost = b.insts.len() as i64 + 1;
-            if self.state.fuel.fetch_sub(cost, Ordering::Relaxed) <= cost {
-                self.state.halted.store(true, Ordering::Relaxed);
+        let (top, fut) = (t.regs.len().max(base + f.nregs), t.futs.len());
+        t.regs.resize(top, Value::Int(0));
+        t.futs.resize_with(fut + f.nslots, || None);
+        let v = ctx.call(|ctx| {
+            if depth > MAX_CALL_DEPTH {
+                self.halted.store(true, Relaxed);
                 return Value::Int(0);
             }
-            if let Some(slot) = b.trip_slot {
-                self.state.trips[slot].fetch_add(1, Ordering::Relaxed);
+            if let Some(i) = f.rec_slot {
+                self.trips[i].store(self.trips[i].load(Relaxed) + 1, Relaxed);
             }
-            for inst in &b.insts {
-                match inst {
-                    Inst::ConstInt { dst, val } => regs[*dst] = Value::Int(*val),
-                    Inst::ConstNull { dst } => regs[*dst] = Value::Ptr(GPtr::NULL),
-                    Inst::Copy { dst, src } => regs[*dst] = regs[*src],
-                    Inst::Un { dst, op, arg } => {
-                        let a = regs[*arg];
-                        regs[*dst] = Value::Int(match op {
-                            UnOp::Neg => a.as_i64().wrapping_neg(),
-                            UnOp::Not => i64::from(!a.truthy()),
-                        });
-                    }
-                    Inst::Bin { dst, op, lhs, rhs } => {
-                        regs[*dst] = bin_op(*op, regs[*lhs], regs[*rhs]);
-                    }
-                    Inst::Load { dst, base, site } => {
-                        let s = &f.sites[*site];
-                        regs[*dst] = match regs[*base] {
+            let mut bi = 0usize;
+            loop {
+                let b = &f.blocks[bi];
+                t.fuel -= b.insts.len() as i64 + 1;
+                if t.fuel <= 0 {
+                    self.halted.store(true, Relaxed);
+                    return Value::Int(0);
+                }
+                if let Some(i) = b.trip_slot {
+                    self.trips[i].store(self.trips[i].load(Relaxed) + 1, Relaxed);
+                }
+                for inst in &b.insts {
+                    let regs = &mut t.regs[base..];
+                    match inst {
+                        Inst::ConstInt { dst, val } => regs[*dst] = Value::Int(*val),
+                        Inst::ConstNull { dst } => regs[*dst] = Value::Ptr(GPtr::NULL),
+                        Inst::Copy { dst, src } => regs[*dst] = regs[*src],
+                        Inst::Un { dst, op, arg } => {
+                            let a = regs[*arg];
+                            regs[*dst] = Value::Int(match op {
+                                UnOp::Neg => a.as_i64().wrapping_neg(),
+                                UnOp::Not => i64::from(!a.truthy()),
+                            });
+                        }
+                        Inst::Bin { dst, op, lhs, rhs } => {
+                            regs[*dst] = bin_op(*op, regs[*lhs], regs[*rhs]);
+                        }
+                        Inst::Load { dst, base, site } => {
+                            let s = &f.sites[*site];
+                            // A null (or non-pointer) base reads zero, no heap.
+                            let w = match regs[*base] {
+                                Value::Ptr(p) if !p.is_null() => ctx.read(p, s.field, self.mech(s)),
+                                _ => Word::ZERO,
+                            };
+                            regs[*dst] = match s.loads_ptr {
+                                true => Value::Ptr(w.as_ptr()),
+                                false => Value::Int(w.as_i64()),
+                            };
+                        }
+                        Inst::Store { base, src, site } => match regs[*base] {
                             Value::Ptr(p) if !p.is_null() => {
-                                let w = ctx.read(p, s.field, self.mech(s));
-                                if s.loads_ptr {
-                                    Value::Ptr(w.as_ptr())
-                                } else {
-                                    Value::Int(w.as_i64())
-                                }
-                            }
-                            // Null (or non-pointer) base: the field
-                            // type's zero, no heap traffic.
-                            _ if s.loads_ptr => Value::Ptr(GPtr::NULL),
-                            _ => Value::Int(0),
-                        };
-                    }
-                    Inst::Store { base, src, site } => {
-                        let s = &f.sites[*site];
-                        if let Value::Ptr(p) = regs[*base] {
-                            if !p.is_null() {
+                                let s = &f.sites[*site];
                                 ctx.write_word(p, s.field, regs[*src].word(), self.mech(s));
                             }
+                            _ => {}
+                        },
+                        Inst::Call { dst, func, args } => {
+                            let top = t.regs.len();
+                            for &r in args {
+                                t.regs.push(t.regs[base + r]);
+                            }
+                            t.regs[base + dst] = self.call(ctx, t, *func, top, depth + 1);
                         }
-                    }
-                    Inst::Call { dst, func, args } => {
-                        let argv: Vec<Value> = args.iter().map(|&r| regs[r]).collect();
-                        regs[*dst] = self.call_func(ctx, *func, argv, depth + 1);
-                    }
-                    Inst::FutureCall { dst, func, args } => {
-                        let argv: Vec<Value> = args.iter().map(|&r| regs[r]).collect();
-                        let me = self.clone();
-                        let (callee, d) = (*func, depth + 1);
-                        let h = ctx.future_call(move |c| me.call_func(c, callee, argv, d));
-                        futures.insert(*dst, h);
-                        regs[*dst] = Value::Int(0);
-                    }
-                    Inst::ExternCall { dst, name, args } => {
-                        let mut h = 0xcbf29ce484222325u64;
-                        for byte in name.bytes() {
-                            h = (h ^ u64::from(byte)).wrapping_mul(0x100000001b3);
+                        Inst::FutureCall {
+                            dst,
+                            slot,
+                            func,
+                            args,
+                        } => {
+                            let (run, callee, d) = (Arc::clone(self), *func, depth + 1);
+                            let (mut regs, futs) =
+                                self.spare.lock().unwrap().pop().unwrap_or_default();
+                            regs.extend(args.iter().map(|&r| t.regs[base + r]));
+                            t.regs[base + dst] = Value::Int(0);
+                            self.fuel.store(t.fuel, Relaxed);
+                            let h = ctx.future_call(move |c| {
+                                let fuel = run.fuel.load(Relaxed);
+                                let mut body = Thread { regs, futs, fuel };
+                                let v = run.call(c, &mut body, callee, 0, d);
+                                run.fuel.store(body.fuel, Relaxed);
+                                run.spare.lock().unwrap().push((body.regs, body.futs));
+                                v
+                            });
+                            t.fuel = t.fuel.min(self.fuel.load(Relaxed));
+                            t.futs[fut + slot] = Some(h);
                         }
-                        for &r in args {
-                            h = mix2(h, regs[r].digest());
+                        Inst::ExternCall {
+                            dst, hash, args, ..
+                        } => {
+                            let h = args.iter().fold(*hash, |h, &r| mix2(h, regs[r].digest()));
+                            regs[*dst] = Value::Int((h % 97) as i64);
                         }
-                        regs[*dst] = Value::Int((h % 97) as i64);
-                    }
-                    Inst::Touch { reg } => {
-                        if let Some(h) = futures.remove(reg) {
-                            regs[*reg] = ctx.touch(h);
+                        Inst::Touch { reg, slot } => {
+                            if let Some(h) = slot.and_then(|s| t.futs[fut + s].take()) {
+                                regs[*reg] = ctx.touch(h);
+                                t.fuel = t.fuel.min(self.fuel.load(Relaxed));
+                            }
                         }
                     }
                 }
-            }
-            match &b.term {
-                Term::Jump(t) => bi = *t,
-                Term::Branch { cond, then_, else_ } => {
-                    bi = if regs[*cond].truthy() { *then_ } else { *else_ };
+                let regs = &t.regs[base..];
+                match &b.term {
+                    Term::Jump(to) => bi = *to,
+                    Term::Branch { cond, then_, else_ } => {
+                        bi = if regs[*cond].truthy() { *then_ } else { *else_ };
+                    }
+                    Term::Ret(r) => return r.map_or(Value::Int(0), |r| regs[r]),
                 }
-                Term::Ret(Some(r)) => return regs[*r],
-                Term::Ret(None) => return Value::Int(0),
             }
-        }
+        });
+        t.regs.truncate(base);
+        t.futs.truncate(fut);
+        v
     }
 }
 
 fn bin_op(op: BinOp, l: Value, r: Value) -> Value {
     // Pointer identity (`p == q` between two pointer registers) compares
-    // the actual references: whether two registers name the same object
+    // the references' bits: whether two registers name the same object
     // is a program property, equal on every backend, unlike any ordering
     // or arithmetic over raw addresses (which `as_i64` refuses to leak).
-    if let (Value::Ptr(p), Value::Ptr(q)) = (l, r) {
-        match op {
-            BinOp::Eq => return Value::Int(i64::from(p.bits() == q.bits())),
-            BinOp::Ne => return Value::Int(i64::from(p.bits() != q.bits())),
-            _ => {}
+    let (a, b) = match (l, r) {
+        (Value::Ptr(p), Value::Ptr(q)) if matches!(op, BinOp::Eq | BinOp::Ne) => {
+            (p.bits() as i64, q.bits() as i64)
         }
-    }
-    let (a, b) = (l.as_i64(), r.as_i64());
+        _ => (l.as_i64(), r.as_i64()),
+    };
     Value::Int(match op {
         BinOp::Add => a.wrapping_add(b),
         BinOp::Sub => a.wrapping_sub(b),
         BinOp::Mul => a.wrapping_mul(b),
-        BinOp::Div => {
-            if b == 0 {
-                0
-            } else {
-                a.wrapping_div(b)
-            }
-        }
-        BinOp::Rem => {
-            if b == 0 {
-                0
-            } else {
-                a.wrapping_rem(b)
-            }
-        }
+        BinOp::Div | BinOp::Rem if b == 0 => 0,
+        BinOp::Div => a.wrapping_div(b),
+        BinOp::Rem => a.wrapping_rem(b),
         BinOp::Eq => i64::from(a == b),
         BinOp::Ne => i64::from(a != b),
         BinOp::Lt => i64::from(a < b),
@@ -312,13 +330,7 @@ fn build_node<B: Backend>(
     let p = ctx.alloc(proc as ProcId, s.words);
     for fld in &s.fields {
         if fld.is_pointer {
-            let extend = match depth {
-                0 => 0.95,
-                1 => 0.80,
-                2 => 0.60,
-                3 => 0.40,
-                _ => 0.20,
-            };
+            let extend = [0.95, 0.80, 0.60, 0.40, 0.20][depth.min(4) as usize];
             let child = match fld.target {
                 Some(t) if rng.chance(extend) => {
                     let child_proc = if nprocs > 1 && !rng.chance(fld.affinity) {
@@ -343,23 +355,21 @@ fn build_node<B: Backend>(
 /// function under a procedure-call boundary, and fold the returns into a
 /// checksum. `force` overrides every site's mechanism; `None` executes
 /// the live olden-select verdicts.
-pub fn run_ir<B: Backend>(
+pub fn run_ir<B: Backend + 'static>(
     ctx: &mut B,
     prog: &Arc<IrProgram>,
     seed: u64,
     fuel: i64,
     force: Option<Mech>,
 ) -> RunOutcome {
-    let state = Arc::new(RunState {
+    let run = Arc::new(Run {
+        prog: Arc::clone(prog),
+        force,
         fuel: AtomicI64::new(fuel),
         halted: AtomicBool::new(false),
         trips: prog.trip_keys.iter().map(|_| AtomicU64::new(0)).collect(),
+        spare: Mutex::new(Vec::new()),
     });
-    let interp = Interp {
-        prog: Arc::clone(prog),
-        state: Arc::clone(&state),
-        force,
-    };
     let mut rng = SplitMix64::new(mix2(seed, 0x01dead5eed));
     let mut checksum = 0xcbf29ce484222325u64;
     let nprocs = ctx.nprocs();
@@ -372,40 +382,30 @@ pub fn run_ir<B: Backend>(
     // other — making a later cached read see the stale pre-build
     // snapshot on exactly one side. With no allocation after the first
     // charged read, the scenario cannot arise.
-    let all_args: Vec<Vec<Value>> = prog
-        .funcs
-        .iter()
-        .map(|f| {
-            f.params
-                .iter()
-                .map(|ty| match ty {
-                    IrTy::Int => Value::Int(rng.below(7) as i64 + 1),
-                    IrTy::Ptr(si) => {
-                        let root_proc = rng.below(nprocs as u64) as usize;
-                        let (si, r) = (*si, &mut rng);
-                        let ptr = ctx.uncharged(|c| {
-                            let mut budget = BUILD_NODES;
-                            build_node(c, prog, r, si, root_proc, 0, &mut budget)
-                        });
-                        Value::Ptr(ptr)
-                    }
-                })
-                .collect()
-        })
-        .collect();
-    for (fi, args) in all_args.into_iter().enumerate() {
-        let v = interp.call_func(ctx, fi, args, 0);
+    let build = |ty: &IrTy| match *ty {
+        IrTy::Int => Value::Int(rng.below(7) as i64 + 1),
+        IrTy::Ptr(si) => {
+            let root_proc = rng.below(nprocs as u64) as usize;
+            Value::Ptr(ctx.uncharged(|c| {
+                let mut budget = BUILD_NODES;
+                build_node(c, prog, &mut rng, si, root_proc, 0, &mut budget)
+            }))
+        }
+    };
+    let params = prog.funcs.iter().flat_map(|f| &f.params);
+    let mut args = params.map(build).collect::<Vec<_>>().into_iter();
+    let (regs, futs) = (Vec::new(), Vec::new());
+    let mut t = Thread { regs, futs, fuel };
+    for (fi, f) in prog.funcs.iter().enumerate() {
+        t.regs.extend(args.by_ref().take(f.params.len()));
+        let v = run.call(ctx, &mut t, fi, 0, 0);
         checksum = mix2(checksum, mix2(fi as u64, v.digest()));
     }
+    let trips = prog.trip_keys.iter().zip(&run.trips);
     RunOutcome {
         checksum,
-        trips: prog
-            .trip_keys
-            .iter()
-            .zip(&state.trips)
-            .map(|(k, t)| (k.clone(), t.load(Ordering::Relaxed)))
-            .collect(),
-        halted: state.halted.load(Ordering::Relaxed),
+        trips: trips.map(|(k, n)| (k.clone(), n.load(Relaxed))).collect(),
+        halted: run.halted.load(Relaxed),
     }
 }
 

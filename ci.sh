@@ -22,7 +22,8 @@
 #   predict         -> select_parity.rs (the stage asserted only "parses")
 #   perf-smoke      -> counters: the `run` row of goldens_are_current
 #                      (tests/golden/oldenc-run.txt); wall time: perf/
-#                      (bench-harness below builds and smoke-runs it)
+#                      (bench-harness below builds it, smoke-runs it,
+#                      self-tests its pins and runs its unit tests)
 #
 # Every sim-vs-backend sweep likewise runs once. The tests that re-ran
 # a sweep a golden row already runs are gone; each assertion they made
@@ -158,10 +159,17 @@ stage "net-parity" net_parity
 # crates/*, so a refactor can break it without the workspace build or
 # tests noticing: perf/src/layers.rs builds `Request` values by field
 # name, so renaming a field of the message table in exec/src/msg.rs or
-# changing its type breaks perf/ alone. The smoke run builds it and
-# checks every workload's outputs and every BENCHMARK.json metric name
-# (no timing verdicts).
-# Exit 3 is its "loopback TCP unavailable" code, as for net-parity.
+# changing its type breaks perf/ alone. Three checks, in order:
+#   --smoke      builds the harness and checks every workload's outputs
+#                (the perf/expected/seed0.json pins, among them every
+#                interpreted program's checksum) and every BENCHMARK.json
+#                metric name; no timing verdicts;
+#   --self-test  (~1 s) proves those pins can fail: with one pinned value
+#                flipped, sim-kernels, dsl-compile and dsl-interp must
+#                each count failed jobs and exit non-zero;
+#   perf's own unit tests, built beside the harness in target/perf.
+# Exit 3 is the smoke's "loopback TCP unavailable" code, as for
+# net-parity.
 bench_harness() {
     local rc=0
     bash perf/run.sh --smoke || rc=$?
@@ -169,7 +177,9 @@ bench_harness() {
         echo "    (bench harness skipped: loopback TCP unavailable)"
         return 0
     fi
-    return "$rc"
+    [ "$rc" -eq 0 ] || return "$rc"
+    bash perf/run.sh --self-test
+    CARGO_TARGET_DIR=target/perf cargo test --manifest-path perf/Cargo.toml -q
 }
 
 stage "bench-harness" bench_harness

@@ -171,14 +171,9 @@ pub enum Inst {
         args: Vec<Reg>,
     },
     /// A call to an undefined (extern) function: a deterministic pure
-    /// function of the callee name, pre-hashed into `hash` (FNV-1a), and
-    /// the argument values.
-    ExternCall {
-        dst: Reg,
-        name: String,
-        hash: u64,
-        args: Vec<Reg>,
-    },
+    /// function of the callee name, pre-hashed at lowering into `hash`
+    /// (FNV-1a), and the argument values.
+    ExternCall { dst: Reg, hash: u64, args: Vec<Reg> },
     /// `touch reg`: claim the future pending in `slot`, the slot of the
     /// `FutureCall`s writing `reg`. A no-op when `slot` is `None` (no
     /// `FutureCall` writes `reg`) or holds no future.

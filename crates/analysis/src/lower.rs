@@ -16,7 +16,10 @@
 //! than guess if its rendering of the site ever disagrees with the
 //! verdict's. Trip slots come from the same table's selection. The IR
 //! interpreter thereby honors the live olden-select verdicts without any
-//! name-based lookup at run time.
+//! name-based lookup at run time. The same holds for futures and externs:
+//! each register a `futurecall` writes gets a future slot, every `touch`
+//! of it names that slot, and each extern call carries its callee name's
+//! hash, so the interpreter indexes instead of looking anything up.
 
 use crate::ast::{Expr, FuncDef, Program, Stmt};
 use crate::cost::keys_of;
@@ -276,7 +279,6 @@ impl<'a> FnLower<'a> {
                     }),
                     None => self.emit(Inst::ExternCall {
                         dst,
-                        name: func.clone(),
                         hash: fnv1a(func),
                         args: arg_regs,
                     }),
@@ -693,47 +695,73 @@ mod tests {
     /// indexes: each `FutureCall` slot is in range and shared by the calls
     /// writing one register, a `Touch` has a slot exactly when some
     /// `FutureCall` writes its register (and it is that call's slot), and
-    /// each extern carries its name's FNV-1a hash.
+    /// the extern calls carry the FNV-1a hashes of the source's extern
+    /// callee names, one each. The generated seeds never write one
+    /// register by two `futurecall`s, so a hand-written respawn joins them.
     #[test]
     fn future_slots_and_extern_hashes_are_fixed_at_lowering() {
-        let (mut touches, mut externs) = (0, 0);
-        for seed in 0..300 {
-            let prog = gen_program(seed);
+        let fnv = |name: &str| {
+            let mut h = 0xcbf29ce484222325u64;
+            for byte in name.bytes() {
+                h = (h ^ u64::from(byte)).wrapping_mul(0x100000001b3);
+            }
+            h
+        };
+        let respawn = "struct s { s *n; int v; }\n\
+                       int one(s *p) { return 1; }\n\
+                       int main(s *p, int k) {\n\
+                           h = 0;\n\
+                           if (k > 0) { h = futurecall one(p); }\n\
+                           h = futurecall one(p);\n\
+                           touch h;\n\
+                           return h;\n\
+                       }\n";
+        let respawn = ("respawn".to_string(), crate::parse(respawn).unwrap());
+        let generated = (0..300).map(|seed| (format!("seed {seed}"), gen_program(seed)));
+        let (mut touches, mut externs, mut shared) = (0, 0, 0);
+        for (seed, prog) in generated.chain([respawn]) {
             let ir = lower_ir(&prog, &mech_table(&prog)).unwrap();
-            for f in &ir.funcs {
+            for (f, def) in ir.funcs.iter().zip(&prog.funcs) {
                 let insts: Vec<&Inst> = f.blocks.iter().flat_map(|b| &b.insts).collect();
                 let mut slot_of = HashMap::new();
                 for inst in &insts {
                     if let Inst::FutureCall { dst, slot, .. } = inst {
-                        assert!(*slot < f.nslots, "seed {seed} {}", f.name);
+                        assert!(*slot < f.nslots, "{seed} {}", f.name);
+                        shared += usize::from(slot_of.contains_key(dst));
                         let first = *slot_of.entry(*dst).or_insert(*slot);
-                        assert_eq!(
-                            first, *slot,
-                            "seed {seed} {}: one slot per register",
-                            f.name
-                        );
+                        assert_eq!(first, *slot, "{seed} {}: one slot per register", f.name);
                     }
                 }
+                let mut hashes = Vec::new();
                 for inst in &insts {
                     match inst {
                         Inst::Touch { reg, slot } => {
-                            assert_eq!(*slot, slot_of.get(reg).copied(), "seed {seed} {}", f.name);
+                            assert_eq!(*slot, slot_of.get(reg).copied(), "{seed} {}", f.name);
                             touches += 1;
                         }
-                        Inst::ExternCall { name, hash, .. } => {
-                            let mut h = 0xcbf29ce484222325u64;
-                            for byte in name.bytes() {
-                                h = (h ^ u64::from(byte)).wrapping_mul(0x100000001b3);
-                            }
-                            assert_eq!(*hash, h, "seed {seed} {name}");
-                            externs += 1;
-                        }
+                        Inst::ExternCall { hash, .. } => hashes.push(*hash),
                         _ => {}
                     }
                 }
+                let mut named = Vec::new();
+                crate::ast::walk_stmts(&def.body, &mut |s| {
+                    s.exprs(&mut |e| match e {
+                        Expr::Call { func, .. } if prog.func(func).is_none() => {
+                            named.push(fnv(func))
+                        }
+                        _ => {}
+                    })
+                });
+                hashes.sort_unstable();
+                named.sort_unstable();
+                assert_eq!(hashes, named, "{seed} {}", f.name);
+                externs += hashes.len();
             }
         }
-        assert!(touches > 0 && externs > 0, "the seeds exercise both");
+        assert!(
+            touches > 0 && externs > 0 && shared > 0,
+            "every case is exercised"
+        );
     }
 
     /// Field slots are global: structs sharing a field name share its

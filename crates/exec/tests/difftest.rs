@@ -131,42 +131,43 @@ fn null_unknown_path_parity() {
     assert_eq!(sim.stats().checks_performed, 0, "null paths skip the heap");
 }
 
+/// `main` spawns and touches a future of `body` per iteration and makes
+/// a plain call to `leaf`, which calls `twig`. `body`'s and `leaf`'s
+/// loops run only under `main`: their top-level runs get `k <= 7`.
+const NESTED_FUTURES: &str = "struct s { s *n @ 80; int v; }\n\
+    int main(s *p) {\n\
+        t = 0;\n\
+        i = 0;\n\
+        while (i < 3) {\n\
+            h = futurecall body(p, i + 10);\n\
+            c = leaf(p, i + 10);\n\
+            touch h;\n\
+            t = t * 31 + h * 7 + c;\n\
+            i = i + 1;\n\
+            p = p->n;\n\
+        }\n\
+        return t;\n\
+    }\n\
+    int body(s *p, int k) {\n\
+        j = 0;\n\
+        while (j < k - 9) { j = j + 1; }\n\
+        return j + p->v;\n\
+    }\n\
+    int leaf(s *p, int k) {\n\
+        m = 0;\n\
+        while (m < k - 9) { m = m + twig(p); }\n\
+        return m;\n\
+    }\n\
+    int twig(s *p) { return p->v; }\n";
+
 /// Fuel cuts land on the same block on both backends, wherever they
-/// fall. `main` spawns and touches a future of `body` per iteration and
-/// makes a plain call to `leaf`, which calls `twig`; every fuel value from
-/// 1 up to the uncut cost must give equal outcomes and counters. `body`'s
-/// and `leaf`'s loops run only under `main` (their top-level runs get
-/// `k <= 7`), so a trip count that rises between fuel `f` and `f + 1`
-/// shows the cut at `f` landed on that loop's body block: inside a future
-/// body, or inside a plain callee.
+/// fall: every fuel value from 1 up to the uncut cost of
+/// [`NESTED_FUTURES`] must give equal outcomes and counters. A trip count
+/// that rises between fuel `f` and `f + 1` shows the cut at `f` landed on
+/// that loop's body block: inside a future body, or inside a plain callee.
 #[test]
 fn every_fuel_cut_agrees_across_backends() {
-    let src = "struct s { s *n @ 80; int v; }\n\
-               int main(s *p) {\n\
-                   t = 0;\n\
-                   i = 0;\n\
-                   while (i < 3) {\n\
-                       h = futurecall body(p, i + 10);\n\
-                       c = leaf(p, i + 10);\n\
-                       touch h;\n\
-                       t = t * 31 + h * 7 + c;\n\
-                       i = i + 1;\n\
-                       p = p->n;\n\
-                   }\n\
-                   return t;\n\
-               }\n\
-               int body(s *p, int k) {\n\
-                   j = 0;\n\
-                   while (j < k - 9) { j = j + 1; }\n\
-                   return j + p->v;\n\
-               }\n\
-               int leaf(s *p, int k) {\n\
-                   m = 0;\n\
-                   while (m < k - 9) { m = m + twig(p); }\n\
-                   return m;\n\
-               }\n\
-               int twig(s *p) { return p->v; }\n";
-    let (_, _, ir) = compile(src).unwrap();
+    let (_, _, ir) = compile(NESTED_FUTURES).unwrap();
     let ir = Arc::new(ir);
     let run = |fuel: i64| {
         let mut sim = OldenCtx::new(Config::olden(PROCS));
@@ -225,6 +226,23 @@ fn every_fuel_cut_agrees_across_backends() {
             "fuel {f}"
         );
     }
+}
+
+/// In parallel mode future bodies run on threads of their own and sync
+/// fuel only at spawns and touches; an uncut run still computes the
+/// simulator's values.
+#[test]
+fn parallel_mode_computes_the_simulators_values() {
+    let (_, _, ir) = compile(NESTED_FUTURES).unwrap();
+    let ir = Arc::new(ir);
+    let mut sim = OldenCtx::new(Config::olden(PROCS));
+    let out_sim = run_ir(&mut sim, &ir, 3, DEFAULT_FUEL, None);
+    let ir2 = Arc::clone(&ir);
+    let (out, _) = run_exec(ExecConfig::parallel(PROCS), move |ctx| {
+        run_ir(ctx, &ir2, 3, DEFAULT_FUEL, None)
+    });
+    assert!(!out.halted && !out_sim.halted);
+    assert_eq!(out.checksum, out_sim.checksum);
 }
 
 /// Statement-nesting depth of a function body (while/if nesting).

@@ -36,7 +36,9 @@ use olden_gptr::{GPtr, ProcId, Word};
 /// creation. See the crate docs of `olden-runtime` for the model and §2–3
 /// of the paper for the source semantics.
 pub trait Backend: Sized {
-    /// A pending future's value, claimed by [`Backend::touch`].
+    /// A pending future's value, claimed by [`Backend::touch`]. `Send`,
+    /// because a future body may carry handles it spawned to another
+    /// thread (the IR interpreter recycles such records within a run).
     type Handle<T: Send + 'static>: Send;
 
     /// Number of processors in this configuration (for placement math).

@@ -248,9 +248,7 @@ impl<B: Backend + 'static> Run<B> {
                             t.fuel = t.fuel.min(self.fuel.load(Relaxed));
                             t.futs[fut + slot] = Some(h);
                         }
-                        Inst::ExternCall {
-                            dst, hash, args, ..
-                        } => {
+                        Inst::ExternCall { dst, hash, args } => {
                             let h = args.iter().fold(*hash, |h, &r| mix2(h, regs[r].digest()));
                             regs[*dst] = Value::Int((h % 97) as i64);
                         }

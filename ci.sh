@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# Tier-1 CI gate in eight stages — shellcheck, fmt, clippy, build, test,
-# fuzz-smoke, net-parity, bench-harness — all offline. Each stage reports
-# its wall time; the trailer totals them.
+# Tier-1 CI gate in nine stages — shellcheck, fmt, clippy, doc, build,
+# test, fuzz-smoke, net-parity, bench-harness — all offline. Each stage
+# reports its wall time; the trailer totals them.
 #
 #   ./ci.sh                 run every stage
 #   ./ci.sh --list          print the stage names and exit
@@ -114,6 +114,10 @@ stage "shellcheck" shellcheck_ci
 stage "fmt" cargo fmt --all -- --check
 
 stage "clippy" cargo clippy --workspace --all-targets -- -D warnings
+
+# Rustdoc with warnings as errors: a moved or renamed item breaks the
+# intra-doc links that name it.
+stage "doc" env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 stage "build" cargo build --workspace --release
 

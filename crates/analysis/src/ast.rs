@@ -173,7 +173,7 @@ impl Stmt {
     }
 
     /// Visit this statement and all nested statements, pre-order.
-    pub fn walk(&self, f: &mut impl FnMut(&Stmt)) {
+    pub fn walk<'a>(&'a self, f: &mut impl FnMut(&'a Stmt)) {
         f(self);
         match self {
             Stmt::If { then_, else_, .. } => {
@@ -192,7 +192,7 @@ impl Stmt {
 }
 
 /// Walk a statement list, visiting every statement pre-order.
-pub fn walk_stmts(stmts: &[Stmt], f: &mut impl FnMut(&Stmt)) {
+pub fn walk_stmts<'a>(stmts: &'a [Stmt], f: &mut impl FnMut(&'a Stmt)) {
     for s in stmts {
         s.walk(f);
     }

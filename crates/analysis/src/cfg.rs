@@ -1,5 +1,5 @@
 //! Basic-block control-flow graphs lowered from the DSL AST — and the
-//! one place pointer-check sites are born.
+//! one place pointer-check sites and control loops are born.
 //!
 //! The AST's structured statements lower to a small CFG whose blocks
 //! carry a linear **event** stream — one event per variable use,
@@ -16,9 +16,105 @@
 //! [`crate::verdicts::mech_table`] resolves one verdict per site, the
 //! optimizer ([`crate::opt`]) reasons under that verdict's mechanism, and
 //! [`crate::lower::lower_ir`] points each executable site at it.
+//!
+//! A *control loop* (§4.2) is a `while` loop or the set of a function's
+//! direct recursive calls; a `while` nests inside enclosing `while`s and
+//! the function's recursion loop. Mutual recursion is not modelled, as in
+//! the paper's prototype. Lowering records each loop in [`Cfg::loops`],
+//! the one list the selection, the cost model and the IR's trip slots
+//! read.
 
-use crate::ast::{Expr, FuncDef, Program, Stmt};
+use crate::ast::{contains_future, Expr, FuncDef, Program, Stmt};
 use crate::diag::Span;
+use std::sync::Arc;
+
+/// Program-wide index of a control loop: its position in the
+/// concatenation of every function's [`Cfg::loops`], as numbered by
+/// [`lower_program`]. Parents always have smaller ids than their
+/// children.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
+pub struct LoopId(pub usize);
+
+/// What kind of control loop.
+#[derive(Clone, Debug, PartialEq)]
+pub enum LoopKind {
+    /// An iterative `while` loop; the payload is a human-readable
+    /// description of its condition for reporting.
+    While { cond: String },
+    /// The set of direct recursive calls of `func`.
+    Recursion,
+}
+
+/// One control loop, with everything later passes need.
+#[derive(Clone, Debug)]
+pub struct ControlLoop {
+    pub id: LoopId,
+    /// Position among the function's loops (its [`Cfg::loops`] index).
+    pub ord: usize,
+    pub func: String,
+    pub kind: LoopKind,
+    /// Loop body: the `while` body, or the whole function body for a
+    /// recursion loop.
+    pub body: Vec<Stmt>,
+    /// Innermost enclosing control loop, if any.
+    pub parent: Option<LoopId>,
+    /// Whether the loop is parallelizable — the Olden compiler "checks
+    /// for the presence of futures" (§4.3).
+    pub parallel: bool,
+    /// Function parameters (used by update-matrix computation for
+    /// recursion loops).
+    pub params: Vec<String>,
+}
+
+impl ControlLoop {
+    /// A loop of `func` over `body`, numbered (`id`, `ord`, and the
+    /// `parent` given as a position in `func`'s loops) by [`lower_at`].
+    fn new(func: &FuncDef, kind: LoopKind, body: &[Stmt], parent: Option<usize>) -> ControlLoop {
+        ControlLoop {
+            id: LoopId(0),
+            ord: 0,
+            func: func.name.clone(),
+            kind,
+            body: body.to_vec(),
+            parent: parent.map(LoopId),
+            parallel: contains_future(body),
+            params: func.params.clone(),
+        }
+    }
+
+    /// The loop's stable key, under which trip counts are given.
+    pub fn key(&self) -> String {
+        loop_key(&self.func, self.ord)
+    }
+}
+
+/// Stable key of the `i`-th control loop of `func` (the recursion loop
+/// first, then the `while`s pre-order): `"{func}#{i}"`, the name trip
+/// counts are given under.
+pub fn loop_key(func: &str, ordinal: usize) -> String {
+    format!("{func}#{ordinal}")
+}
+
+fn cond_string(e: &Expr) -> String {
+    match e {
+        Expr::Var(v) => v.clone(),
+        Expr::Path { base, fields, .. } => {
+            let mut s = base.clone();
+            for f in fields {
+                s.push_str("->");
+                s.push_str(f);
+            }
+            s
+        }
+        Expr::Binary { op, lhs, rhs } => {
+            format!("{} {} {}", cond_string(lhs), op, cond_string(rhs))
+        }
+        Expr::Unary { op, arg } => format!("{}{}", op, cond_string(arg)),
+        Expr::Null => "null".into(),
+        Expr::Int(n) => n.to_string(),
+        Expr::Call { func, .. } => format!("{func}(…)"),
+    }
+}
 
 /// One pointer-check site: the test the compiler inserts before a
 /// dereference (paper §3, "inserts the lookup before each cached deref" —
@@ -35,10 +131,8 @@ pub struct Site {
     pub span: Span,
     /// True when the access is the final step of a store.
     pub is_store: bool,
-    /// The innermost enclosing control loop, as an ordinal among the
-    /// function's loops in discovery order — the recursion loop (which
-    /// encloses the whole body) first, then the `while`s pre-order, the
-    /// numbering of [`crate::cost::loop_key`].
+    /// The innermost enclosing control loop, as an index into
+    /// [`Cfg::loops`].
     pub loop_ord: Option<usize>,
 }
 
@@ -106,22 +200,28 @@ pub struct Cfg {
     pub func: String,
     pub blocks: Vec<Block>,
     pub sites: Vec<Site>,
-    /// How many control loops the function has: one per `while`, plus
-    /// the recursion loop when it calls itself directly.
-    pub loops: usize,
+    /// The function's control loops: the recursion loop first when the
+    /// function calls itself directly (it encloses the whole body), then
+    /// one per `while`, pre-order. Shared with the selection's
+    /// [`crate::LoopChoice`]s, so selecting copies no loop bodies.
+    pub loops: Vec<Arc<ControlLoop>>,
 }
 
-struct Builder {
+struct Builder<'a> {
+    func: &'a FuncDef,
     blocks: Vec<Block>,
     sites: Vec<Site>,
     cur: usize,
     next_stmt: usize,
     /// `while` loops seen so far, and the innermost one being lowered.
-    whiles: usize,
+    /// Until [`lower_at`] numbers them, parents count `while`s only.
+    loops: Vec<ControlLoop>,
     cur_while: Option<usize>,
+    /// Whether the function calls itself directly.
+    recursive: bool,
 }
 
-impl Builder {
+impl Builder<'_> {
     fn new_block(&mut self) -> usize {
         let id = self.blocks.len();
         self.blocks.push(Block {
@@ -178,6 +278,7 @@ impl Builder {
                 for a in args {
                     self.lower_expr(a);
                 }
+                self.recursive |= *func == self.func.name;
                 self.emit(Event::Call {
                     func: func.clone(),
                     future: *future,
@@ -266,8 +367,12 @@ impl Builder {
                     // Numbered before its body, so nested loops come later
                     // (pre-order); the condition re-evaluates every
                     // iteration, so its sites belong to the loop.
-                    let outer = self.cur_while.replace(self.whiles);
-                    self.whiles += 1;
+                    let kind = LoopKind::While {
+                        cond: cond_string(cond),
+                    };
+                    let lp = ControlLoop::new(self.func, kind, body, self.cur_while);
+                    let outer = self.cur_while.replace(self.loops.len());
+                    self.loops.push(lp);
                     let head = self.new_block();
                     self.blocks[head].loop_head = true;
                     let prev = self.cur;
@@ -305,15 +410,36 @@ impl Builder {
     }
 }
 
-/// Lower one function to its CFG.
+/// Lower one function to its CFG, its control loops numbered from 0.
 pub fn lower(func: &FuncDef) -> Cfg {
+    lower_at(func, 0)
+}
+
+/// Lower every function of a program, numbering control loops
+/// program-wide: each function's loops follow the previous function's.
+pub fn lower_program(prog: &Program) -> Vec<Cfg> {
+    let mut first = 0;
+    prog.funcs
+        .iter()
+        .map(|f| {
+            let cfg = lower_at(f, first);
+            first += cfg.loops.len();
+            cfg
+        })
+        .collect()
+}
+
+/// Lower `func` with its first control loop numbered `first`.
+fn lower_at(func: &FuncDef, first: usize) -> Cfg {
     let mut b = Builder {
+        func,
         blocks: Vec::new(),
         sites: Vec::new(),
         cur: 0,
         next_stmt: 0,
-        whiles: 0,
+        loops: Vec::new(),
         cur_while: None,
+        recursive: false,
     };
     b.new_block();
     let falls = b.lower_stmts(&func.body);
@@ -321,31 +447,33 @@ pub fn lower(func: &FuncDef) -> Cfg {
         let cur = b.cur;
         b.blocks[cur].events.push(Event::Return);
     }
-    // A direct self-call makes the function a recursion loop: loop 0,
-    // enclosing every site outside a `while`.
-    let recursive = b
-        .blocks
-        .iter()
-        .flat_map(|bl| &bl.events)
-        .any(|e| matches!(e, Event::Call { func: callee, .. } if *callee == func.name));
-    if recursive {
+    // A direct self-call makes the function a recursion loop: its first
+    // loop, enclosing every site and `while` outside another `while`.
+    if b.recursive {
         for s in &mut b.sites {
             s.loop_ord = Some(s.loop_ord.map_or(0, |w| w + 1));
+        }
+        for l in &mut b.loops {
+            l.parent = Some(l.parent.map_or(LoopId(0), |p| LoopId(p.0 + 1)));
+        }
+        let rec = ControlLoop::new(func, LoopKind::Recursion, &func.body, None);
+        b.loops.insert(0, rec);
+    }
+    for (k, l) in b.loops.iter_mut().enumerate() {
+        l.id = LoopId(first + k);
+        l.ord = k;
+        if let Some(p) = &mut l.parent {
+            p.0 += first;
         }
     }
     let mut cfg = Cfg {
         func: func.name.clone(),
         blocks: b.blocks,
         sites: b.sites,
-        loops: b.whiles + usize::from(recursive),
+        loops: b.loops.into_iter().map(Arc::new).collect(),
     };
     cfg.prune();
     cfg
-}
-
-/// Lower every function of a program.
-pub fn lower_program(prog: &Program) -> Vec<Cfg> {
-    prog.funcs.iter().map(lower).collect()
 }
 
 impl Cfg {
@@ -617,11 +745,118 @@ mod tests {
             .map(|&(s, l)| (s.to_string(), Some(l)))
             .collect();
         assert_eq!(loops, want);
-        assert_eq!(cfg.loops, 3);
+        assert_eq!(cfg.loops.len(), 3);
         let (_, flat) = cfgs("struct t { t *n; }; int g(t *p) { return h(p->n); }")
             .pop()
             .unwrap();
-        assert_eq!((flat.sites[0].loop_ord, flat.loops), (None, 0));
+        assert_eq!((flat.sites[0].loop_ord, flat.loops.len()), (None, 0));
+    }
+
+    /// Every control loop of a program, numbered program-wide.
+    fn loops_of(src: &str) -> Vec<Arc<ControlLoop>> {
+        let prog = parse(src).unwrap();
+        lower_program(&prog)
+            .into_iter()
+            .flat_map(|c| c.loops)
+            .collect()
+    }
+
+    #[test]
+    fn finds_while_loops_with_nesting() {
+        let loops = loops_of(
+            r#"
+            void f(node *a) {
+                while (a) {
+                    node *b = a->inner;
+                    while (b) { b = b->next; }
+                    a = a->next;
+                }
+            }
+            "#,
+        );
+        assert_eq!(loops.len(), 2);
+        assert_eq!(loops[0].parent, None);
+        assert_eq!(loops[1].parent, Some(loops[0].id));
+        assert!(matches!(loops[0].kind, LoopKind::While { .. }));
+    }
+
+    #[test]
+    fn recursion_forms_a_loop_enclosing_whiles() {
+        let loops = loops_of(
+            r#"
+            void T(tree *t) {
+                if (t == null) { return; }
+                list *l = t->items;
+                while (l) { l = l->next; }
+                T(t->left);
+                T(t->right);
+            }
+            "#,
+        );
+        assert_eq!(loops.len(), 2);
+        assert!(matches!(loops[0].kind, LoopKind::Recursion));
+        assert_eq!(loops[1].parent, Some(loops[0].id));
+    }
+
+    #[test]
+    fn parallel_flag_from_futures() {
+        let loops = loops_of(
+            r#"
+            void f(list *l, tree *t) {
+                while (l) { futurecall Go(t); l = l->next; }
+            }
+            void g(list *l) {
+                while (l) { l = l->next; }
+            }
+            "#,
+        );
+        assert!(loops[0].parallel);
+        assert!(!loops[1].parallel);
+    }
+
+    #[test]
+    fn nonrecursive_function_has_no_recursion_loop() {
+        assert!(loops_of("int f(int x) { return g(x); } int g(int x) { return x; }").is_empty());
+    }
+
+    #[test]
+    fn whiles_inside_if_branches_found() {
+        let loops = loops_of(
+            r#"
+            void f(node *a, int c) {
+                if (c) { while (a) { a = a->next; } }
+                else { while (a) { a = a->prev; } }
+            }
+            "#,
+        );
+        assert_eq!(loops.len(), 2);
+    }
+
+    #[test]
+    fn loops_are_numbered_program_wide() {
+        // Ids run on across functions, keys restart per function, and a
+        // recursion loop's `while`s take it as their parent.
+        let loops = loops_of(
+            r#"
+            void A(node *n) {
+                if (n == null) { return; }
+                while (n) { while (n) { n = n->next; } }
+                A(n->next);
+            }
+            void B(node *n) { while (n) { n = n->next; } }
+            "#,
+        );
+        let got: Vec<(usize, String, Option<usize>)> = loops
+            .iter()
+            .map(|l| (l.id.0, l.key(), l.parent.map(|p| p.0)))
+            .collect();
+        let want = [
+            (0, "A#0", None),
+            (1, "A#1", Some(0)),
+            (2, "A#2", Some(1)),
+            (3, "B#0", None),
+        ];
+        assert_eq!(got, want.map(|(i, k, p)| (i, k.to_string(), p)));
     }
 
     #[test]

@@ -29,14 +29,14 @@
 //!   touches, so the prediction is the identity
 //!   `2 × migrations + remote touches` (returns pair with migrations).
 //!
-//! Trip counts use stable loop keys `"{func}#{ordinal}"` (ordinal =
-//! position among the function's control loops in discovery order, the
-//! recursion loop first). Missing keys predict zero — the parity test
-//! cross-checks descriptor keys against [`loop_keys`].
+//! Trip counts are given under each control loop's stable key
+//! ([`crate::cfg::loop_key`], `"{func}#{ordinal}"`). Missing keys
+//! predict zero — the parity test cross-checks descriptor keys against
+//! [`loop_keys`].
 
 use crate::ast::{Expr, Program, Stmt};
-use crate::heuristic::Selection;
-use crate::loops::{find_control_loops, ControlLoop, LoopKind};
+use crate::cfg::{lower_program, LoopKind};
+use crate::heuristic::{LoopChoice, Selection};
 use crate::verdicts::MechTable;
 use crate::{Mech, DEFAULT_AFFINITY};
 use std::collections::{BTreeMap, BTreeSet};
@@ -62,28 +62,13 @@ impl Prediction {
     }
 }
 
-/// Stable key of the `i`-th control loop of `func` (discovery order, the
-/// recursion loop first).
-pub fn loop_key(func: &str, ordinal: usize) -> String {
-    format!("{func}#{ordinal}")
-}
-
-/// Keys of every control loop in the program, in discovery order.
+/// Keys of every control loop in the program, in [`crate::LoopId`]
+/// order.
 pub fn loop_keys(prog: &Program) -> Vec<String> {
-    keys_of(find_control_loops(prog).iter().map(|l| l.func.as_str()))
-}
-
-/// Keys of control loops in discovery order, given each one's function.
-pub(crate) fn keys_of<'a>(funcs: impl IntoIterator<Item = &'a str>) -> Vec<String> {
-    let mut per_func: BTreeMap<&str, usize> = BTreeMap::new();
-    funcs
-        .into_iter()
-        .map(|f| {
-            let n = per_func.entry(f).or_insert(0);
-            let k = loop_key(f, *n);
-            *n += 1;
-            k
-        })
+    let cfgs = lower_program(prog);
+    cfgs.iter()
+        .flat_map(|c| &c.loops)
+        .map(|l| l.key())
         .collect()
 }
 
@@ -106,10 +91,11 @@ fn immediate_exprs(ss: &[Stmt], f: &mut impl FnMut(&Expr)) {
 /// Mean remoteness of one recursive descent step: the average of
 /// `1 − aᵢ` over the loop's recursive call sites' argument paths (an
 /// identity pass-through contributes 0, a non-path argument the default).
-fn recursion_step_remoteness(prog: &Program, l: &ControlLoop, sel: &Selection, li: usize) -> f64 {
-    let Some(v) = sel.loops[li].migration_var() else {
+fn recursion_step_remoteness(prog: &Program, c: &LoopChoice) -> f64 {
+    let Some(v) = c.migration_var() else {
         return 0.0;
     };
+    let l = &c.cl;
     let Some(pi) = l.params.iter().position(|p| p == v) else {
         return 0.0;
     };
@@ -141,36 +127,30 @@ fn recursion_step_remoteness(prog: &Program, l: &ControlLoop, sel: &Selection, l
 
 /// Effective affinity of a loop's migration variable, following the
 /// inheritance chain up to the nearest ancestor that computed one.
-fn effective_affinity(sel: &Selection, loops: &[ControlLoop], li: usize) -> f64 {
+fn effective_affinity(sel: &Selection, li: usize) -> f64 {
     if let Some(a) = sel.loops[li].affinity {
         return a;
     }
-    let mut p = loops[li].parent;
+    let mut p = sel.loops[li].cl.parent;
     while let Some(pid) = p {
         if let Some(a) = sel.loops[pid.0].affinity {
             return a;
         }
-        p = loops[pid.0].parent;
+        p = sel.loops[pid.0].cl.parent;
     }
     DEFAULT_AFFINITY
 }
 
 /// Probability a cached object's *base variable* points at local data at
 /// the moment of dereference.
-fn base_locality(
-    sel: &Selection,
-    loops: &[ControlLoop],
-    li: usize,
-    base: &str,
-    procs: usize,
-) -> f64 {
+fn base_locality(sel: &Selection, li: usize, base: &str, procs: usize) -> f64 {
     let c = &sel.loops[li];
     if c.bottleneck && c.selected.as_deref() == Some(base) {
         // A demoted walker stays on its spawning processor while the
         // structure it walks is spread over all of them.
         return 1.0 / procs.max(1) as f64;
     }
-    let m = sel.matrix(loops[li].id);
+    let m = sel.matrix(c.cl.id);
     if let Some(a) = m.row_affinity(base) {
         return a;
     }
@@ -182,7 +162,6 @@ fn base_locality(
 fn steal_probability(
     prog: &Program,
     sel: &Selection,
-    loops: &[ControlLoop],
     li: usize,
     callee: &str,
     args: &[Expr],
@@ -194,22 +173,22 @@ fn steal_probability(
     }
     // The body only leaves if some loop of the callee migrates (a callee
     // that caches — including one demoted by pass 2 — stays put).
-    let mig_loops: Vec<(usize, &ControlLoop)> = loops
+    let mig_loops: Vec<&LoopChoice> = sel
+        .loops
         .iter()
-        .enumerate()
-        .filter(|(i, l)| l.func == callee && sel.loops[*i].migration_var().is_some())
+        .filter(|c| c.cl.func == callee && c.migration_var().is_some())
         .collect();
     if mig_loops.is_empty() {
         return 0.0;
     }
     // A recursion on a bound parameter departs over the argument path
     // (or over the callee's own first descent for an identity seed).
-    if let Some(&(ci, cl)) = mig_loops
+    if let Some(&c) = mig_loops
         .iter()
-        .find(|(_, l)| matches!(l.kind, LoopKind::Recursion))
+        .find(|c| matches!(c.cl.kind, LoopKind::Recursion))
     {
-        let v = sel.loops[ci].migration_var().unwrap_or_default();
-        if let Some(pi) = cl.params.iter().position(|p| p == v) {
+        let v = c.migration_var().unwrap_or_default();
+        if let Some(pi) = c.cl.params.iter().position(|p| p == v) {
             return match args.get(pi).and_then(|a| a.as_path()) {
                 Some((_, fields)) if !fields.is_empty() => 1.0 - prog.path_affinity(fields),
                 Some((base, _)) => {
@@ -217,7 +196,7 @@ fn steal_probability(
                         // Seeded with the spawner's own (local) traversal
                         // value: the body leaves when its first descent
                         // step does.
-                        recursion_step_remoteness(prog, cl, sel, ci)
+                        recursion_step_remoteness(prog, c)
                     } else {
                         1.0 - DEFAULT_AFFINITY
                     }
@@ -249,8 +228,7 @@ pub fn predict(
     procs: usize,
 ) -> Prediction {
     let sel = &table.selection;
-    let loops = find_control_loops(prog);
-    let keys = keys_of(loops.iter().map(|l| l.func.as_str()));
+    let keys: Vec<String> = sel.loops.iter().map(|c| c.cl.key()).collect();
     let trip_of = |li: usize| -> f64 {
         trips
             .iter()
@@ -261,16 +239,17 @@ pub fn predict(
 
     let mut p = Prediction::default();
 
-    for (li, l) in loops.iter().enumerate() {
+    for (li, c) in sel.loops.iter().enumerate() {
         let t = trip_of(li);
         if t == 0.0 {
             continue;
         }
+        let l = &c.cl;
         // Migrations of the loop's traversal variable.
-        if sel.loops[li].migration_var().is_some() {
+        if c.migration_var().is_some() {
             let per_iter = match l.kind {
-                LoopKind::While { .. } => 1.0 - effective_affinity(sel, &loops, li),
-                LoopKind::Recursion => recursion_step_remoteness(prog, l, sel, li),
+                LoopKind::While { .. } => 1.0 - effective_affinity(sel, li),
+                LoopKind::Recursion => recursion_step_remoteness(prog, c),
             };
             p.migrations += t * per_iter;
         }
@@ -289,7 +268,7 @@ pub fn predict(
                 ..
             } = e
             {
-                let ps = steal_probability(prog, sel, &loops, li, func, args);
+                let ps = steal_probability(prog, sel, li, func, args);
                 steal += ps;
                 if *func != l.func {
                     entry += ps;
@@ -320,7 +299,7 @@ pub fn predict(
             continue;
         }
         for (base, prefix) in objs {
-            let a_obj = base_locality(sel, &loops, li, &base, procs) * prog.path_affinity(&prefix);
+            let a_obj = base_locality(sel, li, &base, procs) * prog.path_affinity(&prefix);
             p.line_fetches += t * (1.0 - a_obj);
         }
     }

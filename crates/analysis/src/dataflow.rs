@@ -168,7 +168,7 @@ mod tests {
             func: "torture".into(),
             blocks,
             sites: Vec::new(),
-            loops: 0,
+            loops: Vec::new(),
         }
     }
 

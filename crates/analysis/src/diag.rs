@@ -1,6 +1,6 @@
 //! Diagnostics: source spans, lint codes, severities.
 //!
-//! The racecheck pass ([`crate::racecheck`]) reports its findings through
+//! The racecheck pass ([`crate::racecheck`](mod@crate::racecheck)) reports its findings through
 //! this framework so that tools (the `oldenc` binary, CI golden files,
 //! tests) see one stable, line-oriented format:
 //!

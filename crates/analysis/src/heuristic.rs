@@ -17,18 +17,17 @@
 //! Incorrect answers here cost time, never correctness.
 
 use crate::ast::{Expr, Program, Stmt};
-use crate::loops::{find_control_loops, LoopId, LoopKind};
+use crate::cfg::{lower_program, ControlLoop, LoopId, LoopKind};
 use crate::update::{update_matrix, UpdateMatrix};
 use crate::{Mech, MIGRATION_THRESHOLD};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// The heuristic's decision for one control loop.
 #[derive(Clone, Debug)]
 pub struct LoopChoice {
-    pub loop_id: LoopId,
-    pub func: String,
-    pub kind: LoopKind,
-    pub parallel: bool,
+    /// The control loop decided for.
+    pub cl: Arc<ControlLoop>,
     /// The variable selected as the loop's traversal variable, if any.
     pub selected: Option<String>,
     /// Its update affinity (absent when inherited from the parent).
@@ -68,14 +67,14 @@ pub struct Selection {
 impl Selection {
     /// All choices for loops belonging to `func`.
     pub fn for_func(&self, func: &str) -> Vec<&LoopChoice> {
-        self.loops.iter().filter(|l| l.func == func).collect()
+        self.loops.iter().filter(|l| l.cl.func == func).collect()
     }
 
     /// The choice for `func`'s recursion loop, if it has one.
     pub fn recursion_of(&self, func: &str) -> Option<&LoopChoice> {
         self.loops
             .iter()
-            .find(|l| l.func == func && matches!(l.kind, LoopKind::Recursion))
+            .find(|l| l.cl.func == func && matches!(l.cl.kind, LoopKind::Recursion))
     }
 
     /// Mechanism for dereferences of `var` anywhere in `func`: migrate if
@@ -129,12 +128,18 @@ fn immediate_assigns(stmts: &[Stmt], f: &mut impl FnMut(&str, &Expr)) {
 
 /// Run the full three-step selection over a program.
 pub fn select(prog: &Program) -> Selection {
-    let loops = find_control_loops(prog);
+    let loops = lower_program(prog).into_iter().flat_map(|c| c.loops);
+    select_loops(prog, loops.collect())
+}
+
+/// The selection over `loops`, every control loop of `prog` in
+/// [`LoopId`] order (as [`lower_program`] numbers them).
+pub(crate) fn select_loops(prog: &Program, loops: Vec<Arc<ControlLoop>>) -> Selection {
     let matrices: Vec<UpdateMatrix> = loops.iter().map(|l| update_matrix(prog, l)).collect();
 
     // ---- Pass 1: each control loop in isolation -----------------------
     let mut choices: Vec<LoopChoice> = Vec::with_capacity(loops.len());
-    for (cl, m) in loops.iter().zip(&matrices) {
+    for (cl, m) in loops.into_iter().zip(&matrices) {
         let induction = m.induction_vars();
         let mut mechanisms: HashMap<String, Mech> = HashMap::new();
         for v in m.row_vars() {
@@ -170,10 +175,7 @@ pub fn select(prog: &Program) -> Selection {
             }
         }
         choices.push(LoopChoice {
-            loop_id: cl.id,
-            func: cl.func.clone(),
-            kind: cl.kind.clone(),
-            parallel: cl.parallel,
+            cl,
             selected,
             affinity,
             inherited,
@@ -188,7 +190,7 @@ pub fn select(prog: &Program) -> Selection {
     // migration to caching when the inner induction variable's seed is
     // loop-invariant in the parent.
     let mut demote: Vec<LoopId> = Vec::new();
-    for (pi, parent) in loops.iter().enumerate() {
+    for (pi, parent) in choices.iter().map(|c| &c.cl).enumerate() {
         if !parent.parallel {
             continue;
         }
@@ -202,7 +204,7 @@ pub fn select(prog: &Program) -> Selection {
         // (a) Directly nested loops in the same function. Only seed
         // assignments *outside* nested loop bodies count — the child's
         // own `p = p->next` is not a re-seeding by the parent iteration.
-        for (ci, child) in loops.iter().enumerate() {
+        for (ci, child) in choices.iter().map(|c| &c.cl).enumerate() {
             if child.parent != Some(parent.id) {
                 continue;
             }
@@ -261,10 +263,9 @@ pub fn select(prog: &Program) -> Selection {
                 continue;
             };
             // Find the callee's recursion loop choice.
-            let Some((ci, _)) = loops
+            let Some(ci) = choices
                 .iter()
-                .enumerate()
-                .find(|(_, l)| l.func == callee && matches!(l.kind, LoopKind::Recursion))
+                .position(|c| c.cl.func == callee && matches!(c.cl.kind, LoopKind::Recursion))
             else {
                 continue;
             };
@@ -376,7 +377,7 @@ mod tests {
             }
         "#);
         let c = &s.for_func("f")[0];
-        assert!(c.parallel);
+        assert!(c.cl.parallel);
         assert_eq!(c.mech("l"), Mech::Migrate, "70% but parallelizable");
     }
 

@@ -17,7 +17,7 @@
 //!    renders each site it emits and fails rather than guess if the
 //!    rendering ever disagrees with that verdict's.
 //! 2. **Trip identity.** Loop-head blocks carry the
-//!    [`crate::cost::loop_key`] of their control loop, and recursive
+//!    [`crate::cfg::loop_key`] of their control loop, and recursive
 //!    functions carry their recursion loop's key, so an interpreter can
 //!    measure the per-loop trip counts the static cost model
 //!    ([`crate::predict`]) takes as input — making predictions and
@@ -231,7 +231,7 @@ pub struct IrFunc {
 pub struct IrProgram {
     pub structs: Vec<IrStruct>,
     pub funcs: Vec<IrFunc>,
-    /// Every control-loop key ([`crate::cost::loop_key`]) in discovery
+    /// Every control-loop key ([`crate::cfg::loop_key`]) in discovery
     /// order; trip counters are indexed by position.
     pub trip_keys: Vec<String>,
 }

@@ -41,7 +41,6 @@ pub mod diag;
 pub mod gen;
 pub mod heuristic;
 pub mod ir;
-pub mod loops;
 pub mod lower;
 pub mod opt;
 pub mod parser;
@@ -53,14 +52,13 @@ pub mod verdicts;
 pub mod verify;
 
 pub use ast::{Expr, FieldDef, FuncDef, Program, Stmt, StructDef, TypeAnn};
-pub use cfg::{lower, lower_program, Cfg};
-pub use cost::{loop_key, loop_keys, predict, Prediction};
+pub use cfg::{loop_key, lower, lower_program, Cfg, ControlLoop, LoopId, LoopKind};
+pub use cost::{loop_keys, predict, Prediction};
 pub use dataflow::{solve, Analysis, Direction, Solution};
 pub use diag::{Diagnostic, Severity, Span};
 pub use gen::{gen_program, gen_source, render, strip_spans};
 pub use heuristic::{select, LoopChoice, Selection};
 pub use ir::{IrBlock, IrField, IrFunc, IrProgram, IrSite, IrStruct, IrTy};
-pub use loops::{find_control_loops, ControlLoop, LoopId, LoopKind};
 pub use lower::{compile, lower_ir};
 pub use opt::{optimize, optimize_src, OptReport, SiteReport, TouchKind, TouchReport, Verdict};
 pub use parser::{parse, ParseError};

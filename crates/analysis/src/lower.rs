@@ -14,22 +14,23 @@
 //! the function's `k`-th verdict: the emitted [`IrSite`] records the
 //! verdict's index and mechanism, and lowering returns an error rather
 //! than guess if its rendering of the site ever disagrees with the
-//! verdict's. Trip slots come from the same table's selection. The IR
-//! interpreter thereby honors the live olden-select verdicts without any
-//! name-based lookup at run time. The same holds for futures and externs:
+//! verdict's. A function's trip slots are the program-wide ids of its
+//! own control loops ([`crate::cfg::Cfg::loops`]). The IR interpreter
+//! thereby honors the live olden-select verdicts without any name-based
+//! lookup at run time. The same holds for futures and externs:
 //! each register a `futurecall` writes gets a future slot, every `touch`
 //! of it names that slot, and each extern call carries its callee name's
 //! hash, so the interpreter indexes instead of looking anything up.
 
 use crate::ast::{Expr, FuncDef, Program, Stmt};
-use crate::cost::keys_of;
+use crate::cfg::{ControlLoop, LoopKind};
 use crate::ir::{
     BinOp, BlockId, Inst, IrBlock, IrField, IrFunc, IrProgram, IrSite, IrStruct, IrTy, Reg, Term,
     UnOp,
 };
-use crate::loops::LoopKind;
 use crate::verdicts::{mech_table, MechTable, SiteVerdict};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Global field layout: the DSL treats field names as program-global
 /// (affinities already resolve that way, see [`Program::affinity`]), so
@@ -124,7 +125,8 @@ struct FnLower<'a> {
     verdicts: Vec<(usize, &'a SiteVerdict)>,
     next_verdict: usize,
     /// Global trip-key slots of this function's `while` loops, consumed
-    /// in pre-order as lowering encounters them.
+    /// in pre-order as lowering encounters them — the CFG lowering's
+    /// order, which the count at the end checks.
     while_slots: Vec<usize>,
     next_while: usize,
     /// Future slot of each register some `FutureCall` writes.
@@ -399,7 +401,7 @@ impl<'a> FnLower<'a> {
             }
             Stmt::While { cond, body } => {
                 // Consume this loop's trip slot *before* descending, so
-                // nested loops take later slots — control-loop discovery
+                // nested loops take later slots — the CFG lowering
                 // numbers `while`s pre-order.
                 let slot = self.while_slots.get(self.next_while).copied();
                 self.next_while += 1;
@@ -473,9 +475,16 @@ fn lower_func(
     func_idx: &HashMap<&str, usize>,
     func: &FuncDef,
     verdicts: Vec<(usize, &SiteVerdict)>,
-    rec_slot: Option<usize>,
-    while_slots: Vec<usize>,
+    loops: &[Arc<ControlLoop>],
 ) -> Result<IrFunc, String> {
+    let mut rec_slot = None;
+    let mut while_slots = Vec::new();
+    for l in loops {
+        match l.kind {
+            LoopKind::Recursion => rec_slot = Some(l.id.0),
+            LoopKind::While { .. } => while_slots.push(l.id.0),
+        }
+    }
     let mut lw = FnLower {
         fields,
         func_idx,
@@ -508,7 +517,7 @@ fn lower_func(
     }
     if lw.next_while != lw.while_slots.len() {
         return Err(format!(
-            "{}: control-loop discovery found {} while loop(s) but lowering saw {}",
+            "{}: the CFG lowering found {} while loop(s) but this lowering saw {}",
             func.name,
             lw.while_slots.len(),
             lw.next_while
@@ -580,39 +589,17 @@ pub fn lower_ir(prog: &Program, table: &MechTable) -> Result<IrProgram, String> 
         .enumerate()
         .map(|(i, f)| (f.name.as_str(), i))
         .collect();
-    let loops = &table.selection.loops;
-    let trip_keys = keys_of(loops.iter().map(|l| l.func.as_str()));
+    let trip_keys = table.selection.loops.iter().map(|c| c.cl.key()).collect();
 
     let mut funcs = Vec::new();
-    for f in &prog.funcs {
+    for (f, loops) in prog.funcs.iter().zip(&table.func_loops) {
         let verdicts: Vec<(usize, &SiteVerdict)> = table
             .sites
             .iter()
             .enumerate()
             .filter(|(_, v)| v.func == f.name)
             .collect();
-        // This function's control loops, in discovery order: recursion
-        // first (if directly recursive), then `while`s pre-order.
-        let mut rec_slot = None;
-        let mut while_slots = Vec::new();
-        for (slot, l) in loops.iter().enumerate() {
-            if l.func != f.name {
-                continue;
-            }
-            match l.kind {
-                LoopKind::Recursion => rec_slot = Some(slot),
-                LoopKind::While { .. } => while_slots.push(slot),
-            }
-        }
-        funcs.push(lower_func(
-            prog,
-            &fields,
-            &func_idx,
-            f,
-            verdicts,
-            rec_slot,
-            while_slots,
-        )?);
+        funcs.push(lower_func(prog, &fields, &func_idx, f, verdicts, loops)?);
     }
     Ok(IrProgram {
         structs,

@@ -272,6 +272,18 @@ fn merge_env(env: &mut Env, then_: &Env, else_: &Env) {
     }
 }
 
+/// Add to `into` every future of `other` it does not already hold.
+fn merge_inflight(into: &mut Vec<InFlight>, other: Vec<InFlight>) {
+    for f in other {
+        if !into
+            .iter()
+            .any(|g| g.span == f.span && g.var == f.var && g.func == f.func)
+        {
+            into.push(f);
+        }
+    }
+}
+
 /// Compute one function's summary given the current summary map.
 fn summarize_func(summaries: &HashMap<String, Summary>, f: &FuncDef) -> Summary {
     let (acc, _) = Checker::new(summaries, &f.name, false).run(f);
@@ -503,21 +515,31 @@ impl<'a> Checker<'a> {
                     merge_env(env, &env_t, &env_e);
                     // A future is still in flight if either branch left it
                     // in flight (the other may not have executed).
-                    let mut merged = inf_t;
-                    for f in inf_e {
-                        if !merged
-                            .iter()
-                            .any(|g| g.span == f.span && g.var == f.var && g.func == f.func)
-                        {
-                            merged.push(f);
-                        }
-                    }
-                    *inflight = merged;
+                    *inflight = inf_t;
+                    merge_inflight(inflight, inf_e);
                 }
                 Stmt::While { cond, body } => {
                     for f in self.step_expr(env, inflight, cond, collected) {
                         self.spawn(f, inflight, collected);
                     }
+                    // The body may run zero times. Only a root it reassigns
+                    // (`v = v->f` keeps `v`'s) or a future it touches can
+                    // differ from before the body, so save just those.
+                    let (mut pre_roots, mut touched) = (Vec::new(), Vec::new());
+                    crate::ast::walk_stmts(body, &mut |s| match s {
+                        Stmt::Assign { dst, src, .. }
+                            if src.as_path().is_none_or(|(b, _)| b != dst) =>
+                        {
+                            pre_roots.push((dst, resolve(env, dst)))
+                        }
+                        Stmt::Touch { var, .. } => touched.push(var.as_str()),
+                        _ => {}
+                    });
+                    let joined: Vec<InFlight> = inflight
+                        .iter()
+                        .filter(|f| f.var.as_deref().is_some_and(|v| touched.contains(&v)))
+                        .cloned()
+                        .collect();
                     let pre_spans: BTreeSet<Span> = inflight.iter().map(|f| f.span).collect();
                     let mut body_acc = Vec::new();
                     self.walk(env, inflight, body, &mut body_acc);
@@ -535,6 +557,14 @@ impl<'a> Checker<'a> {
                         self.check_sibling(f, std::slice::from_ref(f), true);
                     }
                     collected.extend(body_acc);
+                    // Join with that zero-iteration state, as after an `if`
+                    // without `else`.
+                    for (v, pre) in pre_roots {
+                        if let Some(now) = env.get_mut(v).filter(|now| **now != pre) {
+                            *now = Base::Any;
+                        }
+                    }
+                    merge_inflight(inflight, joined);
                 }
                 Stmt::Assign { dst, src, .. } => {
                     let spawned = self.step_expr(env, inflight, src, collected);
@@ -774,6 +804,31 @@ mod tests {
         // next-iteration sibling (RC002).
         assert!(codes_of(&d).contains(&codes::SIBLING_FUTURES), "{d:?}");
         assert!(codes_of(&d).contains(&codes::UNTOUCHED_FUTURE), "{d:?}");
+    }
+
+    #[test]
+    fn while_body_may_run_zero_times() {
+        // The only `touch` is in a loop that may not run: the future is
+        // still in flight at the store, and may never be joined.
+        for guard in ["while", "if"] {
+            let d = check(&format!(
+                r#"
+                struct tree {{ tree *left; int val; }};
+                int g(tree *t) {{ t->val = 2; return 0; }}
+                void f(tree *t, int c) {{
+                    int h = futurecall g(t);
+                    {guard} (c) {{ touch h; }}
+                    t->val = 1;
+                }}
+                "#
+            ));
+            let codes = codes_of(&d);
+            assert!(
+                codes.contains(&codes::FUTURE_VS_CONTINUATION),
+                "{guard}: {d:?}"
+            );
+            assert!(codes.contains(&codes::UNTOUCHED_FUTURE), "{guard}: {d:?}");
+        }
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //!   the smarter schemes worth their bookkeeping.
 //! * **Write-set size** — the distinct fields stored through *cached*
 //!   sites. Global knowledge charges every cached write a sharer-list
-//!   probe at the home ([`crate::cost::TRACK_SHARED`]-class cycles when
+//!   probe at the home (`olden-cache`'s `TRACK_SHARED`-class cycles when
 //!   the page is shared), so a wide write set is the argument against
 //!   it.
 //! * **Sharing fan-out** — parallel loops and pass-2 bottleneck
@@ -173,13 +173,9 @@ fn signals(prog: &Program, table: &MechTable) -> SchemeSignals {
             }
         }
     }
-    let parallel_loops = table.selection.loops.iter().filter(|l| l.parallel).count();
-    let shared_roots = table
-        .selection
-        .loops
-        .iter()
-        .filter(|l| l.bottleneck)
-        .count();
+    let loops = &table.selection.loops;
+    let parallel_loops = loops.iter().filter(|l| l.cl.parallel).count();
+    let shared_roots = loops.iter().filter(|l| l.bottleneck).count();
     SchemeSignals {
         sites: table.sites.len(),
         migrate_sites,

@@ -136,11 +136,6 @@ struct Checker<'a> {
     anchor: Span,
 }
 
-/// Loop-body fixpoint bound. The type lattice has tiny height (Null <
-/// Ptr, anything → Conflict/Unknown, one Maybe step for touches), so a
-/// handful of rounds always converges; the bound is a safety net.
-const MAX_LOOP_ITERS: usize = 5;
-
 impl<'a> Checker<'a> {
     fn emit(&mut self, code: &'static str, span: Span, message: String) {
         if self.report && self.seen.insert((code, span, message.clone())) {
@@ -389,11 +384,15 @@ impl<'a> Checker<'a> {
             }
             Stmt::While { cond, body } => {
                 // Fixpoint over the back edge, silently; then one
-                // reporting pass of cond + body from the stable head.
+                // reporting pass of cond + body from the stable head. The
+                // join only climbs a lattice of finite height (Null < Ptr,
+                // anything → Conflict/Unknown, one Maybe step for
+                // touches), so iterating to convergence terminates — but a
+                // chain of copies can take one round per link.
                 let mut head = env.clone();
                 let was = self.report;
                 self.report = false;
-                for _ in 0..MAX_LOOP_ITERS {
+                loop {
                     let mut e = head.clone();
                     self.check_cond(cond, &e);
                     self.walk_block(body, &mut e);
@@ -1026,6 +1025,22 @@ mod tests {
                  while (c) { x = x->n; }
              }",
         );
+    }
+
+    #[test]
+    fn loop_fixpoint_runs_to_convergence() {
+        // `t` reaches `v0` one link per round; a head taken before the
+        // last round still types `v0` as int and blames `->val` (TC003).
+        for n in [5, 6, 8, 10] {
+            let decls: String = (0..n).map(|i| format!("int v{i} = 0; ")).collect();
+            let chain: String = (1..n).map(|i| format!("v{} = v{i}; ", i - 1)).collect();
+            let src = format!(
+                "{TREE} int f(tree *t, int c) {{ {decls} \
+                 while (c) {{ {chain} v{} = t; }} return v0->val; }}",
+                n - 1
+            );
+            assert_eq!(codes_of(&src), vec![codes::TYPE_CONFLICT], "{n} variables");
+        }
     }
 
     #[test]

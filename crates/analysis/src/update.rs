@@ -23,7 +23,7 @@
 //! affect program correctness" — they only steer the cost heuristic.
 
 use crate::ast::{Expr, Program, Stmt};
-use crate::loops::{ControlLoop, LoopKind};
+use crate::cfg::{ControlLoop, LoopKind};
 use std::collections::HashMap;
 
 /// The update matrix of one control loop: `(s, t) → affinity`, stored as
@@ -342,12 +342,15 @@ pub fn update_matrix(prog: &Program, cl: &ControlLoop) -> UpdateMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::loops::find_control_loops;
+    use crate::cfg::lower_program;
     use crate::parser::parse;
 
     fn matrix_of(src: &str, loop_idx: usize) -> (crate::ast::Program, UpdateMatrix) {
         let p = parse(src).unwrap();
-        let loops = find_control_loops(&p);
+        let loops: Vec<_> = lower_program(&p)
+            .into_iter()
+            .flat_map(|c| c.loops)
+            .collect();
         let m = update_matrix(&p, &loops[loop_idx]);
         (p, m)
     }

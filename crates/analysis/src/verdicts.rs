@@ -18,11 +18,11 @@
 //! `tests/select_parity.rs`).
 
 use crate::ast::Program;
-use crate::cfg::{lower_program, Cfg};
+use crate::cfg::{lower_program, Cfg, ControlLoop, LoopKind};
 use crate::diag::Span;
-use crate::heuristic::{select, LoopChoice, Selection};
-use crate::loops::LoopKind;
+use crate::heuristic::{select_loops, LoopChoice, Selection};
 use crate::{Mech, MIGRATION_THRESHOLD};
+use std::sync::Arc;
 
 /// The verdict for one pointer-check site.
 #[derive(Clone, Debug)]
@@ -66,6 +66,9 @@ impl SiteVerdict {
 pub struct MechTable {
     pub sites: Vec<SiteVerdict>,
     pub selection: Selection,
+    /// Each function's control loops ([`Cfg::loops`]), in program
+    /// order: `selection.loops` holds them concatenated.
+    pub(crate) func_loops: Vec<Vec<Arc<ControlLoop>>>,
 }
 
 impl MechTable {
@@ -80,7 +83,7 @@ impl MechTable {
         use std::fmt::Write;
         let mut out = String::new();
         for l in &self.selection.loops {
-            let kind = match &l.kind {
+            let kind = match &l.cl.kind {
                 LoopKind::While { cond } => format!("while ({cond})"),
                 LoopKind::Recursion => "recursion".to_string(),
             };
@@ -97,9 +100,9 @@ impl MechTable {
             let _ = writeln!(
                 out,
                 "loop {}: {} [{}{}] selected={} -> {}",
-                l.func,
+                l.cl.func,
                 kind,
-                if l.parallel { "parallel" } else { "serial" },
+                if l.cl.parallel { "parallel" } else { "serial" },
                 if l.bottleneck { ", bottleneck" } else { "" },
                 sel,
                 mech,
@@ -159,17 +162,16 @@ pub fn mech_table(prog: &Program) -> MechTable {
 
 /// The verdict table and the CFGs whose sites it resolves, one verdict
 /// per [`Cfg::sites`] entry in the same order — what the optimizer
-/// reasons over.
+/// reasons over. The program is lowered once: the selection is made
+/// over the CFGs' control loops.
 pub(crate) fn mech_table_with_cfgs(prog: &Program) -> (MechTable, Vec<Cfg>) {
-    let selection = select(prog);
     let cfgs = lower_program(prog);
+    let func_loops: Vec<_> = cfgs.iter().map(|c| c.loops.clone()).collect();
+    let selection = select_loops(prog, func_loops.concat());
     let mut sites = Vec::new();
-    // Control-loop discovery numbers functions' loops consecutively, so a
-    // function's loops start where the previous function's end.
-    let mut first_loop = 0;
     for cfg in &cfgs {
         for s in &cfg.sites {
-            let loop_idx = s.loop_ord.map(|k| first_loop + k);
+            let loop_idx = s.loop_ord.map(|k| cfg.loops[k].id.0);
             // §4.3 only speaks about control loops; straight-line code runs
             // once, so the cheap mechanism (no thread movement) wins.
             let mech = loop_idx.map_or(Mech::Cache, |li| selection.loops[li].mech(&s.base));
@@ -184,10 +186,13 @@ pub(crate) fn mech_table_with_cfgs(prog: &Program) -> (MechTable, Vec<Cfg>) {
                 mech,
             });
         }
-        first_loop += cfg.loops;
     }
-    debug_assert_eq!(first_loop, selection.loops.len());
-    (MechTable { sites, selection }, cfgs)
+    let table = MechTable {
+        sites,
+        selection,
+        func_loops,
+    };
+    (table, cfgs)
 }
 
 #[cfg(test)]

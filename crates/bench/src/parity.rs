@@ -1,7 +1,7 @@
 //! `oldenc`'s dynamic surfaces: programs executed for real — on worker
 //! threads (`run`, `chaos`, `difftest`) or worker processes over loopback
 //! TCP (`net`) — and held byte-equal to the simulator. Every comparison
-//! is `ExecReport::diff_from_sim` against an [`Oracle`] snapshot; seed
+//! is `ExecReport::diff_from_sim` against an `Oracle` snapshot; seed
 //! sweeps go through [`par_seeds`].
 
 use crate::reports::{columns, save_repro};
@@ -353,11 +353,11 @@ fn difftest_diverges(src: &str, seed: u64, protocol: Protocol) -> bool {
 /// simulator and the lockstep thread backend from the same input seed
 /// under one Appendix-A scheme — held byte-equal in checksum, per-loop
 /// trip counts, every runtime and cache counter, and pages cached. Every
-/// [`DIFF_CHAOS_EVERY`]-th seed re-runs under seeded fault injection and
+/// `DIFF_CHAOS_EVERY`-th seed re-runs under seeded fault injection and
 /// must stay equal to the fault-free simulator (plus lockstep's serviced
 /// message count). Per seed, the static cost model evaluated at the
 /// *measured* trip counts must bracket the executed counters within
-/// [`DIFF_BAND`].
+/// `DIFF_BAND`.
 ///
 /// Everything printed is a pure function of the seeds and the protocol,
 /// so the surface pins. Returns the report, the divergent seeds (parity

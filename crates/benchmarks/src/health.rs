@@ -427,7 +427,7 @@ mod tests {
         let whiles = sel.for_func("Step");
         let list_loop = whiles
             .iter()
-            .find(|c| matches!(c.kind, olden_analysis::LoopKind::While { .. }))
+            .find(|c| matches!(c.cl.kind, olden_analysis::LoopKind::While { .. }))
             .unwrap();
         assert_eq!(list_loop.mech("p"), Mech::Cache, "patient list caches");
     }

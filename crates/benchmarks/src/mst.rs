@@ -314,7 +314,7 @@ mod tests {
         let scan = &sel.for_func("ScanBlock")[0];
         assert_eq!(scan.mech("v"), Mech::Migrate, "96% blocked affinity");
         let sweep = &sel.for_func("SweepBlocks")[0];
-        assert!(sweep.parallel);
+        assert!(sweep.cl.parallel);
         assert_eq!(sweep.mech("b"), Mech::Migrate, "parallelizable sweep");
     }
 }

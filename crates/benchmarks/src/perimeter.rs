@@ -394,7 +394,7 @@ mod tests {
         let sel = select(&parse(DSL).unwrap());
         let rec = sel.recursion_of("Perimeter").unwrap();
         assert_eq!(rec.migration_var(), Some("t"));
-        assert!(rec.parallel);
+        assert!(rec.cl.parallel);
         let climb = &sel.for_func("NorthNeighbor")[0];
         assert_eq!(climb.mech("q"), Mech::Cache, "parent climb caches");
     }

@@ -337,7 +337,7 @@ mod tests {
     fn heuristic_migrates_the_feeder_walk() {
         let sel = select(&parse(DSL).unwrap());
         let c = &sel.for_func("ComputeFeeder")[0];
-        assert!(c.parallel);
+        assert!(c.cl.parallel);
         assert_eq!(c.mech("l"), Mech::Migrate);
     }
 

@@ -184,7 +184,7 @@ mod tests {
         let sel = select(&prog);
         let rec = sel.recursion_of("TreeAdd").unwrap();
         assert_eq!(rec.migration_var(), Some("t"));
-        assert!(rec.parallel);
+        assert!(rec.cl.parallel);
         // Default affinities: 1 − 0.3² = 0.91.
         assert!((rec.affinity.unwrap() - 0.91).abs() < 1e-12);
         assert_eq!(sel.mech("TreeAdd", "t"), Mech::Migrate);

@@ -2,7 +2,7 @@
 //! every transport.
 //!
 //! A logical message travels as an [`Envelope`]: the data-plane
-//! [`Request`](crate::msg::Request) stamped with its sender's identity
+//! [`Request`] stamped with its sender's identity
 //! and a per-sender sequence number. The fault layer may transmit one
 //! logical message several times (a retry after a drop, or an injected
 //! duplicate); every copy carries the *same* `(src, seq)`, which is what

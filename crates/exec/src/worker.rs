@@ -7,7 +7,7 @@
 //! processor as home). Every coherence request is one call to a rule of
 //! those — the rules the simulator's `CacheSystem` composes in-process —
 //! under whichever Appendix-A scheme the run selected; the worker only
-//! attaches line payloads and builds the reply. [`Worker::handle`] is the
+//! attaches line payloads and builds the reply. `Worker::handle` is the
 //! one definition of every request arm, and it services each request from
 //! local state only (see `msg` module docs for why that makes the system
 //! deadlock-free).

@@ -21,7 +21,7 @@
 //!   and announces `(proc, data_port)` in a `Hello` frame. The
 //!   rendezvous connection stays open as a parent-death tether (worker
 //!   side: EOF ⇒ exit), and the parent kills the fleet via
-//!   [`FleetGuard`] on any error path, so neither side can leak
+//!   `FleetGuard` on any error path, so neither side can leak
 //!   processes.
 //! - Clients (the root logical thread, and one thread per spawned future
 //!   in parallel mode) each get a [`ClientConn`] holding one lazy TCP
@@ -32,9 +32,9 @@
 //!   routing at all.
 //! - Shutdown drains the fleet in processor order over a control
 //!   connection (src = `CONTROL_SRC`, bypasses dedup), collecting each
-//!   worker's [`WorkerReport`] — cache counters, receiver-side transport
-//!   counts, races, and its obs lane — then waits for every child to
-//!   exit 0.
+//!   worker's [`WorkerReport`](olden_exec::msg::WorkerReport) — cache
+//!   counters, receiver-side transport counts, races, and its obs lane —
+//!   then waits for every child to exit 0.
 //!
 //! Chaos over real sockets: fault verdicts are *sender-side* (a `Drop`
 //! is counted as a send but never written to the socket), so TCP's
@@ -63,7 +63,7 @@ use std::time::Duration;
 use wire::{decode_hello, decode_reply, encode_envelope, read_frame, write_frame};
 
 /// Configuration for one network-backend run: the shared exec-layer
-/// settings plus the process-orchestration knobs.
+/// settings plus the command that starts a worker process.
 #[derive(Clone, Debug)]
 pub struct NetConfig {
     /// The transport-independent settings (procs, mode, fault plan,
@@ -75,18 +75,11 @@ pub struct NetConfig {
     /// `olden-net-worker` binary; `oldenc` uses itself with a hidden
     /// `net-worker` subcommand.
     pub worker_cmd: Vec<String>,
-    /// How long to wait for the whole fleet to dial back after spawning
-    /// before declaring the run stalled.
-    pub handshake_timeout: Duration,
 }
 
 impl NetConfig {
     pub fn new(exec: ExecConfig, worker_cmd: Vec<String>) -> NetConfig {
-        NetConfig {
-            exec,
-            worker_cmd,
-            handshake_timeout: Duration::from_secs(30),
-        }
+        NetConfig { exec, worker_cmd }
     }
 }
 
@@ -269,7 +262,7 @@ fn spawn_fleet(
     let mut seen = vec![false; procs];
     let mut tethers = Vec::with_capacity(procs);
     for arrived in 0..procs {
-        match hrx.recv_timeout(cfg.handshake_timeout) {
+        match hrx.recv_timeout(HANDSHAKE_TIMEOUT) {
             Ok((proc, port, conn)) => {
                 let pi = proc as usize;
                 if pi >= procs || seen[pi] {
@@ -287,7 +280,7 @@ fn spawn_fleet(
                 return Err(ExecError::Stalled {
                     dump: format!(
                         "net handshake: only {arrived}/{procs} workers reported within {:?}",
-                        cfg.handshake_timeout
+                        HANDSHAKE_TIMEOUT
                     ),
                 });
             }
@@ -300,6 +293,10 @@ fn spawn_fleet(
 // ---------------------------------------------------------------------
 // Run entry points
 // ---------------------------------------------------------------------
+
+/// How long to wait for the whole fleet to dial back after spawning
+/// before declaring the run stalled.
+const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// How long the shutdown drain waits on each worker's report before
 /// declaring it hung. Generous: a worker only has to serialize its

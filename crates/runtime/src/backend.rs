@@ -4,7 +4,7 @@
 //! A benchmark is ordinary Rust code over some `B: Backend`. Two backends
 //! implement the trait:
 //!
-//! * [`OldenCtx`](crate::OldenCtx) — the **simulator**: runs the program
+//! * [`OldenCtx`] — the **simulator**: runs the program
 //!   once, sequentially, computing exact values while recording the task
 //!   DAG that `olden-machine` replays into a cycle-accurate parallel
 //!   makespan;

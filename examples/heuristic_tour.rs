@@ -23,7 +23,7 @@ fn main() {
     let sel = &table.selection;
     println!("=== Figure 3 ===");
     let lp = &sel.for_func("f")[0];
-    let m = sel.matrix(lp.loop_id);
+    let m = sel.matrix(lp.cl.id);
     println!(
         "update matrix: (s,s)={:?} (t,t)={:?} (u,s)={:?} (u,u)={:?}",
         m.get("s", "s"),

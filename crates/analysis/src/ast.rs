@@ -8,8 +8,11 @@
 //! points into the heap — which is what makes the per-dereference
 //! mechanism choice well-defined.
 
-use crate::diag::Span;
+use crate::cfg::Cfg;
+use crate::diag::{Diagnostic, Span};
+use crate::verdicts::MechTable;
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
 /// A declared type annotation: a base type name (`int`, `void`, or a
 /// struct name) plus pointer-ness. The parser records these from the
@@ -284,10 +287,46 @@ pub struct FuncDef {
 }
 
 /// A whole program.
-#[derive(Clone, Debug, Default, PartialEq)]
+///
+/// Each value computes its CFGs, verdict table and race findings once,
+/// on first use ([`crate::mech_table`], [`crate::racecheck()`]), and every
+/// later pass reads them. So a program is not mutated after it has been
+/// analysed: edit a clone, which starts with nothing computed. Equality
+/// and `Debug` see only the syntax.
+#[derive(Clone, Default, PartialEq)]
 pub struct Program {
     pub structs: Vec<StructDef>,
     pub funcs: Vec<FuncDef>,
+    pub(crate) memo: Memo,
+}
+
+/// What the passes derived from a [`Program`], each set on first use.
+#[derive(Default)]
+pub(crate) struct Memo {
+    /// The CFG lowering and the verdict table resolved over its sites.
+    pub(crate) table: OnceLock<(MechTable, Vec<Cfg>)>,
+    pub(crate) races: OnceLock<Vec<Diagnostic>>,
+}
+
+impl Clone for Memo {
+    fn clone(&self) -> Memo {
+        Memo::default()
+    }
+}
+
+impl PartialEq for Memo {
+    fn eq(&self, _: &Memo) -> bool {
+        true
+    }
+}
+
+impl std::fmt::Debug for Program {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Program")
+            .field("structs", &self.structs)
+            .field("funcs", &self.funcs)
+            .finish()
+    }
 }
 
 impl Program {
@@ -351,6 +390,7 @@ mod tests {
                 ],
             }],
             funcs: vec![],
+            ..Program::default()
         }
     }
 

@@ -35,9 +35,9 @@
 //! [`loop_keys`].
 
 use crate::ast::{Expr, Program, Stmt};
-use crate::cfg::{lower_program, LoopKind};
+use crate::cfg::LoopKind;
 use crate::heuristic::{LoopChoice, Selection};
-use crate::verdicts::MechTable;
+use crate::verdicts::{mech_table, MechTable};
 use crate::{Mech, DEFAULT_AFFINITY};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -65,11 +65,8 @@ impl Prediction {
 /// Keys of every control loop in the program, in [`crate::LoopId`]
 /// order.
 pub fn loop_keys(prog: &Program) -> Vec<String> {
-    let cfgs = lower_program(prog);
-    cfgs.iter()
-        .flat_map(|c| &c.loops)
-        .map(|l| l.key())
-        .collect()
+    let loops = &mech_table(prog).selection.loops;
+    loops.iter().map(|c| c.cl.key()).collect()
 }
 
 /// Visit the expressions of a loop body *without* descending into nested
@@ -319,7 +316,7 @@ mod tests {
     fn predict_src(src: &str, trips: &[(&str, u64)], procs: usize) -> Prediction {
         let prog = parse(src).unwrap();
         let t = mech_table(&prog);
-        predict(&prog, &t, trips, procs)
+        predict(&prog, t, trips, procs)
     }
 
     const TREE: &str = r#"

@@ -92,6 +92,7 @@ impl Gen {
         Program {
             structs: self.structs.clone(),
             funcs,
+            ..Program::default()
         }
     }
 

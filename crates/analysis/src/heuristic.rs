@@ -17,7 +17,7 @@
 //! Incorrect answers here cost time, never correctness.
 
 use crate::ast::{Expr, Program, Stmt};
-use crate::cfg::{lower_program, ControlLoop, LoopId, LoopKind};
+use crate::cfg::{ControlLoop, LoopId, LoopKind};
 use crate::update::{update_matrix, UpdateMatrix};
 use crate::{Mech, MIGRATION_THRESHOLD};
 use std::collections::HashMap;
@@ -126,14 +126,14 @@ fn immediate_assigns(stmts: &[Stmt], f: &mut impl FnMut(&str, &Expr)) {
     }
 }
 
-/// Run the full three-step selection over a program.
-pub fn select(prog: &Program) -> Selection {
-    let loops = lower_program(prog).into_iter().flat_map(|c| c.loops);
-    select_loops(prog, loops.collect())
+/// The full three-step selection over a program: the one its verdict
+/// table ([`crate::mech_table`]) resolves, computed on first use.
+pub fn select(prog: &Program) -> &Selection {
+    &crate::verdicts::mech_table(prog).selection
 }
 
 /// The selection over `loops`, every control loop of `prog` in
-/// [`LoopId`] order (as [`lower_program`] numbers them).
+/// [`LoopId`] order (as [`crate::cfg::lower_program`] numbers them).
 pub(crate) fn select_loops(prog: &Program, loops: Vec<Arc<ControlLoop>>) -> Selection {
     let matrices: Vec<UpdateMatrix> = loops.iter().map(|l| update_matrix(prog, l)).collect();
 
@@ -299,7 +299,7 @@ mod tests {
     use crate::parser::parse;
 
     fn sel(src: &str) -> Selection {
-        select(&parse(src).unwrap())
+        select(&parse(src).unwrap()).clone()
     }
 
     #[test]

@@ -23,14 +23,13 @@
 //! hash, so the interpreter indexes instead of looking anything up.
 
 use crate::ast::{Expr, FuncDef, Program, Stmt};
-use crate::cfg::{ControlLoop, LoopKind};
+use crate::cfg::{Cfg, LoopKind};
 use crate::ir::{
     BinOp, BlockId, Inst, IrBlock, IrField, IrFunc, IrProgram, IrSite, IrStruct, IrTy, Reg, Term,
     UnOp,
 };
-use crate::verdicts::{mech_table, MechTable, SiteVerdict};
+use crate::verdicts::{lowered, mech_table, MechTable, SiteVerdict};
 use std::collections::HashMap;
-use std::sync::Arc;
 
 /// Global field layout: the DSL treats field names as program-global
 /// (affinities already resolve that way, see [`Program::affinity`]), so
@@ -475,11 +474,11 @@ fn lower_func(
     func_idx: &HashMap<&str, usize>,
     func: &FuncDef,
     verdicts: Vec<(usize, &SiteVerdict)>,
-    loops: &[Arc<ControlLoop>],
+    cfg: &Cfg,
 ) -> Result<IrFunc, String> {
     let mut rec_slot = None;
     let mut while_slots = Vec::new();
-    for l in loops {
+    for l in &cfg.loops {
         match l.kind {
             LoopKind::Recursion => rec_slot = Some(l.id.0),
             LoopKind::While { .. } => while_slots.push(l.id.0),
@@ -592,14 +591,10 @@ pub fn lower_ir(prog: &Program, table: &MechTable) -> Result<IrProgram, String> 
     let trip_keys = table.selection.loops.iter().map(|c| c.cl.key()).collect();
 
     let mut funcs = Vec::new();
-    for (f, loops) in prog.funcs.iter().zip(&table.func_loops) {
-        let verdicts: Vec<(usize, &SiteVerdict)> = table
-            .sites
-            .iter()
-            .enumerate()
-            .filter(|(_, v)| v.func == f.name)
-            .collect();
-        funcs.push(lower_func(prog, &fields, &func_idx, f, verdicts, loops)?);
+    let mut verdicts = table.sites.iter().enumerate();
+    for (f, cfg) in prog.funcs.iter().zip(&lowered(prog).1) {
+        let verdicts = verdicts.by_ref().take(cfg.sites.len()).collect();
+        funcs.push(lower_func(prog, &fields, &func_idx, f, verdicts, cfg)?);
     }
     Ok(IrProgram {
         structs,
@@ -617,7 +612,7 @@ pub fn compile(src: &str) -> Result<(Program, MechTable, IrProgram), String> {
     if let Some(d) = diags.first() {
         return Err(format!("type error: {}", d.one_line()));
     }
-    let table = mech_table(&prog);
+    let table = mech_table(&prog).clone();
     let ir = lower_ir(&prog, &table)?;
     Ok((prog, table, ir))
 }
@@ -644,8 +639,8 @@ mod tests {
         for seed in 0..300 {
             let prog = gen_program(seed);
             let table = mech_table(&prog);
-            let ir = lower_ir(&prog, &table).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
-            assert!(claims_every_verdict_in_order(&ir, &table), "seed {seed}");
+            let ir = lower_ir(&prog, table).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+            assert!(claims_every_verdict_in_order(&ir, table), "seed {seed}");
             let mechs = ir.funcs.iter().flat_map(|f| &f.sites).map(|s| s.mech);
             assert!(mechs.eq(table.sites.iter().map(|v| v.mech)), "seed {seed}");
         }
@@ -658,7 +653,7 @@ mod tests {
         for seed in 0..100 {
             let prog = gen_program(seed);
             let table = mech_table(&prog);
-            let ir = lower_ir(&prog, &table).unwrap();
+            let ir = lower_ir(&prog, table).unwrap();
             assert_eq!(ir.trip_keys, crate::loop_keys(&prog), "seed {seed}");
             let mut used: Vec<usize> = ir
                 .funcs
@@ -707,7 +702,7 @@ mod tests {
         let generated = (0..300).map(|seed| (format!("seed {seed}"), gen_program(seed)));
         let (mut touches, mut externs, mut shared) = (0, 0, 0);
         for (seed, prog) in generated.chain([respawn]) {
-            let ir = lower_ir(&prog, &mech_table(&prog)).unwrap();
+            let ir = lower_ir(&prog, mech_table(&prog)).unwrap();
             for (f, def) in ir.funcs.iter().zip(&prog.funcs) {
                 let insts: Vec<&Inst> = f.blocks.iter().flat_map(|b| &b.insts).collect();
                 let mut slot_of = HashMap::new();

@@ -44,7 +44,7 @@ use crate::dataflow::{solve, Analysis, Direction};
 use crate::diag::Span;
 use crate::heuristic::Selection;
 use crate::parser::{parse, ParseError};
-use crate::verdicts::mech_table_with_cfgs;
+use crate::verdicts::lowered;
 use crate::Mech;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
@@ -537,12 +537,12 @@ fn live_step(live: &mut BTreeSet<String>, ev: &Event) {
 pub fn optimize(prog: &Program) -> OptReport {
     // Each site is checked under the mechanism of its own verdict — the
     // one the table reports and the IR executes.
-    let (table, cfgs) = mech_table_with_cfgs(prog);
+    let (table, cfgs) = lowered(prog);
     let disturbs = disturbs_map(prog, &table.selection);
     let writes = writes_map(prog);
     let mut report = OptReport::default();
     let mut verdicts = table.sites.iter();
-    for (func, cfg) in prog.funcs.iter().zip(&cfgs) {
+    for (func, cfg) in prog.funcs.iter().zip(cfgs) {
         let mechs: Vec<Mech> = verdicts
             .by_ref()
             .take(cfg.sites.len())

@@ -662,20 +662,27 @@ impl<'a> Checker<'a> {
 /// Diagnostics are deterministic: sorted by source position, then lint
 /// code, then message.
 pub fn racecheck(prog: &Program) -> Vec<Diagnostic> {
-    let summaries = summarize(prog);
-    let mut diags = Vec::new();
-    for f in &prog.funcs {
-        let mut ck = Checker::new(&summaries, &f.name, true);
-        let (_, inflight) = ck.run(f);
-        ck.finish(&inflight);
-        diags.extend(ck.diags);
-    }
-    diags.sort_by(|a, b| {
-        (a.span, a.code, &a.message)
-            .partial_cmp(&(b.span, b.code, &b.message))
-            .unwrap()
-    });
-    diags
+    race_findings(prog).to_vec()
+}
+
+/// [`racecheck`]'s findings, computed once per program on first use.
+pub(crate) fn race_findings(prog: &Program) -> &[Diagnostic] {
+    prog.memo.races.get_or_init(|| {
+        let summaries = summarize(prog);
+        let mut diags = Vec::new();
+        for f in &prog.funcs {
+            let mut ck = Checker::new(&summaries, &f.name, true);
+            let (_, inflight) = ck.run(f);
+            ck.finish(&inflight);
+            diags.extend(ck.diags);
+        }
+        diags.sort_by(|a, b| {
+            (a.span, a.code, &a.message)
+                .partial_cmp(&(b.span, b.code, &b.message))
+                .unwrap()
+        });
+        diags
+    })
 }
 
 /// Parse and check in one step (what `oldenc` does per file).

@@ -36,7 +36,7 @@
 
 use crate::ast::Program;
 use crate::diag::Severity;
-use crate::racecheck::racecheck;
+use crate::racecheck::race_findings;
 use crate::verdicts::{mech_table, MechTable};
 use crate::Mech;
 use std::collections::BTreeSet;
@@ -186,7 +186,7 @@ fn signals(prog: &Program, table: &MechTable) -> SchemeSignals {
         // Notes (e.g. RC003 untouched futures) are style findings, not
         // violations of the release-consistency contract the schemes'
         // equivalence rests on — only warnings and errors count.
-        race_findings: racecheck(prog)
+        race_findings: race_findings(prog)
             .iter()
             .filter(|d| d.severity != Severity::Note)
             .count(),
@@ -214,8 +214,7 @@ fn signals(prog: &Program, table: &MechTable) -> SchemeSignals {
 ///    are precise, and surviving lines keep serving hits across
 ///    acquires with no revalidation latency.
 pub fn select_scheme(prog: &Program) -> SchemeVerdict {
-    let table = mech_table(prog);
-    let s = signals(prog, &table);
+    let s = signals(prog, mech_table(prog));
     let mut reasons = Vec::new();
     let density = s.migration_density();
     let scheme = if s.cached_sites == 0 {

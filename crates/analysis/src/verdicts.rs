@@ -18,11 +18,10 @@
 //! `tests/select_parity.rs`).
 
 use crate::ast::Program;
-use crate::cfg::{lower_program, Cfg, ControlLoop, LoopKind};
+use crate::cfg::{lower_program, Cfg, LoopKind};
 use crate::diag::Span;
 use crate::heuristic::{select_loops, LoopChoice, Selection};
 use crate::{Mech, MIGRATION_THRESHOLD};
-use std::sync::Arc;
 
 /// The verdict for one pointer-check site.
 #[derive(Clone, Debug)]
@@ -66,9 +65,6 @@ impl SiteVerdict {
 pub struct MechTable {
     pub sites: Vec<SiteVerdict>,
     pub selection: Selection,
-    /// Each function's control loops ([`Cfg::loops`]), in program
-    /// order: `selection.loops` holds them concatenated.
-    pub(crate) func_loops: Vec<Vec<Arc<ControlLoop>>>,
 }
 
 impl MechTable {
@@ -155,44 +151,41 @@ fn pct(a: f64) -> String {
     format!("{:.1}%", a * 100.0)
 }
 
-/// Compute the per-site verdict table for a program.
-pub fn mech_table(prog: &Program) -> MechTable {
-    mech_table_with_cfgs(prog).0
+/// The per-site verdict table of `prog`, computed on its first use.
+pub fn mech_table(prog: &Program) -> &MechTable {
+    &lowered(prog).0
 }
 
-/// The verdict table and the CFGs whose sites it resolves, one verdict
+/// `prog`'s CFGs and the verdict table over their sites, one verdict
 /// per [`Cfg::sites`] entry in the same order — what the optimizer
-/// reasons over. The program is lowered once: the selection is made
-/// over the CFGs' control loops.
-pub(crate) fn mech_table_with_cfgs(prog: &Program) -> (MechTable, Vec<Cfg>) {
-    let cfgs = lower_program(prog);
-    let func_loops: Vec<_> = cfgs.iter().map(|c| c.loops.clone()).collect();
-    let selection = select_loops(prog, func_loops.concat());
-    let mut sites = Vec::new();
-    for cfg in &cfgs {
-        for s in &cfg.sites {
-            let loop_idx = s.loop_ord.map(|k| cfg.loops[k].id.0);
-            // §4.3 only speaks about control loops; straight-line code runs
-            // once, so the cheap mechanism (no thread movement) wins.
-            let mech = loop_idx.map_or(Mech::Cache, |li| selection.loops[li].mech(&s.base));
-            sites.push(SiteVerdict {
-                func: cfg.func.clone(),
-                span: s.span,
-                site: s.render(),
-                base: s.base.clone(),
-                loop_idx,
-                prefix: s.path.clone(),
-                is_store: s.is_store,
-                mech,
-            });
+/// reasons over. Computed once per program, on first use: the program
+/// is lowered once and the selection made over the CFGs' control loops.
+pub(crate) fn lowered(prog: &Program) -> &(MechTable, Vec<Cfg>) {
+    prog.memo.table.get_or_init(|| {
+        let cfgs = lower_program(prog);
+        let loops = cfgs.iter().flat_map(|c| c.loops.iter().cloned());
+        let selection = select_loops(prog, loops.collect());
+        let mut sites = Vec::new();
+        for cfg in &cfgs {
+            for s in &cfg.sites {
+                let loop_idx = s.loop_ord.map(|k| cfg.loops[k].id.0);
+                // §4.3 only speaks about control loops; straight-line code
+                // runs once, so the cheap mechanism (no thread movement) wins.
+                let mech = loop_idx.map_or(Mech::Cache, |li| selection.loops[li].mech(&s.base));
+                sites.push(SiteVerdict {
+                    func: cfg.func.clone(),
+                    span: s.span,
+                    site: s.render(),
+                    base: s.base.clone(),
+                    loop_idx,
+                    prefix: s.path.clone(),
+                    is_store: s.is_store,
+                    mech,
+                });
+            }
         }
-    }
-    let table = MechTable {
-        sites,
-        selection,
-        func_loops,
-    };
-    (table, cfgs)
+        (MechTable { sites, selection }, cfgs)
+    })
 }
 
 #[cfg(test)]
@@ -201,7 +194,64 @@ mod tests {
     use crate::parser::parse;
 
     fn table(src: &str) -> MechTable {
-        mech_table(&parse(src).unwrap())
+        mech_table(&parse(src).unwrap()).clone()
+    }
+
+    const FUTURES: &str = r#"
+        struct tree { tree *left; tree *right; int val; };
+        int Work(tree *t) { t->val = 1; return 0; }
+        int T(tree *t) {
+            if (t == null) { return 0; }
+            int h = futurecall T(t->left);
+            int w = futurecall Work(t->right);
+            t->val = 2;
+            touch h;
+            return T(t->right) + h + t->val;
+        }
+    "#;
+
+    /// A compile job's passes share one derivation: whichever pass runs
+    /// first fills the memo, and the table `mech_table` returns is the
+    /// one `optimize` and `select_scheme` read, as are the race findings.
+    #[test]
+    fn each_fact_is_computed_once() {
+        use crate::{lower_ir, optimize, racecheck, select_scheme, Severity};
+        // The perf job's order: table, IR, optimizer, races, scheme.
+        let p = parse(FUTURES).unwrap();
+        let t = mech_table(&p);
+        assert!(
+            p.memo.races.get().is_none(),
+            "the table needs no race findings"
+        );
+        lower_ir(&p, t).unwrap();
+        optimize(&p);
+        let races = racecheck(&p);
+        assert!(!races.is_empty(), "the program races: {races:?}");
+        let r = p.memo.races.get().expect("racecheck fills the memo");
+        assert_eq!(*r, races);
+        let scheme = select_scheme(&p);
+        let warnings = races.iter().filter(|d| d.severity != Severity::Note);
+        assert_eq!(scheme.signals.race_findings, warnings.count());
+        assert!(std::ptr::eq(t, mech_table(&p)));
+        assert!(std::ptr::eq(t, &lowered(&p).0));
+        assert!(std::ptr::eq(r, p.memo.races.get().unwrap()));
+
+        // Scheme first: it derives the table and the findings, and the
+        // later passes read them.
+        let q = parse(FUTURES).unwrap();
+        let verdict = select_scheme(&q);
+        let (t, _) = q.memo.table.get().expect("select_scheme derives the table");
+        let r = q.memo.races.get().expect("select_scheme derives the races");
+        assert_eq!(verdict.render(), scheme.render());
+        assert_eq!(optimize(&q).render(), optimize(&p).render());
+        assert_eq!(racecheck(&q), races);
+        assert!(std::ptr::eq(t, mech_table(&q)));
+        assert!(std::ptr::eq(r, q.memo.races.get().unwrap()));
+
+        // The optimizer derives the table, not the race findings.
+        let o = parse(FUTURES).unwrap();
+        optimize(&o);
+        assert!(o.memo.table.get().is_some() && o.memo.races.get().is_none());
     }
 
     #[test]

@@ -13,10 +13,13 @@
 //! * **Totality** — every pass (racecheck, CFG lowering +
 //!   `check_well_formed`, the optimizer, the §4 heuristic, the verdict
 //!   table, the cost model) terminates without panicking.
-//! * **Consistency** — the optimizer and the `MechTable` agree site by
-//!   site on `(func, span, site, mech)`, so check elision is proven under
-//!   the mechanism the program runs; `CheckNeeded + CheckElided` is
-//!   conserved; cost predictions are finite and non-negative.
+//! * **Order independence** — a clone analysed scheme-first derives the
+//!   same scheme, optimizer report and race findings as the program.
+//! * **Consistency** — the optimizer and that clone's `MechTable` agree
+//!   site by site on `(func, span, site, mech)`, so check elision is
+//!   proven under the mechanism the program runs; `CheckNeeded +
+//!   CheckElided` is conserved; cost predictions are finite and
+//!   non-negative.
 //! * **Metamorphic invariance** (generated programs) — α-renaming
 //!   preserves every verdict up to renaming; inserting dead statements
 //!   changes no existing-site verdict; adding a `touch` never
@@ -38,6 +41,7 @@ use crate::gen::{gen_program, render, strip_spans};
 use crate::opt::optimize;
 use crate::parser::parse;
 use crate::racecheck::racecheck;
+use crate::scheme::select_scheme;
 use crate::typeck::typecheck;
 use crate::verdicts::{mech_table, MechTable};
 use olden_rng::{mix2, SplitMix64};
@@ -230,7 +234,7 @@ fn check_program(p: &Program, cov: &mut Coverage) -> Check {
     }
 
     // Totality of every downstream pass.
-    total("racecheck", || racecheck(p))?;
+    let races = total("racecheck", || racecheck(p))?;
     cov.oracle_checks += 1;
     for f in &p.funcs {
         let cfgv = total("cfg-lower", || cfg::lower(f))?;
@@ -242,7 +246,25 @@ fn check_program(p: &Program, cov: &mut Coverage) -> Check {
     }
     let opt = total("optimize", || optimize(p))?;
     total("select", || crate::heuristic::select(p))?;
-    let table = total("mech-table", || mech_table(p))?;
+
+    // Order independence: each pass reads what the first pass to run
+    // derived, so a clone (which starts with nothing derived) analysed
+    // scheme-first must derive the same scheme, optimizer verdicts and
+    // race findings, and the table checked below.
+    let q = p.clone();
+    let fresh = total("scheme-first", || {
+        let scheme = select_scheme(&q).render();
+        (scheme, optimize(&q).render(), racecheck(&q))
+    })?;
+    let first = (select_scheme(p).render(), opt.render(), races);
+    cov.oracle_checks += 1;
+    if fresh != first {
+        return Err((
+            "order-independence",
+            format!("analysed scheme-first, a clone derived {fresh:?}, not {first:?}"),
+        ));
+    }
+    let table = total("mech-table", || mech_table(&q))?;
     cov.oracle_checks += 2;
 
     // Conservation: every site gets exactly one of the two verdicts.
@@ -260,8 +282,8 @@ fn check_program(p: &Program, cov: &mut Coverage) -> Check {
         ));
     }
 
-    // The optimizer reasons about exactly the table's sites, under the
-    // table's mechanism — the one the IR executes.
+    // The optimizer reasons about exactly the sites of the table the
+    // clone derived, under its mechanisms — the ones the IR executes.
     cov.oracle_checks += 1;
     if opt.sites.len() != table.sites.len() {
         return Err((
@@ -289,8 +311,8 @@ fn check_program(p: &Program, cov: &mut Coverage) -> Check {
 
     // Cost model: finite, non-negative, and monotone in trip counts.
     let keys = total("loop-keys", || loop_keys(p))?;
-    let pred4 = predict_with(p, &table, &keys, 4)?;
-    let pred8 = predict_with(p, &table, &keys, 8)?;
+    let pred4 = predict_with(p, table, &keys, 4)?;
+    let pred8 = predict_with(p, table, &keys, 8)?;
     cov.oracle_checks += 2;
     for (label, pred) in [("trips=4", &pred4), ("trips=8", &pred8)] {
         for (name, v) in [
@@ -465,8 +487,8 @@ fn metamorphic(seed: u64, p: &Program, cov: &mut Coverage) -> Check {
     if k1r != k2 {
         return Err(("alpha-rename", format!("loop keys {k1:?} -> {k2:?}")));
     }
-    let pr1 = predict_with(p, &m1, &k1, 4)?;
-    let pr2 = predict_with(&rn, &m2, &k2, 4)?;
+    let pr1 = predict_with(p, m1, &k1, 4)?;
+    let pr2 = predict_with(&rn, m2, &k2, 4)?;
     cov.oracle_checks += 1;
     if pr1 != pr2 {
         return Err((
@@ -900,6 +922,46 @@ fn block_variants(stmts: &[Stmt]) -> Vec<Vec<Stmt>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A clone starts with nothing derived, so an edited clone of an
+    /// analysed program is analysed afresh; equality and `Debug` see
+    /// only the syntax.
+    #[test]
+    fn clones_start_fresh() {
+        let p = parse(
+            r#"
+            struct tree { tree *left; tree *right; int val; };
+            int Work(tree *t) { t->val = 1; return 0; }
+            int g(tree *t) {
+                int h = futurecall Work(t);
+                touch h;
+                t->val = 2;
+                return h;
+            }
+            "#,
+        )
+        .unwrap();
+        let debug = format!("{p:?}");
+        assert!(racecheck(&p).is_empty());
+        mech_table(&p);
+        assert!(p.memo.table.get().is_some() && p.memo.races.get().is_some());
+        let c = p.clone();
+        assert!(c.memo.table.get().is_none() && c.memo.races.get().is_none());
+        assert_eq!(p, c);
+        assert_eq!(format!("{p:?}"), debug, "analysis shows in Debug");
+        assert_eq!(format!("{c:?}"), debug);
+        assert!(!debug.contains("memo") && !debug.contains("OnceLock"));
+
+        // Dropping the touch lets `t->val = 2` race with the future.
+        let mutant = mutate_drop_touch(&p).expect("h is read after its touch");
+        assert!(mutant.memo.table.get().is_none() && mutant.memo.races.get().is_none());
+        let codes: Vec<&str> = racecheck(&mutant).iter().map(|d| d.code).collect();
+        assert!(codes.contains(&codes::FUTURE_VS_CONTINUATION), "{codes:?}");
+        assert!(
+            racecheck(&p).is_empty(),
+            "the original keeps its own findings"
+        );
+    }
 
     #[test]
     fn a_sweep_of_seeds_passes_every_oracle() {

@@ -309,7 +309,7 @@ type Prediction = (Vec<(&'static str, u64)>, [(&'static str, u64); 4]);
 fn predicted(d: &Descriptor) -> Result<Prediction, ParseError> {
     let prog = parse(d.dsl)?;
     let trips = (d.trips)(SizeClass::Tiny, PREDICT_PROCS);
-    let p = predict(&prog, &mech_table(&prog), &trips, PREDICT_PROCS);
+    let p = predict(&prog, mech_table(&prog), &trips, PREDICT_PROCS);
     Ok((trips, p.counters()))
 }
 

@@ -603,7 +603,8 @@ mod tests {
     fn heuristic_demotes_tree_walk_to_caching() {
         // The tree has high locality (95 % hints) but every parallel body
         // passes the same root: the bottleneck pass must force caching.
-        let sel = select(&parse(DSL).unwrap());
+        let prog = parse(DSL).unwrap();
+        let sel = select(&prog);
         let walk = sel.recursion_of("Walk").unwrap();
         assert!(walk.bottleneck, "pass 2 flags the shared root");
         assert_eq!(walk.mech("t"), Mech::Cache);

@@ -466,7 +466,8 @@ mod tests {
 
     #[test]
     fn heuristic_migrates_recursion_caches_spine() {
-        let sel = select(&parse(DSL).unwrap());
+        let prog = parse(DSL).unwrap();
+        let sel = select(&prog);
         let rec = sel.recursion_of("Bisort").unwrap();
         assert_eq!(rec.migration_var(), Some("root"));
         let spine = &sel.for_func("SpineSearch")[0];

@@ -327,7 +327,8 @@ mod tests {
 
     #[test]
     fn heuristic_migrates_list_caches_neighbours() {
-        let sel = select(&parse(DSL).unwrap());
+        let prog = parse(DSL).unwrap();
+        let sel = select(&prog);
         let c = &sel.for_func("ComputeE")[0];
         assert_eq!(c.mech("n"), Mech::Migrate, "node list: high locality");
         assert_eq!(c.mech("h"), Mech::Cache, "edges: low locality");

@@ -420,7 +420,8 @@ mod tests {
 
     #[test]
     fn heuristic_tree_migrates_list_caches() {
-        let sel = select(&parse(DSL).unwrap());
+        let prog = parse(DSL).unwrap();
+        let sel = select(&prog);
         let rec = sel.recursion_of("Step").unwrap();
         assert_eq!(rec.migration_var(), Some("v"), "tree traversal migrates");
         assert!(!rec.bottleneck, "v->list differs per node: no bottleneck");

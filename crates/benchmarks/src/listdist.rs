@@ -233,9 +233,11 @@ mod tests {
 
     #[test]
     fn heuristic_default_caches_blocked_hint_migrates() {
-        let sel = select(&parse(DSL_DEFAULT).unwrap());
+        let prog = parse(DSL_DEFAULT).unwrap();
+        let sel = select(&prog);
         assert_eq!(sel.mech("Walk", "l"), Mech::Cache, "70% default");
-        let sel = select(&parse(DSL_BLOCKED).unwrap());
+        let prog = parse(DSL_BLOCKED).unwrap();
+        let sel = select(&prog);
         assert_eq!(sel.mech("Walk", "l"), Mech::Migrate, "99% blocked hint");
     }
 

@@ -310,7 +310,8 @@ mod tests {
 
     #[test]
     fn heuristic_selects_migration() {
-        let sel = select(&parse(DSL).unwrap());
+        let prog = parse(DSL).unwrap();
+        let sel = select(&prog);
         let scan = &sel.for_func("ScanBlock")[0];
         assert_eq!(scan.mech("v"), Mech::Migrate, "96% blocked affinity");
         let sweep = &sel.for_func("SweepBlocks")[0];

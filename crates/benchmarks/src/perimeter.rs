@@ -391,7 +391,8 @@ mod tests {
 
     #[test]
     fn heuristic_migrates_recursion_caches_climb() {
-        let sel = select(&parse(DSL).unwrap());
+        let prog = parse(DSL).unwrap();
+        let sel = select(&prog);
         let rec = sel.recursion_of("Perimeter").unwrap();
         assert_eq!(rec.migration_var(), Some("t"));
         assert!(rec.cl.parallel);

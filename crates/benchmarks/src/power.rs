@@ -335,7 +335,8 @@ mod tests {
 
     #[test]
     fn heuristic_migrates_the_feeder_walk() {
-        let sel = select(&parse(DSL).unwrap());
+        let prog = parse(DSL).unwrap();
+        let sel = select(&prog);
         let c = &sel.for_func("ComputeFeeder")[0];
         assert!(c.cl.parallel);
         assert_eq!(c.mech("l"), Mech::Migrate);

@@ -377,7 +377,8 @@ mod tests {
 
     #[test]
     fn heuristic_migrates_tour_walk() {
-        let sel = select(&parse(DSL).unwrap());
+        let prog = parse(DSL).unwrap();
+        let sel = select(&prog);
         let c = &sel.for_func("ScanTour")[0];
         assert_eq!(c.mech("c"), Mech::Migrate, "97% affinity tour walk");
     }

@@ -64,8 +64,7 @@ mod tests {
         });
         assert_eq!(v, 7);
         assert_eq!(rep.stats.migrations, 1);
-        let sel =
-            select(&parse("struct l { l *n; }; void w(l *x) { while (x) { x = x->n; } }").unwrap());
-        assert_eq!(sel.mech("w", "x"), Mech::Cache);
+        let prog = parse("struct l { l *n; }; void w(l *x) { while (x) { x = x->n; } }").unwrap();
+        assert_eq!(select(&prog).mech("w", "x"), Mech::Cache);
     }
 }

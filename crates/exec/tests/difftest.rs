@@ -322,7 +322,8 @@ fn chaotic_generated_run_matches_simulator() {
 fn mechanism_mix_drives_execution_within_cost_bands() {
     use olden_analysis::{mech_table, predict};
     let mixed = (0..200u64).find(|&seed| {
-        let table = mech_table(&gen_program(seed));
+        let prog = gen_program(seed);
+        let table = mech_table(&prog);
         let migrate = table
             .sites
             .iter()
@@ -370,7 +371,7 @@ fn mechanism_mix_drives_execution_within_cost_bands() {
         .iter()
         .map(|(k, n)| (k.as_str(), *n))
         .collect();
-    let p = predict(&prog, &table, &trips, PROCS);
+    let p = predict(&prog, table, &trips, PROCS);
     let measured = [
         ("migrations", p.migrations, live.migrations),
         ("line_fetches", p.line_fetches, live_misses),

@@ -32,7 +32,7 @@ const PROCS: usize = 8;
 /// The verdict table the live heuristic computes for a descriptor's DSL.
 fn live_table(d: &Descriptor) -> MechTable {
     let prog = parse(d.dsl).unwrap_or_else(|e| panic!("{} DSL: {e}", d.name));
-    mech_table(&prog)
+    mech_table(&prog).clone()
 }
 
 // ---------------------------------------------------------------- gate 1
@@ -125,7 +125,7 @@ fn predicted(d: &Descriptor) -> Prediction {
     let prog = parse(d.dsl).unwrap_or_else(|e| panic!("{} DSL: {e}", d.name));
     let table = mech_table(&prog);
     let trips = (d.trips)(SizeClass::Tiny, PROCS);
-    predict(&prog, &table, &trips, PROCS)
+    predict(&prog, table, &trips, PROCS)
 }
 
 /// `(predicted + 1) / (measured + 1)` — finite even when a counter is 0.

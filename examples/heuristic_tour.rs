@@ -19,7 +19,8 @@ fn main() {
             }
         }
     "#;
-    let table = mech_table(&parse(fig3).unwrap());
+    let prog = parse(fig3).unwrap();
+    let table = mech_table(&prog);
     let sel = &table.selection;
     println!("=== Figure 3 ===");
     let lp = &sel.for_func("f")[0];

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Tier-1 CI gate in nine stages — shellcheck, fmt, clippy, doc, build,
-# test, fuzz-smoke, net-parity, bench-harness — all offline. Each stage
+# Tier-1 CI gate in ten stages — shellcheck, fmt, clippy, doc, build,
+# test, one-cpu, fuzz-smoke, net-parity, bench-harness — all offline. Each stage
 # reports its wall time; the trailer totals them.
 #
 #   ./ci.sh                 run every stage
@@ -122,6 +122,21 @@ stage "doc" env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 stage "build" cargo build --workspace --release
 
 stage "test" cargo test --workspace -q
+
+# The thread backend's tests again on a single CPU. perf/ pins each
+# workload to one CPU, where a woken thread preempts the thread that woke
+# it; on every core those hand-offs never interleave that way. Built on
+# every core, run on CPU 0. Skips loudly when taskset is not installed.
+one_cpu() {
+    if ! command -v taskset >/dev/null 2>&1; then
+        echo "    SKIP: taskset not installed; install util-linux to test on one CPU"
+        return 0
+    fi
+    cargo test --release -q -p olden-exec --no-run
+    taskset -c 0 cargo test --release -q -p olden-exec
+}
+
+stage "one-cpu" one_cpu
 
 oldenc() {
     cargo run --release -q -p olden-bench --bin oldenc -- "$@"

@@ -6,7 +6,8 @@
 //! state between the spawning thread and (in parallel mode) the body's
 //! OS thread: the body's migrations deliver *StealNotify* by flipping
 //! `stolen` under the mutex and waking the spawner, and body completion
-//! delivers *TouchResult* the same way.
+//! delivers *TouchResult* the same way. Both wake the spawner after
+//! releasing the mutex, so it never wakes only to wait for it.
 
 use olden_gptr::ProcId;
 use olden_runtime::VClock;
@@ -53,6 +54,7 @@ impl FrameHandle {
         if fresh {
             st.steal_clock = clock.cloned();
         }
+        drop(st);
         self.cv.notify_all();
         fresh
     }
@@ -64,8 +66,7 @@ impl FrameHandle {
 
     /// Mark the body complete and wake the spawner.
     pub fn complete(&self) {
-        let mut st = self.state.lock().unwrap();
-        st.done = true;
+        self.state.lock().unwrap().done = true;
         self.cv.notify_all();
     }
 

@@ -599,10 +599,10 @@ pub fn assemble_report(
 /// `cfg.stall_timeout`, it fails with [`ExecError::Stalled`] carrying a
 /// state dump of every worker and logical thread instead of hanging. A
 /// message class starved by the fault plan fails with
-/// [`ExecError::Starved`]. On either error the run's threads are
-/// abandoned (workers exit on their own once every mailbox sender is
-/// gone); a program panic that is not an [`ExecError`] still propagates
-/// as a panic.
+/// [`ExecError::Starved`]. On either error every mailbox is closed, so
+/// the workers exit, and a logical thread still blocked in the program
+/// is abandoned; a program panic that is not an [`ExecError`] still
+/// propagates as a panic.
 pub fn try_run_exec<T, F>(cfg: ExecConfig, program: F) -> Result<(T, ExecReport), ExecError>
 where
     T: Send + 'static,
@@ -632,13 +632,13 @@ where
     let (hub, mailboxes) = MailboxTransport::new(workers.clone());
     let worker_joins: Vec<_> = workers
         .into_iter()
-        .zip(mailboxes)
+        .zip(mailboxes.clone())
         .enumerate()
         .map(|(p, (worker, mailbox))| {
             let hub = Arc::clone(&hub);
             thread::Builder::new()
                 .name(format!("olden-worker-{p}"))
-                .spawn(move || Worker::serve(&worker, mailbox, &hub))
+                .spawn(move || Worker::serve(&worker, &mailbox, &hub))
                 .expect("spawn worker thread")
         })
         .collect();
@@ -652,7 +652,8 @@ where
         cfg.stall_timeout,
         || dump_state(&worker_slots, &shared),
         program,
-    )?;
+    )
+    .inspect_err(|_| mailboxes.iter().for_each(|m| m.close()))?;
 
     let mut control = shared.link.connect(CONTROL_SRC);
     let reports = drain_fleet(control.as_mut(), cfg.procs, &counters);

@@ -12,7 +12,7 @@
 //! same protocol runs unchanged over in-process mailboxes and over the
 //! network backend's length-prefixed TCP frames (`olden-net`). The reply
 //! path belongs to the [`Transport`](crate::Transport): the mailbox
-//! transport routes replies over per-client channels, the socket
+//! transport routes replies over per-client reply lanes, the socket
 //! transport writes them back on the connection the request arrived on.
 //! On the thread backend a request addressed to the processor the
 //! logical thread occupies never reaches a transport at all: the thread

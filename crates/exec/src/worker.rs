@@ -15,8 +15,9 @@
 //! A request reaches `handle` one of two ways. Every *message* goes
 //! through [`Worker::deliver`], the one home of dedup and delivery
 //! accounting: on the thread backend the service loop (`Worker::serve`)
-//! drains the processor's in-process mailbox until a
-//! [`Request::Shutdown`] arrives, and in a worker *process* under
+//! pops the processor's mailbox, a [`Lane`], until a
+//! [`Request::Shutdown`] arrives or a failed run closes the lane, and in
+//! a worker *process* under
 //! `olden-net` each connection's thread delivers the TCP frames it reads.
 //! On the thread backend a logical thread also calls `handle` directly,
 //! under the worker's lock, for a request addressed to the processor it
@@ -25,7 +26,7 @@
 
 use crate::envelope::{Dedup, CONTROL_SRC};
 use crate::msg::{Envelope, LineData, LookupReply, Reply, Request, WorkerReport};
-use crate::transport::MailboxTransport;
+use crate::transport::{Lane, MailboxTransport};
 use crate::TransportCounters;
 use olden_cache::{Arrival, CacheStats, HomeDir, Probe, ProcCache, Protocol};
 use olden_gptr::{GPtr, LineInPage, PageNum, ProcId, Word, LINE_WORDS, PAGE_WORDS};
@@ -33,7 +34,6 @@ use olden_obs::{EventKind, Recorder};
 use olden_runtime::{LineKey, LineSanitizer};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
-use std::sync::mpsc::Receiver;
 use std::sync::{Arc, Mutex};
 
 /// Lock-free view of a worker's liveness for the watchdog's state dump
@@ -135,13 +135,13 @@ impl Worker {
     /// envelope and released before the reply goes out, so threads
     /// resident on this processor call `handle` in between. Nothing under
     /// the lock blocks.
-    pub(crate) fn serve(this: &Mutex<Worker>, mailbox: Receiver<Envelope>, hub: &MailboxTransport) {
+    pub(crate) fn serve(this: &Mutex<Worker>, mailbox: &Lane<Envelope>, hub: &MailboxTransport) {
         let slot = Arc::clone(&this.lock().unwrap().slot);
         loop {
             slot.state.store(W_WAITING, Ordering::Relaxed);
-            let Ok(env) = mailbox.recv() else {
-                // Every client gone without a shutdown: the run aborted
-                // (e.g. a client panicked); exit quietly.
+            let Some(env) = mailbox.pop() else {
+                // Mailbox closed without a shutdown: the run failed
+                // (stalled, starved or panicked); exit quietly.
                 break;
             };
             slot.state.store(W_SERVING, Ordering::Relaxed);

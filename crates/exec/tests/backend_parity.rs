@@ -10,8 +10,9 @@
 //! references.
 
 use olden_benchmarks::{all, generic_run, SizeClass};
-use olden_exec::{run_exec, ExecConfig, ExecReport, MsgKind, Protocol};
+use olden_exec::{run_exec, try_run_exec, ExecConfig, ExecReport, MsgKind, Protocol};
 use olden_runtime::{Config, OldenCtx};
+use std::time::Duration;
 
 const PROCS: usize = 8;
 
@@ -103,5 +104,22 @@ fn parallel_mode_values_and_deterministic_counters() {
         );
         assert_eq!(rep.stats.steals, sim.stats().steals, "{name} steals");
         assert_eq!(rep.stats.futures, sim.stats().futures, "{name} futures");
+    }
+}
+
+/// Parallel mode hands frames between OS threads on every steal and
+/// completion: 200 repeated runs give a lost wake-up many chances to
+/// show. The watchdog turns one into `Stalled` rather than a hang.
+#[test]
+fn parallel_mode_survives_repeated_runs() {
+    let expected = (olden_benchmarks::by_name("TreeAdd").unwrap().reference)(SizeClass::Tiny);
+    for run in 0..200 {
+        let cfg = ExecConfig::parallel(4).with_stall_timeout(Duration::from_secs(2));
+        let got = try_run_exec(cfg, |ctx| {
+            generic_run("TreeAdd", ctx, SizeClass::Tiny).unwrap()
+        })
+        .unwrap_or_else(|e| panic!("run {run}: {e}"))
+        .0;
+        assert_eq!(got, expected, "run {run}: TreeAdd value");
     }
 }

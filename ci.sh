@@ -178,7 +178,9 @@ stage "net-parity" net_parity
 # crates/*, so a refactor can break it without the workspace build or
 # tests noticing: perf/src/layers.rs builds `Request` values by field
 # name, so renaming a field of the message table in exec/src/msg.rs or
-# changing its type breaks perf/ alone. Three checks, in order:
+# changing its type breaks perf/ alone. It also builds
+# `ArrivalKind::Return(vec![..])`, so changing that payload's type breaks
+# perf/ alone too. Three checks, in order:
 #   --smoke      builds the harness and checks every workload's outputs
 #                (the perf/expected/seed0.json pins, among them every
 #                interpreted program's checksum) and every BENCHMARK.json

@@ -17,7 +17,7 @@ use crate::home::HomeDir;
 use crate::requester::Probe;
 use crate::stats::CacheStats;
 use crate::table::ProcCache;
-use olden_gptr::{LineInPage, PageNum, ProcId};
+use olden_gptr::{LineInPage, PageNum, ProcId, ProcSet};
 
 /// Which Appendix-A coherence scheme is in force.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -79,13 +79,13 @@ pub enum Access {
 
 /// How a thread arrived at a processor (migration receipt = acquire).
 #[derive(Clone, Copy, Debug)]
-pub enum Arrival<'a> {
+pub enum Arrival {
     /// Forward migration into a procedure body.
     Call,
     /// Return-stub migration; `written_homes` are the processors whose
     /// memories the returning thread wrote (the §3 refinement: only their
     /// lines can be stale for this thread).
-    Return { written_homes: &'a [ProcId] },
+    Return { written_homes: ProcSet },
 }
 
 /// Every processor's cache and home directory plus the one running
@@ -270,7 +270,7 @@ impl CacheSystem {
     }
 
     /// A migration arrived at `to` (an acquire).
-    pub fn arrive(&mut self, to: ProcId, arrival: Arrival<'_>) {
+    pub fn arrive(&mut self, to: ProcId, arrival: Arrival) {
         self.caches[to as usize].acquire(self.protocol, arrival);
     }
 
@@ -376,7 +376,7 @@ mod tests {
         s.arrive(
             0,
             Arrival::Return {
-                written_homes: &[2],
+                written_homes: [2].into_iter().collect(),
             },
         );
         assert_eq!(s.access(0, 1, 5, 2, false), Access::Hit);

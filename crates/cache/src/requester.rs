@@ -141,7 +141,7 @@ impl ProcCache {
     }
 
     /// A thread arrives by migration (the acquire).
-    pub fn acquire(&mut self, protocol: Protocol, arrival: Arrival<'_>) {
+    pub fn acquire(&mut self, protocol: Protocol, arrival: Arrival) {
         match protocol {
             Protocol::LocalKnowledge => match arrival {
                 Arrival::Call => self.clear_all(),
@@ -267,9 +267,8 @@ mod tests {
 
     #[test]
     fn acquire_follows_the_scheme() {
-        let homes = [2];
         let ret = Arrival::Return {
-            written_homes: &homes,
+            written_homes: [2].into_iter().collect(),
         };
         let mut c = ProcCache::new();
         warm(&mut c, 1, 5, 0);

@@ -15,7 +15,7 @@
 //! lengthen the walks `lookup` counts, and those probes are the §3.2
 //! chain-length claim (`mean_chain_length`, pinned by the benchmark).
 
-use olden_gptr::{LineInPage, PageNum, ProcId, LINES_PER_PAGE};
+use olden_gptr::{LineInPage, PageNum, ProcId, ProcSet, LINES_PER_PAGE};
 
 /// Bucket count of the translation table (paper Figure 1: "1024 hash
 /// buckets", described in §3.2 as "a 1K hash table").
@@ -182,11 +182,11 @@ impl ProcCache {
     /// Local-knowledge return refinement: drop only pages homed on the
     /// given processors. Filters the occupied chains only and unindexes
     /// those it empties.
-    pub fn clear_homes(&mut self, homes: &[ProcId]) {
+    pub fn clear_homes(&mut self, homes: ProcSet) {
         self.occupied.retain(|&b| {
             let chain = &mut self.buckets[b as usize];
             let before = chain.len();
-            chain.retain(|cp| !homes.contains(&cp.home));
+            chain.retain(|cp| !homes.contains(cp.home));
             self.resident -= before - chain.len();
             !chain.is_empty()
         });
@@ -293,11 +293,18 @@ mod tests {
         c.ensure(1, 10);
         c.ensure(2, 20);
         c.ensure(3, 30);
-        c.clear_homes(&[1, 3]);
+        c.clear_homes([1, 3].into_iter().collect());
         assert!(c.lookup(1, 10).is_none());
         assert!(c.lookup(2, 20).is_some());
         assert!(c.lookup(3, 30).is_none());
         assert_eq!(c.resident(), 1);
+        // Either side of the bitset's first word boundary.
+        c.ensure(63, 40);
+        c.ensure(64, 50);
+        c.clear_homes([64].into_iter().collect());
+        assert!(c.lookup(63, 40).is_some());
+        assert!(c.lookup(64, 50).is_none());
+        assert_eq!(c.resident(), 2);
     }
 
     #[test]
@@ -642,7 +649,7 @@ mod tests {
                     990..=996 => {
                         let homes: Vec<ProcId> =
                             (0..HOMES as ProcId).filter(|_| rng.chance(0.5)).collect();
-                        c.clear_homes(&homes);
+                        c.clear_homes(homes.iter().copied().collect());
                         r.clear_homes(&homes);
                     }
                     _ => {

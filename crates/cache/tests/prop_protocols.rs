@@ -103,7 +103,7 @@ fn local_knowledge_hits_match_model() {
                     sys.arrive(
                         *proc,
                         Arrival::Return {
-                            written_homes: written,
+                            written_homes: written.iter().copied().collect(),
                         },
                     );
                     model[*proc as usize].retain(|(h, _, _)| !written.contains(h));

@@ -1,10 +1,11 @@
 //! [`ExecCtx`]: the thread backend's execution context.
 //!
 //! One `ExecCtx` is the state of one *logical Olden thread* — the thread
-//! of control the paper's runtime migrates between processors. It tracks
-//! the current processor, the future-frame stack, and the write-set
-//! scopes, and turns every heap operation into requests to the worker
-//! that owns the touched processor. A request to another processor — a
+//! of control the paper's runtime migrates between processors. It drives
+//! the thread discipline of `olden_runtime::thread` (whose `ThreadState`
+//! holds the processor, the frames and the written set), and turns every
+//! heap operation into requests to the worker that owns the touched
+//! processor. A request to another processor — a
 //! remote word, a line fetch, a migration arrival, coherence traffic — is
 //! a message; one to the processor the thread occupies (a local load or
 //! store, a cache probe or install, a local allocation) is serviced in
@@ -35,77 +36,49 @@ use crate::frame::{CompleteOnDrop, FrameHandle};
 use crate::msg::{ArrivalKind, Envelope, LookupReply, Reply, Request};
 use crate::transport::ClientConn;
 use crate::{ClientSlot, Mode, Shared, C_DONE, C_JOINING, C_RUNNING, C_WAITING_BODY};
-use olden_cache::{invalidation_targets, DirtyPage, Release, WriteEpoch};
-use olden_gptr::{GPtr, ProcId, Word, LINE_WORDS};
+use olden_cache::{invalidation_targets, Arrival, DirtyPage, Release, WriteEpoch};
+use olden_gptr::{GPtr, ProcId, ProcSet, Word, LINE_WORDS};
 use olden_obs::{EventKind, Recorder};
+use olden_runtime::thread::{self, Driver, Ended, Spawned, ThreadState};
 use olden_runtime::{
-    Backend, Check, FaultEvent, FaultTag, Mechanism, RaceViolation, RunStats, TransportStats,
-    VClock,
+    Backend, Check, CostModel, FaultEvent, FaultTag, Mechanism, RaceViolation, RunStats,
+    TransportStats, VClock,
 };
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// What a future body's thread hands back when joined.
-pub(crate) struct BodyOutcome<T> {
+/// What a future body's thread hands back when joined: its value, written
+/// set and counters; its write epoch (continuing the spawner's when the
+/// body completed inline); and (sanitizer only) its final vector clock,
+/// joined into the toucher's (the simulator's `Join` edge).
+pub struct BodyOutcome<T> {
     value: T,
-    written: Vec<ProcId>,
-    stats: RunStats,
-    cacheable_reads: u64,
-    cacheable_writes: u64,
-    sent: MsgCounts,
-    /// The body's write epoch (continues the spawner's when the body
-    /// completed inline).
+    written: ProcSet,
+    counters: ClientFinal,
     epoch: WriteEpoch,
-    /// Sanitizer: the body's final vector clock, joined into the
-    /// toucher's clock (the simulator's `Join` edge).
     clock: VClock,
 }
 
-enum HandleInner<T: Send + 'static> {
-    /// Body already completed on this logical thread (lockstep, an
-    /// uncharged region, or a parallel body that finished without
-    /// migrating). `parallel` records whether the continuation was stolen,
-    /// i.e. whether the touch is a real join needing a return-acquire.
-    Ready {
-        value: T,
-        written: Vec<ProcId>,
-        parallel: bool,
-        /// Sanitizer, stolen lockstep futures only: the body's final
-        /// clock, joined at the touch.
-        clock: Option<VClock>,
-    },
-    /// Parallel mode, continuation stolen: the body is (or was) running on
-    /// its own OS thread; the touch joins it.
-    Pending { join: JoinHandle<BodyOutcome<T>> },
+/// A forked future body, as the touch that joins it finds it.
+pub enum ExecBody<T> {
+    /// Lockstep: the body ran on this logical thread, ending with a clock
+    /// (sanitizer only).
+    Ended(Ended<T, Option<VClock>>),
+    /// Parallel: the body is (or was) running on its own OS thread.
+    Running(JoinHandle<BodyOutcome<T>>),
+}
+
+impl<T> From<Ended<T, Option<VClock>>> for ExecBody<T> {
+    fn from(ended: Ended<T, Option<VClock>>) -> Self {
+        ExecBody::Ended(ended)
+    }
 }
 
 /// The result of a `future_call` on the thread backend, claimed by
 /// `touch`.
-#[must_use = "a future must be touched before its value is used"]
-pub struct ExecHandle<T: Send + 'static>(HandleInner<T>);
-
-impl<T: Send + 'static> ExecHandle<T> {
-    /// A future whose body completed on the spawning logical thread (its
-    /// write set already merged there): the touch is not a join.
-    fn inline(value: T) -> Self {
-        ExecHandle(HandleInner::Ready {
-            value,
-            written: Vec::new(),
-            parallel: false,
-            clock: None,
-        })
-    }
-
-    /// Whether this future turned into a real parallel task.
-    pub fn is_parallel(&self) -> bool {
-        match &self.0 {
-            HandleInner::Ready { parallel, .. } => *parallel,
-            HandleInner::Pending { .. } => true,
-        }
-    }
-}
+pub type ExecHandle<T> = Spawned<T, ExecBody<T>>;
 
 fn join_body<T>(join: JoinHandle<BodyOutcome<T>>) -> BodyOutcome<T> {
     match join.join() {
@@ -119,17 +92,13 @@ fn join_body<T>(join: JoinHandle<BodyOutcome<T>>) -> BodyOutcome<T> {
 /// One logical Olden thread executing against the worker fleet.
 pub struct ExecCtx {
     shared: Arc<Shared>,
-    cur_proc: ProcId,
-    /// When > 0, execution is in an uncharged region: values are computed
-    /// (heap traffic still flows) but no events are counted and no cache
-    /// or migration machinery runs — mirroring the simulator.
-    free_depth: u32,
-    /// In-flight future frames this thread can steal from: its own plus,
-    /// for a body thread, the frames inherited from its spawner (a
-    /// migration here must be able to steal an ancestor's continuation).
-    frames: Vec<Arc<FrameHandle>>,
-    write_scopes: Vec<Vec<ProcId>>,
-    stats: RunStats,
+    /// The logical thread. Its frames are its own plus, for a body thread,
+    /// those inherited from its spawner (a migration here must be able to
+    /// steal an ancestor's continuation); an uncharged region still moves
+    /// heap traffic, but counts no events and runs no cache or migration
+    /// machinery, as in the simulator. Its recorder is single-owner: the
+    /// lane is parked in `Shared::lanes` when the thread finishes.
+    t: ThreadState<Arc<FrameHandle>>,
     /// Client-side halves of the cache counters (the remote halves live in
     /// the workers).
     cacheable_reads: u64,
@@ -155,10 +124,6 @@ pub struct ExecCtx {
     /// the next send — so the copy really does arrive out of order with
     /// the traffic in between.
     delayed: Vec<(ProcId, Envelope)>,
-    /// Event recorder (recorded runs only). Single-owner: only this
-    /// logical thread writes it; the lane is parked in `Shared::lanes`
-    /// when the thread finishes.
-    rec: Option<Recorder>,
 }
 
 impl ExecCtx {
@@ -177,11 +142,7 @@ impl ExecCtx {
         let rec = shared.record.then(|| Recorder::exec(shared.epoch));
         ExecCtx {
             shared,
-            cur_proc: proc,
-            free_depth: 0,
-            frames: Vec::new(),
-            write_scopes: vec![Vec::new()],
-            stats: RunStats::default(),
+            t: ThreadState::new(proc, rec),
             cacheable_reads: 0,
             cacheable_writes: 0,
             epoch: WriteEpoch::default(),
@@ -191,7 +152,6 @@ impl ExecCtx {
             seq: 0,
             sent: MsgCounts::default(),
             delayed: Vec::new(),
-            rec,
         }
     }
 
@@ -203,7 +163,7 @@ impl ExecCtx {
     /// sanitizing and charged, `None` otherwise (uncharged accesses are
     /// invisible to the sanitizer, exactly as in the simulator).
     fn clock_for_msg(&self) -> Option<VClock> {
-        (self.sanitizing() && self.free_depth == 0).then(|| self.clock.clone())
+        (self.sanitizing() && self.t.charged()).then(|| self.clock.clone())
     }
 
     /// Start a new segment on `p`: draw a fresh shared tick for `p` and
@@ -219,7 +179,7 @@ impl ExecCtx {
         self.park_lane();
         self.slot.state.store(C_DONE, Ordering::Relaxed);
         ClientFinal {
-            stats: self.stats,
+            stats: self.t.stats,
             cacheable_reads: self.cacheable_reads,
             cacheable_writes: self.cacheable_writes,
             sent: self.sent,
@@ -229,36 +189,15 @@ impl ExecCtx {
     /// Hand this logical thread's event lane to the run (recorded runs
     /// only); called once when the thread finishes.
     fn park_lane(&mut self) {
-        if let Some(r) = self.rec.take() {
+        if let Some(r) = self.t.rec.take() {
             let lane = r.into_lane(format!("client{:04}", self.slot.id));
             self.shared.lanes.lock().unwrap().push(lane);
         }
     }
 
-    #[inline]
-    fn rec_instant(&mut self, kind: EventKind, proc: ProcId, arg: u64) {
-        if let Some(r) = self.rec.as_mut() {
-            r.instant(kind, proc, arg);
-        }
-    }
-
-    #[inline]
-    fn rec_begin(&mut self, kind: EventKind, proc: ProcId) {
-        if let Some(r) = self.rec.as_mut() {
-            r.begin(kind, proc, 0);
-        }
-    }
-
-    #[inline]
-    fn rec_end(&mut self, kind: EventKind, proc: ProcId) {
-        if let Some(r) = self.rec.as_mut() {
-            r.end(kind, proc);
-        }
-    }
-
     /// Event counters accumulated by this logical thread so far.
     pub fn stats(&self) -> &RunStats {
-        &self.stats
+        &self.t.stats
     }
 
     /// Every operation bumps the run's progress counter; the watchdog
@@ -300,7 +239,7 @@ impl ExecCtx {
     /// arrival stays a message wherever it lands, so every migration
     /// still costs exactly one.
     fn req(&mut self, proc: ProcId, req: Request) -> Reply {
-        if proc == self.cur_proc && !matches!(req, Request::MigrateThread { .. }) {
+        if proc == self.t.proc && !matches!(req, Request::MigrateThread { .. }) {
             if let Some(worker) = self.shared.link.resident(proc) {
                 let reply = worker.lock().unwrap().handle(req);
                 self.bump();
@@ -370,11 +309,8 @@ impl ExecCtx {
                         });
                     }
                     t.retries.fetch_add(1, Ordering::Relaxed);
-                    // Direct field access: `plan`/`t` borrow `self.shared`,
-                    // which is disjoint from `self.rec`.
-                    if let Some(r) = self.rec.as_mut() {
-                        r.instant(EventKind::Retry, proc, attempt as u64);
-                    }
+                    // `plan`/`t` borrow `self.shared`, disjoint from `self.t`.
+                    self.t.instant(EventKind::Retry, proc, attempt as u64);
                     // Backing off is forward progress: keep the watchdog
                     // informed so a retry storm is not mistaken for a
                     // stall.
@@ -400,7 +336,7 @@ impl ExecCtx {
         // Charged writes run the home-side half of the write-tracking
         // instrumentation (global/bilateral); uncharged writes — like the
         // simulator's — are invisible to the coherence machinery.
-        let track = self.free_depth == 0 && self.shared.protocol.tracks_writes();
+        let track = self.t.charged() && self.shared.protocol.tracks_writes();
         let req = Request::WriteHome {
             local,
             value,
@@ -421,7 +357,7 @@ impl ExecCtx {
         let (home, page, line) = (p.proc(), p.page(), p.line_in_page());
         let word = (p.local() % LINE_WORDS as u64) as u8;
         let write = wval.is_some();
-        let cur = self.cur_proc;
+        let cur = self.t.proc;
         let lookup = Request::CacheLookup {
             home,
             page,
@@ -452,7 +388,7 @@ impl ExecCtx {
         // epoch-marked page) doubles as the sanitized read access; a write
         // instead carries its clock on the write-through, so each
         // simulator-side logged access maps to exactly one clocked message.
-        self.rec_instant(EventKind::LineFetch, cur, home as u64);
+        self.t.instant(EventKind::LineFetch, cur, home as u64);
         let mut clock = if write { None } else { self.clock_for_msg() };
         if let LookupReply::RevalNeeded { validated_ts } = reply {
             let query = Request::RevalQuery {
@@ -489,7 +425,7 @@ impl ExecCtx {
     /// the fetch is also the access the sanitizer logs.
     fn fetch_and_install(&mut self, p: GPtr, wval: Option<Word>, clock: Option<VClock>) -> Word {
         let (home, page, line) = (p.proc(), p.page(), p.line_in_page());
-        let cur = self.cur_proc;
+        let cur = self.t.proc;
         let fetch = Request::LineFetchReq {
             page,
             line,
@@ -508,19 +444,6 @@ impl ExecCtx {
             ts,
         };
         self.req(cur, install).expect_word()
-    }
-
-    fn note_written(&mut self, home: ProcId) {
-        let top = self.write_scopes.last_mut().expect("write scope stack");
-        if !top.contains(&home) {
-            top.push(home);
-        }
-    }
-
-    fn merge_written(&mut self, written: &[ProcId]) {
-        for &p in written {
-            self.note_written(p);
-        }
     }
 
     /// The release half of a migration send: end this thread's write
@@ -549,35 +472,6 @@ impl ExecCtx {
         }
     }
 
-    /// Thread migration to `target`.
-    fn migrate_to(&mut self, target: ProcId) {
-        let from = self.cur_proc;
-        debug_assert_ne!(from, target);
-        self.stats.migrations += 1;
-        self.rec_instant(EventKind::MigrateSend, from, target as u64);
-        self.hop(target, ArrivalKind::Call);
-        // The worker recorded the acquire's invalidation while servicing
-        // the round trip, so this lands after it — same order as the
-        // simulator's send → invalidate → receive.
-        self.rec_instant(EventKind::MigrateRecv, target, from as u64);
-    }
-
-    /// What a forward and a return migration share: release at the origin
-    /// (see [`ExecCtx::depart_release`]), make futures spawned from the
-    /// vacated processor stealable, and acquire at the destination.
-    fn hop(&mut self, to: ProcId, arrival: ArrivalKind) {
-        let from = self.cur_proc;
-        self.depart_release(from);
-        // Steals are marked with the *departing* segment's clock, before
-        // the bump: the resumed continuation is ordered after everything
-        // up to the migration, not after the body's later work.
-        self.mark_steals(from);
-        self.cur_proc = to;
-        self.slot.proc.store(to, Ordering::Relaxed);
-        self.clock_bump(to);
-        self.arrive(arrival);
-    }
-
     /// The idle spawn processor grabbed the continuation; resume there (no
     /// acquire — the continuation never left). Clock-wise this rewinds to
     /// the steal point: the continuation saw nothing the body did after
@@ -586,37 +480,94 @@ impl ExecCtx {
         if let Some(sc) = steal_clock {
             self.clock = sc;
         }
-        self.cur_proc = spawn_proc;
+        self.t.proc = spawn_proc;
         self.slot.proc.store(spawn_proc, Ordering::Relaxed);
         self.clock_bump(spawn_proc);
-        self.rec_instant(EventKind::Steal, spawn_proc, 0);
+        self.t.instant(EventKind::Steal, spawn_proc, 0);
     }
 
-    /// A migration just vacated `proc`: every in-flight future anchored
-    /// there becomes stolen (in parallel mode this wakes the spawner
-    /// blocked in `future_call` — the StealNotify of the protocol).
-    fn mark_steals(&mut self, proc: ProcId) {
-        let clock = self.sanitizing().then(|| self.clock.clone());
-        for f in self.frames.iter().rev() {
-            if f.anchor == proc {
-                f.steal(clock.as_ref());
-            }
+    /// Parallel mode's fork: the body runs on its own OS thread, and the
+    /// spawner blocks until it either completes or migrates off the
+    /// spawning processor (lazy task creation: only a migration makes the
+    /// continuation stealable).
+    fn fork_thread<T, F>(&mut self, f: F) -> ExecHandle<T>
+    where
+        T: Send + 'static,
+        F: FnOnce(&mut Self) -> T + Send + 'static,
+    {
+        if !self.t.charged() {
+            return Spawned::Ready(f(self));
+        }
+        let frame = Arc::<FrameHandle>::default();
+        let spawn_proc = thread::spawn(self, Arc::clone(&frame));
+        let mut child = ExecCtx::fresh(Arc::clone(&self.shared), spawn_proc);
+        // The body can steal its own frame and any ancestor's.
+        child.t.frames = self.t.frames.clone();
+        // The body continues the spawner's write epoch: dirty lines
+        // accumulated here travel with it and flush at its next departure
+        // (one thread in the simulator).
+        child.epoch = self.epoch.clone();
+        // The body continues the spawner's segment (no bump until it
+        // migrates), exactly as in the simulator.
+        child.clock = self.clock.clone();
+        let body_frame = Arc::clone(&frame);
+        let join = std::thread::Builder::new()
+            .name(format!("olden-body-{}", child.slot.id))
+            .spawn(move || {
+                let _complete = CompleteOnDrop(body_frame);
+                child.t.begin(EventKind::FutureBody, spawn_proc);
+                let value = f(&mut child);
+                child.t.end(EventKind::FutureBody, child.t.proc);
+                if _complete.0.is_stolen() {
+                    // A forked body releases as it sends its value home
+                    // (the simulator's depart at the stolen arm); an
+                    // inline body's dirty lines return to the spawner
+                    // instead.
+                    let end_proc = child.t.proc;
+                    child.depart_release(end_proc);
+                }
+                BodyOutcome {
+                    value,
+                    written: child.t.written(),
+                    epoch: std::mem::take(&mut child.epoch),
+                    clock: std::mem::take(&mut child.clock),
+                    counters: child.finish(),
+                }
+            })
+            .expect("spawn future body thread");
+        self.slot.state.store(C_WAITING_BODY, Ordering::Relaxed);
+        let st = frame.wait_done_or_stolen();
+        self.slot.state.store(C_RUNNING, Ordering::Relaxed);
+        self.bump();
+        self.t.frames.pop().expect("frame underflow");
+        if st.stolen {
+            self.t.stats.steals += 1;
+            // The stolen body took the write epoch with it (it cloned ours
+            // and departs at its end); the continuation starts a fresh
+            // epoch here.
+            self.epoch = WriteEpoch::default();
+            self.resume_stolen(spawn_proc, st.steal_clock);
+            Spawned::Forked(ExecBody::Running(join))
+        } else {
+            // Completed without migrating: join immediately; the future
+            // never forked. The body never migrated, so its clock equals
+            // ours — nothing to join.
+            let out = join_body(join);
+            self.absorb(&out.counters);
+            self.t.adopt(out.written);
+            // The inline body extended our write epoch; adopt its final
+            // state (ours was a prefix of it).
+            self.epoch = out.epoch;
+            Spawned::Ready(out.value)
         }
     }
 
-    /// The acquire at the current processor: a migration's arrival, or a
-    /// touched future's value receipt (a return with the body's write set).
-    fn arrive(&mut self, arrival: ArrivalKind) {
-        self.req(self.cur_proc, Request::MigrateThread { arrival })
-            .expect_unit();
-    }
-
     /// Fold a joined future body's counters into this thread's.
-    fn absorb<T>(&mut self, out: &BodyOutcome<T>) {
-        self.stats.absorb(&out.stats);
-        self.cacheable_reads += out.cacheable_reads;
-        self.cacheable_writes += out.cacheable_writes;
-        self.sent.absorb(&out.sent);
+    fn absorb(&mut self, body: &ClientFinal) {
+        self.t.stats.absorb(&body.stats);
+        self.cacheable_reads += body.cacheable_reads;
+        self.cacheable_writes += body.cacheable_writes;
+        self.sent.absorb(&body.sent);
     }
 
     /// One charged or uncharged word access — a write when `wval` is set —
@@ -631,7 +582,7 @@ impl ExecCtx {
     ) -> Word {
         let p = ptr.offset(field as u64);
         debug_assert!(!p.is_null(), "null dereference");
-        if self.free_depth > 0 {
+        if !self.t.charged() {
             return self.home_access(p, wval);
         }
         self.bump();
@@ -639,15 +590,15 @@ impl ExecCtx {
         // Whether a `Check::Elide` verdict is honored in this run (the
         // simulator's gate in `OldenCtx::resolve`).
         let want = check == Check::Elide && self.shared.elide_checks && self.shared.force.is_none();
-        let local = p.is_local_to(self.cur_proc);
+        let local = p.is_local_to(self.t.proc);
         let (value, elided) = match mech {
             Mechanism::Migrate => {
                 if local {
-                    self.stats.migrate_local += 1;
+                    self.t.stats.migrate_local += 1;
                 } else {
                     // A stale elision hint performs the full check.
-                    self.stats.migrate_remote += 1;
-                    self.migrate_to(p.proc());
+                    self.t.stats.migrate_remote += 1;
+                    thread::migrate(self, p.proc());
                 }
                 (self.home_access(p, wval), want && local)
             }
@@ -673,18 +624,96 @@ impl ExecCtx {
             }
         };
         if elided {
-            self.stats.checks_elided += 1;
+            self.t.stats.checks_elided += 1;
         } else {
-            self.stats.checks_performed += 1;
+            self.t.stats.checks_performed += 1;
         }
         if wval.is_some() {
             // The thread-side half of the write tracking: remember the
             // dirty line for the next departure's release.
             self.epoch
                 .note_write(self.shared.protocol, p.proc(), p.page(), p.line_in_page());
-            self.note_written(p.proc());
+            self.t.wrote(p.proc());
         }
         value
+    }
+}
+
+/// The thread backend's moves: every release, steal and acquire is a
+/// round trip to a worker.
+impl Driver for ExecCtx {
+    type Frame = Arc<FrameHandle>;
+    type End = Option<VClock>;
+    type Body<T> = ExecBody<T>;
+
+    fn thread(&mut self) -> &mut ThreadState<Arc<FrameHandle>> {
+        &mut self.t
+    }
+
+    /// Cycle accounting belongs to the simulator: a spawn or a touch only
+    /// feeds the watchdog's progress signal.
+    fn cost(&mut self, _: fn(&CostModel) -> u64) {
+        self.bump();
+    }
+
+    /// Release at the origin (see `ExecCtx::depart_release`), steal the
+    /// futures spawned there, and acquire at the destination.
+    fn hop(&mut self, to: ProcId, arrival: Arrival) {
+        let from = self.t.proc;
+        self.depart_release(from);
+        // Steals are marked with the *departing* segment's clock, before
+        // the bump: the resumed continuation is ordered after everything
+        // up to the migration, not after the body's later work. In
+        // parallel mode a steal wakes the spawner blocked in
+        // `fork_thread` — the StealNotify of the protocol.
+        let clock = self.sanitizing().then(|| self.clock.clone());
+        for frame in self.t.steal_from(from) {
+            frame.steal(clock.as_ref());
+        }
+        self.t.proc = to;
+        self.slot.proc.store(to, Ordering::Relaxed);
+        self.clock_bump(to);
+        self.acquire(arrival);
+    }
+
+    /// The worker records the acquire's invalidation while servicing the
+    /// round trip, so it lands between the thread's send and receive
+    /// events — the simulator's order.
+    fn acquire(&mut self, arrival: Arrival) {
+        let arrival = ArrivalKind::from(arrival);
+        self.req(self.t.proc, Request::MigrateThread { arrival })
+            .expect_unit();
+    }
+
+    fn fork(&mut self, anchor: ProcId, frame: Arc<FrameHandle>) -> Option<VClock> {
+        // The body thread releases as it sends its value home (the
+        // simulator's depart at the stolen arm).
+        self.depart_release(self.t.proc);
+        let body_clock = self.sanitizing().then(|| self.clock.clone());
+        self.resume_stolen(anchor, frame.steal_clock());
+        body_clock
+    }
+
+    fn join<T>(&mut self, body: ExecBody<T>) -> (T, ProcSet) {
+        let (value, written, clock) = match body {
+            ExecBody::Ended(e) => (e.value, e.written, e.end),
+            ExecBody::Running(join) => {
+                self.slot.state.store(C_JOINING, Ordering::Relaxed);
+                let out = join_body(join);
+                self.slot.state.store(C_RUNNING, Ordering::Relaxed);
+                self.bump();
+                self.absorb(&out.counters);
+                self.t.adopt(out.written);
+                let clock = self.sanitizing().then_some(out.clock);
+                (out.value, out.written, clock)
+            }
+        };
+        // Order this thread after the body's final segment, in a fresh one.
+        if let Some(c) = clock {
+            self.clock.join(&c);
+            self.clock_bump(self.t.proc);
+        }
+        (value, written)
     }
 }
 
@@ -708,7 +737,7 @@ impl Backend for ExecCtx {
     }
 
     fn cur_proc(&self) -> ProcId {
-        self.cur_proc
+        self.t.proc
     }
 
     /// Cycle accounting belongs to the simulator; here the call only feeds
@@ -722,10 +751,10 @@ impl Backend for ExecCtx {
             (proc as usize) < self.shared.procs,
             "ALLOC on unknown processor"
         );
-        if self.free_depth == 0 {
+        if self.t.charged() {
             self.bump();
-            self.stats.allocs += 1;
-            self.stats.words_allocated += words as u64;
+            self.t.stats.allocs += 1;
+            self.t.stats.words_allocated += words as u64;
         }
         self.req(proc, Request::Alloc { words }).expect_ptr()
     }
@@ -754,29 +783,11 @@ impl Backend for ExecCtx {
     }
 
     fn uncharged<R>(&mut self, f: impl FnOnce(&mut Self) -> R) -> R {
-        self.free_depth += 1;
-        let r = f(self);
-        self.free_depth -= 1;
-        r
+        thread::uncharged(self, f)
     }
 
     fn call<R>(&mut self, f: impl FnOnce(&mut Self) -> R) -> R {
-        if self.free_depth > 0 {
-            return f(self);
-        }
-        let entry = self.cur_proc;
-        self.write_scopes.push(Vec::new());
-        let r = f(self);
-        let written = self.write_scopes.pop().expect("scope underflow");
-        self.merge_written(&written);
-        if self.cur_proc != entry {
-            self.stats.return_migrations += 1;
-            let from = self.cur_proc;
-            self.rec_instant(EventKind::ReturnSend, from, entry as u64);
-            self.hop(entry, ArrivalKind::Return(written));
-            self.rec_instant(EventKind::ReturnRecv, entry, from as u64);
-        }
-        r
+        thread::call(self, f)
     }
 
     fn future_call<T, F>(&mut self, f: F) -> ExecHandle<T>
@@ -784,167 +795,16 @@ impl Backend for ExecCtx {
         T: Send + 'static,
         F: FnOnce(&mut Self) -> T + Send + 'static,
     {
-        if self.free_depth > 0 {
-            return ExecHandle::inline(f(self));
-        }
-        self.bump();
-        self.stats.futures += 1;
-        let spawn_proc = self.cur_proc;
-        let frame = Arc::new(FrameHandle::new(spawn_proc));
-        self.frames.push(Arc::clone(&frame));
         match self.shared.mode {
-            Mode::Lockstep => {
-                // The simulator's discipline exactly: body inline, one
-                // logical thread throughout.
-                self.rec_begin(EventKind::FutureBody, spawn_proc);
-                self.write_scopes.push(Vec::new());
-                let value = f(self);
-                let written = self.write_scopes.pop().expect("scope underflow");
-                self.merge_written(&written);
-                self.frames.pop().expect("frame underflow");
-                self.rec_end(EventKind::FutureBody, self.cur_proc);
-                if frame.is_stolen() {
-                    self.stats.steals += 1;
-                    // The body thread releases as it sends its value home
-                    // (the simulator's depart at the stolen arm).
-                    self.depart_release(self.cur_proc);
-                    // The touch joins the body's final clock.
-                    let body_clock = self.sanitizing().then(|| self.clock.clone());
-                    self.resume_stolen(spawn_proc, frame.steal_clock());
-                    ExecHandle(HandleInner::Ready {
-                        value,
-                        written,
-                        parallel: true,
-                        clock: body_clock,
-                    })
-                } else {
-                    debug_assert_eq!(self.cur_proc, spawn_proc, "unstolen body cannot move");
-                    ExecHandle::inline(value)
-                }
-            }
-            Mode::Parallel => {
-                let mut child = ExecCtx::fresh(Arc::clone(&self.shared), spawn_proc);
-                // The body can steal its own frame and any ancestor's.
-                child.frames = self.frames.clone();
-                // The body continues the spawner's write epoch: dirty lines
-                // accumulated here travel with it and flush at its next
-                // departure (one thread in the simulator).
-                child.epoch = self.epoch.clone();
-                // The body continues the spawner's segment (no bump until
-                // it migrates), exactly as in the simulator.
-                child.clock = self.clock.clone();
-                let body_frame = Arc::clone(&frame);
-                let join = std::thread::Builder::new()
-                    .name(format!("olden-body-{}", child.slot.id))
-                    .spawn(move || {
-                        let _complete = CompleteOnDrop(body_frame);
-                        child.rec_begin(EventKind::FutureBody, spawn_proc);
-                        let value = f(&mut child);
-                        let written = child.write_scopes.pop().expect("scope underflow");
-                        child.rec_end(EventKind::FutureBody, child.cur_proc);
-                        if _complete.0.is_stolen() {
-                            // A forked body releases as it sends its value
-                            // home (the simulator's depart at the stolen
-                            // arm); an inline body's dirty lines return to
-                            // the spawner instead.
-                            let end_proc = child.cur_proc;
-                            child.depart_release(end_proc);
-                        }
-                        child.park_lane();
-                        child.slot.state.store(C_DONE, Ordering::Relaxed);
-                        BodyOutcome {
-                            value,
-                            written,
-                            stats: child.stats,
-                            cacheable_reads: child.cacheable_reads,
-                            cacheable_writes: child.cacheable_writes,
-                            sent: child.sent,
-                            epoch: std::mem::take(&mut child.epoch),
-                            clock: child.clock,
-                        }
-                    })
-                    .expect("spawn future body thread");
-                // Lazy task creation: the spawner is not a parallel thread
-                // yet. It waits until the body either finishes (inline
-                // future, cheap) or migrates away, stealing it the
-                // continuation.
-                self.slot.state.store(C_WAITING_BODY, Ordering::Relaxed);
-                let st = frame.wait_done_or_stolen();
-                self.slot.state.store(C_RUNNING, Ordering::Relaxed);
-                self.bump();
-                self.frames.pop().expect("frame underflow");
-                if st.stolen {
-                    self.stats.steals += 1;
-                    // The stolen body took the write epoch with it (it
-                    // cloned ours and departs at its end); the
-                    // continuation starts a fresh epoch here.
-                    self.epoch = WriteEpoch::default();
-                    self.resume_stolen(spawn_proc, st.steal_clock);
-                    ExecHandle(HandleInner::Pending { join })
-                } else {
-                    // Completed without migrating: join immediately; the
-                    // future never forked. The body never migrated, so
-                    // its clock equals ours — nothing to join.
-                    let out = join_body(join);
-                    self.absorb(&out);
-                    self.merge_written(&out.written);
-                    // The inline body extended our write epoch; adopt its
-                    // final state (ours was a prefix of it).
-                    self.epoch = out.epoch;
-                    ExecHandle::inline(out.value)
-                }
-            }
+            // The simulator's discipline exactly: body inline, one logical
+            // thread throughout.
+            Mode::Lockstep => thread::future_call(self, f),
+            Mode::Parallel => self.fork_thread(f),
         }
     }
 
     fn touch<T: Send + 'static>(&mut self, h: ExecHandle<T>) -> T {
-        if self.free_depth == 0 {
-            self.bump();
-            self.stats.touches += 1;
-        }
-        match h.0 {
-            HandleInner::Ready {
-                value,
-                written,
-                parallel,
-                clock,
-            } => {
-                if parallel && self.free_depth == 0 {
-                    self.rec_begin(EventKind::TouchStall, self.cur_proc);
-                    // The touch is a join: order this thread after the
-                    // body's final segment, in a fresh segment.
-                    if let Some(bc) = &clock {
-                        self.clock.join(bc);
-                        self.clock_bump(self.cur_proc);
-                    }
-                    // Receiving the future's value is a migration receipt:
-                    // acquire with the body's write set.
-                    self.arrive(ArrivalKind::Return(written));
-                    self.rec_end(EventKind::TouchStall, self.cur_proc);
-                }
-                value
-            }
-            HandleInner::Pending { join } => {
-                if self.free_depth == 0 {
-                    self.rec_begin(EventKind::TouchStall, self.cur_proc);
-                }
-                self.slot.state.store(C_JOINING, Ordering::Relaxed);
-                let out = join_body(join);
-                self.slot.state.store(C_RUNNING, Ordering::Relaxed);
-                self.bump();
-                self.absorb(&out);
-                self.merge_written(&out.written);
-                if self.free_depth == 0 {
-                    if self.sanitizing() {
-                        self.clock.join(&out.clock);
-                        self.clock_bump(self.cur_proc);
-                    }
-                    self.arrive(ArrivalKind::Return(out.written));
-                    self.rec_end(EventKind::TouchStall, self.cur_proc);
-                }
-                out.value
-            }
-        }
+        thread::touch(self, h)
     }
 
     /// Snapshot of the run's global transport counters (all clients and

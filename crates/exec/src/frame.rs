@@ -9,7 +9,6 @@
 //! delivers *TouchResult* the same way. Both wake the spawner after
 //! releasing the mutex, so it never wakes only to wait for it.
 
-use olden_gptr::ProcId;
 use olden_runtime::VClock;
 use std::sync::{Condvar, Mutex};
 
@@ -26,37 +25,25 @@ pub struct FrameState {
     pub steal_clock: Option<VClock>,
 }
 
-/// Shared bookkeeping for one spawned future.
-#[derive(Debug)]
+/// Shared bookkeeping for one spawned future (its anchor processor is
+/// kept by the thread state's frame that holds this handle).
+#[derive(Debug, Default)]
 pub struct FrameHandle {
-    /// Processor the future was spawned from — where its continuation
-    /// waits on the work list.
-    pub anchor: ProcId,
     state: Mutex<FrameState>,
     cv: Condvar,
 }
 
 impl FrameHandle {
-    pub fn new(anchor: ProcId) -> FrameHandle {
-        FrameHandle {
-            anchor,
-            state: Mutex::new(FrameState::default()),
-            cv: Condvar::new(),
-        }
-    }
-
     /// Mark the continuation stolen (idempotent; only the first steal
-    /// records `clock`). Returns whether this call changed the state.
-    pub fn steal(&self, clock: Option<&VClock>) -> bool {
+    /// records `clock`).
+    pub fn steal(&self, clock: Option<&VClock>) {
         let mut st = self.state.lock().unwrap();
-        let fresh = !st.stolen;
-        st.stolen = true;
-        if fresh {
+        if !st.stolen {
+            st.stolen = true;
             st.steal_clock = clock.cloned();
         }
         drop(st);
         self.cv.notify_all();
-        fresh
     }
 
     /// The clock recorded by the first steal, if any.

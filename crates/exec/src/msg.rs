@@ -49,7 +49,8 @@ pub type LineData = [Word; LINE_WORDS];
 /// `TAG Variant`, each under its doc comment and followed by a comma.
 /// Generated: the enum, and its [`Wire`] codec — the tag byte, then each
 /// field in order. Decoding a field named `line` or `word` rejects an
-/// index past the end of a page or a line.
+/// index past the end of a page or a line, and decoding a `Request`
+/// rejects a `write` flag that disagrees with its `wval`.
 ///
 /// `pub enum Request: MsgKind` also declares `MsgKind`: one kind per row,
 /// named after the variant (or after `as Kind`), with the tag as its
@@ -108,11 +109,13 @@ macro_rules! messages {
 
             #[inline]
             fn get(r: &mut Reader) -> Result<Self, String> {
-                Ok(match u8::get(r)? {
+                let v = match u8::get(r)? {
                     $($tag => messages!(@new $shape $name $var
                         [$($f: messages!(@check $f Wire::get(r)?)),*]),)*
                     b => return Err(format!(concat!("bad ", stringify!($name), " tag {}"), b)),
-                })
+                };
+                messages!(@valid $name v);
+                Ok(v)
             }
         }
     };
@@ -158,6 +161,9 @@ macro_rules! messages {
     (@check line $v:expr) => { in_range($v, LINES_PER_PAGE, "line")? };
     (@check word $v:expr) => { in_range($v, LINE_WORDS, "word")? };
     (@check $f:ident $v:expr) => { $v };
+    // A decoded request whose `write` flag disagrees with its value.
+    (@valid Request $v:ident) => { $v.write_agrees()? };
+    (@valid $name:ident $v:ident) => {};
     (
         $(#[$meta:meta])*
         pub enum $name:ident $(: $kinds:ident)? { $($rows:tt)* }
@@ -183,11 +189,25 @@ messages! {
 }
 
 impl ArrivalKind {
-    /// The borrowing view the cache's acquire rule takes.
-    pub fn as_arrival(&self) -> Arrival<'_> {
+    /// The form the cache's acquire rule takes.
+    pub fn as_arrival(&self) -> Arrival {
         match self {
             ArrivalKind::Call => Arrival::Call,
-            ArrivalKind::Return(written_homes) => Arrival::Return { written_homes },
+            ArrivalKind::Return(homes) => Arrival::Return {
+                written_homes: homes.iter().copied().collect(),
+            },
+        }
+    }
+}
+
+/// The wire form of an acquire: a return's homes in ascending order.
+impl From<Arrival> for ArrivalKind {
+    fn from(arrival: Arrival) -> ArrivalKind {
+        match arrival {
+            Arrival::Call => ArrivalKind::Call,
+            Arrival::Return { written_homes } => {
+                ArrivalKind::Return(written_homes.iter().collect())
+            }
         }
     }
 }
@@ -351,6 +371,23 @@ messages! {
         /// duplicate would hit a closed mailbox). Listed last, after every
         /// data-plane kind.
         14 Shutdown,
+    }
+}
+
+impl Request {
+    /// A cached access carries a value exactly when it is a write: a
+    /// worker answering one that does not would panic under its lock.
+    fn write_agrees(&self) -> Result<(), String> {
+        match self {
+            Request::CacheLookup { write, wval, .. }
+            | Request::CacheInstall { write, wval, .. }
+            | Request::RevalApply { write, wval, .. }
+                if *write != wval.is_some() =>
+            {
+                Err(format!("write flag {write} disagrees with value {wval:?}"))
+            }
+            _ => Ok(()),
+        }
     }
 }
 

@@ -28,9 +28,10 @@ use crate::envelope::{Dedup, CONTROL_SRC};
 use crate::msg::{Envelope, LineData, LookupReply, Reply, Request, WorkerReport};
 use crate::transport::{Lane, MailboxTransport};
 use crate::TransportCounters;
-use olden_cache::{Arrival, CacheStats, HomeDir, Probe, ProcCache, Protocol};
+use olden_cache::{CacheStats, HomeDir, Probe, ProcCache, Protocol};
 use olden_gptr::{GPtr, LineInPage, PageNum, ProcId, Word, LINE_WORDS, PAGE_WORDS};
 use olden_obs::{EventKind, Recorder};
+use olden_runtime::thread::invalidated;
 use olden_runtime::{LineKey, LineSanitizer};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
@@ -255,10 +256,8 @@ impl Worker {
                 );
                 let key = (home, page, line);
                 Reply::Lookup(match probe {
-                    Probe::Hit => LookupReply::Hit(self.cached_word(key, word, write, wval)),
-                    Probe::ElidedHit => {
-                        LookupReply::ElidedHit(self.cached_word(key, word, write, wval))
-                    }
+                    Probe::Hit => LookupReply::Hit(self.cached_word(key, word, wval)),
+                    Probe::ElidedHit => LookupReply::ElidedHit(self.cached_word(key, word, wval)),
                     // The client now performs the fetch round trip to the
                     // home and installs the line.
                     Probe::Miss => LookupReply::Miss,
@@ -275,12 +274,12 @@ impl Worker {
                 line,
                 mut data,
                 word,
-                write,
                 wval,
                 ts,
+                ..
             } => {
-                if write {
-                    data[word as usize] = wval.expect("write carries a value");
+                if let Some(v) = wval {
+                    data[word as usize] = v;
                 }
                 self.cache.install_line(home, page, line, ts);
                 self.lines.insert((home, page, line), data);
@@ -289,16 +288,10 @@ impl Worker {
             Request::MigrateThread { arrival } => {
                 let arrival = arrival.as_arrival();
                 if let Some(r) = self.rec.as_mut() {
-                    // The same invalidate event the simulator records:
-                    // `u64::MAX` = whole-cache call acquire, otherwise the
-                    // return acquire's written-home count. Recorded under
-                    // every protocol — the *acquire* happens regardless of
-                    // what bookkeeping it costs.
-                    let arg = match arrival {
-                        Arrival::Call => u64::MAX,
-                        Arrival::Return { written_homes } => written_homes.len() as u64,
-                    };
-                    r.instant(EventKind::Invalidate, self.proc, arg);
+                    // The same invalidate event the simulator records,
+                    // under every protocol — the *acquire* happens
+                    // regardless of what bookkeeping it costs.
+                    r.instant(EventKind::Invalidate, self.proc, invalidated(arrival));
                 }
                 self.cache.acquire(self.protocol, arrival);
                 Reply::Unit
@@ -332,8 +325,8 @@ impl Worker {
                 ts,
                 stale_mask,
                 word,
-                write,
                 wval,
+                ..
             } => {
                 // A surviving line answers like a hit; a stale one sends
                 // the client on to the ordinary fetch.
@@ -346,7 +339,7 @@ impl Worker {
                     stale_mask,
                 );
                 Reply::Lookup(if survived {
-                    LookupReply::Hit(self.cached_word((home, page, line), word, write, wval))
+                    LookupReply::Hit(self.cached_word((home, page, line), word, wval))
                 } else {
                     LookupReply::Miss
                 })
@@ -373,12 +366,11 @@ impl Worker {
         &mut self,
         key: (ProcId, PageNum, LineInPage),
         word: u8,
-        write: bool,
         wval: Option<Word>,
     ) -> Word {
         let data = self.lines.get_mut(&key).expect("valid line has data");
-        if write {
-            data[word as usize] = wval.expect("write carries a value");
+        if let Some(v) = wval {
+            data[word as usize] = v;
         }
         data[word as usize]
     }

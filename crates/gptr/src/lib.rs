@@ -29,6 +29,57 @@ pub type ProcId = u8;
 /// Maximum number of processors representable in a [`GPtr`].
 pub const MAX_PROCS: usize = 256;
 
+/// A set of processors, one bit per [`ProcId`] over all [`MAX_PROCS`]:
+/// `Copy`, so saving and restoring one is a move, never an allocation.
+/// Iteration is in ascending processor order.
+#[derive(Clone, Copy, Default, PartialEq, Eq, Hash)]
+pub struct ProcSet([u64; MAX_PROCS / 64]);
+
+impl ProcSet {
+    pub const EMPTY: ProcSet = ProcSet([0; MAX_PROCS / 64]);
+
+    #[inline]
+    pub fn insert(&mut self, p: ProcId) {
+        self.0[p as usize / 64] |= 1 << (p % 64);
+    }
+
+    #[inline]
+    pub fn contains(&self, p: ProcId) -> bool {
+        self.0[p as usize / 64] & (1 << (p % 64)) != 0
+    }
+
+    #[inline]
+    pub fn union(self, other: ProcSet) -> ProcSet {
+        ProcSet(std::array::from_fn(|i| self.0[i] | other.0[i]))
+    }
+
+    pub fn len(&self) -> usize {
+        self.0.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        *self == ProcSet::EMPTY
+    }
+
+    pub fn iter(self) -> impl Iterator<Item = ProcId> {
+        (0..=ProcId::MAX).filter(move |&p| self.contains(p))
+    }
+}
+
+impl FromIterator<ProcId> for ProcSet {
+    fn from_iter<I: IntoIterator<Item = ProcId>>(procs: I) -> ProcSet {
+        let mut set = ProcSet::EMPTY;
+        procs.into_iter().for_each(|p| set.insert(p));
+        set
+    }
+}
+
+impl std::fmt::Debug for ProcSet {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_set().entries(self.iter()).finish()
+    }
+}
+
 /// Number of bits reserved for the local word address.
 pub const LOCAL_BITS: u32 = 56;
 
@@ -216,6 +267,33 @@ mod tests {
         let p = GPtr::new(0, 300);
         assert_eq!(p.page(), 1);
         assert_eq!(p.line_in_page(), 5);
+    }
+
+    /// Insert, contains, union, len and ascending iteration at each side
+    /// of every word boundary of the bitset.
+    #[test]
+    fn proc_set_at_word_boundaries() {
+        let edges: [ProcId; 6] = [0, 63, 64, 127, 128, 255];
+        let mut all = ProcSet::EMPTY;
+        for (i, &p) in edges.iter().enumerate() {
+            let mut one = ProcSet::EMPTY;
+            assert!(one.is_empty() && !one.contains(p));
+            one.insert(p);
+            one.insert(p);
+            assert_eq!(one.len(), 1, "{p}");
+            assert!(one.contains(p));
+            assert!(edges.iter().filter(|&&q| q != p).all(|&q| !one.contains(q)));
+            assert_eq!(one.iter().collect::<Vec<_>>(), vec![p]);
+            all = all.union(one);
+            assert_eq!(all.len(), i + 1);
+        }
+        assert_eq!(all.iter().collect::<Vec<_>>(), edges);
+        let evens: ProcSet = [128, 0, 64].into_iter().collect();
+        let odds: ProcSet = [255, 63, 127].into_iter().collect();
+        assert_eq!(evens.union(odds), all);
+        assert_eq!(odds.union(evens), all);
+        assert_eq!(evens.union(ProcSet::EMPTY), evens);
+        assert_eq!(format!("{evens:?}"), "{0, 64, 128}");
     }
 
     #[test]

@@ -64,6 +64,12 @@ fn rand_opt_clock(rng: &mut SplitMix64) -> Option<VClock> {
     rng.chance(0.5).then(|| rand_clock(rng))
 }
 
+/// A write flag and the value it carries exactly when set.
+fn rand_write(rng: &mut SplitMix64) -> (bool, Option<Word>) {
+    let wval = rng.chance(0.5).then(|| Word(rng.next_u64()));
+    (wval.is_some(), wval)
+}
+
 fn rand_line(rng: &mut SplitMix64) -> [Word; LINE_WORDS] {
     let mut data = [Word::ZERO; LINE_WORDS];
     for w in &mut data {
@@ -139,18 +145,20 @@ fn every_request_variant_round_trips() {
             &mut rng,
         )));
         kinds.insert(check_env(envelope(Request::RaceQuery, &mut rng)));
+        let (write, wval) = rand_write(&mut rng);
         kinds.insert(check_env(envelope(
             Request::CacheLookup {
                 home: rng.below(256) as u8,
                 page: rng.next_u64(),
                 line: rng.below(LINES_PER_PAGE as u64) as u8,
                 word: rng.range(0, LINE_WORDS) as u8,
-                write: rng.chance(0.5),
-                wval: rng.chance(0.5).then(|| Word(rng.next_u64())),
+                write,
+                wval,
                 elide: rng.chance(0.5),
             },
             &mut rng,
         )));
+        let (write, wval) = rand_write(&mut rng);
         kinds.insert(check_env(envelope(
             Request::CacheInstall {
                 home: rng.below(256) as u8,
@@ -158,8 +166,8 @@ fn every_request_variant_round_trips() {
                 line: rng.below(LINES_PER_PAGE as u64) as u8,
                 data: rand_line(&mut rng),
                 word: rng.range(0, LINE_WORDS) as u8,
-                write: rng.chance(0.5),
-                wval: rng.chance(0.5).then(|| Word(rng.next_u64())),
+                write,
+                wval,
                 ts: rng.next_u64(),
             },
             &mut rng,
@@ -204,6 +212,7 @@ fn every_request_variant_round_trips() {
             },
             &mut rng,
         )));
+        let (write, wval) = rand_write(&mut rng);
         kinds.insert(check_env(envelope(
             Request::RevalApply {
                 home: rng.below(256) as u8,
@@ -212,8 +221,8 @@ fn every_request_variant_round_trips() {
                 ts: rng.next_u64(),
                 stale_mask: rng.next_u64() as u32,
                 word: rng.range(0, LINE_WORDS) as u8,
-                write: rng.chance(0.5),
-                wval: rng.chance(0.5).then(|| Word(rng.next_u64())),
+                write,
+                wval,
             },
             &mut rng,
         )));
@@ -517,6 +526,28 @@ fn corrupt_frames_are_rejected() {
     }
     assert!(decode_envelope(&[]).is_err(), "empty frame must fail");
     assert!(decode_reply(&[]).is_err(), "empty frame must fail");
+}
+
+/// A cached access whose `write` flag disagrees with its `wval` is
+/// rejected at decode: a worker would otherwise panic under its lock.
+#[test]
+fn write_flag_disagreeing_with_its_value_is_rejected() {
+    let mut sites = 0;
+    for (frame, _) in pinned_frames() {
+        let Frame::Env(env) = &frame else { continue };
+        let at = match env.req {
+            Request::CacheLookup { .. } => 28,
+            Request::CacheInstall { .. } => 92,
+            Request::RevalApply { .. } => 40,
+            _ => continue,
+        };
+        sites += 1;
+        let good = frame.encode();
+        assert!(good[at] <= 1, "{frame:?}: byte {at} is the write flag");
+        let err = frame.decode(&patched(&good, at, good[at] ^ 1)).unwrap_err();
+        assert!(err.contains("disagrees"), "{frame:?}: {err}");
+    }
+    assert_eq!(sites, 3, "every request with a write flag is covered");
 }
 
 /// A `line` or `word` index past the end of its page or line is rejected

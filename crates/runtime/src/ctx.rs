@@ -8,64 +8,31 @@
 //!
 //! ### Futures and lazy task creation (paper §2)
 //!
-//! `futurecall` saves the caller's continuation on a work list and runs
-//! the body directly. Only if a migration occurs during the body does the
-//! now-idle processor *steal* the continuation, turning the annotation
-//! into real parallelism. [`OldenCtx::future_call`] mirrors this exactly:
-//! the body closure runs inline; if it migrated off the spawning
-//! processor, the continuation is re-anchored there (a `Steal` edge) and
-//! the matching [`OldenCtx::touch`] becomes a join (`Join` edge carrying
-//! the value-return message). An untouched-by-migration future costs only
-//! the spawn bookkeeping, as in the original system.
-//!
-//! ### Write-set scopes
-//!
-//! The local-knowledge refinement ("on returns we need only invalidate
-//! cached copies of lines from processors whose memories have been written
-//! by the returning thread") needs per-procedure write sets; so does the
-//! eager scheme's dirty tracking. The context keeps a stack of written
-//! processor sets, pushed by [`OldenCtx::call`] and [`OldenCtx::future_call`].
+//! The call, future and touch rules live in [`crate::thread`], shared
+//! with the thread backend; this context is their simulator driver. A
+//! move releases through `cache.depart`, charges its costs and opens a
+//! trace segment behind a `Migrate` or `Return` edge. A future's body runs
+//! inline; if it migrated off the spawning processor, the continuation is
+//! re-anchored there (a `Steal` edge) and the matching
+//! [`OldenCtx::touch`] becomes a join (a `Join` edge carrying the
+//! value-return message). An untouched-by-migration future costs only the
+//! spawn bookkeeping, as in the original system.
 
 use crate::config::{Check, Config, Mechanism};
 use crate::heap::DistributedHeap;
 use crate::report::RunStats;
 use crate::sanitize::{LineSanitizer, RaceViolation};
+use crate::thread::{self, Driver, Ended, Spawned, ThreadState};
 use olden_cache::{Access, Arrival, CacheSystem};
-use olden_gptr::{GPtr, ProcId, Word};
+use olden_gptr::{GPtr, ProcId, ProcSet, Word};
 use olden_machine::trace::{EdgeKind, SegId, Trace};
-use olden_machine::VClock;
+use olden_machine::{CostModel, VClock};
 use olden_obs::{EventKind, Recorder, Recording};
 
-/// A pending future's bookkeeping while its body runs.
-struct FutureFrame {
-    /// Processor the future was spawned from (where its continuation
-    /// waits on the work list).
-    spawn_proc: ProcId,
-    /// Set when a migration vacates `spawn_proc` during the body: the
-    /// segment whose end lets the idle processor grab the continuation,
-    /// and (sanitizer only) that segment's clock.
-    stolen: Option<(SegId, VClock)>,
-}
-
-/// The result of a [`OldenCtx::future_call`], to be claimed by
-/// [`OldenCtx::touch`].
-#[must_use = "a future must be touched before its value is used"]
-pub struct FutureHandle<T> {
-    value: T,
-    /// `Some((body_end_segment, body_clock))` if the body migrated and the
-    /// continuation was stolen (a real fork); `None` if it completed
-    /// inline. The clock is the body's final one (sanitizer only).
-    parallel: Option<(SegId, VClock)>,
-    /// Processors written by the body (for the return-acquire).
-    written: Vec<ProcId>,
-}
-
-impl<T> FutureHandle<T> {
-    /// Whether this future turned into a real parallel task.
-    pub fn is_parallel(&self) -> bool {
-        self.parallel.is_some()
-    }
-}
+/// The result of an [`OldenCtx::future_call`], to be claimed by
+/// [`OldenCtx::touch`]. A forked body ended at a segment, with a clock
+/// (sanitizer only).
+pub type FutureHandle<T> = Spawned<T, Ended<T, (SegId, VClock)>>;
 
 /// The Olden runtime context.
 pub struct OldenCtx {
@@ -73,15 +40,11 @@ pub struct OldenCtx {
     heap: DistributedHeap,
     cache: CacheSystem,
     trace: Trace,
-    cur_proc: ProcId,
     cur_seg: SegId,
-    frames: Vec<FutureFrame>,
-    write_scopes: Vec<Vec<ProcId>>,
-    stats: RunStats,
-    /// When > 0, execution is in an uncharged region: values are computed
-    /// but no costs, traffic, or statistics are recorded (used to exclude
-    /// structure-building phases from kernel-time benchmarks, §5).
-    free_depth: u32,
+    /// The logical thread; each pending future's frame holds, once stolen,
+    /// the segment whose end lets the idle processor grab the continuation
+    /// and (sanitizer only) that segment's clock.
+    t: ThreadState<Option<(SegId, VClock)>>,
     /// Sanitizer: the current segment's vector clock — what
     /// `olden_machine::clocks` defines for it, maintained online. Advanced
     /// with a fresh per-processor tick (`ticks`) at every new segment.
@@ -90,9 +53,6 @@ pub struct OldenCtx {
     ticks: Vec<u64>,
     /// Sanitizer: fed every charged heap access, in execution order.
     sanitizer: LineSanitizer,
-    /// Structured event recorder (`Config::record` runs only); `None`
-    /// otherwise, so unrecorded runs pay one branch per hook.
-    rec: Option<Recorder>,
 }
 
 impl OldenCtx {
@@ -104,16 +64,11 @@ impl OldenCtx {
             heap: DistributedHeap::new(cfg.procs),
             cache: CacheSystem::new(cfg.procs, cfg.protocol),
             trace,
-            cur_proc: 0,
             cur_seg,
-            frames: Vec::new(),
-            write_scopes: vec![Vec::new()],
-            stats: RunStats::default(),
-            free_depth: 0,
+            t: ThreadState::new(0, cfg.record.then(Recorder::sim)),
             clock: VClock::new(),
             ticks: vec![0; cfg.procs],
             sanitizer: LineSanitizer::new(),
-            rec: cfg.record.then(Recorder::sim),
             cfg,
         };
         ctx.clock_bump(0);
@@ -127,7 +82,7 @@ impl OldenCtx {
 
     /// Processor the thread is currently executing on.
     pub fn cur_proc(&self) -> ProcId {
-        self.cur_proc
+        self.t.proc
     }
 
     /// Run configuration.
@@ -137,7 +92,7 @@ impl OldenCtx {
 
     /// Runtime statistics so far.
     pub fn stats(&self) -> &RunStats {
-        &self.stats
+        &self.t.stats
     }
 
     /// Cache system (stats, protocol state) so far.
@@ -167,43 +122,22 @@ impl OldenCtx {
     /// are logical (one tick per event), its `proc` fields follow the
     /// thread's migrations.
     pub fn take_recording(&mut self) -> Option<Recording> {
-        let rec = self.rec.take()?;
+        let rec = self.t.rec.take()?;
         Some(Recording::new(
             self.cfg.procs,
             vec![rec.into_lane("sim".to_string())],
         ))
     }
 
-    #[inline]
-    fn rec_instant(&mut self, kind: EventKind, proc: ProcId, arg: u64) {
-        if let Some(r) = self.rec.as_mut() {
-            r.instant(kind, proc, arg);
-        }
-    }
-
-    #[inline]
-    fn rec_begin(&mut self, kind: EventKind, proc: ProcId) {
-        if let Some(r) = self.rec.as_mut() {
-            r.begin(kind, proc, 0);
-        }
-    }
-
-    #[inline]
-    fn rec_end(&mut self, kind: EventKind, proc: ProcId) {
-        if let Some(r) = self.rec.as_mut() {
-            r.end(kind, proc);
-        }
-    }
-
     /// The recorded trace, counters and cache system (consumed by the
     /// report layer and by external tools that inspect raw traces).
     pub fn into_parts_public(self) -> (Trace, RunStats, CacheSystem) {
-        (self.trace, self.stats, self.cache)
+        (self.trace, self.t.stats, self.cache)
     }
 
     #[inline]
     fn charge(&mut self, cycles: u64) {
-        if self.free_depth == 0 && cycles > 0 {
+        if self.t.charged() && cycles > 0 {
             self.trace.charge(self.cur_seg, cycles);
         }
     }
@@ -218,10 +152,7 @@ impl OldenCtx {
     /// are still computed and allocations still placed. Used to exclude
     /// data-structure-building phases from kernel-time runs.
     pub fn uncharged<R>(&mut self, f: impl FnOnce(&mut Self) -> R) -> R {
-        self.free_depth += 1;
-        let r = f(self);
-        self.free_depth -= 1;
-        r
+        thread::uncharged(self, f)
     }
 
     /// `ALLOC(proc, words)`: allocate on the named processor (§2).
@@ -231,9 +162,9 @@ impl OldenCtx {
             "ALLOC on unknown processor"
         );
         self.charge(self.cfg.cost.alloc);
-        if self.free_depth == 0 {
-            self.stats.allocs += 1;
-            self.stats.words_allocated += words as u64;
+        if self.t.charged() {
+            self.t.stats.allocs += 1;
+            self.t.stats.words_allocated += words as u64;
         }
         self.heap.alloc(proc, words)
     }
@@ -306,16 +237,17 @@ impl OldenCtx {
     /// are unchanged; only check cycles and lookup counters move.
     fn resolve(&mut self, ptr: GPtr, write: bool, mech: Mechanism, check: Check) {
         debug_assert!(!ptr.is_null(), "null dereference");
-        if self.free_depth > 0 {
+        if !self.t.charged() {
             return;
         }
+        let cur = self.t.proc;
         let mech = self.cfg.force.unwrap_or(mech);
         let want = check == Check::Elide && self.cfg.elide_checks && self.cfg.force.is_none();
         let mut elided = false;
         match mech {
             Mechanism::Migrate => {
-                if ptr.is_local_to(self.cur_proc) {
-                    self.stats.migrate_local += 1;
+                if ptr.is_local_to(cur) {
+                    self.t.stats.migrate_local += 1;
                     if want {
                         // Fact verified: the thread is already where the
                         // data lives, exactly what the pointer test would
@@ -327,8 +259,8 @@ impl OldenCtx {
                 } else {
                     // A stale elision hint performs the full check.
                     self.charge(self.cfg.cost.ptr_test);
-                    self.stats.migrate_remote += 1;
-                    self.migrate_to(ptr.proc());
+                    self.t.stats.migrate_remote += 1;
+                    thread::migrate(self, ptr.proc());
                 }
                 self.charge(self.cfg.cost.local_ref);
             }
@@ -338,7 +270,7 @@ impl OldenCtx {
                 } else {
                     self.cache.stats_mut().cacheable_reads += 1;
                 }
-                if ptr.is_local_to(self.cur_proc) {
+                if ptr.is_local_to(cur) {
                     if want {
                         elided = true;
                     } else {
@@ -348,7 +280,7 @@ impl OldenCtx {
                 } else {
                     let before = self.cache.stats().checks_elided;
                     let acc = self.cache.access_checked(
-                        self.cur_proc,
+                        cur,
                         ptr.proc(),
                         ptr.page(),
                         ptr.line_in_page(),
@@ -367,11 +299,8 @@ impl OldenCtx {
                         self.charge(self.cfg.cost.cache_lookup);
                         if let Access::Miss { .. } = acc {
                             self.charge(self.cfg.cost.miss_service);
-                            self.rec_instant(
-                                EventKind::LineFetch,
-                                self.cur_proc,
-                                ptr.proc() as u64,
-                            );
+                            let home = ptr.proc() as u64;
+                            self.t.instant(EventKind::LineFetch, cur, home);
                         }
                     }
                     if write {
@@ -382,18 +311,21 @@ impl OldenCtx {
             }
         }
         if elided {
-            self.stats.checks_elided += 1;
+            self.t.stats.checks_elided += 1;
         } else {
-            self.stats.checks_performed += 1;
+            self.t.stats.checks_performed += 1;
         }
         if write {
             // Compiler-inserted write tracking (global/bilateral schemes)
             // applies to every heap write, however it was resolved.
-            let track =
-                self.cache
-                    .note_write(self.cur_proc, ptr.proc(), ptr.page(), ptr.line_in_page());
+            // A cache-mechanism write leaves the thread where it was, but a
+            // migrate-mechanism one may have moved it.
+            let at = self.t.proc;
+            let track = self
+                .cache
+                .note_write(at, ptr.proc(), ptr.page(), ptr.line_in_page());
             self.charge(track);
-            self.note_written(ptr.proc());
+            self.t.wrote(ptr.proc());
         }
         if self.cfg.sanitize {
             // After any migration, so the clock is the segment's that
@@ -406,220 +338,111 @@ impl OldenCtx {
         }
     }
 
-    fn note_written(&mut self, home: ProcId) {
-        let top = self.write_scopes.last_mut().expect("write scope stack");
-        if !top.contains(&home) {
-            top.push(home);
-        }
-    }
-
-    /// Thread migration to `target` (§3.1): release at the origin, send
-    /// registers + PC + frame, acquire at the destination. Any futures
-    /// spawned from the vacated processor become stealable.
-    fn migrate_to(&mut self, target: ProcId) {
-        let from = self.cur_proc;
-        debug_assert_ne!(from, target);
-        self.stats.migrations += 1;
-        self.rec_instant(EventKind::MigrateSend, from, target as u64);
-        let inval = self.cache.depart(from, self.cfg.cost.write_through);
-        self.charge(inval);
-        self.charge(self.cfg.cost.mig_send);
-        self.mark_steals(from);
-        let seg = self.trace.new_segment(target);
-        self.trace
-            .add_edge(self.cur_seg, seg, self.cfg.cost.mig_wire, EdgeKind::Migrate);
-        self.cur_seg = seg;
-        self.cur_proc = target;
-        self.clock_bump(target);
-        self.charge(self.cfg.cost.mig_recv);
-        self.cache.arrive(target, Arrival::Call);
-        // The call-arrival acquire clears the whole destination cache
-        // (`u64::MAX` = everything, matching the exec worker's event).
-        self.rec_instant(EventKind::Invalidate, target, u64::MAX);
-        self.rec_instant(EventKind::MigrateRecv, target, from as u64);
-    }
-
-    /// A migration just vacated `proc`: every unstolen future spawned
-    /// from it becomes stealable from this instant. The list scheduler
-    /// serializes multiple stolen continuations on the processor, so all
-    /// of them anchor at the same departure segment.
-    fn mark_steals(&mut self, proc: ProcId) {
-        let src = self.cur_seg;
-        for f in self.frames.iter_mut().rev() {
-            if f.spawn_proc == proc && f.stolen.is_none() {
-                f.stolen = Some((src, self.clock.clone()));
-            }
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Procedure calls and futures
-    // ------------------------------------------------------------------
-
-    /// A procedure-call boundary. If the body migrates, the return stub
-    /// migrates the thread back to the caller's processor (§3.1) — an
-    /// acquire that invalidates only lines homed on processors the callee
-    /// wrote (§3.2's local-knowledge refinement).
+    /// A procedure-call boundary ([`thread::call`]).
     pub fn call<R>(&mut self, f: impl FnOnce(&mut Self) -> R) -> R {
-        if self.free_depth > 0 {
-            return f(self);
-        }
-        let entry = self.cur_proc;
-        self.write_scopes.push(Vec::new());
-        let r = f(self);
-        let written = self.write_scopes.pop().expect("scope underflow");
-        self.merge_written(&written);
-        if self.cur_proc != entry {
-            self.stats.return_migrations += 1;
-            let from = self.cur_proc;
-            self.rec_instant(EventKind::ReturnSend, from, entry as u64);
-            let inval = self.cache.depart(from, self.cfg.cost.write_through);
-            self.charge(inval);
-            self.charge(self.cfg.cost.ret_send);
-            self.mark_steals(from);
-            let seg = self.trace.new_segment(entry);
-            self.trace
-                .add_edge(self.cur_seg, seg, self.cfg.cost.ret_wire, EdgeKind::Return);
-            self.cur_seg = seg;
-            self.cur_proc = entry;
-            self.clock_bump(entry);
-            self.charge(self.cfg.cost.ret_recv);
-            self.cache.arrive(
-                entry,
-                Arrival::Return {
-                    written_homes: &written,
-                },
-            );
-            // Return acquire: only lines homed on written processors.
-            self.rec_instant(EventKind::Invalidate, entry, written.len() as u64);
-            self.rec_instant(EventKind::ReturnRecv, entry, from as u64);
-        }
-        r
+        thread::call(self, f)
     }
 
-    fn merge_written(&mut self, written: &[ProcId]) {
-        for &p in written {
-            self.note_written(p);
-        }
-    }
-
-    /// `futurecall f(...)`: run the body inline, forking for real only if
-    /// it migrates (lazy task creation, §2).
+    /// `futurecall f(...)` ([`thread::future_call`]).
     pub fn future_call<T>(&mut self, f: impl FnOnce(&mut Self) -> T) -> FutureHandle<T> {
-        if self.free_depth > 0 {
-            let value = f(self);
-            return FutureHandle {
-                value,
-                parallel: None,
-                written: Vec::new(),
-            };
-        }
-        self.charge(self.cfg.cost.future_spawn);
-        self.stats.futures += 1;
-        let spawn_proc = self.cur_proc;
-        self.rec_begin(EventKind::FutureBody, spawn_proc);
-        self.frames.push(FutureFrame {
-            spawn_proc,
-            stolen: None,
-        });
-        self.write_scopes.push(Vec::new());
-        let value = f(self);
-        let written = self.write_scopes.pop().expect("scope underflow");
-        self.merge_written(&written);
-        let frame = self.frames.pop().expect("frame underflow");
-        self.rec_end(EventKind::FutureBody, self.cur_proc);
-        match frame.stolen {
-            Some((steal_src, steal_clock)) => {
-                self.stats.steals += 1;
-                // The body thread releases and sends its value home.
-                let inval = self
-                    .cache
-                    .depart(self.cur_proc, self.cfg.cost.write_through);
-                self.charge(inval);
-                self.charge(self.cfg.cost.ret_send);
-                let body_end = (
-                    self.cur_seg,
-                    std::mem::replace(&mut self.clock, steal_clock),
-                );
-                // The idle spawn processor grabs the continuation; its
-                // clock rewinds to the steal point's.
-                let cont = self.trace.new_segment(spawn_proc);
-                self.trace.add_edge(steal_src, cont, 0, EdgeKind::Steal);
-                self.cur_seg = cont;
-                self.cur_proc = spawn_proc;
-                self.clock_bump(spawn_proc);
-                self.charge(self.cfg.cost.steal);
-                self.rec_instant(EventKind::Steal, spawn_proc, 0);
-                FutureHandle {
-                    value,
-                    parallel: Some(body_end),
-                    written,
-                }
-            }
-            None => {
-                debug_assert_eq!(self.cur_proc, spawn_proc, "unstolen body cannot move");
-                FutureHandle {
-                    value,
-                    parallel: None,
-                    written,
-                }
-            }
-        }
+        thread::future_call(self, f)
     }
 
-    /// `touch`: claim a future's value, joining with the body thread if
-    /// it forked.
+    /// `touch`: claim a future's value ([`thread::touch`]).
     pub fn touch<T>(&mut self, h: FutureHandle<T>) -> T {
-        if self.free_depth > 0 {
-            return h.value;
-        }
-        self.charge(self.cfg.cost.touch);
-        self.stats.touches += 1;
-        if let Some((body_end, body_clock)) = h.parallel {
-            self.rec_begin(EventKind::TouchStall, self.cur_proc);
-            let post = self.trace.new_segment(self.cur_proc);
-            self.trace.add_edge(self.cur_seg, post, 0, EdgeKind::Seq);
-            self.trace
-                .add_edge(body_end, post, self.cfg.cost.ret_wire, EdgeKind::Join);
-            self.cur_seg = post;
-            self.clock.join(&body_clock);
-            self.clock_bump(self.cur_proc);
-            self.charge(self.cfg.cost.ret_recv);
-            // Receiving the future's value is a migration receipt: acquire
-            // with the body's write set (local-knowledge refinement).
-            self.cache.arrive(
-                self.cur_proc,
-                Arrival::Return {
-                    written_homes: &h.written,
-                },
-            );
-            self.rec_instant(EventKind::Invalidate, self.cur_proc, h.written.len() as u64);
-            self.rec_end(EventKind::TouchStall, self.cur_proc);
-        }
-        h.value
+        thread::touch(self, h)
+    }
+}
+
+/// The simulator's moves: a release through `cache.depart` with its
+/// charged costs, a new trace segment behind an edge, an acquire in the
+/// destination's cache.
+impl Driver for OldenCtx {
+    type Frame = Option<(SegId, VClock)>;
+    type End = (SegId, VClock);
+    type Body<T> = Ended<T, (SegId, VClock)>;
+
+    fn thread(&mut self) -> &mut ThreadState<Self::Frame> {
+        &mut self.t
     }
 
-    /// Spawn one future per element and touch them all: the `do in
-    /// parallel` idiom of Figure 5.
-    pub fn parallel_for<I, T>(
-        &mut self,
-        items: I,
-        mut body: impl FnMut(&mut Self, I::Item) -> T,
-    ) -> Vec<T>
-    where
-        I: IntoIterator,
-    {
-        let handles: Vec<FutureHandle<T>> = items
-            .into_iter()
-            .map(|it| self.future_call(|ctx| body(ctx, it)))
-            .collect();
-        handles.into_iter().map(|h| self.touch(h)).collect()
+    fn cost(&mut self, op: fn(&CostModel) -> u64) {
+        self.charge(op(&self.cfg.cost));
+    }
+
+    /// Release at the origin, send registers + PC + frame, acquire at the
+    /// destination (§3.1); a call and a return stub differ in costs and
+    /// edge kind only.
+    fn hop(&mut self, to: ProcId, arrival: Arrival) {
+        let c = &self.cfg.cost;
+        let (send, wire, recv, edge) = match arrival {
+            Arrival::Call => (c.mig_send, c.mig_wire, c.mig_recv, EdgeKind::Migrate),
+            Arrival::Return { .. } => (c.ret_send, c.ret_wire, c.ret_recv, EdgeKind::Return),
+        };
+        let inval = self.cache.depart(self.t.proc, c.write_through);
+        self.charge(inval);
+        self.charge(send);
+        // The list scheduler serializes every continuation stolen here on
+        // the vacated processor, so all anchor at the departure segment.
+        let src = self.cur_seg;
+        for stolen in self.t.steal_from(self.t.proc) {
+            *stolen = Some((src, self.clock.clone()));
+        }
+        let seg = self.trace.new_segment(to);
+        self.trace.add_edge(src, seg, wire, edge);
+        self.cur_seg = seg;
+        self.t.proc = to;
+        self.clock_bump(to);
+        self.charge(recv);
+        self.acquire(arrival);
+    }
+
+    fn acquire(&mut self, arrival: Arrival) {
+        self.cache.arrive(self.t.proc, arrival);
+        let arg = thread::invalidated(arrival);
+        self.t.instant(EventKind::Invalidate, self.t.proc, arg);
+    }
+
+    fn fork(&mut self, anchor: ProcId, frame: Self::Frame) -> (SegId, VClock) {
+        let (steal_src, steal_clock) = frame.expect("a stolen frame records its steal");
+        // The body thread releases and sends its value home.
+        let inval = self.cache.depart(self.t.proc, self.cfg.cost.write_through);
+        self.charge(inval);
+        self.charge(self.cfg.cost.ret_send);
+        let end = (
+            self.cur_seg,
+            std::mem::replace(&mut self.clock, steal_clock),
+        );
+        // The idle spawn processor grabs the continuation; its clock
+        // rewinds to the steal point's.
+        let cont = self.trace.new_segment(anchor);
+        self.trace.add_edge(steal_src, cont, 0, EdgeKind::Steal);
+        self.cur_seg = cont;
+        self.t.proc = anchor;
+        self.clock_bump(anchor);
+        self.charge(self.cfg.cost.steal);
+        self.t.instant(EventKind::Steal, anchor, 0);
+        end
+    }
+
+    fn join<T>(&mut self, body: Self::Body<T>) -> (T, ProcSet) {
+        let (end, body_clock) = body.end;
+        let post = self.trace.new_segment(self.t.proc);
+        self.trace.add_edge(self.cur_seg, post, 0, EdgeKind::Seq);
+        self.trace
+            .add_edge(end, post, self.cfg.cost.ret_wire, EdgeKind::Join);
+        self.cur_seg = post;
+        self.clock.join(&body_clock);
+        self.clock_bump(self.t.proc);
+        self.charge(self.cfg.cost.ret_recv);
+        (body.value, body.written)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Backend;
     use olden_cache::Protocol;
 
     fn ctx(procs: usize) -> OldenCtx {

@@ -23,6 +23,7 @@ pub mod heap;
 pub mod interp;
 pub mod report;
 pub mod sanitize;
+pub mod thread;
 
 pub use backend::Backend;
 pub use config::{Check, Config, Mechanism};

@@ -309,7 +309,8 @@ impl ExecCtx {
                         });
                     }
                     t.retries.fetch_add(1, Ordering::Relaxed);
-                    // `plan`/`t` borrow `self.shared`, disjoint from `self.t`.
+                    // `plan` and the counters borrow `self.shared`, not the
+                    // thread state.
                     self.t.instant(EventKind::Retry, proc, attempt as u64);
                     // Backing off is forward progress: keep the watchdog
                     // informed so a retry storm is not mistaken for a

@@ -375,8 +375,8 @@ messages! {
 }
 
 impl Request {
-    /// A cached access carries a value exactly when it is a write: a
-    /// worker answering one that does not would panic under its lock.
+    /// A cached access carries a value exactly when it is a write; a frame
+    /// that pairs a write with no value, or a read with one, is corrupt.
     fn write_agrees(&self) -> Result<(), String> {
         match self {
             Request::CacheLookup { write, wval, .. }

@@ -189,10 +189,9 @@ pub fn spawn<D: Driver>(d: &mut D, handle: D::Frame) -> ProcId {
     let t = d.thread();
     t.stats.futures += 1;
     let anchor = t.proc;
-    let stolen = false;
     t.frames.push(Frame {
         anchor,
-        stolen,
+        stolen: false,
         handle,
     });
     anchor

@@ -157,7 +157,8 @@ pub trait Driver: Sized {
     /// The acquire at the current processor.
     fn acquire(&mut self, arrival: Arrival);
     /// A body ended with its continuation stolen (`frame`): release as it
-    /// sends its value home, and resume the continuation on `anchor`.
+    /// sends its value home, resume the continuation on `anchor`, and
+    /// return where the body ended.
     fn fork(&mut self, anchor: ProcId, frame: Self::Frame) -> Self::End;
     /// Order the thread after a forked body's end; its value and written set.
     fn join<T>(&mut self, body: Self::Body<T>) -> (T, ProcSet);

@@ -124,6 +124,9 @@ pub struct ExecCtx {
     /// the next send — so the copy really does arrive out of order with
     /// the traffic in between.
     delayed: Vec<(ProcId, Envelope)>,
+    /// Acknowledgements owed by each worker: posted requests sent to it
+    /// whose replies are not read yet (see [`ExecCtx::settle`]).
+    owed: Vec<u32>,
 }
 
 impl ExecCtx {
@@ -141,7 +144,6 @@ impl ExecCtx {
         let conn = shared.link.connect(slot.id);
         let rec = shared.record.then(|| Recorder::exec(shared.epoch));
         ExecCtx {
-            shared,
             t: ThreadState::new(proc, rec),
             cacheable_reads: 0,
             cacheable_writes: 0,
@@ -152,6 +154,8 @@ impl ExecCtx {
             seq: 0,
             sent: MsgCounts::default(),
             delayed: Vec::new(),
+            owed: vec![0; shared.procs],
+            shared,
         }
     }
 
@@ -175,7 +179,11 @@ impl ExecCtx {
         }
     }
 
+    /// End this logical thread: a release, so its posted requests are
+    /// performed before its spawner, the toucher or the shutdown drain goes
+    /// on, and every copy it sent is on its way.
     pub(crate) fn finish(mut self) -> ClientFinal {
+        self.settle();
         self.park_lane();
         self.slot.state.store(C_DONE, Ordering::Relaxed);
         ClientFinal {
@@ -221,7 +229,7 @@ impl ExecCtx {
         }
     }
 
-    /// One request to a worker: a round trip through the fault layer.
+    /// One request to a worker, through the fault layer.
     ///
     /// The reply doubles as the acknowledgement: a dropped transmission
     /// is re-sent after exponential backoff (the stand-in for an ack
@@ -230,6 +238,16 @@ impl ExecCtx {
     /// every allowed attempt is dropped fails the run with a typed
     /// [`ExecError::Starved`] — under [`FaultPlan`](crate::FaultPlan)'s
     /// liveness rule that can only happen to a 100%-dropped class.
+    ///
+    /// A *posted* kind ([`MsgKind::posted`](crate::msg::MsgKind::posted)),
+    /// whose reply is only that acknowledgement, does not wait for it:
+    /// `req` answers `Unit` at once and the worker's real `Unit` is read
+    /// later, by the next blocking request to the same worker (queued
+    /// behind the post) or by the next release ([`ExecCtx::settle`]).
+    /// Under release consistency a write need only be performed by the
+    /// writer's next release. The connection may hold a sent envelope
+    /// until this thread next reads from that worker or flushes, so the
+    /// posts and the request that waits travel as one batch.
     ///
     /// A request to the processor this thread occupies is serviced in
     /// place when that processor's state lives in this process (threads,
@@ -246,6 +264,43 @@ impl ExecCtx {
                 return reply;
             }
         }
+        let posted = req.kind().posted();
+        self.transmit(proc, req, posted);
+        self.bump();
+        if posted {
+            self.owed[proc as usize] += 1;
+            return Reply::Unit;
+        }
+        self.collect(proc);
+        self.conn.recv_reply(proc)
+    }
+
+    /// Read the acknowledgements `proc` owes, in the order it was sent the
+    /// posts.
+    fn collect(&mut self, proc: ProcId) {
+        for _ in 0..std::mem::take(&mut self.owed[proc as usize]) {
+            self.conn.recv_reply(proc).expect_unit();
+        }
+    }
+
+    /// The release point of posting: transmit everything the connection
+    /// holds, then read every acknowledgement owed, so each posted request
+    /// is performed before the thread moves, forks or ends. Delayed
+    /// duplicates still held by the fault layer stay held.
+    fn settle(&mut self) {
+        // Only a post is held, and each one is owed.
+        if self.owed.iter().all(|&n| n == 0) {
+            return;
+        }
+        self.conn.flush();
+        for p in 0..self.owed.len() {
+            self.collect(p as ProcId);
+        }
+    }
+
+    /// Send one logical message, or post it: a fresh sequence number and
+    /// as many copies as the fault layer's verdicts call for.
+    fn transmit(&mut self, proc: ProcId, req: Request, posted: bool) {
         self.flush_delayed();
         let kind = req.kind();
         self.sent.add(kind, 1);
@@ -257,17 +312,21 @@ impl ExecCtx {
         };
         let plan = &self.shared.plan;
         let t = &self.shared.transport;
+        let put = |conn: &mut dyn ClientConn| match posted {
+            true => conn.post(proc, &env),
+            false => conn.send(proc, &env),
+        };
         let mut attempt: u32 = 0;
         loop {
             match plan.verdict(kind, env.src, proc, env.seq, attempt) {
                 Verdict::Deliver => {
                     t.sends.fetch_add(1, Ordering::Relaxed);
-                    self.conn.send(proc, &env);
+                    put(self.conn.as_mut());
                     break;
                 }
                 Verdict::Duplicate { delayed } => {
                     t.sends.fetch_add(1, Ordering::Relaxed);
-                    self.conn.send(proc, &env);
+                    put(self.conn.as_mut());
                     t.record(FaultEvent {
                         tag: if delayed {
                             FaultTag::DelayedDuplicate
@@ -284,7 +343,7 @@ impl ExecCtx {
                         self.delayed.push((proc, env.clone()));
                     } else {
                         t.sends.fetch_add(1, Ordering::Relaxed);
-                        self.conn.send(proc, &env);
+                        put(self.conn.as_mut());
                     }
                     break;
                 }
@@ -320,9 +379,6 @@ impl ExecCtx {
                 }
             }
         }
-        let r = self.conn.recv_reply(proc);
-        self.bump();
-        r
     }
 
     /// One word access at the home: the write-through of `wval`, or a
@@ -499,6 +555,9 @@ impl ExecCtx {
         if !self.t.charged() {
             return Spawned::Ready(f(self));
         }
+        // The body is another client: what the spawner posted must be
+        // performed before it can read it.
+        self.settle();
         let frame = Arc::<FrameHandle>::default();
         let spawn_proc = thread::spawn(self, Arc::clone(&frame));
         let mut child = ExecCtx::fresh(Arc::clone(&self.shared), spawn_proc);
@@ -657,11 +716,13 @@ impl Driver for ExecCtx {
         self.bump();
     }
 
-    /// Release at the origin (see `ExecCtx::depart_release`), steal the
-    /// futures spawned there, and acquire at the destination.
+    /// Release at the origin (see `ExecCtx::depart_release`, then every
+    /// posted request performed), steal the futures spawned there, and
+    /// acquire at the destination.
     fn hop(&mut self, to: ProcId, arrival: Arrival) {
         let from = self.t.proc;
         self.depart_release(from);
+        self.settle();
         // Steals are marked with the *departing* segment's clock, before
         // the bump: the resumed continuation is ordered after everything
         // up to the migration, not after the body's later work. In
@@ -688,8 +749,10 @@ impl Driver for ExecCtx {
 
     fn fork(&mut self, anchor: ProcId, frame: Arc<FrameHandle>) -> Option<VClock> {
         // The body thread releases as it sends its value home (the
-        // simulator's depart at the stolen arm).
+        // simulator's depart at the stolen arm); the continuation then
+        // reads in place on `anchor` what the body posted there.
         self.depart_release(self.t.proc);
+        self.settle();
         let body_clock = self.sanitizing().then(|| self.clock.clone());
         self.resume_stolen(anchor, frame.steal_clock());
         body_clock

@@ -274,9 +274,9 @@ messages! {
         },
         /// Sanitizer only: a cache **read hit** on a line homed here — the
         /// one access kind that otherwise never reaches the home worker,
-        /// where the line's happens-before state lives. A round trip, so
-        /// transport arrival order stays a happens-before linearization.
-        /// → [`Reply::Unit`].
+        /// where the line's happens-before state lives. Posted: every
+        /// release collects its acknowledgement, so service order at the
+        /// home stays a happens-before linearization. → [`Reply::Unit`].
         4 SanitizeHit {
             page: PageNum,
             line: LineInPage,
@@ -396,6 +396,17 @@ impl MsgKind {
     /// but `Shutdown`, which the table lists last.
     pub const DATA_PLANE: [MsgKind; MsgKind::ALL.len() - 1] =
         *MsgKind::ALL.first_chunk().expect("ALL ends with Shutdown");
+
+    /// Whether the kind is *posted*: its reply is only an acknowledgement,
+    /// so the sender does not wait for it and collects it by its next
+    /// release (see `ExecCtx::req`). `MigrateThread` also answers `Unit`
+    /// but is the acquire, so it is a round trip.
+    pub fn posted(self) -> bool {
+        matches!(
+            self,
+            MsgKind::WriteHome | MsgKind::SanitizeHit | MsgKind::InvalidateLines | MsgKind::BumpTs
+        )
+    }
 }
 
 impl std::fmt::Display for MsgKind {

@@ -9,9 +9,12 @@
 //! threads or `olden-net`'s one-OS-process-per-processor TCP fleet:
 //!
 //! * [`ClientConn`] — one logical thread's outbound half: transmit an
-//!   [`Envelope`] to a worker, block for that worker's [`Reply`]. A
-//!   client has at most one request in flight (the reply doubles as the
-//!   acknowledgement), so the reply path needs no request matching.
+//!   [`Envelope`] to a worker, read that worker's next [`Reply`]. A sent
+//!   envelope may be held until the client next reads from that worker
+//!   or flushes, so the posted requests a client does not wait for
+//!   travel as one batch with the request it does wait for. Each worker
+//!   answers a client's requests in the order it received them, so the
+//!   reply path needs no request matching.
 //! * [`Transport`] — the factory that mints a [`ClientConn`] per client
 //!   id (fresh logical threads appear mid-run in parallel mode, and the
 //!   orchestrator's control plane is just the client id
@@ -23,15 +26,16 @@
 //!
 //! The exactly-once contract the protocol relies on: a transport
 //! delivers every transmitted envelope (losses are *injected* by the
-//! chaos layer sender-side, never suffered), per-connection order is
-//! FIFO, and the worker answers each *serviced* envelope with exactly
-//! one reply (suppressed duplicates get none — the primary already
-//! answered).
+//! chaos layer sender-side, never suffered), per-(client, worker) order
+//! is FIFO both ways, and the worker answers each *serviced* envelope
+//! with exactly one reply (suppressed duplicates get none — the primary
+//! already answered).
 //!
 //! [`MailboxTransport`] is the in-process implementation backing
 //! [`try_run_exec`](crate::try_run_exec): a [`Lane`] mailbox per worker,
-//! a [`Lane`] of replies per client, and every worker's state behind a
-//! lock shared by its serve loop and the logical threads resident on it.
+//! a [`Lane`] of replies per (client, worker), and every worker's state
+//! behind a lock shared by its serve loop and the logical threads
+//! resident on it.
 
 use crate::envelope::Envelope;
 use crate::msg::Reply;
@@ -40,15 +44,26 @@ use olden_gptr::ProcId;
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Condvar, Mutex};
 
-/// One logical thread's connection to the worker fleet.
+/// One logical thread's connection to the worker fleet. Sending is
+/// fire-and-forget: the fault layer sends once per *copy* (primary,
+/// duplicate, delayed duplicate), and neither way of sending waits for
+/// servicing. Per worker, envelopes are transmitted in the order they
+/// were sent or posted.
 pub trait ClientConn: Send {
-    /// Transmit one envelope to worker `dst`. Fire-and-forget: the fault
-    /// layer calls this once per *copy* (primary, duplicate, delayed
-    /// duplicate); transmission must not wait for servicing.
+    /// Transmit one envelope to worker `dst` now, behind whatever is
+    /// held for `dst`, as one batch.
     fn send(&mut self, dst: ProcId, env: &Envelope);
 
-    /// Block for the reply to this client's outstanding request at
-    /// worker `dst`.
+    /// Hold one envelope for worker `dst` until the next
+    /// [`ClientConn::send`] to `dst` or [`ClientConn::flush`]: a posted
+    /// request travels with the next request that waits.
+    fn post(&mut self, dst: ProcId, env: &Envelope);
+
+    /// Transmit everything held, to every worker.
+    fn flush(&mut self);
+
+    /// Block for `dst`'s next reply to this client: replies come back in
+    /// the order `dst` received the requests.
     fn recv_reply(&mut self, dst: ProcId) -> Reply;
 }
 
@@ -66,8 +81,9 @@ pub trait Transport: Send + Sync {
 }
 
 /// A FIFO hand-off between threads: any number of producers, one
-/// consumer. `push` wakes the consumer only after releasing the lock, so
-/// a woken consumer never finds it held (see DESIGN §4).
+/// consumer. A push wakes the consumer only after releasing the lock, so
+/// a woken consumer never finds it held (see DESIGN §4). The batch forms
+/// move many items for one lock and one wake-up.
 pub struct Lane<T> {
     /// The items, oldest first, and whether the lane is closed.
     queue: Mutex<(VecDeque<T>, bool)>,
@@ -87,6 +103,12 @@ impl<T> Lane<T> {
         self.ready.notify_one();
     }
 
+    /// Append `items`, in order, under one lock, then wake the consumer.
+    pub fn push_batch(&self, items: impl IntoIterator<Item = T>) {
+        self.queue.lock().unwrap().0.extend(items);
+        self.ready.notify_one();
+    }
+
     /// The oldest item, blocking while the lane is empty; `None` once the
     /// lane is closed and drained.
     pub fn pop(&self) -> Option<T> {
@@ -97,7 +119,33 @@ impl<T> Lane<T> {
         queue.0.pop_front()
     }
 
-    /// Let `pop` return `None` once the items already pushed are gone.
+    /// Append `item` without waking the consumer: a producer queueing
+    /// several calls [`Lane::wake`] once after the last.
+    pub(crate) fn push_quiet(&self, item: T) {
+        self.queue.lock().unwrap().0.push_back(item);
+    }
+
+    /// Wake the consumer.
+    pub(crate) fn wake(&self) {
+        self.ready.notify_one();
+    }
+
+    /// Every queued item, oldest first, swapped into the empty `out`,
+    /// blocking while the lane is empty; `false` (and `out` still empty)
+    /// once the lane is closed and drained. The swap hands the lane
+    /// `out`'s buffer, so a consumer that pops into the same `VecDeque`
+    /// each time allocates nothing once both buffers have grown.
+    pub fn pop_batch(&self, out: &mut VecDeque<T>) -> bool {
+        debug_assert!(out.is_empty(), "pop_batch into a non-empty buffer");
+        let mut queue = self.queue.lock().unwrap();
+        while queue.0.is_empty() && !queue.1 {
+            queue = self.ready.wait(queue).unwrap();
+        }
+        std::mem::swap(&mut queue.0, out);
+        !out.is_empty()
+    }
+
+    /// Let the pops return nothing once the items already pushed are gone.
     pub fn close(&self) {
         self.queue.lock().unwrap().1 = true;
         self.ready.notify_all();
@@ -105,12 +153,12 @@ impl<T> Lane<T> {
 }
 
 /// The in-process transport: one mailbox per worker thread, one reply
-/// lane per client, and the workers themselves.
+/// lane per (client, worker), and the workers themselves.
 pub struct MailboxTransport {
     mailboxes: Vec<Arc<Lane<Envelope>>>,
-    /// Reply lanes by client id, kept here so the worker loop holds no
-    /// per-client state.
-    replies: Mutex<HashMap<u64, Arc<Lane<Reply>>>>,
+    /// Each client's reply lanes, one per worker, by client id; kept here
+    /// so the worker loop holds no per-client state.
+    replies: Mutex<HashMap<u64, Vec<Arc<Lane<Reply>>>>>,
     /// Every processor's state, shared with its worker thread's serve
     /// loop.
     workers: Vec<Arc<Mutex<Worker>>>,
@@ -131,22 +179,63 @@ impl MailboxTransport {
         (hub, mailboxes)
     }
 
-    /// Send `reply` to client `dst` (an envelope's `src`), outside the
-    /// map's lock. A client that already exited never reads it.
-    pub(crate) fn reply(&self, dst: u64, reply: Reply) {
-        let lane = self.replies.lock().unwrap().get(&dst).cloned();
-        if let Some(lane) = lane {
-            lane.push(reply);
+    /// Send worker `from`'s `replies`, each tagged with its client (an
+    /// envelope's `src`), leaving the buffer empty: each run of replies to
+    /// one client is one push, in order, outside the map's lock. A client
+    /// that already exited never reads them.
+    /// A reply batch for worker `from`.
+    pub(crate) fn replies(&self, from: ProcId) -> ReplyBatch<'_> {
+        ReplyBatch {
+            hub: self,
+            from,
+            open: None,
+        }
+    }
+}
+
+/// One worker's replies to one batch of envelopes. Each reply is queued
+/// on its client's lane without a wake-up, and the client is woken once,
+/// after its run of replies: when the batch moves on to another client,
+/// or at [`ReplyBatch::wake`] once the worker's lock is released.
+pub(crate) struct ReplyBatch<'a> {
+    hub: &'a MailboxTransport,
+    from: ProcId,
+    /// The client whose run of replies is being queued, and its lane.
+    open: Option<(u64, Arc<Lane<Reply>>)>,
+}
+
+impl ReplyBatch<'_> {
+    /// Queue `reply` to `client`. A client that already exited (or never
+    /// connected) never reads it.
+    pub(crate) fn queue(&mut self, client: u64, reply: Reply) {
+        if self.open.as_ref().is_none_or(|(c, _)| *c != client) {
+            self.wake();
+            let lanes = self.hub.replies.lock().unwrap();
+            let lane = lanes
+                .get(&client)
+                .map(|l| Arc::clone(&l[self.from as usize]));
+            self.open = lane.map(|lane| (client, lane));
+        }
+        if let Some((_, lane)) = &self.open {
+            lane.push_quiet(reply);
+        }
+    }
+
+    /// Wake the client whose replies were queued last.
+    pub(crate) fn wake(&mut self) {
+        if let Some((_, lane)) = self.open.take() {
+            lane.wake();
         }
     }
 }
 
 impl Transport for MailboxTransport {
     fn connect(&self, client: u64) -> Box<dyn ClientConn> {
-        let rx = Lane::new();
-        self.replies.lock().unwrap().insert(client, Arc::clone(&rx));
+        let rx: Vec<_> = self.mailboxes.iter().map(|_| Lane::new()).collect();
+        self.replies.lock().unwrap().insert(client, rx.clone());
         Box::new(MailboxConn {
             mailboxes: self.mailboxes.clone(),
+            held: rx.iter().map(|_| Vec::new()).collect(),
             rx,
         })
     }
@@ -159,22 +248,48 @@ impl Transport for MailboxTransport {
 /// Client half of [`MailboxTransport`].
 pub struct MailboxConn {
     mailboxes: Vec<Arc<Lane<Envelope>>>,
-    rx: Arc<Lane<Reply>>,
+    /// Each worker's replies to this client.
+    rx: Vec<Arc<Lane<Reply>>>,
+    /// Envelopes sent but not yet pushed, by worker.
+    held: Vec<Vec<Envelope>>,
 }
 
 impl ClientConn for MailboxConn {
+    /// With nothing held for `dst`, one push of the envelope, as before
+    /// posting existed.
     fn send(&mut self, dst: ProcId, env: &Envelope) {
-        self.mailboxes[dst as usize].push(env.clone());
+        let (held, mailbox) = (&mut self.held[dst as usize], &self.mailboxes[dst as usize]);
+        if held.is_empty() {
+            mailbox.push(env.clone());
+        } else {
+            held.push(env.clone());
+            mailbox.push_batch(held.drain(..));
+        }
     }
 
-    fn recv_reply(&mut self, _dst: ProcId) -> Reply {
-        self.rx.pop().expect("reply lanes are never closed")
+    fn post(&mut self, dst: ProcId, env: &Envelope) {
+        self.held[dst as usize].push(env.clone());
+    }
+
+    fn flush(&mut self) {
+        for (held, mailbox) in self.held.iter_mut().zip(&self.mailboxes) {
+            if !held.is_empty() {
+                mailbox.push_batch(held.drain(..));
+            }
+        }
+    }
+
+    fn recv_reply(&mut self, dst: ProcId) -> Reply {
+        self.rx[dst as usize]
+            .pop()
+            .expect("reply lanes are never closed")
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::Lane;
+    use std::collections::VecDeque;
     use std::thread;
     use std::time::Duration;
 
@@ -231,5 +346,80 @@ mod tests {
         lane.push(1);
         assert_eq!(lane.pop(), Some(1));
         assert_eq!(lane.pop(), None);
+    }
+
+    /// Four producers push batches of varying length; the consumer pops
+    /// whatever is queued each time. Each producer's items still arrive in
+    /// the order it pushed them, across batch boundaries on both sides.
+    #[test]
+    fn batches_are_fifo_per_producer() {
+        const PRODUCERS: u64 = 4;
+        const PUSHES: u64 = 10_000;
+        let lane = Lane::new();
+        let producers: Vec<_> = (0..PRODUCERS)
+            .map(|p| {
+                let lane = lane.clone();
+                thread::spawn(move || {
+                    let mut i = 0;
+                    while i < PUSHES {
+                        let n = (1 + (i + p) % 7).min(PUSHES - i);
+                        lane.push_batch((i..i + n).map(|i| (p, i)));
+                        i += n;
+                    }
+                })
+            })
+            .collect();
+        let (mut next, mut batch) = ([0; PRODUCERS as usize], VecDeque::new());
+        while next.iter().sum::<u64>() < PRODUCERS * PUSHES {
+            assert!(lane.pop_batch(&mut batch));
+            for (p, i) in batch.drain(..) {
+                assert_eq!(i, next[p as usize], "producer {p} out of order");
+                next[p as usize] += 1;
+            }
+        }
+        producers.into_iter().for_each(|h| h.join().unwrap());
+        assert_eq!(next, [PUSHES; PRODUCERS as usize]);
+    }
+
+    /// A batch pop that blocks on an empty lane returns the whole batch
+    /// pushed later, not its first item. As above, the sleep only makes
+    /// the blocking order likely; either order must return the batch.
+    #[test]
+    fn batch_pop_blocked_before_the_push_returns_the_whole_batch() {
+        let lane = Lane::new();
+        let consumer = thread::spawn({
+            let lane = lane.clone();
+            move || {
+                let mut batch = VecDeque::new();
+                lane.pop_batch(&mut batch);
+                batch
+            }
+        });
+        thread::sleep(Duration::from_millis(50));
+        lane.push_batch([1, 2, 3]);
+        assert_eq!(consumer.join().unwrap(), [1, 2, 3]);
+    }
+
+    /// Closing wakes a blocked batch pop with nothing; a closed lane
+    /// still hands out what was pushed before it reports the end.
+    #[test]
+    fn close_wakes_a_blocked_batch_pop_with_nothing() {
+        let lane = Lane::<u32>::new();
+        let consumer = thread::spawn({
+            let lane = lane.clone();
+            move || {
+                let mut batch = VecDeque::new();
+                (lane.pop_batch(&mut batch), batch)
+            }
+        });
+        thread::sleep(Duration::from_millis(50));
+        lane.close();
+        assert_eq!(consumer.join().unwrap(), (false, VecDeque::new()));
+        lane.push_batch([4, 5]);
+        let mut batch = VecDeque::new();
+        assert!(lane.pop_batch(&mut batch));
+        assert_eq!(batch, [4, 5]);
+        batch.clear();
+        assert!(!lane.pop_batch(&mut batch));
     }
 }

@@ -33,7 +33,7 @@ use olden_gptr::{GPtr, LineInPage, PageNum, ProcId, Word, LINE_WORDS, PAGE_WORDS
 use olden_obs::{EventKind, Recorder};
 use olden_runtime::thread::invalidated;
 use olden_runtime::{LineKey, LineSanitizer};
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -132,26 +132,37 @@ impl Worker {
     }
 
     /// Service this processor's mailbox until shutdown, answering on the
-    /// sender's reply lane in `hub`. The lock is taken per delivered
-    /// envelope and released before the reply goes out, so threads
-    /// resident on this processor call `handle` in between. Nothing under
-    /// the lock blocks.
+    /// senders' reply lanes in `hub`. Each wake-up takes every envelope
+    /// queued and delivers them under one lock; each client is woken once
+    /// for its replies, after the lock is released (see `ReplyBatch`).
+    /// Threads resident on this processor call `handle` between batches.
+    /// Nothing under the lock blocks.
     pub(crate) fn serve(this: &Mutex<Worker>, mailbox: &Lane<Envelope>, hub: &MailboxTransport) {
-        let slot = Arc::clone(&this.lock().unwrap().slot);
+        let (slot, proc) = {
+            let w = this.lock().unwrap();
+            (Arc::clone(&w.slot), w.proc)
+        };
+        let mut batch = VecDeque::new();
         loop {
             slot.state.store(W_WAITING, Ordering::Relaxed);
-            let Some(env) = mailbox.pop() else {
+            if !mailbox.pop_batch(&mut batch) {
                 // Mailbox closed without a shutdown: the run failed
                 // (stalled, starved or panicked); exit quietly.
                 break;
-            };
+            }
             slot.state.store(W_SERVING, Ordering::Relaxed);
-            let (src, is_shutdown) = (env.src, matches!(env.req, Request::Shutdown));
-            let Some(reply) = this.lock().unwrap().deliver(env) else {
-                continue;
-            };
-            hub.reply(src, reply);
-            if is_shutdown {
+            let (mut replies, mut shutdown) = (hub.replies(proc), false);
+            let mut worker = this.lock().unwrap();
+            while let Some(env) = batch.pop_front() {
+                let src = env.src;
+                shutdown |= matches!(env.req, Request::Shutdown);
+                if let Some(reply) = worker.deliver(env) {
+                    replies.queue(src, reply);
+                }
+            }
+            drop(worker);
+            replies.wake();
+            if shutdown {
                 break;
             }
         }

@@ -53,14 +53,13 @@ use olden_exec::{
     ExecError, ExecReport, Shared, Transport, TransportCounters,
 };
 use olden_gptr::{ProcId, MAX_PROCS};
-use std::io::BufReader;
 use std::net::{TcpListener, TcpStream};
 use std::process::{Child, Command};
 use std::sync::atomic::AtomicU64;
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread;
 use std::time::Duration;
-use wire::{decode_hello, decode_reply, encode_envelope, read_frame, write_frame};
+use wire::{decode_hello, decode_reply, read_frame, FrameLink};
 
 /// Configuration for one network-backend run: the shared exec-layer
 /// settings plus the command that starts a worker process.
@@ -116,9 +115,7 @@ impl Transport for TcpTransport {
 /// a client that never touches a worker costs that worker nothing.
 struct TcpConn {
     ports: Vec<u16>,
-    /// Replies are read through the buffer; requests are written to the
-    /// stream underneath it.
-    streams: Vec<Option<BufReader<TcpStream>>>,
+    links: Vec<Option<FrameLink<TcpStream>>>,
     /// Set on the control connection only: a worker that hangs during
     /// the shutdown drain should fail the run loudly, not wedge it.
     read_timeout: Option<Duration>,
@@ -129,33 +126,46 @@ impl TcpConn {
         let n = ports.len();
         TcpConn {
             ports,
-            streams: (0..n).map(|_| None).collect(),
+            links: (0..n).map(|_| None).collect(),
             read_timeout,
         }
     }
 
-    fn stream(&mut self, dst: ProcId) -> &mut BufReader<TcpStream> {
+    fn link(&mut self, dst: ProcId) -> &mut FrameLink<TcpStream> {
         let i = dst as usize;
-        if self.streams[i].is_none() {
+        if self.links[i].is_none() {
             let s = TcpStream::connect(("127.0.0.1", self.ports[i]))
                 .expect("net: connect to worker data port");
             s.set_nodelay(true).expect("net: set NODELAY");
             s.set_read_timeout(self.read_timeout)
                 .expect("net: set read timeout");
-            self.streams[i] = Some(BufReader::new(s));
+            self.links[i] = Some(FrameLink::new(s));
         }
-        self.streams[i].as_mut().unwrap()
+        self.links[i].as_mut().unwrap()
     }
 }
 
 impl ClientConn for TcpConn {
     fn send(&mut self, dst: ProcId, env: &Envelope) {
-        write_frame(self.stream(dst).get_mut(), &encode_envelope(env))
+        self.link(dst)
+            .send(env)
             .expect("net: worker connection lost mid-send");
     }
 
+    fn post(&mut self, dst: ProcId, env: &Envelope) {
+        self.link(dst).post(env);
+    }
+
+    fn flush(&mut self) {
+        for link in self.links.iter_mut().flatten() {
+            link.flush().expect("net: worker connection lost mid-send");
+        }
+    }
+
     fn recv_reply(&mut self, dst: ProcId) -> Reply {
-        let body = read_frame(self.stream(dst))
+        let body = self
+            .link(dst)
+            .recv()
             .expect("net: read reply frame")
             .expect("net: worker closed connection mid-request");
         match decode_reply(&body) {

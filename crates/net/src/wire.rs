@@ -16,11 +16,15 @@
 //! and the round-trip and pinned-byte tests in `tests/wire_roundtrip.rs`
 //! cover every variant. Decoding returns `Err(String)` on any malformed
 //! payload, and the caller treats it as fatal.
+//!
+//! Frames travel in batches: a client's [`FrameLink`] holds the frames
+//! it posts until it next sends, and a worker answers the frames that
+//! arrived together with one write (`worker::serve_frames`).
 
 use olden_exec::msg::{Envelope, Reply};
-use olden_exec::wire::{decode, encode};
+use olden_exec::wire::{decode, encode, Wire};
 use olden_gptr::ProcId;
-use std::io::{self, Read, Write};
+use std::io::{self, BufReader, Read, Write};
 
 /// Ceiling on a single frame's payload, far above anything the protocol
 /// produces (the largest legitimate frame is a shutdown report carrying
@@ -36,6 +40,69 @@ pub fn write_frame<W: Write>(out: &mut W, body: &[u8]) -> io::Result<()> {
     frame.extend_from_slice(&(body.len() as u32).to_le_bytes());
     frame.extend_from_slice(body);
     out.write_all(&frame)
+}
+
+/// Append `msg` to `out` as one frame, encoded in place.
+pub fn append_frame<T: Wire>(out: &mut Vec<u8>, msg: &T) {
+    let start = out.len();
+    out.extend_from_slice(&[0; 4]);
+    msg.put(out);
+    let n = out.len() - start - 4;
+    assert!(n <= MAX_FRAME, "oversized frame");
+    out[start..start + 4].copy_from_slice(&(n as u32).to_le_bytes());
+}
+
+/// A client's end of one worker connection. The envelopes it posts are
+/// held, and written in one `write` with the next one it sends (or when
+/// it flushes): posted requests go out with the request that waits, one
+/// segment on a `TCP_NODELAY` socket. The buffer is reused, so a frame
+/// costs no allocation to send.
+pub struct FrameLink<S> {
+    /// Replies are read through the buffer; frames are written to the
+    /// stream underneath it.
+    stream: BufReader<S>,
+    held: Vec<u8>,
+}
+
+impl<S: Read + Write> FrameLink<S> {
+    pub fn new(stream: S) -> FrameLink<S> {
+        FrameLink {
+            stream: BufReader::new(stream),
+            held: Vec::new(),
+        }
+    }
+
+    /// Hold one envelope frame for the next write.
+    pub fn post(&mut self, env: &Envelope) {
+        append_frame(&mut self.held, env);
+    }
+
+    /// Write the held frames and `env`'s.
+    pub fn send(&mut self, env: &Envelope) -> io::Result<()> {
+        self.post(env);
+        self.flush()
+    }
+
+    /// Write every held frame, in one `write` when the stream takes it
+    /// whole.
+    pub fn flush(&mut self) -> io::Result<()> {
+        if !self.held.is_empty() {
+            self.stream.get_mut().write_all(&self.held)?;
+            self.held.clear();
+        }
+        Ok(())
+    }
+
+    /// Read the next reply frame ([`read_frame`]'s `None` on a clean
+    /// EOF).
+    pub fn recv(&mut self) -> io::Result<Option<Vec<u8>>> {
+        read_frame(&mut self.stream)
+    }
+
+    /// The stream underneath.
+    pub fn get_ref(&self) -> &S {
+        self.stream.get_ref()
+    }
 }
 
 /// Read one length-prefixed frame. An EOF cleanly between frames maps to

@@ -12,11 +12,12 @@
 //!    EOF (parent exited, cleanly or not) terminates this process, so a
 //!    crashed parent can never leak worker processes.
 //! 3. The main thread accepts data connections and gives each one its
-//!    own thread. A client blocks for the reply to each request, so a
-//!    connection never has more than one request outstanding: its thread
-//!    reads a frame, delivers it under the worker's lock, and writes the
-//!    reply back on the connection the frame came in on. No reply routes,
-//!    no hand-off between threads.
+//!    own thread ([`serve_frames`]). A client writes its posted requests
+//!    and the one request it then waits on together: the connection's
+//!    thread reads frames, delivers each under the worker's lock, and
+//!    writes the replies back on the connection they came in on, in one
+//!    write once the input it has read is drained. No reply routes, no
+//!    hand-off between threads.
 //! 4. A `Shutdown` envelope (on the parent's control connection) first
 //!    waits for every other connection to close, so each copy a client
 //!    transmitted has been delivered and counted; it then answers with
@@ -27,13 +28,13 @@
 //! the shutdown report (`deliveries` / `dupes_suppressed` fields), and
 //! the parent's watchdog is driven by client-side progress alone.
 
-use crate::wire::{decode_envelope, encode_hello, encode_reply, read_frame, write_frame};
-use olden_exec::msg::Request;
+use crate::wire::{append_frame, decode_envelope, encode_hello, read_frame, write_frame};
+use olden_exec::msg::{Envelope, Reply, Request};
 use olden_exec::worker::{Worker, WorkerSlot};
 use olden_exec::{Protocol, TransportCounters};
 use olden_gptr::ProcId;
 use olden_obs::Recorder;
-use std::io::{BufReader, Read as _};
+use std::io::{BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::AtomicU64;
 use std::sync::{Arc, Condvar, Mutex};
@@ -50,16 +51,46 @@ struct Served {
 
 const POISONED: &str = "worker: a connection thread panicked holding the lock";
 
-/// Serve one client connection until it closes (or a shutdown on it
-/// ends the process).
-fn serve_conn(conn: TcpStream, served: &Served) {
-    let mut frames = BufReader::new(&conn);
-    // A clean or dirty close either way: this client is done.
-    while let Ok(Some(body)) = read_frame(&mut frames) {
+/// Serve one connection's envelope frames from `input` until it ends,
+/// answering on `output`. `deliver` services one envelope, or returns
+/// `None` for a suppressed copy. Replies collect in one buffer, written
+/// in one `write` once `input` holds no more buffered bytes: the frames
+/// that arrived together (a client's posts and the request it waits on)
+/// are answered together, and nothing is written while more input is
+/// buffered. A `Shutdown`'s reply is written at once. Returns whether a
+/// `Shutdown` was answered; otherwise the input ended, cleanly or not,
+/// and either way the client is done.
+pub fn serve_frames<R: Read, W: Write>(
+    input: &mut BufReader<R>,
+    output: &mut W,
+    mut deliver: impl FnMut(Envelope) -> Option<Reply>,
+) -> bool {
+    let mut replies = Vec::new();
+    while let Ok(Some(body)) = read_frame(input) {
         let env =
             decode_envelope(&body).unwrap_or_else(|e| panic!("malformed envelope frame: {e}"));
         let is_shutdown = matches!(env.req, Request::Shutdown);
+        if let Some(reply) = deliver(env) {
+            append_frame(&mut replies, &reply);
+        }
+        if is_shutdown || input.buffer().is_empty() {
+            // A failed write means the client is gone — the run has
+            // already aborted, so the replies have no reader.
+            let _ = output.write_all(&replies);
+            replies.clear();
+        }
         if is_shutdown {
+            return true;
+        }
+    }
+    false
+}
+
+/// Serve one client connection until it closes (or a shutdown on it
+/// ends the process).
+fn serve_conn(conn: TcpStream, served: &Served) {
+    let shutdown = serve_frames(&mut BufReader::new(&conn), &mut &conn, |env| {
+        if matches!(env.req, Request::Shutdown) {
             // Every client has finished, but a copy it sent after its
             // last answered primary (a duplicate) may still be queued on
             // another connection: wait until that connection's thread
@@ -67,15 +98,10 @@ fn serve_conn(conn: TcpStream, served: &Served) {
             let open = served.open.lock().expect(POISONED);
             drop(served.closed.wait_while(open, |n| *n > 1).expect(POISONED));
         }
-        let Some(reply) = served.worker.lock().expect(POISONED).deliver(env) else {
-            continue;
-        };
-        // A failed write means the client is gone — the run has already
-        // aborted, so the reply has no reader.
-        let _ = write_frame(&mut &conn, &encode_reply(&reply));
-        if is_shutdown {
-            std::process::exit(0);
-        }
+        served.worker.lock().expect(POISONED).deliver(env)
+    });
+    if shutdown {
+        std::process::exit(0);
     }
     *served.open.lock().expect(POISONED) -= 1;
     served.closed.notify_all();

@@ -16,10 +16,11 @@
 //! standing in for an ack timeout). Senders stamp each *logical* message
 //! with a per-client sequence number that all retries and duplicates
 //! share; receivers service an envelope only if its sequence number
-//! exceeds the highest yet seen from that sender — sound because each
-//! client blocks for the reply before issuing its next logical message,
-//! so primaries arrive in sequence order and anything at or below the
-//! high-water mark can only be a copy of an already-serviced message.
+//! exceeds the highest yet seen from that sender — sound because a client
+//! numbers its messages in the order it sends them and the path from a
+//! client to a worker is FIFO, so primaries arrive in sequence order and
+//! anything at or below the high-water mark can only be a copy of an
+//! already-serviced message.
 //! Drop + retry gives at-least-once; dedupe cuts it back to exactly-once
 //! at the observation layer. Retries are bounded: a message class that
 //! never gets through (see [`FaultPlan::drop_all`]) ends the run with a

@@ -245,8 +245,8 @@ impl ExecCtx {
     /// later, by the next blocking request to the same worker (queued
     /// behind the post) or by the next release ([`ExecCtx::settle`]).
     /// Under release consistency a write need only be performed by the
-    /// writer's next release. The connection may hold a sent envelope
-    /// until this thread next reads from that worker or flushes, so the
+    /// writer's next release. The connection holds a posted envelope
+    /// until this thread's next send to that worker or a flush, so the
     /// posts and the request that waits travel as one batch.
     ///
     /// A request to the processor this thread occupies is serviced in
@@ -288,7 +288,7 @@ impl ExecCtx {
     /// is performed before the thread moves, forks or ends. Delayed
     /// duplicates still held by the fault layer stay held.
     fn settle(&mut self) {
-        // Only a post is held, and each one is owed.
+        // Only posts are held, and each is owed until collected.
         if self.owed.iter().all(|&n| n == 0) {
             return;
         }
@@ -312,9 +312,12 @@ impl ExecCtx {
         };
         let plan = &self.shared.plan;
         let t = &self.shared.transport;
-        let put = |conn: &mut dyn ClientConn| match posted {
-            true => conn.post(proc, &env),
-            false => conn.send(proc, &env),
+        let put = |conn: &mut dyn ClientConn| {
+            if posted {
+                conn.post(proc, &env)
+            } else {
+                conn.send(proc, &env)
+            }
         };
         let mut attempt: u32 = 0;
         loop {
@@ -700,7 +703,8 @@ impl ExecCtx {
 }
 
 /// The thread backend's moves: every release, steal and acquire is a
-/// round trip to a worker.
+/// message to a worker, and a release first collects every posted
+/// request's acknowledgement (see `ExecCtx::settle`).
 impl Driver for ExecCtx {
     type Frame = Arc<FrameHandle>;
     type End = Option<VClock>;

@@ -40,10 +40,11 @@ pub struct Envelope {
 /// Receiver-side exactly-once state: the highest sequence number yet
 /// serviced from each sender.
 ///
-/// Sound as a dedupe filter because each client blocks for the reply
-/// before its next logical message, so its primaries arrive in
-/// increasing `seq` order and anything at or below the high-water mark
-/// is a copy of an already-serviced message. The filter is therefore
+/// Sound as a dedupe filter because a client numbers its logical
+/// messages in the order it sends them, posted or not, and the path from
+/// a client to a worker is FIFO, so its primaries arrive in increasing
+/// `seq` order and anything at or below the high-water mark is a copy of
+/// an already-serviced message. The filter is therefore
 /// independent of *how many* copies the fault layer transmits (retry
 /// attempt counts never appear on the wire) and of how late a delayed
 /// duplicate straggles in.

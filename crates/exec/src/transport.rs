@@ -75,8 +75,8 @@ pub trait Transport: Send + Sync {
 
     /// Processor `proc`'s worker state, when it lives in this process;
     /// `None` when only messages reach it. Whoever takes the lock holds
-    /// it while one request is serviced and nothing else, as the serve
-    /// loop does, so no wait ever happens under it.
+    /// it only while servicing requests — one in place, or the serve
+    /// loop's batch — so no wait ever happens under it.
     fn resident(&self, proc: ProcId) -> Option<&Mutex<Worker>>;
 }
 

@@ -15,7 +15,7 @@
 //! A request reaches `handle` one of two ways. Every *message* goes
 //! through [`Worker::deliver`], the one home of dedup and delivery
 //! accounting: on the thread backend the service loop (`Worker::serve`)
-//! pops the processor's mailbox, a [`Lane`], until a
+//! takes batches from the processor's mailbox, a [`Lane`], until a
 //! [`Request::Shutdown`] arrives or a failed run closes the lane, and in
 //! a worker *process* under
 //! `olden-net` each connection's thread delivers the TCP frames it reads.
@@ -73,10 +73,12 @@ pub struct Worker {
     stats: CacheStats,
     /// Happens-before state of every line homed here. All accesses to a
     /// line reach its home worker (sanitized runs route cache read hits
-    /// here via [`Request::SanitizeHit`]), and clients only issue a
-    /// request — a message or an in-place call — after every
-    /// happens-before predecessor's request completed, so the order in
-    /// which `handle` runs is a valid feeding order.
+    /// here via [`Request::SanitizeHit`]), and every happens-before
+    /// predecessor of a request — a message or an in-place call — was
+    /// serviced before it: one thread's requests reach a worker in order,
+    /// and a thread collects its posted requests' acknowledgements at
+    /// every release, before another thread can be ordered after it. So
+    /// the order in which `handle` runs is a valid feeding order.
     san: LineSanitizer,
     slot: Arc<WorkerSlot>,
     progress: Arc<AtomicU64>,

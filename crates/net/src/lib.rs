@@ -25,10 +25,11 @@
 //!   processes.
 //! - Clients (the root logical thread, and one thread per spawned future
 //!   in parallel mode) each get a [`ClientConn`] holding one lazy TCP
-//!   connection per worker. Clients block for the reply to each request,
-//!   so a connection never has more than one request outstanding: the
-//!   worker serves each connection on its own thread and writes every
-//!   reply back on the connection its request came in on, with no reply
+//!   connection per worker. A client writes the requests it posted with
+//!   the next one it waits on, in one write, and then reads their replies
+//!   in order: the worker serves each connection on its own thread and
+//!   writes the replies back on the connection their requests came in
+//!   on, in one write once it has read all that arrived, with no reply
 //!   routing at all.
 //! - Shutdown drains the fleet in processor order over a control
 //!   connection (src = `CONTROL_SRC`, bypasses dedup), collecting each

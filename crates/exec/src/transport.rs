@@ -99,8 +99,8 @@ impl<T> Lane<T> {
     }
 
     pub fn push(&self, item: T) {
-        self.queue.lock().unwrap().0.push_back(item);
-        self.ready.notify_one();
+        self.push_quiet(item);
+        self.wake();
     }
 
     /// Append `items`, in order, under one lock, then wake the consumer.
@@ -179,11 +179,7 @@ impl MailboxTransport {
         (hub, mailboxes)
     }
 
-    /// Send worker `from`'s `replies`, each tagged with its client (an
-    /// envelope's `src`), leaving the buffer empty: each run of replies to
-    /// one client is one push, in order, outside the map's lock. A client
-    /// that already exited never reads them.
-    /// A reply batch for worker `from`.
+    /// An empty batch of worker `from`'s replies.
     pub(crate) fn replies(&self, from: ProcId) -> ReplyBatch<'_> {
         ReplyBatch {
             hub: self,
@@ -250,7 +246,7 @@ pub struct MailboxConn {
     mailboxes: Vec<Arc<Lane<Envelope>>>,
     /// Each worker's replies to this client.
     rx: Vec<Arc<Lane<Reply>>>,
-    /// Envelopes sent but not yet pushed, by worker.
+    /// Envelopes posted but not yet pushed, by worker.
     held: Vec<Vec<Envelope>>,
 }
 

@@ -123,34 +123,27 @@ stage "build" cargo build --workspace --release
 
 stage "test" cargo test --workspace -q
 
-oldenc() {
-    cargo run --release -q -p olden-bench --bin oldenc -- "$@"
-}
-
 # The thread and net backends' tests again on a single CPU. perf/ pins
 # each workload to one CPU, where a woken thread preempts the thread that
 # woke it; on every core those hand-offs never interleave that way. A
 # client that waits for replies while its worker waits for more input
 # would hang here first. Built on every core, run on CPU 0. Skips loudly
-# when taskset is not installed, and skips the net tests loudly when the
-# sandbox denies loopback TCP (`oldenc net` exits 3, as for net-parity).
+# when taskset is not installed; the net socket tests skip themselves
+# loudly when the sandbox denies loopback TCP.
 one_cpu() {
     if ! command -v taskset >/dev/null 2>&1; then
         echo "    SKIP: taskset not installed; install util-linux to test on one CPU"
         return 0
     fi
     cargo test --release -q -p olden-exec -p olden-net --no-run
-    taskset -c 0 cargo test --release -q -p olden-exec
-    local rc=0
-    oldenc net TreeAdd --procs 1 --seeds 1 >/dev/null 2>&1 || rc=$?
-    if [ "$rc" -eq 3 ]; then
-        echo "    SKIP: loopback TCP unavailable; olden-net not tested on one CPU"
-        return 0
-    fi
-    taskset -c 0 cargo test --release -q -p olden-net
+    taskset -c 0 cargo test --release -q -p olden-exec -p olden-net
 }
 
 stage "one-cpu" one_cpu
+
+oldenc() {
+    cargo run --release -q -p olden-bench --bin oldenc -- "$@"
+}
 
 # Fuzz smoke: 500 seeds (cargo test runs 150) through every oracle —
 # round-trip, typecheck, pass totality, cross-pass consistency (the

@@ -33,16 +33,16 @@
 //!
 //! [`MailboxTransport`] is the in-process implementation backing
 //! [`try_run_exec`](crate::try_run_exec): a [`Lane`] mailbox per worker,
-//! a [`Lane`] of replies per (client, worker), and every worker's state
-//! behind a lock shared by its serve loop and the logical threads
-//! resident on it.
+//! a [`Lane`] of replies per (client, worker) opened on the client's
+//! first transmit to that worker, and every worker's state behind a lock
+//! shared by its serve loop and the logical threads resident on it.
 
 use crate::envelope::Envelope;
 use crate::msg::Reply;
 use crate::worker::Worker;
 use olden_gptr::ProcId;
 use std::collections::{HashMap, VecDeque};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
 /// One logical thread's connection to the worker fleet. Sending is
 /// fire-and-forget: the fault layer sends once per *copy* (primary,
@@ -81,9 +81,10 @@ pub trait Transport: Send + Sync {
 }
 
 /// A FIFO hand-off between threads: any number of producers, one
-/// consumer. A push wakes the consumer only after releasing the lock, so
-/// a woken consumer never finds it held (see DESIGN §4). The batch forms
-/// move many items for one lock and one wake-up.
+/// consumer. A push moves a whole batch for one lock and one wake-up,
+/// and wakes the consumer only after releasing the lock, so a woken
+/// consumer never finds it held (see DESIGN §4); a producer holding some
+/// other lock queues quietly and wakes once it has released that one.
 pub struct Lane<T> {
     /// The items, oldest first, and whether the lane is closed.
     queue: Mutex<(VecDeque<T>, bool)>,
@@ -96,11 +97,6 @@ impl<T> Lane<T> {
             queue: Mutex::new((VecDeque::new(), false)),
             ready: Condvar::new(),
         })
-    }
-
-    pub fn push(&self, item: T) {
-        self.push_quiet(item);
-        self.wake();
     }
 
     /// Append `items`, in order, under one lock, then wake the consumer.
@@ -152,13 +148,17 @@ impl<T> Lane<T> {
     }
 }
 
+/// Every client's reply lanes, by (client, worker).
+type ReplyLanes = Mutex<HashMap<(u64, ProcId), Arc<Lane<Reply>>>>;
+
 /// The in-process transport: one mailbox per worker thread, one reply
 /// lane per (client, worker), and the workers themselves.
 pub struct MailboxTransport {
     mailboxes: Vec<Arc<Lane<Envelope>>>,
-    /// Each client's reply lanes, one per worker, by client id; kept here
-    /// so the worker loop holds no per-client state.
-    replies: Mutex<HashMap<u64, Vec<Arc<Lane<Reply>>>>>,
+    /// Kept here so the worker loop holds no per-client state. A client
+    /// opens its lane from a worker on its first transmit there, and
+    /// removes its lanes when its connection drops.
+    replies: Arc<ReplyLanes>,
     /// Every processor's state, shared with its worker thread's serve
     /// loop.
     workers: Vec<Arc<Mutex<Worker>>>,
@@ -173,66 +173,67 @@ impl MailboxTransport {
         let mailboxes: Vec<_> = workers.iter().map(|_| Lane::new()).collect();
         let hub = Arc::new(MailboxTransport {
             mailboxes: mailboxes.clone(),
-            replies: Mutex::new(HashMap::new()),
+            replies: Arc::default(),
             workers,
         });
         (hub, mailboxes)
     }
 
-    /// An empty batch of worker `from`'s replies.
+    /// Worker `from`'s reply queue, empty.
     pub(crate) fn replies(&self, from: ProcId) -> ReplyBatch<'_> {
         ReplyBatch {
             hub: self,
             from,
             open: None,
+            runs: Vec::new(),
         }
     }
 }
 
-/// One worker's replies to one batch of envelopes. Each reply is queued
-/// on its client's lane without a wake-up, and the client is woken once,
-/// after its run of replies: when the batch moves on to another client,
-/// or at [`ReplyBatch::wake`] once the worker's lock is released.
+/// One worker's replies to its batches of envelopes. While the worker's
+/// lock is held, each reply is queued on its client's lane without a
+/// wake-up; [`ReplyBatch::wake`], called once the lock is released,
+/// wakes each client once per run of consecutive replies to it.
 pub(crate) struct ReplyBatch<'a> {
     hub: &'a MailboxTransport,
     from: ProcId,
-    /// The client whose run of replies is being queued, and its lane.
-    open: Option<(u64, Arc<Lane<Reply>>)>,
+    /// The client of the run being queued.
+    open: Option<u64>,
+    /// The lane of each run queued since the last wake, oldest first
+    /// (`None` for a client that already exited); reused across batches.
+    runs: Vec<Option<Arc<Lane<Reply>>>>,
 }
 
 impl ReplyBatch<'_> {
     /// Queue `reply` to `client`. A client that already exited (or never
     /// connected) never reads it.
     pub(crate) fn queue(&mut self, client: u64, reply: Reply) {
-        if self.open.as_ref().is_none_or(|(c, _)| *c != client) {
-            self.wake();
+        if self.open != Some(client) {
+            self.open = Some(client);
             let lanes = self.hub.replies.lock().unwrap();
-            let lane = lanes
-                .get(&client)
-                .map(|l| Arc::clone(&l[self.from as usize]));
-            self.open = lane.map(|lane| (client, lane));
+            self.runs.push(lanes.get(&(client, self.from)).cloned());
         }
-        if let Some((_, lane)) = &self.open {
+        if let Some(Some(lane)) = self.runs.last() {
             lane.push_quiet(reply);
         }
     }
 
-    /// Wake the client whose replies were queued last.
+    /// Wake the client of every run queued since the last wake.
     pub(crate) fn wake(&mut self) {
-        if let Some((_, lane)) = self.open.take() {
-            lane.wake();
-        }
+        self.open = None;
+        self.runs.drain(..).flatten().for_each(|lane| lane.wake());
     }
 }
 
 impl Transport for MailboxTransport {
     fn connect(&self, client: u64) -> Box<dyn ClientConn> {
-        let rx: Vec<_> = self.mailboxes.iter().map(|_| Lane::new()).collect();
-        self.replies.lock().unwrap().insert(client, rx.clone());
+        let procs = self.mailboxes.len();
         Box::new(MailboxConn {
+            client,
             mailboxes: self.mailboxes.clone(),
-            held: rx.iter().map(|_| Vec::new()).collect(),
-            rx,
+            lanes: Arc::clone(&self.replies),
+            rx: vec![None; procs],
+            held: vec![Vec::new(); procs],
         })
     }
 
@@ -243,24 +244,38 @@ impl Transport for MailboxTransport {
 
 /// Client half of [`MailboxTransport`].
 pub struct MailboxConn {
+    client: u64,
     mailboxes: Vec<Arc<Lane<Envelope>>>,
-    /// Each worker's replies to this client.
-    rx: Vec<Arc<Lane<Reply>>>,
+    /// Every client's reply lanes, shared with the hub.
+    lanes: Arc<ReplyLanes>,
+    /// Each worker's replies to this client, once it has transmitted
+    /// there.
+    rx: Vec<Option<Arc<Lane<Reply>>>>,
     /// Envelopes posted but not yet pushed, by worker.
     held: Vec<Vec<Envelope>>,
 }
 
-impl ClientConn for MailboxConn {
-    /// With nothing held for `dst`, one push of the envelope, as before
-    /// posting existed.
-    fn send(&mut self, dst: ProcId, env: &Envelope) {
-        let (held, mailbox) = (&mut self.held[dst as usize], &self.mailboxes[dst as usize]);
-        if held.is_empty() {
-            mailbox.push(env.clone());
-        } else {
-            held.push(env.clone());
-            mailbox.push_batch(held.drain(..));
+impl MailboxConn {
+    /// Push everything held for `dst` as one batch, opening this client's
+    /// reply lane from `dst` first if this is its first transmit there.
+    fn transmit(&mut self, dst: ProcId) {
+        let d = dst as usize;
+        if self.rx[d].is_none() {
+            let lane = Lane::new();
+            self.lanes
+                .lock()
+                .unwrap()
+                .insert((self.client, dst), Arc::clone(&lane));
+            self.rx[d] = Some(lane);
         }
+        self.mailboxes[d].push_batch(self.held[d].drain(..));
+    }
+}
+
+impl ClientConn for MailboxConn {
+    fn send(&mut self, dst: ProcId, env: &Envelope) {
+        self.held[dst as usize].push(env.clone());
+        self.transmit(dst);
     }
 
     fn post(&mut self, dst: ProcId, env: &Envelope) {
@@ -268,17 +283,30 @@ impl ClientConn for MailboxConn {
     }
 
     fn flush(&mut self) {
-        for (held, mailbox) in self.held.iter_mut().zip(&self.mailboxes) {
-            if !held.is_empty() {
-                mailbox.push_batch(held.drain(..));
+        for dst in 0..self.held.len() {
+            if !self.held[dst].is_empty() {
+                self.transmit(dst as ProcId);
             }
         }
     }
 
     fn recv_reply(&mut self, dst: ProcId) -> Reply {
         self.rx[dst as usize]
+            .as_ref()
+            .expect("replies come only from a worker sent to")
             .pop()
             .expect("reply lanes are never closed")
+    }
+}
+
+impl Drop for MailboxConn {
+    fn drop(&mut self) {
+        let mut lanes = self.lanes.lock().unwrap_or_else(PoisonError::into_inner);
+        for (dst, rx) in self.rx.iter().enumerate() {
+            if rx.is_some() {
+                lanes.remove(&(self.client, dst as ProcId));
+            }
+        }
     }
 }
 
@@ -299,7 +327,7 @@ mod tests {
         let producers: Vec<_> = (0..PRODUCERS)
             .map(|p| {
                 let lane = lane.clone();
-                thread::spawn(move || (0..PUSHES).for_each(|i| lane.push((p, i))))
+                thread::spawn(move || (0..PUSHES).for_each(|i| lane.push_batch([(p, i)])))
             })
             .collect();
         let mut next = [0; PRODUCERS as usize];
@@ -323,7 +351,7 @@ mod tests {
             move || lane.pop()
         });
         thread::sleep(Duration::from_millis(50));
-        lane.push(7);
+        lane.push_batch([7]);
         assert_eq!(consumer.join().unwrap(), Some(7));
     }
 
@@ -339,7 +367,7 @@ mod tests {
         thread::sleep(Duration::from_millis(50));
         lane.close();
         assert_eq!(consumer.join().unwrap(), None);
-        lane.push(1);
+        lane.push_batch([1]);
         assert_eq!(lane.pop(), Some(1));
         assert_eq!(lane.pop(), None);
     }

@@ -135,8 +135,9 @@ impl Worker {
 
     /// Service this processor's mailbox until shutdown, answering on the
     /// senders' reply lanes in `hub`. Each wake-up takes every envelope
-    /// queued and delivers them under one lock; each client is woken once
-    /// for its replies, after the lock is released (see `ReplyBatch`).
+    /// queued and delivers them under one lock, queueing the replies on
+    /// their clients' lanes; once the lock is released each client is
+    /// woken once per run of its replies (see `ReplyBatch`).
     /// Threads resident on this processor call `handle` between batches.
     /// Nothing under the lock blocks.
     pub(crate) fn serve(this: &Mutex<Worker>, mailbox: &Lane<Envelope>, hub: &MailboxTransport) {
@@ -144,7 +145,7 @@ impl Worker {
             let w = this.lock().unwrap();
             (Arc::clone(&w.slot), w.proc)
         };
-        let mut batch = VecDeque::new();
+        let (mut batch, mut replies) = (VecDeque::new(), hub.replies(proc));
         loop {
             slot.state.store(W_WAITING, Ordering::Relaxed);
             if !mailbox.pop_batch(&mut batch) {
@@ -153,7 +154,7 @@ impl Worker {
                 break;
             }
             slot.state.store(W_SERVING, Ordering::Relaxed);
-            let (mut replies, mut shutdown) = (hub.replies(proc), false);
+            let mut shutdown = false;
             let mut worker = this.lock().unwrap();
             while let Some(env) = batch.pop_front() {
                 let src = env.src;

@@ -35,18 +35,22 @@ pub const MAX_FRAME: usize = 64 << 20;
 /// Write one length-prefixed frame: prefix and body go out in a single
 /// `write`, so a `TCP_NODELAY` socket sends one segment, not two.
 pub fn write_frame<W: Write>(out: &mut W, body: &[u8]) -> io::Result<()> {
-    assert!(body.len() <= MAX_FRAME, "oversized frame");
     let mut frame = Vec::with_capacity(4 + body.len());
-    frame.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    frame.extend_from_slice(body);
+    frame_into(&mut frame, |f| f.extend_from_slice(body));
     out.write_all(&frame)
 }
 
 /// Append `msg` to `out` as one frame, encoded in place.
 pub fn append_frame<T: Wire>(out: &mut Vec<u8>, msg: &T) {
+    frame_into(out, |f| msg.put(f));
+}
+
+/// Append one frame to `out`: the length prefix, then the payload that
+/// `body` appends after it.
+fn frame_into(out: &mut Vec<u8>, body: impl FnOnce(&mut Vec<u8>)) {
     let start = out.len();
     out.extend_from_slice(&[0; 4]);
-    msg.put(out);
+    body(out);
     let n = out.len() - start - 4;
     assert!(n <= MAX_FRAME, "oversized frame");
     out[start..start + 4].copy_from_slice(&(n as u32).to_le_bytes());

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# Tier-1 CI gate in ten stages — shellcheck, fmt, clippy, doc, build,
-# test, one-cpu, fuzz-smoke, net-parity, bench-harness — all offline. Each stage
-# reports its wall time; the trailer totals them.
+# Tier-1 CI gate in eleven stages — lines, shellcheck, fmt, clippy, doc,
+# build, test, one-cpu, fuzz-smoke, net-parity, bench-harness — all
+# offline. Each stage reports its wall time; the trailer totals them.
 #
 #   ./ci.sh                 run every stage
 #   ./ci.sh --list          print the stage names and exit
@@ -108,6 +108,25 @@ shellcheck_ci() {
     fi
     shellcheck ci.sh
 }
+
+# Non-test lines of Rust per crate under crates/*/src, and their total:
+# a file counts up to and including its first `#[cfg(test)]` line.
+# Informational: it gates nothing.
+lines() {
+    local dir n total=0
+    for dir in crates/*/src; do
+        n=$(find "$dir" -name '*.rs' -exec awk '
+            FNR == 1 { tests = 0 }
+            !tests { n++ }
+            /^[[:space:]]*#\[cfg\(test\)\]/ { tests = 1 }
+            END { print n + 0 }' {} +)
+        total=$((total + n))
+        printf '    %-12s %6d\n' "$(basename "$(dirname "$dir")")" "$n"
+    done
+    printf '    %-12s %6d\n' total "$total"
+}
+
+stage "lines" lines
 
 stage "shellcheck" shellcheck_ci
 

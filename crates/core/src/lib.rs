@@ -48,7 +48,7 @@ pub mod prelude {
     pub use olden_cache::Protocol;
     pub use olden_gptr::{GPtr, ProcId, Word};
     pub use olden_machine::CostModel;
-    pub use olden_runtime::{run, speedup_curve, Config, Mechanism, OldenCtx, RunReport};
+    pub use olden_runtime::{run, speedup_curve, Backend, Config, Mechanism, OldenCtx, RunReport};
 }
 
 #[cfg(test)]

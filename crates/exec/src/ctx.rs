@@ -41,8 +41,8 @@ use olden_gptr::{GPtr, ProcId, ProcSet, Word, LINE_WORDS};
 use olden_obs::{EventKind, Recorder};
 use olden_runtime::thread::{self, Driver, Ended, Spawned, ThreadState};
 use olden_runtime::{
-    Backend, Check, CostModel, FaultEvent, FaultTag, Mechanism, RaceViolation, RunStats,
-    TransportStats, VClock,
+    Backend, CacheStats, Check, CostModel, FaultEvent, FaultTag, Mechanism, RaceViolation,
+    RunStats, TransportStats, VClock,
 };
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -99,10 +99,9 @@ pub struct ExecCtx {
     /// machinery, as in the simulator. Its recorder is single-owner: the
     /// lane is parked in `Shared::lanes` when the thread finishes.
     t: ThreadState<Arc<FrameHandle>>,
-    /// Client-side halves of the cache counters (the remote halves live in
-    /// the workers).
-    cacheable_reads: u64,
-    cacheable_writes: u64,
+    /// Client-side half of the cache counters, the cacheable accesses (the
+    /// remote half lives in the workers).
+    cache: CacheStats,
     /// Lines this logical thread wrote since its last migration
     /// departure, drained by [`ExecCtx::depart_release`].
     epoch: WriteEpoch,
@@ -142,11 +141,10 @@ impl ExecCtx {
     fn fresh(shared: Arc<Shared>, proc: ProcId) -> ExecCtx {
         let slot = shared.register_client(proc);
         let conn = shared.link.connect(slot.id);
-        let rec = shared.record.then(|| Recorder::exec(shared.epoch));
+        let rec = shared.cfg.record.then(|| Recorder::exec(shared.epoch));
         ExecCtx {
             t: ThreadState::new(proc, rec),
-            cacheable_reads: 0,
-            cacheable_writes: 0,
+            cache: CacheStats::default(),
             epoch: WriteEpoch::default(),
             clock: VClock::new(),
             slot,
@@ -154,13 +152,13 @@ impl ExecCtx {
             seq: 0,
             sent: MsgCounts::default(),
             delayed: Vec::new(),
-            owed: vec![0; shared.procs],
+            owed: vec![0; shared.cfg.procs],
             shared,
         }
     }
 
     fn sanitizing(&self) -> bool {
-        self.shared.sanitize
+        self.shared.cfg.sanitize
     }
 
     /// Clock to piggyback on a heap-access message: the current one when
@@ -188,8 +186,7 @@ impl ExecCtx {
         self.slot.state.store(C_DONE, Ordering::Relaxed);
         ClientFinal {
             stats: self.t.stats,
-            cacheable_reads: self.cacheable_reads,
-            cacheable_writes: self.cacheable_writes,
+            cache: self.cache,
             sent: self.sent,
         }
     }
@@ -310,7 +307,7 @@ impl ExecCtx {
             seq: self.seq,
             req,
         };
-        let plan = &self.shared.plan;
+        let plan = &self.shared.cfg.plan;
         let t = &self.shared.transport;
         let put = |conn: &mut dyn ClientConn| {
             if posted {
@@ -384,35 +381,11 @@ impl ExecCtx {
         }
     }
 
-    /// One word access at the home: the write-through of `wval`, or a
-    /// read. Returns the word written or read.
-    fn home_access(&mut self, p: GPtr, wval: Option<Word>) -> Word {
-        let (local, clock) = (p.local(), self.clock_for_msg());
-        let Some(value) = wval else {
-            return self
-                .req(p.proc(), Request::ReadHome { local, clock })
-                .expect_word();
-        };
-        // Charged writes run the home-side half of the write-tracking
-        // instrumentation (global/bilateral); uncharged writes — like the
-        // simulator's — are invisible to the coherence machinery.
-        let track = self.t.charged() && self.shared.protocol.tracks_writes();
-        let req = Request::WriteHome {
-            local,
-            value,
-            clock,
-            track,
-        };
-        self.req(p.proc(), req).expect_unit();
-        value
-    }
-
-    /// A remote access under the cache mechanism (a write when `wval` is
-    /// set): consult the current processor's cache; on a miss, do the
-    /// fetch round trip to the home and install the line. Returns the word
-    /// seen through the cache — which, by design, may be stale until the
-    /// next acquire — and whether the worker answered via the elision fast
-    /// path.
+    /// The cache half of [`Driver::cached_word`]: consult the current
+    /// processor's cache; on a miss, do the fetch round trip to the home
+    /// and install the line. Returns the word seen through the cache —
+    /// which, by design, may be stale until the next acquire — and whether
+    /// the worker answered via the elision fast path.
     fn cached_access(&mut self, p: GPtr, wval: Option<Word>, elide: bool) -> (Word, bool) {
         let (home, page, line) = (p.proc(), p.page(), p.line_in_page());
         let word = (p.local() % LINE_WORDS as u64) as u8;
@@ -511,7 +484,7 @@ impl ExecCtx {
     /// trips (workers never talk to each other), in the verdict's sorted
     /// order so chaotic runs see a deterministic message sequence.
     fn depart_release(&mut self, from: ProcId) {
-        match self.epoch.drain(self.shared.protocol) {
+        match self.epoch.drain(self.shared.cfg.protocol) {
             Release::Nothing => {}
             Release::Invalidate(pages) => {
                 for DirtyPage { home, page, mask } in pages {
@@ -628,77 +601,8 @@ impl ExecCtx {
     /// Fold a joined future body's counters into this thread's.
     fn absorb(&mut self, body: &ClientFinal) {
         self.t.stats.absorb(&body.stats);
-        self.cacheable_reads += body.cacheable_reads;
-        self.cacheable_writes += body.cacheable_writes;
+        self.cache.absorb(&body.cache);
         self.sent.absorb(&body.sent);
-    }
-
-    /// One charged or uncharged word access — a write when `wval` is set —
-    /// resolved by `mech`. Returns the word read (or written).
-    fn access(
-        &mut self,
-        ptr: GPtr,
-        field: usize,
-        wval: Option<Word>,
-        mech: Mechanism,
-        check: Check,
-    ) -> Word {
-        let p = ptr.offset(field as u64);
-        debug_assert!(!p.is_null(), "null dereference");
-        if !self.t.charged() {
-            return self.home_access(p, wval);
-        }
-        self.bump();
-        let mech = self.shared.force.unwrap_or(mech);
-        // Whether a `Check::Elide` verdict is honored in this run (the
-        // simulator's gate in `OldenCtx::resolve`).
-        let want = check == Check::Elide && self.shared.elide_checks && self.shared.force.is_none();
-        let local = p.is_local_to(self.t.proc);
-        let (value, elided) = match mech {
-            Mechanism::Migrate => {
-                if local {
-                    self.t.stats.migrate_local += 1;
-                } else {
-                    // A stale elision hint performs the full check.
-                    self.t.stats.migrate_remote += 1;
-                    thread::migrate(self, p.proc());
-                }
-                (self.home_access(p, wval), want && local)
-            }
-            Mechanism::Cache => {
-                if wval.is_some() {
-                    self.cacheable_writes += 1;
-                } else {
-                    self.cacheable_reads += 1;
-                }
-                if local {
-                    (self.home_access(p, wval), want)
-                } else {
-                    let seen = self.cached_access(p, wval, want);
-                    if wval.is_some() {
-                        // The cached copy is updated (the line allocated on
-                        // a miss); now write through to the home — every
-                        // write reaches the authoritative copy
-                        // synchronously.
-                        self.home_access(p, wval);
-                    }
-                    seen
-                }
-            }
-        };
-        if elided {
-            self.t.stats.checks_elided += 1;
-        } else {
-            self.t.stats.checks_performed += 1;
-        }
-        if wval.is_some() {
-            // The thread-side half of the write tracking: remember the
-            // dirty line for the next departure's release.
-            self.epoch
-                .note_write(self.shared.protocol, p.proc(), p.page(), p.line_in_page());
-            self.t.wrote(p.proc());
-        }
-        value
     }
 }
 
@@ -714,8 +618,8 @@ impl Driver for ExecCtx {
         &mut self.t
     }
 
-    /// Cycle accounting belongs to the simulator: a spawn or a touch only
-    /// feeds the watchdog's progress signal.
+    /// Cycle accounting belongs to the simulator: a spawn, a touch or a
+    /// dereference's check only feeds the watchdog's progress signal.
     fn cost(&mut self, _: fn(&CostModel) -> u64) {
         self.bump();
     }
@@ -762,6 +666,56 @@ impl Driver for ExecCtx {
         body_clock
     }
 
+    fn gate(&self) -> (Option<Mechanism>, bool) {
+        (self.shared.cfg.force, self.shared.cfg.elide_checks)
+    }
+
+    /// The client-side half: the cacheable accesses.
+    fn cache_stats(&mut self) -> &mut CacheStats {
+        &mut self.cache
+    }
+
+    /// A read, or the write-through of `wval`, at the home.
+    fn home_word(&mut self, p: GPtr, wval: Option<Word>) -> Word {
+        let (local, clock) = (p.local(), self.clock_for_msg());
+        let Some(value) = wval else {
+            return self
+                .req(p.proc(), Request::ReadHome { local, clock })
+                .expect_word();
+        };
+        // Charged writes run the home-side half of the write-tracking
+        // instrumentation (global/bilateral); uncharged writes — like the
+        // simulator's — are invisible to the coherence machinery.
+        let track = self.t.charged() && self.shared.cfg.protocol.tracks_writes();
+        let req = Request::WriteHome {
+            local,
+            value,
+            clock,
+            track,
+        };
+        self.req(p.proc(), req).expect_unit();
+        value
+    }
+
+    fn cached_word(&mut self, p: GPtr, wval: Option<Word>, elide: bool) -> (Word, bool) {
+        let seen = self.cached_access(p, wval, elide);
+        if wval.is_some() {
+            // The cached copy is updated (the line allocated on a miss);
+            // now write through to the home, which is performed by the
+            // next release.
+            self.home_word(p, wval);
+        }
+        seen
+    }
+
+    /// The thread-side half of the write tracking: remember the dirty
+    /// line for the next departure's release.
+    fn note_write(&mut self, p: GPtr) {
+        let protocol = self.shared.cfg.protocol;
+        self.epoch
+            .note_write(protocol, p.proc(), p.page(), p.line_in_page());
+    }
+
     fn join<T>(&mut self, body: ExecBody<T>) -> (T, ProcSet) {
         let (value, written, clock) = match body {
             ExecBody::Ended(e) => (e.value, e.written, e.end),
@@ -791,8 +745,8 @@ impl Driver for ExecCtx {
 /// [`ExecReport`](crate::ExecReport) from it.
 pub struct ClientFinal {
     pub stats: RunStats,
-    pub cacheable_reads: u64,
-    pub cacheable_writes: u64,
+    /// The cacheable accesses; the workers' reports hold the rest.
+    pub cache: CacheStats,
     /// Primary sends by kind over the whole program.
     pub sent: MsgCounts,
 }
@@ -801,7 +755,7 @@ impl Backend for ExecCtx {
     type Handle<T: Send + 'static> = ExecHandle<T>;
 
     fn nprocs(&self) -> usize {
-        self.shared.procs
+        self.shared.cfg.procs
     }
 
     fn cur_proc(&self) -> ProcId {
@@ -816,7 +770,7 @@ impl Backend for ExecCtx {
 
     fn alloc(&mut self, proc: ProcId, words: usize) -> GPtr {
         assert!(
-            (proc as usize) < self.shared.procs,
+            (proc as usize) < self.shared.cfg.procs,
             "ALLOC on unknown processor"
         );
         if self.t.charged() {
@@ -827,27 +781,15 @@ impl Backend for ExecCtx {
         self.req(proc, Request::Alloc { words }).expect_ptr()
     }
 
-    fn read(&mut self, ptr: GPtr, field: usize, mech: Mechanism) -> Word {
-        self.access(ptr, field, None, mech, Check::Perform)
-    }
-
-    fn write_word(&mut self, ptr: GPtr, field: usize, value: Word, mech: Mechanism) {
-        self.access(ptr, field, Some(value), mech, Check::Perform);
-    }
-
-    fn read_checked(&mut self, ptr: GPtr, field: usize, mech: Mechanism, check: Check) -> Word {
-        self.access(ptr, field, None, mech, check)
-    }
-
-    fn write_word_checked(
+    fn access(
         &mut self,
         ptr: GPtr,
         field: usize,
-        value: Word,
+        wval: Option<Word>,
         mech: Mechanism,
         check: Check,
-    ) {
-        self.access(ptr, field, Some(value), mech, check);
+    ) -> Word {
+        thread::deref(self, ptr, field, wval, mech, check)
     }
 
     fn uncharged<R>(&mut self, f: impl FnOnce(&mut Self) -> R) -> R {
@@ -863,7 +805,7 @@ impl Backend for ExecCtx {
         T: Send + 'static,
         F: FnOnce(&mut Self) -> T + Send + 'static,
     {
-        match self.shared.mode {
+        match self.shared.cfg.mode {
             // The simulator's discipline exactly: body inline, one logical
             // thread throughout.
             Mode::Lockstep => thread::future_call(self, f),
@@ -885,7 +827,7 @@ impl Backend for ExecCtx {
     /// all of this thread's earlier accesses are already accounted).
     fn race_violations(&mut self) -> Vec<RaceViolation> {
         let mut out = Vec::new();
-        for p in 0..self.shared.procs {
+        for p in 0..self.shared.cfg.procs {
             out.extend(self.req(p as ProcId, Request::RaceQuery).expect_races());
         }
         out

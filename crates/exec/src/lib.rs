@@ -246,13 +246,7 @@ impl TransportCounters {
 
 /// State shared by every logical thread of one run.
 pub struct Shared {
-    pub procs: usize,
-    pub mode: Mode,
-    pub force: Option<Mechanism>,
-    pub sanitize: bool,
-    pub elide_checks: bool,
-    pub protocol: Protocol,
-    pub plan: FaultPlan,
+    pub cfg: ExecConfig,
     pub transport: Arc<TransportCounters>,
     /// The run's link to its worker fleet; every client connection is
     /// minted from it.
@@ -265,8 +259,6 @@ pub struct Shared {
     /// every clock bump on processor `p` draws a fresh tick, so distinct
     /// segments on one processor stay distinguishable across threads.
     pub ticks: Vec<AtomicU64>,
-    /// Event recording on (`ExecConfig::record`).
-    pub record: bool,
     /// The run's time zero: every recorder stamps monotonic nanoseconds
     /// since this instant, so lanes from different threads align.
     pub epoch: Instant,
@@ -288,19 +280,12 @@ impl Shared {
         progress: Arc<AtomicU64>,
     ) -> Shared {
         Shared {
-            procs: cfg.procs,
-            mode: cfg.mode,
-            force: cfg.force,
-            sanitize: cfg.sanitize,
-            elide_checks: cfg.elide_checks,
-            protocol: cfg.protocol,
-            plan: cfg.plan,
+            cfg: *cfg,
             transport: counters,
             link,
             progress,
             clients: Mutex::new(Vec::new()),
             ticks: (0..cfg.procs).map(|_| AtomicU64::new(0)).collect(),
-            record: cfg.record,
             epoch: Instant::now(),
             lanes: Mutex::new(Vec::new()),
             next_client: AtomicU64::new(0),
@@ -543,11 +528,7 @@ pub fn assemble_report(
     transport: TransportStats,
     faults: FaultLog,
 ) -> ExecReport {
-    let mut cache = CacheStats {
-        cacheable_reads: client.cacheable_reads,
-        cacheable_writes: client.cacheable_writes,
-        ..CacheStats::default()
-    };
+    let mut cache = client.cache;
     let (mut pages_cached, mut section_words, mut messages) = (0, 0, 0);
     let mut races = Vec::new();
     for r in &reports {
@@ -560,10 +541,10 @@ pub fn assemble_report(
     // Assemble the recording: client lanes parked in `shared.lanes` plus
     // each worker's lane from its shutdown report, sorted by label inside
     // `Recording::new` for determinism.
-    let recording = shared.record.then(|| {
+    let recording = shared.cfg.record.then(|| {
         let mut lanes = std::mem::take(&mut *shared.lanes.lock().unwrap());
         lanes.extend(reports.iter_mut().filter_map(|r| r.lane.take()));
-        Recording::new(shared.procs, lanes)
+        Recording::new(shared.cfg.procs, lanes)
     });
     let clients = shared.clients.lock().unwrap().len() as u64;
     let mut sent = client.sent;
@@ -574,7 +555,7 @@ pub fn assemble_report(
         panic!("olden-exec transport conservation violated: {violation}");
     }
     ExecReport {
-        procs: shared.procs,
+        procs: shared.cfg.procs,
         stats: client.stats,
         cache,
         pages_cached,
@@ -686,6 +667,17 @@ mod tests {
     use super::*;
     use olden_gptr::GPtr;
     use olden_runtime::{Backend, Config, OldenCtx};
+
+    /// A field of the null pointer is a null dereference, not processor
+    /// 0's reserved line.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "null dereference")]
+    fn null_field_read_panics() {
+        run_exec(ExecConfig::lockstep(2), |ctx| {
+            ctx.read(GPtr::NULL, 1, Mechanism::Migrate)
+        });
+    }
 
     /// The exec backend round-trips values through real worker threads.
     #[test]

@@ -14,7 +14,7 @@ use std::sync::OnceLock;
 
 use olden_benchmarks::{all, generic_run, SizeClass};
 use olden_exec::{run_exec, ExecConfig, ExecReport, Protocol};
-use olden_runtime::{Config, EventKind, OldenCtx, Recording, RunStats, Site};
+use olden_runtime::{Backend, Config, EventKind, OldenCtx, Recording, RunStats, Site};
 
 const PROCS: usize = 8;
 

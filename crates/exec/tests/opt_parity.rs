@@ -15,12 +15,13 @@
 //!    annotated (non-empty `elided_sites`) actually elides checks at
 //!    runtime, and elision makes the run cheaper, never dearer.
 //! 3. **Exec lockstep** — the thread backend with elision on reconciles
-//!    with the simulator with elision on: full `RunStats` equality
-//!    (including both check counters) and cache-stat agreement.
+//!    with the simulator with elision on, plain and under each forced
+//!    mechanism: `ExecReport::diff_from_sim` (full `RunStats`, all twelve
+//!    `CacheStats` counters, pages).
 
 use olden_benchmarks::{all, generic_run, SizeClass};
 use olden_exec::{run_exec, ExecConfig};
-use olden_runtime::{Config, OldenCtx, RunStats};
+use olden_runtime::{Config, Mechanism, OldenCtx, RunStats};
 
 const PROCS: usize = 8;
 
@@ -134,30 +135,31 @@ fn annotated_benchmarks_elide_at_runtime() {
 
 /// Thread backend, elision on, every benchmark: lockstep execution
 /// reconciles with the simulator — the elision fast path fires at the
-/// same sites on both backends.
+/// same sites on both backends — plain and under either forced mechanism,
+/// which turns every elision off.
 #[test]
 fn exec_elision_reconciles_with_simulator() {
-    for d in all() {
-        let (sim_val, simctx) = sim(d.name, true);
-        let name = d.name;
-        let (exec_val, rep) = run_exec(ExecConfig::lockstep(PROCS).optimized(), move |ctx| {
-            generic_run(name, ctx, SizeClass::Tiny).expect("known benchmark")
-        });
-        assert_eq!(exec_val, sim_val, "{} value", d.name);
-        assert_eq!(rep.stats, *simctx.stats(), "{} runtime counters", d.name);
-        let sc = simctx.cache().stats();
-        assert_eq!(
-            (rep.cache.hits, rep.cache.misses),
-            (sc.hits, sc.misses),
-            "{} hit/miss",
-            d.name
-        );
-        assert_eq!(
-            (rep.cache.checks_performed, rep.cache.checks_elided),
-            (sc.checks_performed, sc.checks_elided),
-            "{} cache check counters",
-            d.name
-        );
+    for force in [None, Some(Mechanism::Migrate), Some(Mechanism::Cache)] {
+        let (mut cfg, mut exec_cfg) = (Config::olden(PROCS), ExecConfig::lockstep(PROCS));
+        if let Some(m) = force {
+            (cfg, exec_cfg) = (cfg.forced(m), exec_cfg.forced(m));
+        }
+        for d in all() {
+            let mut simctx = OldenCtx::new(cfg.optimized());
+            let sim_val = generic_run(d.name, &mut simctx, SizeClass::Tiny).unwrap();
+            let name = d.name;
+            let (exec_val, rep) = run_exec(exec_cfg.optimized(), move |ctx| {
+                generic_run(name, ctx, SizeClass::Tiny).expect("known benchmark")
+            });
+            assert_eq!(exec_val, sim_val, "{} {force:?} value", d.name);
+            let (sc, pages) = (simctx.cache().stats(), simctx.cache().pages_cached());
+            if let Some(diff) = rep.diff_from_sim(simctx.stats(), sc, pages) {
+                panic!("{} {force:?}: {diff}", d.name);
+            }
+            if force.is_some() {
+                assert_eq!(rep.stats.checks_elided, 0, "{} {force:?} elided", d.name);
+            }
+        }
     }
 }
 

@@ -25,7 +25,7 @@ use olden_analysis::Severity;
 use olden_benchmarks::racy::{run_seed, seeds};
 use olden_benchmarks::{all, generic_run, SizeClass};
 use olden_exec::{run_exec, ExecConfig};
-use olden_runtime::{Config, OldenCtx, RaceViolation};
+use olden_runtime::{Backend, Config, OldenCtx, RaceViolation};
 
 const PROCS: usize = 4;
 

@@ -100,11 +100,6 @@ impl CostModel {
         self.mig_send + self.mig_wire + self.mig_recv
     }
 
-    /// End-to-end cost of one return migration.
-    pub const fn return_total(&self) -> u64 {
-        self.ret_send + self.ret_wire + self.ret_recv
-    }
-
     /// End-to-end cost of one remote line fetch (lookup + miss service).
     pub const fn remote_fetch_total(&self) -> u64 {
         self.cache_lookup + self.miss_service

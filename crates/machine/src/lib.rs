@@ -32,46 +32,3 @@ pub use clocks::VClock;
 pub use cost::CostModel;
 pub use sched::{Schedule, ScheduleError};
 pub use trace::{EdgeKind, FaultEvent, FaultLog, FaultTag, SegId, Segment, Trace};
-
-/// Number of processors in a simulated machine configuration.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct MachineConfig {
-    /// Processor count (the paper evaluates 1, 2, 4, 8, 16, 32).
-    pub procs: usize,
-    /// Cycle costs for every runtime operation.
-    pub cost: CostModel,
-}
-
-impl MachineConfig {
-    /// An Olden machine with `procs` processors and CM-5-flavoured costs.
-    pub fn olden(procs: usize) -> MachineConfig {
-        MachineConfig {
-            procs,
-            cost: CostModel::cm5(),
-        }
-    }
-
-    /// The sequential baseline: one processor, no Olden overheads.
-    pub fn sequential() -> MachineConfig {
-        MachineConfig {
-            procs: 1,
-            cost: CostModel::sequential(),
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn configs() {
-        let m = MachineConfig::olden(32);
-        assert_eq!(m.procs, 32);
-        assert!(m.cost.ptr_test > 0);
-        let s = MachineConfig::sequential();
-        assert_eq!(s.procs, 1);
-        assert_eq!(s.cost.ptr_test, 0);
-        assert_eq!(s.cost.future_spawn, 0);
-    }
-}

@@ -43,21 +43,6 @@ impl Schedule {
             })
             .collect()
     }
-
-    /// The busy intervals of the replay as `(proc, start, finish)`
-    /// triples, in segment (= program) order, zero-cost bookkeeping
-    /// segments omitted. This is the observability layer's view of the
-    /// schedule — `olden-obs` paints these onto its per-processor
-    /// utilization timeline.
-    pub fn proc_intervals(&self, trace: &Trace) -> Vec<(u8, u64, u64)> {
-        trace
-            .segments()
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.cost > 0)
-            .map(|(i, s)| (s.proc, self.start[i], self.finish[i]))
-            .collect()
-    }
 }
 
 /// Replay failures.
@@ -296,17 +281,6 @@ mod tests {
         let s = schedule(&t, 2).unwrap();
         assert_eq!(s.start[b.index()], 640);
         assert_eq!(s.makespan, 690);
-    }
-
-    #[test]
-    fn proc_intervals_cover_busy_segments_only() {
-        let mut t = Trace::new();
-        let a = seg(&mut t, 0, 100);
-        t.new_segment(1); // zero-cost bookkeeping segment: omitted
-        let b = seg(&mut t, 1, 50);
-        t.add_edge(a, b, 540, EdgeKind::Migrate);
-        let s = schedule(&t, 2).unwrap();
-        assert_eq!(s.proc_intervals(&t), vec![(0, 0, 100), (1, 640, 690)]);
     }
 
     #[test]

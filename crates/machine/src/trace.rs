@@ -154,12 +154,6 @@ impl Trace {
     pub fn count_edges(&self, kind: EdgeKind) -> usize {
         self.kind_counts[kind.index()]
     }
-
-    /// Highest processor id used by any segment (for validating against a
-    /// machine configuration).
-    pub fn max_proc(&self) -> Option<ProcId> {
-        self.segments.iter().map(|s| s.proc).max()
-    }
 }
 
 /// What a chaos transport did to one message attempt.
@@ -282,7 +276,6 @@ mod tests {
         assert_eq!(t.total_cost(), 175);
         assert_eq!(t.count_edges(EdgeKind::Migrate), 1);
         assert_eq!(t.count_edges(EdgeKind::Seq), 0);
-        assert_eq!(t.max_proc(), Some(1));
     }
 
     #[test]
@@ -306,7 +299,6 @@ mod tests {
         let t = Trace::new();
         assert!(t.is_empty());
         assert_eq!(t.total_cost(), 0);
-        assert_eq!(t.max_proc(), None);
     }
 
     #[test]

@@ -7,7 +7,6 @@
 //! `BTreeMap`s for deterministic iteration order, `u64` values, no
 //! labels/tags — names like `events.migrate-send` carry the structure.
 
-use crate::json::Json;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -185,18 +184,6 @@ impl MetricsRegistry {
         }
         out
     }
-
-    /// Counters as a JSON object (histograms are a display surface, not
-    /// part of the machine-readable perf baseline — log₂ bucket edges
-    /// would make `--check` brittle).
-    pub fn counters_json(&self) -> Json {
-        Json::Obj(
-            self.counters
-                .iter()
-                .map(|(k, v)| (k.clone(), Json::u64(*v)))
-                .collect(),
-        )
-    }
 }
 
 #[cfg(test)]
@@ -254,7 +241,6 @@ mod tests {
         assert_eq!(r.histogram("lat").unwrap().count, 1);
         let names: Vec<&str> = r.counters().map(|(k, _)| k).collect();
         assert_eq!(names, vec!["a", "b"]);
-        assert_eq!(r.counters_json().render(), "{\"a\":1,\"b\":5}");
         assert!(r.render().contains("lat"));
     }
 }

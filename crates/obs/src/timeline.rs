@@ -1,12 +1,9 @@
 //! Plain-text per-processor timelines.
 //!
-//! Two renderings: an event-density view of a [`Recording`] (how busy
-//! each processor's observability stream is over time — migration storms
-//! and fetch bursts show up as dark cells), and an interval-coverage
-//! view fed by the simulator's schedule (true per-processor utilization:
-//! the fraction of each time slice the processor was executing
-//! segments). Both are fixed-width ASCII-art meant for terminals and CI
-//! logs, not precision — the Chrome trace is the precise view.
+//! An event-density view of a [`Recording`]: how busy each processor's
+//! observability stream is over time — migration storms and fetch bursts
+//! show up as dark cells. It is fixed-width ASCII-art meant for terminals
+//! and CI logs, not precision — the Chrome trace is the precise view.
 
 use crate::Recording;
 use std::fmt::Write as _;
@@ -61,42 +58,6 @@ pub fn event_timeline(rec: &Recording, width: usize) -> String {
     out
 }
 
-/// Interval-coverage timeline: one row per processor, each `(proc,
-/// start, finish)` interval painted onto `width` cells over `[0,
-/// horizon]`; cell shade is the fraction of the slice covered. The
-/// simulator feeds this from its schedule (`Schedule::proc_intervals`),
-/// making it the utilization figure the paper plots per processor.
-pub fn interval_timeline(procs: usize, intervals: &[(u8, u64, u64)], width: usize) -> String {
-    let width = width.max(1);
-    let horizon = intervals.iter().map(|&(_, _, f)| f).max().unwrap_or(0);
-    if horizon == 0 {
-        return "(empty schedule)\n".to_string();
-    }
-    let cell_span = horizon as f64 / width as f64;
-    let mut cover = vec![vec![0.0f64; width]; procs];
-    let mut busy = vec![0u64; procs];
-    for &(p, start, finish) in intervals {
-        let (p, start, finish) = (p as usize, start as f64, finish as f64);
-        busy[p] += (finish - start) as u64;
-        let first = (start / cell_span) as usize;
-        let last = ((finish / cell_span).ceil() as usize).min(width);
-        for (c, cell) in cover[p].iter_mut().enumerate().take(last).skip(first) {
-            let cell_lo = c as f64 * cell_span;
-            let cell_hi = cell_lo + cell_span;
-            let overlap = (finish.min(cell_hi) - start.max(cell_lo)).max(0.0);
-            *cell += overlap / cell_span;
-        }
-    }
-    let mut out = String::new();
-    let _ = writeln!(out, "utilization over [0, {horizon}] ticks");
-    for (p, row) in cover.iter().enumerate() {
-        let bar: String = row.iter().map(|&f| shade(f)).collect();
-        let pct = 100.0 * busy[p] as f64 / horizon as f64;
-        let _ = writeln!(out, "p{p:02} |{bar}| {pct:5.1}%");
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -124,19 +85,5 @@ mod tests {
     fn empty_recording_is_handled() {
         let rec = Recording::new(2, vec![]);
         assert!(event_timeline(&rec, 10).contains("no events"));
-    }
-
-    #[test]
-    fn interval_timeline_shows_coverage() {
-        // p0 busy the whole horizon, p1 busy the second half.
-        let text = interval_timeline(2, &[(0, 0, 100), (1, 50, 100)], 10);
-        let lines: Vec<&str> = text.lines().collect();
-        assert!(lines[1].contains("100.0%"));
-        assert!(lines[2].contains("50.0%"));
-        let p1 = lines[2];
-        let bar = &p1[p1.find('|').unwrap() + 1..p1.rfind('|').unwrap()];
-        assert!(bar.starts_with(' '), "first half idle");
-        assert!(bar.ends_with('#'), "second half saturated");
-        assert!(interval_timeline(1, &[], 10).contains("empty"));
     }
 }

@@ -4,7 +4,7 @@
 //! A benchmark is ordinary Rust code over some `B: Backend`. Two backends
 //! implement the trait:
 //!
-//! * [`OldenCtx`] — the **simulator**: runs the program
+//! * [`OldenCtx`](crate::OldenCtx) — the **simulator**: runs the program
 //!   once, sequentially, computing exact values while recording the task
 //!   DAG that `olden-machine` replays into a cycle-accurate parallel
 //!   makespan;
@@ -17,6 +17,13 @@
 //! backend's lockstep mode) identical event counters — each backend is the
 //! other's correctness oracle.
 //!
+//! A backend implements one word access, [`Backend::access`], and every
+//! typed reader and writer is a provided method over it. Both backends
+//! implement it, and `call`/`future_call`/`touch`, by handing themselves
+//! to the one definition of each rule in [`crate::thread`]; the trait is
+//! the simulator's whole surface (it has no inherent twin of these
+//! methods), so a program over `OldenCtx` imports `Backend`.
+//!
 //! ### Why the future-body closures are `Send + 'static`
 //!
 //! The simulator runs future bodies inline on the caller's stack, but the
@@ -26,7 +33,6 @@
 //! [`GPtr`]s and scalars, which satisfy the bounds for free.
 
 use crate::config::{Check, Mechanism};
-use crate::ctx::{FutureHandle, OldenCtx};
 use crate::report::TransportStats;
 use crate::sanitize::RaceViolation;
 use olden_gptr::{GPtr, ProcId, Word};
@@ -60,13 +66,31 @@ pub trait Backend: Sized {
         self.alloc(near.proc(), words)
     }
 
+    /// One word access, the only one a backend implements: field `field`
+    /// of the object at `ptr`, written when `wval` is set, resolved by
+    /// `mech` under the static optimizer's verdict `check` for the site
+    /// (`olden-analysis`' redundant-check elimination). Returns the word
+    /// read or written.
+    fn access(
+        &mut self,
+        ptr: GPtr,
+        field: usize,
+        wval: Option<Word>,
+        mech: Mechanism,
+        check: Check,
+    ) -> Word;
+
     /// Read field `field` of the object at `ptr`, resolving remote data
     /// with `mech`.
-    fn read(&mut self, ptr: GPtr, field: usize, mech: Mechanism) -> Word;
+    fn read(&mut self, ptr: GPtr, field: usize, mech: Mechanism) -> Word {
+        self.access(ptr, field, None, mech, Check::Perform)
+    }
 
     /// Write field `field` of the object at `ptr` (monomorphic form; use
     /// [`Backend::write`] from benchmark code).
-    fn write_word(&mut self, ptr: GPtr, field: usize, value: Word, mech: Mechanism);
+    fn write_word(&mut self, ptr: GPtr, field: usize, value: Word, mech: Mechanism) {
+        self.access(ptr, field, Some(value), mech, Check::Perform);
+    }
 
     /// Write field `field` of the object at `ptr`.
     fn write(&mut self, ptr: GPtr, field: usize, value: impl Into<Word>, mech: Mechanism) {
@@ -89,12 +113,9 @@ pub trait Backend: Sized {
     }
 
     /// [`Backend::read`] carrying the static optimizer's verdict for this
-    /// site (`olden-analysis`' redundant-check elimination). The default
-    /// ignores the verdict, so backends without an elision fast path stay
-    /// correct for free.
+    /// site.
     fn read_checked(&mut self, ptr: GPtr, field: usize, mech: Mechanism, check: Check) -> Word {
-        let _ = check;
-        self.read(ptr, field, mech)
+        self.access(ptr, field, None, mech, check)
     }
 
     /// [`Backend::write_word`] carrying the optimizer's verdict.
@@ -106,8 +127,7 @@ pub trait Backend: Sized {
         mech: Mechanism,
         check: Check,
     ) {
-        let _ = check;
-        self.write_word(ptr, field, value, mech);
+        self.access(ptr, field, Some(value), mech, check);
     }
 
     /// [`Backend::write`] carrying the optimizer's verdict.
@@ -203,84 +223,11 @@ pub trait Backend: Sized {
     }
 }
 
-/// The simulator is a backend: every trait method delegates to the
-/// identically-named inherent method (inherent methods win name
-/// resolution, so existing `OldenCtx`-typed code is untouched).
-impl Backend for OldenCtx {
-    type Handle<T: Send + 'static> = FutureHandle<T>;
-
-    fn nprocs(&self) -> usize {
-        OldenCtx::nprocs(self)
-    }
-
-    fn cur_proc(&self) -> ProcId {
-        OldenCtx::cur_proc(self)
-    }
-
-    fn work(&mut self, cycles: u64) {
-        OldenCtx::work(self, cycles);
-    }
-
-    fn alloc(&mut self, proc: ProcId, words: usize) -> GPtr {
-        OldenCtx::alloc(self, proc, words)
-    }
-
-    fn read(&mut self, ptr: GPtr, field: usize, mech: Mechanism) -> Word {
-        OldenCtx::read(self, ptr, field, mech)
-    }
-
-    fn write_word(&mut self, ptr: GPtr, field: usize, value: Word, mech: Mechanism) {
-        OldenCtx::write(self, ptr, field, value, mech);
-    }
-
-    fn read_checked(&mut self, ptr: GPtr, field: usize, mech: Mechanism, check: Check) -> Word {
-        OldenCtx::read_checked(self, ptr, field, mech, check)
-    }
-
-    fn write_word_checked(
-        &mut self,
-        ptr: GPtr,
-        field: usize,
-        value: Word,
-        mech: Mechanism,
-        check: Check,
-    ) {
-        OldenCtx::write_checked(self, ptr, field, value, mech, check);
-    }
-
-    fn uncharged<R>(&mut self, f: impl FnOnce(&mut Self) -> R) -> R {
-        OldenCtx::uncharged(self, f)
-    }
-
-    fn call<R>(&mut self, f: impl FnOnce(&mut Self) -> R) -> R {
-        OldenCtx::call(self, f)
-    }
-
-    fn future_call<T, F>(&mut self, f: F) -> FutureHandle<T>
-    where
-        T: Send + 'static,
-        F: FnOnce(&mut Self) -> T + Send + 'static,
-    {
-        OldenCtx::future_call(self, f)
-    }
-
-    fn touch<T: Send + 'static>(&mut self, h: FutureHandle<T>) -> T {
-        OldenCtx::touch(self, h)
-    }
-
-    fn race_violations(&mut self) -> Vec<RaceViolation> {
-        OldenCtx::race_violations(self)
-    }
-
-    fn take_recording(&mut self) -> Option<olden_obs::Recording> {
-        OldenCtx::take_recording(self)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::Config;
+    use crate::ctx::OldenCtx;
 
     fn sum_tree<B: Backend>(ctx: &mut B, node: GPtr) -> i64 {
         let v = ctx.read_i64(node, 0, Mechanism::Migrate);

@@ -6,32 +6,33 @@
 //! would have done, and how futures would have forked, recording the task
 //! DAG that `olden-machine` replays into a parallel makespan.
 //!
-//! ### Futures and lazy task creation (paper §2)
-//!
-//! The call, future and touch rules live in [`crate::thread`], shared
-//! with the thread backend; this context is their simulator driver. A
-//! move releases through `cache.depart`, charges its costs and opens a
-//! trace segment behind a `Migrate` or `Return` edge. A future's body runs
-//! inline; if it migrated off the spawning processor, the continuation is
-//! re-anchored there (a `Steal` edge) and the matching
-//! [`OldenCtx::touch`] becomes a join (a `Join` edge carrying the
+//! A program drives it through [`Backend`] alone: the dereference, call,
+//! future and touch rules live once in [`crate::thread`], shared with the
+//! thread backend, and this context is their simulator [`Driver`]. A word
+//! is a heap operation charged a local reference, and a remote cached one
+//! goes through [`CacheSystem::access_checked`] with its lookup, miss and
+//! write-through costs. A move releases through `cache.depart`, charges
+//! its costs and opens a trace segment behind a `Migrate` or `Return`
+//! edge. A future's body runs inline; if it migrated off the spawning
+//! processor, the continuation is re-anchored there (a `Steal` edge) and
+//! the matching touch becomes a join (a `Join` edge carrying the
 //! value-return message). An untouched-by-migration future costs only the
 //! spawn bookkeeping, as in the original system.
 
+use crate::backend::Backend;
 use crate::config::{Check, Config, Mechanism};
 use crate::heap::DistributedHeap;
 use crate::report::RunStats;
 use crate::sanitize::{LineSanitizer, RaceViolation};
 use crate::thread::{self, Driver, Ended, Spawned, ThreadState};
-use olden_cache::{Access, Arrival, CacheSystem};
+use olden_cache::{Access, Arrival, CacheStats, CacheSystem};
 use olden_gptr::{GPtr, ProcId, ProcSet, Word};
 use olden_machine::trace::{EdgeKind, SegId, Trace};
 use olden_machine::{CostModel, VClock};
 use olden_obs::{EventKind, Recorder, Recording};
 
-/// The result of an [`OldenCtx::future_call`], to be claimed by
-/// [`OldenCtx::touch`]. A forked body ended at a segment, with a clock
-/// (sanitizer only).
+/// The simulator's future handle, claimed by [`Backend::touch`]. A forked
+/// body ended at a segment, with a clock (sanitizer only).
 pub type FutureHandle<T> = Spawned<T, Ended<T, (SegId, VClock)>>;
 
 /// The Olden runtime context.
@@ -75,16 +76,6 @@ impl OldenCtx {
         ctx
     }
 
-    /// Number of processors in this configuration (for placement math).
-    pub fn nprocs(&self) -> usize {
-        self.cfg.procs
-    }
-
-    /// Processor the thread is currently executing on.
-    pub fn cur_proc(&self) -> ProcId {
-        self.t.proc
-    }
-
     /// Run configuration.
     pub fn config(&self) -> &Config {
         &self.cfg
@@ -100,13 +91,6 @@ impl OldenCtx {
         &self.cache
     }
 
-    /// Happens-before violations among the heap accesses so far (always
-    /// empty unless the run was configured with [`Config::sanitized`]).
-    /// The sanitizer runs online, so this can be called mid-run.
-    pub fn race_violations(&self) -> Vec<RaceViolation> {
-        self.sanitizer.violations().to_vec()
-    }
-
     /// Start a new segment on `p`: draw `p`'s next tick and advance the
     /// clock's `p` component to it (the segment-clock rule of
     /// `olden_machine::clocks`, applied as segments are created).
@@ -114,19 +98,6 @@ impl OldenCtx {
         if self.cfg.sanitize {
             self.clock.bump(p, &mut self.ticks[p as usize]);
         }
-    }
-
-    /// Take the run's event recording (once; `None` unless the run was
-    /// configured with [`Config::recorded`]). The simulator's one logical
-    /// thread makes a single lane, labeled `sim`; the lane's timestamps
-    /// are logical (one tick per event), its `proc` fields follow the
-    /// thread's migrations.
-    pub fn take_recording(&mut self) -> Option<Recording> {
-        let rec = self.t.rec.take()?;
-        Some(Recording::new(
-            self.cfg.procs,
-            vec![rec.into_lane("sim".to_string())],
-        ))
     }
 
     /// The recorded trace, counters and cache system (consumed by the
@@ -142,21 +113,41 @@ impl OldenCtx {
         }
     }
 
-    /// Charge `cycles` of benchmark-specific local computation.
-    #[inline]
-    pub fn work(&mut self, cycles: u64) {
+    /// The heap operation of one word access, logged with the sanitizer
+    /// when charged (after any migration, so the clock is the segment's
+    /// that really performs it).
+    #[inline(always)]
+    fn heap_word(&mut self, p: GPtr, wval: Option<Word>) -> Word {
+        if self.cfg.sanitize && self.t.charged() {
+            let line = (p.proc(), p.page(), p.line_in_page());
+            self.sanitizer.access(line, wval.is_some(), &self.clock);
+        }
+        match wval {
+            Some(v) => {
+                self.heap.write(p, v);
+                v
+            }
+            None => self.heap.read(p),
+        }
+    }
+}
+
+impl Backend for OldenCtx {
+    type Handle<T: Send + 'static> = FutureHandle<T>;
+
+    fn nprocs(&self) -> usize {
+        self.cfg.procs
+    }
+
+    fn cur_proc(&self) -> ProcId {
+        self.t.proc
+    }
+
+    fn work(&mut self, cycles: u64) {
         self.charge(cycles);
     }
 
-    /// Execute `f` without charging costs or recording traffic: values
-    /// are still computed and allocations still placed. Used to exclude
-    /// data-structure-building phases from kernel-time runs.
-    pub fn uncharged<R>(&mut self, f: impl FnOnce(&mut Self) -> R) -> R {
-        thread::uncharged(self, f)
-    }
-
-    /// `ALLOC(proc, words)`: allocate on the named processor (§2).
-    pub fn alloc(&mut self, proc: ProcId, words: usize) -> GPtr {
+    fn alloc(&mut self, proc: ProcId, words: usize) -> GPtr {
         assert!(
             (proc as usize) < self.cfg.procs,
             "ALLOC on unknown processor"
@@ -169,194 +160,60 @@ impl OldenCtx {
         self.heap.alloc(proc, words)
     }
 
-    /// Allocate on the processor that owns `near` (a common idiom).
-    pub fn alloc_near(&mut self, near: GPtr, words: usize) -> GPtr {
-        self.alloc(near.proc(), words)
-    }
-
-    // ------------------------------------------------------------------
-    // Dereferences
-    // ------------------------------------------------------------------
-
-    /// Read field `field` of the object at `ptr`, resolving remote data
-    /// with `mech`.
-    pub fn read(&mut self, ptr: GPtr, field: usize, mech: Mechanism) -> Word {
-        self.read_checked(ptr, field, mech, Check::Perform)
-    }
-
-    /// Write field `field` of the object at `ptr`.
-    pub fn write(&mut self, ptr: GPtr, field: usize, value: impl Into<Word>, mech: Mechanism) {
-        self.write_checked(ptr, field, value, mech, Check::Perform);
-    }
-
-    /// Read a pointer-valued field.
-    pub fn read_ptr(&mut self, ptr: GPtr, field: usize, mech: Mechanism) -> GPtr {
-        self.read(ptr, field, mech).as_ptr()
-    }
-
-    /// Read an integer field.
-    pub fn read_i64(&mut self, ptr: GPtr, field: usize, mech: Mechanism) -> i64 {
-        self.read(ptr, field, mech).as_i64()
-    }
-
-    /// Read a floating-point field.
-    pub fn read_f64(&mut self, ptr: GPtr, field: usize, mech: Mechanism) -> f64 {
-        self.read(ptr, field, mech).as_f64()
-    }
-
-    /// [`Self::read`] carrying the static optimizer's verdict for the site.
-    pub fn read_checked(&mut self, ptr: GPtr, field: usize, mech: Mechanism, check: Check) -> Word {
-        let p = ptr.offset(field as u64);
-        self.resolve(p, false, mech, check);
-        self.heap.read(p)
-    }
-
-    /// [`Self::write`] carrying the static optimizer's verdict for the site.
-    pub fn write_checked(
+    fn access(
         &mut self,
         ptr: GPtr,
         field: usize,
-        value: impl Into<Word>,
+        wval: Option<Word>,
         mech: Mechanism,
         check: Check,
-    ) {
-        let p = ptr.offset(field as u64);
-        self.resolve(p, true, mech, check);
-        self.heap.write(p, value.into());
+    ) -> Word {
+        thread::deref(self, ptr, field, wval, mech, check)
     }
 
-    /// The pointer test + mechanism simulation for one word access.
-    ///
-    /// With `Check::Elide` (honored only when the configuration opted in
-    /// and no force override is active), the compiler-inserted check is
-    /// skipped when the optimizer's availability fact verifies against
-    /// live state: a migrate-mechanism pointer that is local, a
-    /// cache-mechanism pointer that is local, or a remote line already
-    /// valid in the cache. A stale hint falls back to the byte-exact
-    /// perform path — values, coherence actions, and every other counter
-    /// are unchanged; only check cycles and lookup counters move.
-    fn resolve(&mut self, ptr: GPtr, write: bool, mech: Mechanism, check: Check) {
-        debug_assert!(!ptr.is_null(), "null dereference");
-        if !self.t.charged() {
-            return;
-        }
-        let cur = self.t.proc;
-        let mech = self.cfg.force.unwrap_or(mech);
-        let want = check == Check::Elide && self.cfg.elide_checks && self.cfg.force.is_none();
-        let mut elided = false;
-        match mech {
-            Mechanism::Migrate => {
-                if ptr.is_local_to(cur) {
-                    self.t.stats.migrate_local += 1;
-                    if want {
-                        // Fact verified: the thread is already where the
-                        // data lives, exactly what the pointer test would
-                        // have concluded. Skip it.
-                        elided = true;
-                    } else {
-                        self.charge(self.cfg.cost.ptr_test);
-                    }
-                } else {
-                    // A stale elision hint performs the full check.
-                    self.charge(self.cfg.cost.ptr_test);
-                    self.t.stats.migrate_remote += 1;
-                    thread::migrate(self, ptr.proc());
-                }
-                self.charge(self.cfg.cost.local_ref);
-            }
-            Mechanism::Cache => {
-                if write {
-                    self.cache.stats_mut().cacheable_writes += 1;
-                } else {
-                    self.cache.stats_mut().cacheable_reads += 1;
-                }
-                if ptr.is_local_to(cur) {
-                    if want {
-                        elided = true;
-                    } else {
-                        self.charge(self.cfg.cost.ptr_test);
-                    }
-                    self.charge(self.cfg.cost.local_ref);
-                } else {
-                    let before = self.cache.stats().checks_elided;
-                    let acc = self.cache.access_checked(
-                        cur,
-                        ptr.proc(),
-                        ptr.page(),
-                        ptr.line_in_page(),
-                        write,
-                        want,
-                    );
-                    if self.cache.stats().checks_elided > before {
-                        // Verified cached hit: pointer test and hash probe
-                        // both skipped; the access costs a local
-                        // reference (plus the write-through a cached
-                        // write always pays).
-                        elided = true;
-                        self.charge(self.cfg.cost.local_ref);
-                    } else {
-                        self.charge(self.cfg.cost.ptr_test);
-                        self.charge(self.cfg.cost.cache_lookup);
-                        if let Access::Miss { .. } = acc {
-                            self.charge(self.cfg.cost.miss_service);
-                            let home = ptr.proc() as u64;
-                            self.t.instant(EventKind::LineFetch, cur, home);
-                        }
-                    }
-                    if write {
-                        // Write-through: the word travels home.
-                        self.charge(self.cfg.cost.write_through);
-                    }
-                }
-            }
-        }
-        if elided {
-            self.t.stats.checks_elided += 1;
-        } else {
-            self.t.stats.checks_performed += 1;
-        }
-        if write {
-            // Compiler-inserted write tracking (global/bilateral schemes)
-            // applies to every heap write, however it was resolved.
-            // A cache-mechanism write leaves the thread where it was, but a
-            // migrate-mechanism one may have moved it.
-            let at = self.t.proc;
-            let track = self
-                .cache
-                .note_write(at, ptr.proc(), ptr.page(), ptr.line_in_page());
-            self.charge(track);
-            self.t.wrote(ptr.proc());
-        }
-        if self.cfg.sanitize {
-            // After any migration, so the clock is the segment's that
-            // really performs the access.
-            self.sanitizer.access(
-                (ptr.proc(), ptr.page(), ptr.line_in_page()),
-                write,
-                &self.clock,
-            );
-        }
+    fn uncharged<R>(&mut self, f: impl FnOnce(&mut Self) -> R) -> R {
+        thread::uncharged(self, f)
     }
 
-    /// A procedure-call boundary ([`thread::call`]).
-    pub fn call<R>(&mut self, f: impl FnOnce(&mut Self) -> R) -> R {
+    fn call<R>(&mut self, f: impl FnOnce(&mut Self) -> R) -> R {
         thread::call(self, f)
     }
 
-    /// `futurecall f(...)` ([`thread::future_call`]).
-    pub fn future_call<T>(&mut self, f: impl FnOnce(&mut Self) -> T) -> FutureHandle<T> {
+    fn future_call<T, F>(&mut self, f: F) -> FutureHandle<T>
+    where
+        T: Send + 'static,
+        F: FnOnce(&mut Self) -> T + Send + 'static,
+    {
         thread::future_call(self, f)
     }
 
-    /// `touch`: claim a future's value ([`thread::touch`]).
-    pub fn touch<T>(&mut self, h: FutureHandle<T>) -> T {
+    fn touch<T: Send + 'static>(&mut self, h: FutureHandle<T>) -> T {
         thread::touch(self, h)
+    }
+
+    /// The sanitizer runs online, so this can be called mid-run; always
+    /// empty unless the run was configured with [`Config::sanitized`].
+    fn race_violations(&mut self) -> Vec<RaceViolation> {
+        self.sanitizer.violations().to_vec()
+    }
+
+    /// The simulator's one logical thread makes a single lane, labeled
+    /// `sim`; the lane's timestamps are logical (one tick per event), its
+    /// `proc` fields follow the thread's migrations. `None` unless the run
+    /// was configured with [`Config::recorded`].
+    fn take_recording(&mut self) -> Option<Recording> {
+        let rec = self.t.rec.take()?;
+        Some(Recording::new(
+            self.cfg.procs,
+            vec![rec.into_lane("sim".to_string())],
+        ))
     }
 }
 
 /// The simulator's moves: a release through `cache.depart` with its
 /// charged costs, a new trace segment behind an edge, an acquire in the
-/// destination's cache.
+/// destination's cache; and its words: heap operations with their cycle
+/// costs, a remote cached one through the cache system.
 impl Driver for OldenCtx {
     type Frame = Option<(SegId, VClock)>;
     type End = (SegId, VClock);
@@ -366,6 +223,7 @@ impl Driver for OldenCtx {
         &mut self.t
     }
 
+    #[inline]
     fn cost(&mut self, op: fn(&CostModel) -> u64) {
         self.charge(op(&self.cfg.cost));
     }
@@ -437,6 +295,58 @@ impl Driver for OldenCtx {
         self.charge(self.cfg.cost.ret_recv);
         (body.value, body.written)
     }
+
+    #[inline]
+    fn gate(&self) -> (Option<Mechanism>, bool) {
+        (self.cfg.force, self.cfg.elide_checks)
+    }
+
+    #[inline]
+    fn cache_stats(&mut self) -> &mut CacheStats {
+        self.cache.stats_mut()
+    }
+
+    /// Always inlined into `thread::deref`, as is `heap_word`: out of line,
+    /// the extra call per access measured about a tenth fewer
+    /// `sim-kernels` jobs per second.
+    #[inline(always)]
+    fn home_word(&mut self, p: GPtr, wval: Option<Word>) -> Word {
+        self.charge(self.cfg.cost.local_ref);
+        self.heap_word(p, wval)
+    }
+
+    /// A verified cached hit skips the hash probe too and costs a local
+    /// reference; otherwise the probe, and on a miss the line's service.
+    /// A write always pays its write-through.
+    fn cached_word(&mut self, p: GPtr, wval: Option<Word>, elide: bool) -> (Word, bool) {
+        let (cur, home, write) = (self.t.proc, p.proc(), wval.is_some());
+        let before = self.cache.stats().checks_elided;
+        let (page, line) = (p.page(), p.line_in_page());
+        let acc = self
+            .cache
+            .access_checked(cur, home, page, line, write, elide);
+        let elided = self.cache.stats().checks_elided > before;
+        let c = &self.cfg.cost;
+        let mut cycles = if elided { c.local_ref } else { c.cache_lookup };
+        if let Access::Miss { .. } = acc {
+            cycles += c.miss_service;
+            self.t.instant(EventKind::LineFetch, cur, home as u64);
+        }
+        if write {
+            cycles += c.write_through;
+        }
+        self.charge(cycles);
+        (self.heap_word(p, wval), elided)
+    }
+
+    /// Compiler-inserted write tracking (global/bilateral schemes), charged
+    /// where the write ran.
+    fn note_write(&mut self, p: GPtr) {
+        let track = self
+            .cache
+            .note_write(self.t.proc, p.proc(), p.page(), p.line_in_page());
+        self.charge(track);
+    }
 }
 
 #[cfg(test)]
@@ -447,6 +357,15 @@ mod tests {
 
     fn ctx(procs: usize) -> OldenCtx {
         OldenCtx::new(Config::olden(procs))
+    }
+
+    /// A field of the null pointer is a null dereference, not processor
+    /// 0's reserved line.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "null dereference")]
+    fn null_field_read_panics() {
+        ctx(4).read(GPtr::NULL, 1, Mechanism::Migrate);
     }
 
     #[test]
@@ -511,7 +430,7 @@ mod tests {
         let mut c = ctx(4);
         let a = c.alloc(0, 1);
         c.write(a, 0, 11i64, Mechanism::Migrate);
-        let h = c.future_call(|c| c.read_i64(a, 0, Mechanism::Migrate));
+        let h = c.future_call(move |c| c.read_i64(a, 0, Mechanism::Migrate));
         assert!(!h.is_parallel(), "no migration, no new thread");
         assert_eq!(c.touch(h), 11);
         assert_eq!(c.stats().futures, 1);
@@ -523,7 +442,7 @@ mod tests {
         let mut c = ctx(4);
         let a = c.alloc(2, 1);
         c.uncharged(|c| c.write(a, 0, 21i64, Mechanism::Migrate));
-        let h = c.future_call(|c| c.call(|c| c.read_i64(a, 0, Mechanism::Migrate)));
+        let h = c.future_call(move |c| c.call(move |c| c.read_i64(a, 0, Mechanism::Migrate)));
         assert!(h.is_parallel(), "body migrated: continuation stolen");
         assert_eq!(c.cur_proc(), 0, "continuation runs at spawn proc");
         assert_eq!(c.touch(h), 21);

@@ -58,13 +58,6 @@ impl DistributedHeap {
     pub fn allocated_words(&self, proc: ProcId) -> usize {
         self.sections[proc as usize].len() - LINE_WORDS
     }
-
-    /// Total words allocated across all sections.
-    pub fn total_allocated(&self) -> usize {
-        (0..self.procs())
-            .map(|p| self.allocated_words(p as ProcId))
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -106,7 +99,6 @@ mod tests {
         h.alloc(1, 5);
         assert_eq!(h.allocated_words(0), 10);
         assert_eq!(h.allocated_words(1), 25);
-        assert_eq!(h.total_allocated(), 35);
     }
 
     #[test]

@@ -2,12 +2,13 @@
 //! caching, and futures with lazy task creation.
 //!
 //! This crate is the programmer-facing layer of the reproduction. A
-//! benchmark is an ordinary Rust function over [`OldenCtx`]; it allocates
-//! structures in the distributed heap with [`OldenCtx::alloc`] (naming the
-//! owning processor, exactly like Olden's `ALLOC`), dereferences global
-//! pointers with an explicit [`Mechanism`] (the choice the Olden compiler's
-//! heuristic makes per program point), and expresses parallelism with
-//! [`OldenCtx::future_call`] / [`OldenCtx::touch`].
+//! benchmark is an ordinary Rust function over a [`Backend`], such as the
+//! simulator's [`OldenCtx`]; it allocates structures in the distributed
+//! heap with [`Backend::alloc`] (naming the owning processor, exactly like
+//! Olden's `ALLOC`), dereferences global pointers with an explicit
+//! [`Mechanism`] (the choice the Olden compiler's heuristic makes per
+//! program point), and expresses parallelism with
+//! [`Backend::future_call`] / [`Backend::touch`].
 //!
 //! Execution is *sequential and exact* — every value a benchmark computes
 //! is the real value, verified against plain serial references — while the

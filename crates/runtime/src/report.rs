@@ -1,5 +1,6 @@
 //! Running a program and summarizing what happened.
 
+use crate::backend::Backend;
 use crate::config::Config;
 use crate::ctx::OldenCtx;
 use crate::sanitize::RaceViolation;

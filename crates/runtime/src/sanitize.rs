@@ -122,16 +122,13 @@ impl LineSanitizer {
     pub fn violations(&self) -> &[RaceViolation] {
         &self.violations
     }
-
-    pub fn into_violations(self) -> Vec<RaceViolation> {
-        self.violations
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use crate::config::{Config, Mechanism};
     use crate::ctx::OldenCtx;
+    use crate::Backend;
 
     fn ctx() -> OldenCtx {
         OldenCtx::new(Config::olden(4).sanitized())

@@ -9,18 +9,26 @@
 //! body's written set. [`call`], [`future_call`], [`touch`] and
 //! [`migrate`] are those rules, over a [`ThreadState`] they keep.
 //!
+//! §3's dereference rule is here too, as [`deref`](fn@deref): the
+//! compiler-inserted check before each heap access, a pointer test that
+//! migrates the thread to a remote word under the migrate mechanism, or a
+//! cache lookup under the cache mechanism; with the force override, the
+//! `Check::Elide` gate and every counter the check keeps.
+//!
 //! A backend is a [`Driver`]: it supplies only how the thread moves and
-//! acquires, and how a stolen body and its touch are joined. The
-//! simulator's `OldenCtx` drives the rules with `cache.depart` and trace
-//! edges; the thread backend's `ExecCtx` with worker round trips (its
-//! parallel mode also forks bodies onto OS threads itself).
+//! acquires, how a stolen body and its touch are joined, and how a word is
+//! reached at its home or through the cache. The simulator's `OldenCtx`
+//! drives the rules with `cache.depart`, trace edges and heap operations;
+//! the thread backend's `ExecCtx` with worker round trips (its parallel
+//! mode also forks bodies onto OS threads itself).
 //!
 //! The written set is a [`ProcSet`], so each scope saves the enclosing
 //! set in a local and unions it back on exit: no scope stack.
 
+use crate::config::{Check, Mechanism};
 use crate::report::RunStats;
-use olden_cache::Arrival;
-use olden_gptr::{ProcId, ProcSet};
+use olden_cache::{Arrival, CacheStats};
+use olden_gptr::{GPtr, ProcId, ProcSet, Word};
 use olden_machine::CostModel;
 use olden_obs::{EventKind, Recorder};
 
@@ -148,8 +156,8 @@ pub trait Driver: Sized {
     type Body<T>: From<Ended<T, Self::End>>;
 
     fn thread(&mut self) -> &mut ThreadState<Self::Frame>;
-    /// Charge a spawn's or a touch's cost (cycles on the simulator,
-    /// progress on threads).
+    /// Charge a spawn's, a touch's or a dereference check's cost (cycles
+    /// on the simulator, progress on threads).
     fn cost(&mut self, op: fn(&CostModel) -> u64);
     /// Release at the current processor, steal the futures anchored there
     /// ([`ThreadState::steal_from`]), move to `to` and [`Driver::acquire`].
@@ -162,6 +170,20 @@ pub trait Driver: Sized {
     fn fork(&mut self, anchor: ProcId, frame: Self::Frame) -> Self::End;
     /// Order the thread after a forked body's end; its value and written set.
     fn join<T>(&mut self, body: Self::Body<T>) -> (T, ProcSet);
+    /// The run's forced mechanism, and whether it honors `Check::Elide`.
+    fn gate(&self) -> (Option<Mechanism>, bool);
+    /// The cache counters [`deref`](fn@deref) keeps.
+    fn cache_stats(&mut self) -> &mut CacheStats;
+    /// The word at `p` (written when `wval` is set), reached at its home:
+    /// where the thread now is, or anywhere when uncharged. Returns the
+    /// word read or written.
+    fn home_word(&mut self, p: GPtr, wval: Option<Word>) -> Word;
+    /// A remote word through the current processor's cache, a write
+    /// also written through to its home; `elide` asks for the verified-hit
+    /// fast path. Returns the word seen and whether the fast path fired.
+    fn cached_word(&mut self, p: GPtr, wval: Option<Word>, elide: bool) -> (Word, bool);
+    /// A charged write of `p`, for the next release's coherence actions.
+    fn note_write(&mut self, p: GPtr);
 }
 
 /// The argument of an acquire's `Invalidate` event: `u64::MAX` for a call
@@ -215,6 +237,86 @@ pub fn migrate<D: Driver>(d: &mut D, to: ProcId) {
     t.instant(EventKind::MigrateSend, from, to as u64);
     d.hop(to, Arrival::Call);
     d.thread().instant(EventKind::MigrateRecv, to, from as u64);
+}
+
+/// §3's dereference rule: field `field` of the object at `ptr`, written
+/// when `wval` is set, resolved by `mech` (or the run's forced mechanism).
+///
+/// A local word, or any word under the migrate mechanism, is reached at
+/// its home, the thread first migrating to a remote one; a remote word
+/// under the cache mechanism goes through the cache. A `Check::Elide`
+/// verdict, when the run honors it, skips the pointer test only where the
+/// optimizer's fact verifies: a local word, or a line already valid in the
+/// cache. A stale hint performs the full check, so only the check counters
+/// and cycles move. The check, performed or not, is charged once.
+pub fn deref<D: Driver>(
+    d: &mut D,
+    ptr: GPtr,
+    field: usize,
+    wval: Option<Word>,
+    mech: Mechanism,
+    check: Check,
+) -> Word {
+    debug_assert!(!ptr.is_null(), "null dereference");
+    let p = ptr.offset(field as u64);
+    if !d.thread().charged() {
+        return d.home_word(p, wval);
+    }
+    let (force, elide_checks) = d.gate();
+    let want = check == Check::Elide && elide_checks && force.is_none();
+    let cache = force.unwrap_or(mech) == Mechanism::Cache;
+    let write = wval.is_some();
+    if cache {
+        let s = d.cache_stats();
+        if write {
+            s.cacheable_writes += 1;
+        } else {
+            s.cacheable_reads += 1;
+        }
+    }
+    let t = d.thread();
+    let local = p.is_local_to(t.proc);
+    let (value, elided) = if cache && !local {
+        let (value, elided) = d.cached_word(p, wval, want);
+        charge_check(d, elided);
+        (value, elided)
+    } else {
+        if !cache && local {
+            t.stats.migrate_local += 1;
+        } else if !cache {
+            t.stats.migrate_remote += 1;
+        }
+        // A stale hint (a remote word) performs the test, where the thread
+        // is before it migrates.
+        let elided = want && local;
+        charge_check(d, elided);
+        if !local {
+            migrate(d, p.proc());
+        }
+        (d.home_word(p, wval), elided)
+    };
+    let t = d.thread();
+    if elided {
+        t.stats.checks_elided += 1;
+    } else {
+        t.stats.checks_performed += 1;
+    }
+    if write {
+        // Write tracking applies to every charged write, however resolved.
+        d.note_write(p);
+        d.thread().wrote(p.proc());
+    }
+    value
+}
+
+/// Charge a dereference's check: the pointer test, unless elided.
+#[inline]
+fn charge_check<D: Driver>(d: &mut D, elided: bool) {
+    if elided {
+        d.cost(|_| 0);
+    } else {
+        d.cost(|c| c.ptr_test);
+    }
 }
 
 /// A procedure-call boundary: if the body migrated, the return stub

@@ -3,7 +3,7 @@
 //! vector. Its own test binary, because it installs a counting global
 //! allocator.
 
-use olden_runtime::{Config, GPtr, Mechanism, OldenCtx};
+use olden_runtime::{Backend, Config, GPtr, Mechanism, OldenCtx};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -42,7 +42,7 @@ const WORDS: usize = 16;
 fn round(c: &mut OldenCtx, obj: GPtr, i: usize) {
     let v = i as i64;
     c.call(|c| c.write(obj, i % WORDS, v, Mechanism::Migrate));
-    let h = c.future_call(|c| c.write(obj, (i + 1) % WORDS, v, Mechanism::Migrate));
+    let h = c.future_call(move |c| c.write(obj, (i + 1) % WORDS, v, Mechanism::Migrate));
     assert!(!h.is_parallel(), "a local body is never stolen");
     c.touch(h);
 }

@@ -4,7 +4,6 @@
 //! Run with: `cargo run --release --example quickstart`
 
 use olden_core::prelude::*;
-use olden_runtime::OldenCtx;
 
 /// Tree node fields.
 const LEFT: usize = 0;
@@ -40,7 +39,7 @@ fn tree_add(ctx: &mut OldenCtx, t: GPtr) -> i64 {
     }
     ctx.work(70);
     let left = ctx.read_ptr(t, LEFT, Mechanism::Migrate);
-    let h = ctx.future_call(|ctx| ctx.call(|ctx| tree_add(ctx, left)));
+    let h = ctx.future_call(move |ctx| ctx.call(move |ctx| tree_add(ctx, left)));
     let right = ctx.read_ptr(t, RIGHT, Mechanism::Migrate);
     let rv = ctx.call(|ctx| tree_add(ctx, right));
     let v = ctx.read_i64(t, VAL, Mechanism::Migrate);

@@ -109,21 +109,27 @@ shellcheck_ci() {
     shellcheck ci.sh
 }
 
-# Non-test lines of Rust per crate under crates/*/src, and their total:
-# a file counts up to and including its first `#[cfg(test)]` line.
-# Informational: it gates nothing.
+# Non-test lines of the Rust files under a directory: a file counts up
+# to and including its first `#[cfg(test)]` line.
+src_lines() {
+    find "$1" -name '*.rs' -exec awk '
+        FNR == 1 { tests = 0 }
+        !tests { n++ }
+        /^[[:space:]]*#\[cfg\(test\)\]/ { tests = 1 }
+        END { print n + 0 }' {} +
+}
+
+# Non-test lines per crate under crates/*/src and their total, then the
+# bench harness's perf/src outside it. Informational: it gates nothing.
 lines() {
     local dir n total=0
     for dir in crates/*/src; do
-        n=$(find "$dir" -name '*.rs' -exec awk '
-            FNR == 1 { tests = 0 }
-            !tests { n++ }
-            /^[[:space:]]*#\[cfg\(test\)\]/ { tests = 1 }
-            END { print n + 0 }' {} +)
+        n=$(src_lines "$dir")
         total=$((total + n))
         printf '    %-12s %6d\n' "$(basename "$(dirname "$dir")")" "$n"
     done
     printf '    %-12s %6d\n' total "$total"
+    printf '    %-12s %6d\n' perf/src "$(src_lines perf/src)"
 }
 
 stage "lines" lines

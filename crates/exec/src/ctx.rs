@@ -29,7 +29,9 @@
 //! steal/migration counters stay deterministic — both depend only on the
 //! program's own data — but cache hit/miss totals become
 //! interleaving-dependent, since concurrent threads really do share the
-//! per-processor caches.
+//! per-processor caches. A `future_call_inline` body (the IR
+//! interpreter's) borrows its spawner's state, so it runs inline in this
+//! mode too, exactly as in lockstep.
 
 use crate::chaos::{ExecError, MsgCounts, Verdict};
 use crate::frame::{CompleteOnDrop, FrameHandle};
@@ -811,6 +813,14 @@ impl Backend for ExecCtx {
             Mode::Lockstep => thread::future_call(self, f),
             Mode::Parallel => self.fork_thread(f),
         }
+    }
+
+    /// Inline in both modes: the simulator's discipline, as in lockstep.
+    fn future_call_inline<T: Send + 'static>(
+        &mut self,
+        f: impl FnOnce(&mut Self) -> T,
+    ) -> ExecHandle<T> {
+        thread::future_call(self, f)
     }
 
     fn touch<T: Send + 'static>(&mut self, h: ExecHandle<T>) -> T {

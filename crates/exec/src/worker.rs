@@ -58,7 +58,7 @@ pub struct Worker {
     /// fleet), handed to the cache rules that depend on it.
     protocol: Protocol,
     /// Heap section; word 0's line reserved so the all-zero GPtr stays
-    /// null (identical layout to `olden_runtime::DistributedHeap`).
+    /// null (the simulator's heap section layout).
     section: Vec<Word>,
     /// Line-validity metadata: the Figure-1 translation table.
     cache: ProcCache,

@@ -228,21 +228,45 @@ fn every_fuel_cut_agrees_across_backends() {
     }
 }
 
-/// In parallel mode future bodies run on threads of their own and sync
-/// fuel only at spawns and touches; an uncut run still computes the
-/// simulator's values.
+/// Figure 4's TreeAdd over a tree whose children mostly live on other
+/// processors: future bodies migrate, so their continuations are stolen.
+const SCATTERED_TREE: &str = "struct tree { tree *left @ 20; tree *right @ 20; int val; };\n\
+    int TreeAdd(tree *t) {\n\
+        if (t == null) { return 0; }\n\
+        int lv = futurecall TreeAdd(t->left);\n\
+        int rv = TreeAdd(t->right);\n\
+        touch lv;\n\
+        return lv + rv + t->val;\n\
+    }\n";
+
+/// In parallel mode an IR program still runs every future body inline on
+/// its spawner's OS thread, as lockstep does: a body that migrates forks
+/// and has its continuation stolen, but no second client is started. So
+/// the run is the simulator's, counter for counter.
 #[test]
 fn parallel_mode_computes_the_simulators_values() {
-    let (_, _, ir) = compile(NESTED_FUTURES).unwrap();
-    let ir = Arc::new(ir);
-    let mut sim = OldenCtx::new(Config::olden(PROCS));
-    let out_sim = run_ir(&mut sim, &ir, 3, DEFAULT_FUEL, None);
-    let ir2 = Arc::clone(&ir);
-    let (out, _) = run_exec(ExecConfig::parallel(PROCS), move |ctx| {
-        run_ir(ctx, &ir2, 3, DEFAULT_FUEL, None)
-    });
-    assert!(!out.halted && !out_sim.halted);
-    assert_eq!(out.checksum, out_sim.checksum);
+    for (name, src, stolen) in [
+        ("nested", NESTED_FUTURES, false),
+        ("scattered", SCATTERED_TREE, true),
+    ] {
+        let (_, _, ir) = compile(src).unwrap();
+        let ir = Arc::new(ir);
+        let mut sim = OldenCtx::new(Config::olden(PROCS));
+        let out_sim = run_ir(&mut sim, &ir, 3, DEFAULT_FUEL, None);
+        let ir2 = Arc::clone(&ir);
+        let (out, rep) = run_exec(ExecConfig::parallel(PROCS), move |ctx| {
+            run_ir(ctx, &ir2, 3, DEFAULT_FUEL, None)
+        });
+        assert!(!out.halted && !out_sim.halted, "{name}");
+        assert_eq!(out.checksum, out_sim.checksum, "{name}");
+        assert_eq!(rep.clients, 1, "{name}: a body left its spawner's thread");
+        assert_eq!(
+            rep.diff_from_sim(sim.stats(), sim.cache().stats(), sim.cache().pages_cached()),
+            None,
+            "{name}: counters"
+        );
+        assert_eq!(sim.stats().steals > 0, stolen, "{name}: steals");
+    }
 }
 
 /// Statement-nesting depth of a function body (while/if nesting).

@@ -28,9 +28,12 @@
 //!
 //! The simulator runs future bodies inline on the caller's stack, but the
 //! thread backend may hand a body to another OS thread (that is the whole
-//! point). The trait therefore demands `Send + 'static` of bodies and
-//! their results; benchmark kernels pass small `move` closures capturing
-//! [`GPtr`]s and scalars, which satisfy the bounds for free.
+//! point). [`Backend::future_call`] therefore demands `Send + 'static` of
+//! bodies and their results; benchmark kernels pass small `move` closures
+//! capturing [`GPtr`]s and scalars, which satisfy the bounds for free.
+//! [`Backend::future_call_inline`] is the same spawn rule for a body that
+//! borrows its caller's state (the IR interpreter's stacks): every
+//! backend runs it to its end on the calling OS thread.
 
 use crate::config::{Check, Mechanism};
 use crate::report::TransportStats;
@@ -42,10 +45,8 @@ use olden_gptr::{GPtr, ProcId, Word};
 /// creation. See the crate docs of `olden-runtime` for the model and §2–3
 /// of the paper for the source semantics.
 pub trait Backend: Sized {
-    /// A pending future's value, claimed by [`Backend::touch`]. `Send`,
-    /// because a future body may carry handles it spawned to another
-    /// thread (the IR interpreter recycles such records within a run).
-    type Handle<T: Send + 'static>: Send;
+    /// A pending future's value, claimed by [`Backend::touch`].
+    type Handle<T: Send + 'static>;
 
     /// Number of processors in this configuration (for placement math).
     fn nprocs(&self) -> usize;
@@ -173,6 +174,15 @@ pub trait Backend: Sized {
     where
         T: Send + 'static,
         F: FnOnce(&mut Self) -> T + Send + 'static;
+
+    /// [`Backend::future_call`] of a body that borrows from its caller:
+    /// the body runs to its end on the calling OS thread, in every mode,
+    /// before this returns; a migration that steals its continuation still
+    /// counts and joins as a fork.
+    fn future_call_inline<T: Send + 'static>(
+        &mut self,
+        f: impl FnOnce(&mut Self) -> T,
+    ) -> Self::Handle<T>;
 
     /// `touch`: claim a future's value, joining with the body thread if
     /// it forked.

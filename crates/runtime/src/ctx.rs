@@ -187,6 +187,13 @@ impl Backend for OldenCtx {
         thread::future_call(self, f)
     }
 
+    fn future_call_inline<T: Send + 'static>(
+        &mut self,
+        f: impl FnOnce(&mut Self) -> T,
+    ) -> FutureHandle<T> {
+        thread::future_call(self, f)
+    }
+
     fn touch<T: Send + 'static>(&mut self, h: FutureHandle<T>) -> T {
         thread::touch(self, h)
     }

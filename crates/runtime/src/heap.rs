@@ -26,11 +26,6 @@ impl DistributedHeap {
         }
     }
 
-    /// Number of processors.
-    pub fn procs(&self) -> usize {
-        self.sections.len()
-    }
-
     /// Allocate `words` words on `proc`, zero-initialized.
     pub fn alloc(&mut self, proc: ProcId, words: usize) -> GPtr {
         assert!(words > 0, "zero-size allocation");
@@ -43,20 +38,13 @@ impl DistributedHeap {
     /// Read the home copy of a word.
     #[inline]
     pub fn read(&self, ptr: GPtr) -> Word {
-        debug_assert!(!ptr.is_null(), "null dereference");
         self.sections[ptr.proc() as usize][ptr.local() as usize]
     }
 
     /// Write the home copy of a word.
     #[inline]
     pub fn write(&mut self, ptr: GPtr, value: Word) {
-        debug_assert!(!ptr.is_null(), "null dereference");
         self.sections[ptr.proc() as usize][ptr.local() as usize] = value;
-    }
-
-    /// Words allocated on `proc` (excluding the reserved first line).
-    pub fn allocated_words(&self, proc: ProcId) -> usize {
-        self.sections[proc as usize].len() - LINE_WORDS
     }
 }
 
@@ -97,8 +85,8 @@ mod tests {
         h.alloc(0, 10);
         h.alloc(1, 20);
         h.alloc(1, 5);
-        assert_eq!(h.allocated_words(0), 10);
-        assert_eq!(h.allocated_words(1), 25);
+        let words = |p: usize| h.sections[p].len() - LINE_WORDS;
+        assert_eq!((words(0), words(1)), (10, 25));
     }
 
     #[test]

@@ -9,10 +9,12 @@
 //! testing possible: the *same* program, under the *same* olden-select
 //! verdicts, on executors that must agree byte-for-byte.
 //!
-//! A logical thread is a small record: a register stack whose windows
-//! are its frames, the future handles beside them, and its fuel. A call
-//! pushes its arguments on top and the callee's frame starts there; a
-//! future body runs on a stack of its own, recycled within the run.
+//! A run is one logical thread, a small record: a register stack whose
+//! windows are its frames, the future handles beside them, its fuel and
+//! its trip counts. A call pushes its arguments on top and the callee's
+//! frame starts there; a future body is such a call wrapped in the
+//! backend's [`Backend::future_call_inline`], so it runs to its end on the
+//! spawner's stacks and its window is gone before the spawner goes on.
 //! Lowering fixes every index a step needs (registers, future slots,
 //! extern hashes), so a step only indexes and never allocates.
 //!
@@ -42,18 +44,13 @@ use olden_analysis::ir::{BinOp, Inst, IrProgram, IrSite, IrTy, Term, UnOp};
 use olden_analysis::Mech;
 use olden_gptr::{GPtr, ProcId, Word};
 use olden_rng::{mix2, SplitMix64};
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering::Relaxed};
-use std::sync::{Arc, Mutex};
 
 /// Default fuel for one program run: far above what any generated
 /// program needs, small enough that a heap cycle or runaway recursion
 /// halts in microseconds. Entering a block costs its instruction count
 /// plus one; the block is refused, halting the run, when the fuel left
-/// is ≤ that cost. A thread counts fuel in its own record and syncs with
-/// the run's cell only at `futurecall` and `touch`, by plain loads and
-/// stores: exact wherever bodies run inline (the simulator and lockstep,
-/// every `run_ir` caller). In parallel mode a reload keeps the minimum,
-/// so no thread's count ever rises and runs still halt.
+/// is ≤ that cost. Future bodies run inline on every backend, so one
+/// count in the run's one thread record covers them in execution order.
 pub const DEFAULT_FUEL: i64 = 60_000;
 
 /// Call-depth cap (stack safety on worker threads; generated recursion
@@ -103,29 +100,24 @@ impl Value {
     }
 }
 
-/// One run, shared by its threads: the program, the fuel cell they
-/// sync through, trip counters (indexed like `IrProgram::trip_keys`,
-/// bumped by plain load and store: exact where fuel is), whether a cut
-/// fired, and finished future bodies' stacks for later spawns to reuse.
-struct Run<B: Backend> {
-    prog: Arc<IrProgram>,
+/// What a run reads: the program, and the mechanism override.
+struct Run<'p> {
+    prog: &'p IrProgram,
     /// Override every site's mechanism (the flip experiment); `None`
     /// honors the live olden-select verdicts baked into the IR.
     force: Option<Mech>,
-    fuel: AtomicI64,
-    halted: AtomicBool,
-    trips: Vec<AtomicU64>,
-    spare: Mutex<Vec<(Vec<Value>, Handles<B>)>>,
 }
 
-/// A logical thread: its register and future-handle stacks, fuel left.
+/// The run's logical thread: its register and future-handle stacks, the
+/// fuel left, trip counters (indexed like `IrProgram::trip_keys`), and
+/// whether a cut fired.
 struct Thread<B: Backend> {
     regs: Vec<Value>,
-    futs: Handles<B>,
+    futs: Vec<Option<B::Handle<Value>>>,
     fuel: i64,
+    trips: Vec<u64>,
+    halted: bool,
 }
-
-type Handles<B> = Vec<Option<<B as Backend>::Handle<Value>>>;
 
 /// What one IR run produced, beyond the backend's own counters.
 #[derive(Clone, Debug, PartialEq)]
@@ -141,7 +133,7 @@ pub struct RunOutcome {
     pub halted: bool,
 }
 
-impl<B: Backend + 'static> Run<B> {
+impl Run<'_> {
     fn mech(&self, site: &IrSite) -> Mechanism {
         match self.force.unwrap_or(site.mech) {
             Mech::Migrate => Mechanism::Migrate,
@@ -152,8 +144,8 @@ impl<B: Backend + 'static> Run<B> {
     /// A DSL-level call of `funcs[fi]` whose arguments start at `base`
     /// of `t.regs`: a procedure-call boundary on the backend, like the
     /// hand-written kernels wrap every call. Pops the frame on return.
-    fn call(
-        self: &Arc<Self>,
+    fn call<B: Backend>(
+        &self,
         ctx: &mut B,
         t: &mut Thread<B>,
         fi: usize,
@@ -166,22 +158,22 @@ impl<B: Backend + 'static> Run<B> {
         t.futs.resize_with(fut + f.nslots, || None);
         let v = ctx.call(|ctx| {
             if depth > MAX_CALL_DEPTH {
-                self.halted.store(true, Relaxed);
+                t.halted = true;
                 return Value::Int(0);
             }
             if let Some(i) = f.rec_slot {
-                self.trips[i].store(self.trips[i].load(Relaxed) + 1, Relaxed);
+                t.trips[i] += 1;
             }
             let mut bi = 0usize;
             loop {
                 let b = &f.blocks[bi];
                 t.fuel -= b.insts.len() as i64 + 1;
                 if t.fuel <= 0 {
-                    self.halted.store(true, Relaxed);
+                    t.halted = true;
                     return Value::Int(0);
                 }
                 if let Some(i) = b.trip_slot {
-                    self.trips[i].store(self.trips[i].load(Relaxed) + 1, Relaxed);
+                    t.trips[i] += 1;
                 }
                 for inst in &b.insts {
                     let regs = &mut t.regs[base..];
@@ -218,35 +210,26 @@ impl<B: Backend + 'static> Run<B> {
                             }
                             _ => {}
                         },
-                        Inst::Call { dst, func, args } => {
+                        // A future body is a call on the same stacks,
+                        // run inline by the backend's spawn rule.
+                        Inst::Call { dst, func, args }
+                        | Inst::FutureCall {
+                            dst, func, args, ..
+                        } => {
                             let top = t.regs.len();
                             for &r in args {
                                 t.regs.push(t.regs[base + r]);
                             }
-                            t.regs[base + dst] = self.call(ctx, t, *func, top, depth + 1);
-                        }
-                        Inst::FutureCall {
-                            dst,
-                            slot,
-                            func,
-                            args,
-                        } => {
-                            let (run, callee, d) = (Arc::clone(self), *func, depth + 1);
-                            let (mut regs, futs) =
-                                self.spare.lock().unwrap().pop().unwrap_or_default();
-                            regs.extend(args.iter().map(|&r| t.regs[base + r]));
-                            t.regs[base + dst] = Value::Int(0);
-                            self.fuel.store(t.fuel, Relaxed);
-                            let h = ctx.future_call(move |c| {
-                                let fuel = run.fuel.load(Relaxed);
-                                let mut body = Thread { regs, futs, fuel };
-                                let v = run.call(c, &mut body, callee, 0, d);
-                                run.fuel.store(body.fuel, Relaxed);
-                                run.spare.lock().unwrap().push((body.regs, body.futs));
-                                v
-                            });
-                            t.fuel = t.fuel.min(self.fuel.load(Relaxed));
-                            t.futs[fut + slot] = Some(h);
+                            let d = depth + 1;
+                            t.regs[base + dst] = match inst {
+                                Inst::FutureCall { slot, .. } => {
+                                    let h =
+                                        ctx.future_call_inline(|c| self.call(c, t, *func, top, d));
+                                    t.futs[fut + slot] = Some(h);
+                                    Value::Int(0)
+                                }
+                                _ => self.call(ctx, t, *func, top, d),
+                            };
                         }
                         Inst::ExternCall { dst, hash, args } => {
                             let h = args.iter().fold(*hash, |h, &r| mix2(h, regs[r].digest()));
@@ -255,7 +238,6 @@ impl<B: Backend + 'static> Run<B> {
                         Inst::Touch { reg, slot } => {
                             if let Some(h) = slot.and_then(|s| t.futs[fut + s].take()) {
                                 regs[*reg] = ctx.touch(h);
-                                t.fuel = t.fuel.min(self.fuel.load(Relaxed));
                             }
                         }
                     }
@@ -353,21 +335,14 @@ fn build_node<B: Backend>(
 /// function under a procedure-call boundary, and fold the returns into a
 /// checksum. `force` overrides every site's mechanism; `None` executes
 /// the live olden-select verdicts.
-pub fn run_ir<B: Backend + 'static>(
+pub fn run_ir<B: Backend>(
     ctx: &mut B,
-    prog: &Arc<IrProgram>,
+    prog: &IrProgram,
     seed: u64,
     fuel: i64,
     force: Option<Mech>,
 ) -> RunOutcome {
-    let run = Arc::new(Run {
-        prog: Arc::clone(prog),
-        force,
-        fuel: AtomicI64::new(fuel),
-        halted: AtomicBool::new(false),
-        trips: prog.trip_keys.iter().map(|_| AtomicU64::new(0)).collect(),
-        spare: Mutex::new(Vec::new()),
-    });
+    let run = Run { prog, force };
     let mut rng = SplitMix64::new(mix2(seed, 0x01dead5eed));
     let mut checksum = 0xcbf29ce484222325u64;
     let nprocs = ctx.nprocs();
@@ -392,18 +367,22 @@ pub fn run_ir<B: Backend + 'static>(
     };
     let params = prog.funcs.iter().flat_map(|f| &f.params);
     let mut args = params.map(build).collect::<Vec<_>>().into_iter();
-    let (regs, futs) = (Vec::new(), Vec::new());
-    let mut t = Thread { regs, futs, fuel };
+    let mut t = Thread {
+        regs: Vec::new(),
+        futs: Vec::new(),
+        fuel,
+        trips: vec![0; prog.trip_keys.len()],
+        halted: false,
+    };
     for (fi, f) in prog.funcs.iter().enumerate() {
         t.regs.extend(args.by_ref().take(f.params.len()));
         let v = run.call(ctx, &mut t, fi, 0, 0);
         checksum = mix2(checksum, mix2(fi as u64, v.digest()));
     }
-    let trips = prog.trip_keys.iter().zip(&run.trips);
     RunOutcome {
         checksum,
-        trips: trips.map(|(k, n)| (k.clone(), n.load(Relaxed))).collect(),
-        halted: run.halted.load(Relaxed),
+        trips: prog.trip_keys.iter().cloned().zip(t.trips).collect(),
+        halted: t.halted,
     }
 }
 
@@ -416,7 +395,6 @@ mod tests {
 
     fn run_sim(src: &str, seed: u64) -> (RunOutcome, OldenCtx) {
         let (_, _, ir) = compile(src).unwrap_or_else(|e| panic!("{e}"));
-        let ir = Arc::new(ir);
         let mut ctx = OldenCtx::new(Config::olden(4));
         let out = run_ir(&mut ctx, &ir, seed, DEFAULT_FUEL, None);
         (out, ctx)
@@ -570,7 +548,6 @@ mod tests {
                        return x + q;\n\
                    }\n";
         let (_, _, ir) = compile(src).unwrap();
-        let ir = Arc::new(ir);
         let mut ctx = OldenCtx::new(Config::olden(4));
         // Build nothing: pass seed whose builder output is irrelevant —
         // the function ignores its parameter.
@@ -621,7 +598,6 @@ mod tests {
                        return s;\n\
                    }\n";
         let (_, _, ir) = compile(src).unwrap();
-        let ir = Arc::new(ir);
         let run = |force| {
             let mut ctx = OldenCtx::new(Config::olden(4));
             let out = run_ir(&mut ctx, &ir, 11, DEFAULT_FUEL, force);

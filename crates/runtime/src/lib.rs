@@ -20,7 +20,7 @@
 pub mod backend;
 pub mod config;
 pub mod ctx;
-pub mod heap;
+mod heap;
 pub mod interp;
 pub mod report;
 pub mod sanitize;
@@ -29,7 +29,6 @@ pub mod thread;
 pub use backend::Backend;
 pub use config::{Check, Config, Mechanism};
 pub use ctx::{FutureHandle, OldenCtx};
-pub use heap::DistributedHeap;
 pub use interp::{run_ir, RunOutcome, Value, DEFAULT_FUEL};
 pub use olden_cache::{Access, CacheStats, Protocol};
 pub use olden_gptr::{GPtr, ProcId, Word};

@@ -1,21 +1,30 @@
 //! Basic-block control-flow graphs lowered from the DSL AST — and the
-//! one place pointer-check sites and control loops are born.
+//! one place evaluation order is decided: check sites, control loops and
+//! the executable IR's instructions are all born in this walk.
 //!
 //! The AST's structured statements lower to a small CFG whose blocks
 //! carry a linear **event** stream — one event per variable use,
 //! pointer-check site, assignment, store, call, touch, or return, in
-//! evaluation order. Spans survive lowering so every verdict points back
-//! at source.
+//! evaluation order — and, emitted beside each event, the block's
+//! [`crate::ir`] instructions and its terminator. An edge is written once,
+//! by the terminator; `succs` and `preds` are derived from it. Spans
+//! survive lowering so every verdict points back at source.
+//!
+//! The order: a store's source expression before its destination path;
+//! `if` conditions before the branches; `while` conditions in the loop
+//! head, re-evaluated per iteration; call arguments left to right, then
+//! the call; binary operands left before right.
 //!
 //! A pointer path `base->f1->…->fk` is `k` check sites: site `j` checks
 //! the object reached by `base->f1->…->fj-1` before loading (or, for the
 //! final step of a store, writing) field `fj`. This mirrors the runtime,
 //! where each arrow is one `read_ptr`/`write` with its own mechanism
-//! test. Each [`Site`] also records its innermost enclosing control loop
+//! test; the `Load`/`Store` emitted with site `j` names it by its index.
+//! Each [`Site`] also records its innermost enclosing control loop
 //! (§4.2), so [`Cfg::sites`] is the site stream every later pass indexes:
 //! [`crate::verdicts::mech_table`] resolves one verdict per site, the
 //! optimizer ([`crate::opt`]) reasons under that verdict's mechanism, and
-//! [`crate::lower::lower_ir`] points each executable site at it.
+//! [`crate::lower::lower_ir`] pairs each executable site with it.
 //!
 //! A *control loop* (§4.2) is a `while` loop or the set of a function's
 //! direct recursive calls; a `while` nests inside enclosing `while`s and
@@ -26,6 +35,8 @@
 
 use crate::ast::{contains_future, Expr, FuncDef, Program, Stmt};
 use crate::diag::Span;
+use crate::ir::{BinOp, Inst, Reg, Term, UnOp};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Program-wide index of a control loop: its position in the
@@ -184,11 +195,20 @@ pub enum Event {
 pub struct Block {
     pub id: usize,
     pub events: Vec<Event>,
+    /// The block's executable instructions, emitted beside its events.
+    pub insts: Vec<Inst>,
+    /// How control leaves the block: the one place an edge is written.
+    pub term: Term,
+    /// `term`'s targets, in its order.
     pub succs: Vec<usize>,
+    /// The blocks whose `term` targets this one, by block index.
     pub preds: Vec<usize>,
     /// True for `while` condition blocks — the only legal backedge
     /// targets.
     pub loop_head: bool,
+    /// Set on a `while` body's entry block: the loop's index in
+    /// [`Cfg::loops`], whose trips the block counts.
+    pub trip: Option<usize>,
     /// Pre-order indices of the AST statements whose events start in this
     /// block (used by the well-formedness checks).
     pub stmts: Vec<usize>,
@@ -205,10 +225,17 @@ pub struct Cfg {
     /// one per `while`, pre-order. Shared with the selection's
     /// [`crate::LoopChoice`]s, so selecting copies no loop bodies.
     pub loops: Vec<Arc<ControlLoop>>,
+    /// Registers a frame needs; the parameters hold `0..params`.
+    pub nregs: usize,
+    /// Future slots a frame needs: one per register a `FutureCall` writes.
+    pub nslots: usize,
 }
 
 struct Builder<'a> {
     func: &'a FuncDef,
+    /// The program's functions by name: a call to one is a `Call`, to
+    /// any other name an `ExternCall`.
+    funcs: &'a HashMap<&'a str, usize>,
     blocks: Vec<Block>,
     sites: Vec<Site>,
     cur: usize,
@@ -219,6 +246,11 @@ struct Builder<'a> {
     cur_while: Option<usize>,
     /// Whether the function calls itself directly.
     recursive: bool,
+    /// Each variable's register, and the future slot of each register a
+    /// `FutureCall` writes.
+    env: HashMap<String, Reg>,
+    nregs: usize,
+    future_slots: HashMap<Reg, usize>,
 }
 
 impl Builder<'_> {
@@ -231,66 +263,188 @@ impl Builder<'_> {
         id
     }
 
-    fn edge(&mut self, from: usize, to: usize) {
-        self.blocks[from].succs.push(to);
-        self.blocks[to].preds.push(from);
-    }
-
     fn emit(&mut self, ev: Event) {
         let cur = self.cur;
         self.blocks[cur].events.push(ev);
     }
 
-    /// Use `base`, then one check site per arrow of `base->f1->…->fk`
-    /// (the last one a store's when `store`).
-    fn path(&mut self, base: &str, fields: &[String], span: Span, store: bool) {
+    fn inst(&mut self, inst: Inst) {
+        let cur = self.cur;
+        self.blocks[cur].insts.push(inst);
+    }
+
+    fn fresh(&mut self) -> Reg {
+        self.nregs += 1;
+        self.nregs - 1
+    }
+
+    fn var(&mut self, name: &str) -> Reg {
+        if let Some(&r) = self.env.get(name) {
+            return r;
+        }
+        let r = self.fresh();
+        self.env.insert(name.to_string(), r);
+        r
+    }
+
+    /// Use `base`, then one check site and one load per arrow of
+    /// `base->f1->…->fk`; for a store of `src` the last arrow writes
+    /// instead. Returns the register the path loaded.
+    fn path(&mut self, base: &str, fields: &[String], span: Span, src: Option<Reg>) -> Reg {
         self.emit(Event::Use {
             var: base.to_string(),
         });
+        let mut cur = self.var(base);
         for j in 0..fields.len() {
-            let sid = self.sites.len();
+            let site = self.sites.len();
+            let is_store = src.is_some() && j == fields.len() - 1;
             self.sites.push(Site {
                 base: base.to_string(),
                 path: fields[..j].to_vec(),
                 field: fields[j].clone(),
                 span,
-                is_store: store && j == fields.len() - 1,
-                // A `while` ordinal for now; `lower` makes it a loop one.
+                is_store,
+                // A `while` ordinal for now; `lower_at` makes it a loop one.
                 loop_ord: self.cur_while,
             });
-            self.emit(Event::Check(sid));
+            self.emit(Event::Check(site));
+            match src {
+                Some(src) if is_store => self.inst(Inst::Store {
+                    base: cur,
+                    src,
+                    site,
+                }),
+                _ => {
+                    let dst = self.fresh();
+                    self.inst(Inst::Load {
+                        dst,
+                        base: cur,
+                        site,
+                    });
+                    cur = dst;
+                }
+            }
         }
+        cur
     }
 
-    /// Lower an expression into events in evaluation order (left to
-    /// right, arguments before the call itself).
-    fn lower_expr(&mut self, e: &Expr) {
-        match e {
-            Expr::Int(_) | Expr::Null => {}
-            Expr::Var(v) => self.emit(Event::Use { var: v.clone() }),
-            Expr::Path { base, fields, span } => self.path(base, fields, *span, false),
+    /// A call's arguments left to right, then the call's event.
+    fn call_args(&mut self, func: &str, args: &[Expr], future: bool, span: Span) -> Vec<Reg> {
+        let regs = args.iter().map(|a| self.lower_expr(a)).collect();
+        self.recursive |= func == self.func.name;
+        self.emit(Event::Call {
+            func: func.to_string(),
+            future,
+            span,
+        });
+        regs
+    }
+
+    /// `dst = futurecall funcs[func](args…)` in `dst`'s future slot.
+    fn spawn(&mut self, dst: Reg, func: usize, args: Vec<Reg>) {
+        let next = self.future_slots.len();
+        let slot = *self.future_slots.entry(dst).or_insert(next);
+        self.inst(Inst::FutureCall {
+            dst,
+            slot,
+            func,
+            args,
+        });
+    }
+
+    /// `futurecall f(…)` of a program function as a whole statement: the
+    /// future stays pending in `dst`'s register (a fresh one when it is
+    /// spawned for effect) until a `touch` claims it. Lowers nothing and
+    /// returns false for any other expression.
+    fn spawn_stmt(&mut self, e: &Expr, dst: Option<&str>) -> bool {
+        let Expr::Call {
+            func,
+            args,
+            future: true,
+            span,
+        } = e
+        else {
+            return false;
+        };
+        let Some(&callee) = self.funcs.get(func.as_str()) else {
+            return false;
+        };
+        let args = self.call_args(func, args, true, *span);
+        let dst = match dst {
+            Some(v) => self.var(v),
+            None => self.fresh(),
+        };
+        self.spawn(dst, callee, args);
+        true
+    }
+
+    /// Lower an expression into events and instructions in evaluation
+    /// order (left to right, arguments before the call itself); returns
+    /// the register holding its value.
+    fn lower_expr(&mut self, e: &Expr) -> Reg {
+        let (dst, inst) = match e {
+            Expr::Var(v) => {
+                self.emit(Event::Use { var: v.clone() });
+                return self.var(v);
+            }
+            Expr::Path { base, fields, span } => return self.path(base, fields, *span, None),
+            Expr::Int(n) => {
+                let dst = self.fresh();
+                (dst, Inst::ConstInt { dst, val: *n })
+            }
+            Expr::Null => {
+                let dst = self.fresh();
+                (dst, Inst::ConstNull { dst })
+            }
             Expr::Call {
                 func,
                 args,
                 future,
                 span,
             } => {
-                for a in args {
-                    self.lower_expr(a);
+                let args = self.call_args(func, args, *future, *span);
+                let dst = self.fresh();
+                match self.funcs.get(func.as_str()) {
+                    // A future in expression position is claimed before
+                    // its value is used (typeck enforces
+                    // assignment-then-touch; this keeps stray shapes total).
+                    Some(&func) if *future => {
+                        self.spawn(dst, func, args);
+                        (
+                            dst,
+                            Inst::Touch {
+                                reg: dst,
+                                slot: None,
+                            },
+                        )
+                    }
+                    Some(&func) => (dst, Inst::Call { dst, func, args }),
+                    None => (
+                        dst,
+                        Inst::ExternCall {
+                            dst,
+                            hash: fnv1a(func),
+                            args,
+                        },
+                    ),
                 }
-                self.recursive |= *func == self.func.name;
-                self.emit(Event::Call {
-                    func: func.clone(),
-                    future: *future,
-                    span: *span,
-                });
             }
-            Expr::Binary { lhs, rhs, .. } => {
-                self.lower_expr(lhs);
-                self.lower_expr(rhs);
+            Expr::Binary { op, lhs, rhs } => {
+                let lhs = self.lower_expr(lhs);
+                let rhs = self.lower_expr(rhs);
+                let op = BinOp::parse(op).expect("the parser's binary operators");
+                let dst = self.fresh();
+                (dst, Inst::Bin { dst, op, lhs, rhs })
             }
-            Expr::Unary { arg, .. } => self.lower_expr(arg),
-        }
+            Expr::Unary { op, arg } => {
+                let arg = self.lower_expr(arg);
+                let op = UnOp::parse(op).expect("the parser's unary operators");
+                let dst = self.fresh();
+                (dst, Inst::Un { dst, op, arg })
+            }
+        };
+        self.inst(inst);
+        dst
     }
 
     /// Lower a statement list into the current block, creating successor
@@ -311,7 +465,11 @@ impl Builder<'_> {
             self.blocks[cur].stmts.push(idx);
             match s {
                 Stmt::Assign { dst, src, span } => {
-                    self.lower_expr(src);
+                    if !self.spawn_stmt(src, Some(dst)) {
+                        let src = self.lower_expr(src);
+                        let dst = self.var(dst);
+                        self.inst(Inst::Copy { dst, src });
+                    }
                     let future_of = match src {
                         Expr::Call {
                             func, future: true, ..
@@ -330,20 +488,22 @@ impl Builder<'_> {
                     src,
                     span,
                 } => {
-                    self.lower_expr(src);
-                    self.path(base, fields, *span, true);
+                    let src = self.lower_expr(src);
+                    self.path(base, fields, *span, Some(src));
                     self.emit(Event::Store {
                         field: fields.last().expect("store has a field").clone(),
                         span: *span,
                     });
                 }
                 Stmt::If { cond, then_, else_ } => {
-                    self.lower_expr(cond);
-                    let cond_end = self.cur;
+                    let cond = self.lower_expr(cond);
                     let then_b = self.new_block();
                     let else_b = self.new_block();
-                    self.edge(cond_end, then_b);
-                    self.edge(cond_end, else_b);
+                    self.blocks[cur].term = Term::Branch {
+                        cond,
+                        then_: then_b,
+                        else_: else_b,
+                    };
                     self.cur = then_b;
                     let ft_then = self.lower_stmts(then_);
                     let then_end = self.cur;
@@ -352,11 +512,10 @@ impl Builder<'_> {
                     let else_end = self.cur;
                     if ft_then || ft_else {
                         let merge = self.new_block();
-                        if ft_then {
-                            self.edge(then_end, merge);
-                        }
-                        if ft_else {
-                            self.edge(else_end, merge);
+                        for (ft, end) in [(ft_then, then_end), (ft_else, else_end)] {
+                            if ft {
+                                self.blocks[end].term = Term::Jump(merge);
+                            }
                         }
                         self.cur = merge;
                     } else {
@@ -375,33 +534,43 @@ impl Builder<'_> {
                     self.loops.push(lp);
                     let head = self.new_block();
                     self.blocks[head].loop_head = true;
-                    let prev = self.cur;
-                    self.edge(prev, head);
+                    self.blocks[cur].term = Term::Jump(head);
                     self.cur = head;
-                    self.lower_expr(cond);
+                    let cond = self.lower_expr(cond);
                     let body_b = self.new_block();
                     let exit_b = self.new_block();
-                    self.edge(head, body_b);
-                    self.edge(head, exit_b);
+                    self.blocks[head].term = Term::Branch {
+                        cond,
+                        then_: body_b,
+                        else_: exit_b,
+                    };
+                    self.blocks[body_b].trip = self.cur_while;
                     self.cur = body_b;
-                    let ft_body = self.lower_stmts(body);
-                    if ft_body {
+                    if self.lower_stmts(body) {
                         let body_end = self.cur;
-                        self.edge(body_end, head);
+                        self.blocks[body_end].term = Term::Jump(head);
                     }
                     self.cur = exit_b;
                     self.cur_while = outer;
                 }
-                Stmt::ExprStmt(e) => self.lower_expr(e),
-                Stmt::Touch { var, span } => self.emit(Event::Touch {
-                    var: var.clone(),
-                    span: *span,
-                }),
-                Stmt::Return(e) => {
-                    if let Some(e) = e {
+                Stmt::ExprStmt(e) => {
+                    // `futurecall f(…);` spawns and is never touched.
+                    if !self.spawn_stmt(e, None) {
                         self.lower_expr(e);
                     }
+                }
+                Stmt::Touch { var, span } => {
+                    self.emit(Event::Touch {
+                        var: var.clone(),
+                        span: *span,
+                    });
+                    let reg = self.var(var);
+                    self.inst(Inst::Touch { reg, slot: None });
+                }
+                Stmt::Return(e) => {
+                    let r = e.as_ref().map(|e| self.lower_expr(e));
                     self.emit(Event::Return);
+                    self.blocks[cur].term = Term::Ret(r);
                     falls = false;
                 }
             }
@@ -410,19 +579,27 @@ impl Builder<'_> {
     }
 }
 
-/// Lower one function to its CFG, its control loops numbered from 0.
-pub fn lower(func: &FuncDef) -> Cfg {
-    lower_at(func, 0)
+/// FNV-1a of an extern callee's name: the seed of its value hash.
+fn fnv1a(name: &str) -> u64 {
+    name.bytes().fold(0xcbf29ce484222325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x100000001b3)
+    })
 }
 
 /// Lower every function of a program, numbering control loops
 /// program-wide: each function's loops follow the previous function's.
 pub fn lower_program(prog: &Program) -> Vec<Cfg> {
+    let funcs: HashMap<&str, usize> = prog
+        .funcs
+        .iter()
+        .enumerate()
+        .map(|(i, f)| (f.name.as_str(), i))
+        .collect();
     let mut first = 0;
     prog.funcs
         .iter()
         .map(|f| {
-            let cfg = lower_at(f, first);
+            let cfg = lower_at(f, &funcs, first);
             first += cfg.loops.len();
             cfg
         })
@@ -430,9 +607,10 @@ pub fn lower_program(prog: &Program) -> Vec<Cfg> {
 }
 
 /// Lower `func` with its first control loop numbered `first`.
-fn lower_at(func: &FuncDef, first: usize) -> Cfg {
+fn lower_at(func: &FuncDef, funcs: &HashMap<&str, usize>, first: usize) -> Cfg {
     let mut b = Builder {
         func,
+        funcs,
         blocks: Vec::new(),
         sites: Vec::new(),
         cur: 0,
@@ -440,18 +618,35 @@ fn lower_at(func: &FuncDef, first: usize) -> Cfg {
         loops: Vec::new(),
         cur_while: None,
         recursive: false,
+        env: HashMap::new(),
+        nregs: 0,
+        future_slots: HashMap::new(),
     };
     b.new_block();
-    let falls = b.lower_stmts(&func.body);
-    if falls {
+    for p in &func.params {
+        let r = b.fresh();
+        b.env.insert(p.clone(), r);
+    }
+    if b.lower_stmts(&func.body) {
         let cur = b.cur;
         b.blocks[cur].events.push(Event::Return);
+        b.blocks[cur].term = Term::Ret(None);
+    }
+    // A touch can precede the futurecall it claims (across a loop's back
+    // edge), so touches take their slots once every call is lowered.
+    for inst in b.blocks.iter_mut().flat_map(|blk| &mut blk.insts) {
+        if let Inst::Touch { reg, slot } = inst {
+            *slot = b.future_slots.get(reg).copied();
+        }
     }
     // A direct self-call makes the function a recursion loop: its first
     // loop, enclosing every site and `while` outside another `while`.
     if b.recursive {
         for s in &mut b.sites {
             s.loop_ord = Some(s.loop_ord.map_or(0, |w| w + 1));
+        }
+        for t in b.blocks.iter_mut().filter_map(|blk| blk.trip.as_mut()) {
+            *t += 1;
         }
         for l in &mut b.loops {
             l.parent = Some(l.parent.map_or(LoopId(0), |p| LoopId(p.0 + 1)));
@@ -471,7 +666,10 @@ fn lower_at(func: &FuncDef, first: usize) -> Cfg {
         blocks: b.blocks,
         sites: b.sites,
         loops: b.loops.into_iter().map(Arc::new).collect(),
+        nregs: b.nregs,
+        nslots: b.future_slots.len(),
     };
+    cfg.link();
     cfg.prune();
     cfg
 }
@@ -479,9 +677,14 @@ fn lower_at(func: &FuncDef, first: usize) -> Cfg {
 impl Cfg {
     /// Reachability from the entry block.
     pub fn reachable(&self) -> Vec<bool> {
+        self.reachable_from(vec![0])
+    }
+
+    fn reachable_from(&self, mut stack: Vec<usize>) -> Vec<bool> {
         let mut seen = vec![false; self.blocks.len()];
-        let mut stack = vec![0usize];
-        seen[0] = true;
+        for &b in &stack {
+            seen[b] = true;
+        }
         while let Some(b) = stack.pop() {
             for &s in &self.blocks[b].succs {
                 if !seen[s] {
@@ -527,8 +730,24 @@ impl Cfg {
         out
     }
 
+    /// Derive every block's `succs` and `preds` from the terminators.
+    fn link(&mut self) {
+        for b in &mut self.blocks {
+            b.succs = b.term.succs();
+            b.preds.clear();
+        }
+        for from in 0..self.blocks.len() {
+            for k in 0..self.blocks[from].succs.len() {
+                let to = self.blocks[from].succs[k];
+                self.blocks[to].preds.push(from);
+            }
+        }
+    }
+
     /// Drop unreachable blocks that carry no events and no statements
-    /// (structural leftovers of lowering), renumbering the rest.
+    /// (structural leftovers of lowering), renumbering the rest. An edge
+    /// from dead code into a dropped block is cut: a branch keeps its
+    /// other target as a jump, and a block left with no target returns.
     fn prune(&mut self) {
         let reach = self.reachable();
         let keep: Vec<bool> = self
@@ -548,32 +767,34 @@ impl Cfg {
                 next += 1;
             }
         }
+        let to = |t: usize| keep[t].then(|| remap[t]);
         let old = std::mem::take(&mut self.blocks);
         for (i, mut b) in old.into_iter().enumerate() {
             if !keep[i] {
                 continue;
             }
             b.id = remap[i];
-            b.succs = b
-                .succs
-                .iter()
-                .filter(|&&s| keep[s])
-                .map(|&s| remap[s])
-                .collect();
-            b.preds = b
-                .preds
-                .iter()
-                .filter(|&&p| keep[p])
-                .map(|&p| remap[p])
-                .collect();
+            b.term = match b.term {
+                Term::Jump(t) => to(t).map_or(Term::Ret(None), Term::Jump),
+                Term::Branch { cond, then_, else_ } => match (to(then_), to(else_)) {
+                    (Some(then_), Some(else_)) => Term::Branch { cond, then_, else_ },
+                    (Some(t), None) | (None, Some(t)) => Term::Jump(t),
+                    (None, None) => Term::Ret(None),
+                },
+                ret => ret,
+            };
             self.blocks.push(b);
         }
+        self.link();
     }
 
     /// Structural invariants, checked against the source function:
     /// 1. every AST statement lands in exactly one block;
-    /// 2. all blocks are reachable from the entry;
-    /// 3. DFS back edges target only loop-head blocks.
+    /// 2. every block is reachable from the entry or from dead code: a
+    ///    block no edge enters that holds statements (those after a
+    ///    `return`, which pruning keeps);
+    /// 3. DFS back edges target only loop-head blocks;
+    /// 4. every edge is mirrored in its target's `preds`.
     pub fn check_well_formed(&self, func: &FuncDef) -> Result<(), String> {
         let mut count = 0usize;
         crate::ast::walk_stmts(&func.body, &mut |_| count += 1);
@@ -590,9 +811,16 @@ impl Cfg {
                 self.func, count, placed
             ));
         }
-        let reach = self.reachable();
+        let roots = self
+            .blocks
+            .iter()
+            .filter(|b| b.id == 0 || (b.preds.is_empty() && !b.stmts.is_empty()));
+        let reach = self.reachable_from(roots.map(|b| b.id).collect());
         if let Some(b) = reach.iter().position(|&r| !r) {
-            return Err(format!("{}: block {} unreachable", self.func, b));
+            return Err(format!(
+                "{}: block {} unreachable from the entry and from dead code",
+                self.func, b
+            ));
         }
         for (from, to) in self.back_edges() {
             if !self.blocks[to].loop_head {
@@ -620,7 +848,11 @@ mod tests {
 
     fn cfgs(src: &str) -> Vec<(FuncDef, Cfg)> {
         let prog = parse(src).unwrap();
-        prog.funcs.iter().map(|f| (f.clone(), lower(f))).collect()
+        prog.funcs
+            .iter()
+            .cloned()
+            .zip(lower_program(&prog))
+            .collect()
     }
 
     const TORTURE_SRC: &str = r#"
@@ -906,19 +1138,41 @@ mod tests {
 
     #[test]
     fn dead_code_after_return_keeps_statement_invariant() {
-        let (f, cfg) = cfgs(
-            r#"
-            struct t { t *n; };
-            int f(t *p) { return 0; int x = 1; return x; }
-        "#,
-        )
-        .pop()
-        .unwrap();
-        // Statement coverage still holds; reachability is allowed to fail
-        // (dead code), so check the first invariant directly.
-        let mut count = 0usize;
-        crate::ast::walk_stmts(&f.body, &mut |_| count += 1);
-        let placed: usize = cfg.blocks.iter().map(|b| b.stmts.len()).sum();
-        assert_eq!(placed, count);
+        // Dead code keeps its statements (and check sites) in blocks no
+        // edge enters, and the graph is still well formed.
+        for src in [
+            "struct t { t *n; int v; }; int f(t *p) { return 0; int x = p->v; return x; }",
+            "struct t { t *n; int v; }; int f(t *p, int c) { if (c) { return 1; } else { return 2; } return p->v; }",
+            "struct t { t *n; }; int f(t *p, int c) { while (c) { if (c) { return 1; c = 2; } else { return 2; } } return 0; }",
+            "struct t { t *n; }; int f(t *p, int c) { return 1; if (c) { } c = 2; return c; }",
+        ] {
+            let (f, cfg) = cfgs(src).pop().unwrap();
+            cfg.check_well_formed(&f).unwrap_or_else(|e| panic!("{src}: {e}"));
+            assert!(cfg.reachable().contains(&false), "{src}: has dead code");
+        }
+    }
+
+    #[test]
+    fn orphaned_statement_free_block_is_malformed() {
+        // Cut the jump into a loop head: the head holds no statement, so
+        // nothing but a lost edge can explain its being unreachable.
+        let prog = parse("void f(int c) { while (c) { c = c - 1; } }").unwrap();
+        let mut cfg = lower_program(&prog).pop().unwrap();
+        cfg.blocks[0].term = Term::Ret(None);
+        cfg.link();
+        let err = cfg.check_well_formed(&prog.funcs[0]).unwrap_err();
+        assert!(err.contains("unreachable"), "{err}");
+    }
+
+    #[test]
+    fn edges_are_the_terminators_targets() {
+        for (_, cfg) in cfgs(TORTURE_SRC) {
+            for b in &cfg.blocks {
+                assert_eq!(b.succs, b.term.succs(), "{} block {}", cfg.func, b.id);
+                for &p in &b.preds {
+                    assert!(cfg.blocks[p].succs.contains(&b.id));
+                }
+            }
+        }
     }
 }

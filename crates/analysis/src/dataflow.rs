@@ -169,6 +169,8 @@ mod tests {
             blocks,
             sites: Vec::new(),
             loops: Vec::new(),
+            nregs: 0,
+            nslots: 0,
         }
     }
 

@@ -1,6 +1,8 @@
 //! The executable IR: flattened basic blocks over gptr loads and stores.
 //!
-//! [`crate::lower::lower_ir`] lowers a type-checked DSL program into this
+//! The CFG lowering ([`crate::cfg`]) emits each block's instructions and
+//! terminator in the same walk that records its events and check sites;
+//! [`crate::lower::lower_ir`] assembles them, with the verdicts, into this
 //! form; `olden_runtime::interp` executes it against any `Backend`. The
 //! IR is deliberately tiny — a register machine whose only memory
 //! operations are the DSL's pointer-path loads and stores, plus
@@ -13,12 +15,12 @@
 //! 1. **Site identity.** `IrFunc::sites` lists one [`IrSite`] per pointer
 //!    check, *in evaluation order*, and each carries the index of its
 //!    verdict in [`crate::MechTable::sites`] — the verdict resolved for
-//!    the same [`crate::cfg::Site`] the optimizer reasons about. Lowering
-//!    renders each site it emits and fails rather than guess if the
-//!    rendering ever disagrees with that verdict's.
-//! 2. **Trip identity.** Loop-head blocks carry the
-//!    [`crate::cfg::loop_key`] of their control loop, and recursive
-//!    functions carry their recursion loop's key, so an interpreter can
+//!    the same [`crate::cfg::Site`] the optimizer reasons about: the
+//!    instruction and the site are emitted together, so the `k`-th site of
+//!    a function is its `k`-th [`crate::cfg::Cfg::sites`] entry.
+//! 2. **Trip identity.** A `while` body's entry block carries the slot
+//!    of its control loop's [`crate::cfg::loop_key`], and recursive
+//!    functions carry their recursion loop's, so an interpreter can
 //!    measure the per-loop trip counts the static cost model
 //!    ([`crate::predict`]) takes as input — making predictions and
 //!    executions directly comparable.
@@ -128,6 +130,16 @@ pub enum UnOp {
     Not,
 }
 
+impl UnOp {
+    pub fn parse(op: &str) -> Option<UnOp> {
+        match op {
+            "-" => Some(UnOp::Neg),
+            "!" => Some(UnOp::Not),
+            _ => None,
+        }
+    }
+}
+
 /// Instructions. `Load`/`Store` are the only heap operations; `site`
 /// indexes the enclosing function's [`IrFunc::sites`].
 #[derive(Clone, Debug)]
@@ -180,7 +192,7 @@ pub enum Inst {
     Touch { reg: Reg, slot: Option<usize> },
 }
 
-/// Block terminators.
+/// Block terminators: a block's outgoing edges, in successor order.
 #[derive(Clone, Debug)]
 pub enum Term {
     Jump(BlockId),
@@ -190,6 +202,24 @@ pub enum Term {
         else_: BlockId,
     },
     Ret(Option<Reg>),
+}
+
+impl Default for Term {
+    /// A block no walk has terminated returns nothing.
+    fn default() -> Term {
+        Term::Ret(None)
+    }
+}
+
+impl Term {
+    /// The blocks control can pass to, in order.
+    pub fn succs(&self) -> Vec<BlockId> {
+        match *self {
+            Term::Jump(to) => vec![to],
+            Term::Branch { then_, else_, .. } => vec![then_, else_],
+            Term::Ret(_) => Vec::new(),
+        }
+    }
 }
 
 /// One basic block.

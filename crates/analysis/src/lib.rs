@@ -52,7 +52,7 @@ pub mod verdicts;
 pub mod verify;
 
 pub use ast::{Expr, FieldDef, FuncDef, Program, Stmt, StructDef, TypeAnn};
-pub use cfg::{loop_key, lower, lower_program, Cfg, ControlLoop, LoopId, LoopKind};
+pub use cfg::{loop_key, lower_program, Cfg, ControlLoop, LoopId, LoopKind};
 pub use cost::{loop_keys, predict, Prediction};
 pub use dataflow::{solve, Analysis, Direction, Solution};
 pub use diag::{Diagnostic, Severity, Span};

@@ -1,34 +1,21 @@
-//! AST → executable-IR lowering.
+//! Executable-IR assembly.
 //!
-//! [`lower_ir`] flattens a type-checked [`Program`] into
-//! [`IrProgram`] basic blocks, in the CFG lowering's evaluation order:
-//! for a path `base->f1->…->fk`, one check site per arrow in navigation
-//! order; for a store, the source expression first, then the destination
-//! path with `is_store` on the final arrow; `if` conditions before
-//! branches; `while` conditions in the loop head, re-evaluated per
-//! iteration; call arguments left to right; binary operands left before
-//! right.
-//!
-//! The [`MechTable`] holds one verdict per [`crate::cfg::Site`] in that
-//! same order, so the `k`-th check site lowered within a function claims
-//! the function's `k`-th verdict: the emitted [`IrSite`] records the
-//! verdict's index and mechanism, and lowering returns an error rather
-//! than guess if its rendering of the site ever disagrees with the
-//! verdict's. A function's trip slots are the program-wide ids of its
-//! own control loops ([`crate::cfg::Cfg::loops`]). The IR interpreter
-//! thereby honors the live olden-select verdicts without any name-based
-//! lookup at run time. The same holds for futures and externs:
-//! each register a `futurecall` writes gets a future slot, every `touch`
-//! of it names that slot, and each extern call carries its callee name's
-//! hash, so the interpreter indexes instead of looking anything up.
+//! The CFG lowering ([`crate::cfg`]) is the one walk over a function's
+//! statements: it decides evaluation order once and emits each block's
+//! events, check sites and IR instructions together. [`lower_ir`] reads
+//! no statement. It assigns field slots, pairs each CFG site with its
+//! verdict in the [`MechTable`] (which holds one per site, in the same
+//! order), copies the blocks with the trip slots of their control loops
+//! ([`crate::cfg::Cfg::loops`]), and marks directly-recursive functions
+//! with their recursion loop's slot. The IR interpreter thereby honors
+//! the live olden-select verdicts without any name-based lookup at run
+//! time; future slots and extern-callee hashes are likewise fixed while
+//! the CFG is lowered.
 
-use crate::ast::{Expr, FuncDef, Program, Stmt};
-use crate::cfg::{Cfg, LoopKind};
-use crate::ir::{
-    BinOp, BlockId, Inst, IrBlock, IrField, IrFunc, IrProgram, IrSite, IrStruct, IrTy, Reg, Term,
-    UnOp,
-};
-use crate::verdicts::{lowered, mech_table, MechTable, SiteVerdict};
+use crate::ast::Program;
+use crate::cfg::LoopKind;
+use crate::ir::{IrBlock, IrField, IrFunc, IrProgram, IrSite, IrStruct, IrTy};
+use crate::verdicts::{lowered, mech_table, MechTable};
 use std::collections::HashMap;
 
 /// Global field layout: the DSL treats field names as program-global
@@ -74,13 +61,11 @@ impl FieldMap {
     }
 }
 
-fn lower_structs(prog: &Program, fields: &FieldMap) -> Vec<IrStruct> {
-    let struct_idx: HashMap<&str, usize> = prog
-        .structs
-        .iter()
-        .enumerate()
-        .map(|(i, s)| (s.name.as_str(), i))
-        .collect();
+fn lower_structs(
+    prog: &Program,
+    fields: &FieldMap,
+    struct_idx: &HashMap<&str, usize>,
+) -> Vec<IrStruct> {
     prog.structs
         .iter()
         .map(|s| {
@@ -109,497 +94,70 @@ fn lower_structs(prog: &Program, fields: &FieldMap) -> Vec<IrStruct> {
         .collect()
 }
 
-/// Per-function lowering state.
-struct FnLower<'a> {
-    fields: &'a FieldMap,
-    func_idx: &'a HashMap<&'a str, usize>,
-    func: &'a FuncDef,
-    env: HashMap<String, Reg>,
-    nregs: usize,
-    blocks: Vec<BlockBuf>,
-    cur: BlockId,
-    sites: Vec<IrSite>,
-    /// This function's verdicts with their table indices, in table
-    /// order; `next_verdict` walks it.
-    verdicts: Vec<(usize, &'a SiteVerdict)>,
-    next_verdict: usize,
-    /// Global trip-key slots of this function's `while` loops, consumed
-    /// in pre-order as lowering encounters them — the CFG lowering's
-    /// order, which the count at the end checks.
-    while_slots: Vec<usize>,
-    next_while: usize,
-    /// Future slot of each register some `FutureCall` writes.
-    future_slots: HashMap<Reg, usize>,
-}
-
-struct BlockBuf {
-    insts: Vec<Inst>,
-    term: Option<Term>,
-    trip_slot: Option<usize>,
-}
-
-impl<'a> FnLower<'a> {
-    fn fresh(&mut self) -> Reg {
-        let r = self.nregs;
-        self.nregs += 1;
-        r
-    }
-
-    fn var(&mut self, name: &str) -> Reg {
-        if let Some(&r) = self.env.get(name) {
-            return r;
-        }
-        let r = self.fresh();
-        self.env.insert(name.to_string(), r);
-        r
-    }
-
-    fn emit(&mut self, inst: Inst) {
-        self.blocks[self.cur].insts.push(inst);
-    }
-
-    /// Emit `dst = futurecall funcs[func](args…)` in `dst`'s future slot.
-    fn emit_future(&mut self, dst: Reg, func: usize, args: Vec<Reg>) {
-        let next = self.future_slots.len();
-        let slot = *self.future_slots.entry(dst).or_insert(next);
-        self.emit(Inst::FutureCall {
-            dst,
-            slot,
-            func,
-            args,
-        });
-    }
-
-    fn new_block(&mut self) -> BlockId {
-        self.blocks.push(BlockBuf {
-            insts: Vec::new(),
-            term: None,
-            trip_slot: None,
-        });
-        self.blocks.len() - 1
-    }
-
-    fn terminate(&mut self, term: Term) {
-        if self.blocks[self.cur].term.is_none() {
-            self.blocks[self.cur].term = Some(term);
-        }
-    }
-
-    /// Claim the next verdict for a site and cross-check its rendering.
-    fn site(
-        &mut self,
-        base: &str,
-        prefix: &[String],
-        field: &str,
-        is_store: bool,
-    ) -> Result<usize, String> {
-        let &(verdict, v) = self.verdicts.get(self.next_verdict).ok_or_else(|| {
-            format!(
-                "{}: lowering produced more check sites than the mech table has verdicts \
-                 (at {base}->{field})",
-                self.func.name
-            )
-        })?;
-        self.next_verdict += 1;
-        let mut rendered = String::from(base);
-        for p in prefix {
-            rendered.push_str("->");
-            rendered.push_str(p);
-        }
-        rendered.push_str("->");
-        rendered.push_str(field);
-        if v.site != rendered || v.is_store != is_store {
-            return Err(format!(
-                "{}: site stream out of sync with mech table: lowered {rendered} \
-                 (store={is_store}), table has {} (store={})",
-                self.func.name, v.site, v.is_store
-            ));
-        }
-        let info = self.fields.info(field);
-        self.sites.push(IrSite {
-            verdict,
-            mech: v.mech,
-            field: info.word,
-            loads_ptr: info.is_pointer,
-            is_store,
-        });
-        Ok(self.sites.len() - 1)
-    }
-
-    fn lower_expr(&mut self, e: &Expr) -> Result<Reg, String> {
-        match e {
-            Expr::Int(n) => {
-                let dst = self.fresh();
-                self.emit(Inst::ConstInt { dst, val: *n });
-                Ok(dst)
-            }
-            Expr::Null => {
-                let dst = self.fresh();
-                self.emit(Inst::ConstNull { dst });
-                Ok(dst)
-            }
-            Expr::Var(v) => Ok(self.var(v)),
-            Expr::Path { base, fields, .. } => {
-                let mut cur = self.var(base);
-                for (i, f) in fields.iter().enumerate() {
-                    let site = self.site(base, &fields[..i], f, false)?;
-                    let dst = self.fresh();
-                    self.emit(Inst::Load {
-                        dst,
-                        base: cur,
-                        site,
-                    });
-                    cur = dst;
-                }
-                Ok(cur)
-            }
-            Expr::Call {
-                func, args, future, ..
-            } => {
-                let arg_regs = args
-                    .iter()
-                    .map(|a| self.lower_expr(a))
-                    .collect::<Result<Vec<_>, _>>()?;
-                let dst = self.fresh();
-                match self.func_idx.get(func.as_str()) {
-                    Some(&fi) if *future => {
-                        // A future in expression position must be claimed
-                        // before its value can be used (typeck enforces
-                        // assignment-then-touch; this keeps stray shapes
-                        // total).
-                        self.emit_future(dst, fi, arg_regs);
-                        self.emit(Inst::Touch {
-                            reg: dst,
-                            slot: None,
-                        });
-                    }
-                    Some(&fi) => self.emit(Inst::Call {
-                        dst,
-                        func: fi,
-                        args: arg_regs,
-                    }),
-                    None => self.emit(Inst::ExternCall {
-                        dst,
-                        hash: fnv1a(func),
-                        args: arg_regs,
-                    }),
-                }
-                Ok(dst)
-            }
-            Expr::Binary { op, lhs, rhs } => {
-                let l = self.lower_expr(lhs)?;
-                let r = self.lower_expr(rhs)?;
-                let bop = BinOp::parse(op)
-                    .ok_or_else(|| format!("{}: unknown binary op {op:?}", self.func.name))?;
-                let dst = self.fresh();
-                self.emit(Inst::Bin {
-                    dst,
-                    op: bop,
-                    lhs: l,
-                    rhs: r,
-                });
-                Ok(dst)
-            }
-            Expr::Unary { op, arg } => {
-                let a = self.lower_expr(arg)?;
-                let uop = match op.as_str() {
-                    "-" => UnOp::Neg,
-                    "!" => UnOp::Not,
-                    other => return Err(format!("{}: unknown unary op {other:?}", self.func.name)),
-                };
-                let dst = self.fresh();
-                self.emit(Inst::Un {
-                    dst,
-                    op: uop,
-                    arg: a,
-                });
-                Ok(dst)
-            }
-        }
-    }
-
-    fn lower_stmts(&mut self, stmts: &[Stmt]) -> Result<(), String> {
-        for s in stmts {
-            self.lower_stmt(s)?;
-        }
-        Ok(())
-    }
-
-    fn lower_stmt(&mut self, s: &Stmt) -> Result<(), String> {
-        match s {
-            Stmt::Assign { dst, src, .. } => {
-                // `x = futurecall f(...)`: the variable holds the pending
-                // future until `touch x` claims it.
-                if let Expr::Call {
-                    func,
-                    args,
-                    future: true,
-                    ..
-                } = src
-                {
-                    if let Some(&fi) = self.func_idx.get(func.as_str()) {
-                        let arg_regs = args
-                            .iter()
-                            .map(|a| self.lower_expr(a))
-                            .collect::<Result<Vec<_>, _>>()?;
-                        let dreg = self.var(dst);
-                        self.emit_future(dreg, fi, arg_regs);
-                        return Ok(());
-                    }
-                }
-                let r = self.lower_expr(src)?;
-                let dreg = self.var(dst);
-                self.emit(Inst::Copy { dst: dreg, src: r });
-                Ok(())
-            }
-            Stmt::Store {
-                base, fields, src, ..
-            } => {
-                let r = self.lower_expr(src)?;
-                let mut cur = self.var(base);
-                let last = fields.len() - 1;
-                for (i, f) in fields.iter().enumerate() {
-                    if i < last {
-                        let site = self.site(base, &fields[..i], f, false)?;
-                        let dst = self.fresh();
-                        self.emit(Inst::Load {
-                            dst,
-                            base: cur,
-                            site,
-                        });
-                        cur = dst;
-                    } else {
-                        let site = self.site(base, &fields[..i], f, true)?;
-                        self.emit(Inst::Store {
-                            base: cur,
-                            src: r,
-                            site,
-                        });
-                    }
-                }
-                Ok(())
-            }
-            Stmt::If { cond, then_, else_ } => {
-                let c = self.lower_expr(cond)?;
-                let then_b = self.new_block();
-                let else_b = self.new_block();
-                let merge = self.new_block();
-                self.terminate(Term::Branch {
-                    cond: c,
-                    then_: then_b,
-                    else_: else_b,
-                });
-                self.cur = then_b;
-                self.lower_stmts(then_)?;
-                self.terminate(Term::Jump(merge));
-                self.cur = else_b;
-                self.lower_stmts(else_)?;
-                self.terminate(Term::Jump(merge));
-                self.cur = merge;
-                Ok(())
-            }
-            Stmt::While { cond, body } => {
-                // Consume this loop's trip slot *before* descending, so
-                // nested loops take later slots — the CFG lowering
-                // numbers `while`s pre-order.
-                let slot = self.while_slots.get(self.next_while).copied();
-                self.next_while += 1;
-                let head = self.new_block();
-                self.terminate(Term::Jump(head));
-                self.cur = head;
-                let c = self.lower_expr(cond)?;
-                let body_b = self.new_block();
-                self.blocks[body_b].trip_slot = slot;
-                let exit = self.new_block();
-                // The condition may span several blocks (it cannot today:
-                // conditions are expressions without control flow — but
-                // terminate from wherever lowering ended up).
-                self.terminate(Term::Branch {
-                    cond: c,
-                    then_: body_b,
-                    else_: exit,
-                });
-                self.cur = body_b;
-                self.lower_stmts(body)?;
-                self.terminate(Term::Jump(head));
-                self.cur = exit;
-                Ok(())
-            }
-            Stmt::ExprStmt(e) => {
-                // `futurecall f(...);` for effect: spawn and never touch
-                // (fire-and-forget), exactly what the DSL wrote.
-                if let Expr::Call {
-                    func,
-                    args,
-                    future: true,
-                    ..
-                } = e
-                {
-                    if let Some(&fi) = self.func_idx.get(func.as_str()) {
-                        let arg_regs = args
-                            .iter()
-                            .map(|a| self.lower_expr(a))
-                            .collect::<Result<Vec<_>, _>>()?;
-                        let dst = self.fresh();
-                        self.emit_future(dst, fi, arg_regs);
-                        return Ok(());
-                    }
-                }
-                self.lower_expr(e)?;
-                Ok(())
-            }
-            Stmt::Touch { var, .. } => {
-                let r = self.var(var);
-                self.emit(Inst::Touch { reg: r, slot: None });
-                Ok(())
-            }
-            Stmt::Return(e) => {
-                let r = match e {
-                    Some(e) => Some(self.lower_expr(e)?),
-                    None => None,
-                };
-                self.terminate(Term::Ret(r));
-                // Dead code after a return still lowers (and still
-                // consumes verdicts — the CFG lowering records its sites).
-                self.cur = self.new_block();
-                Ok(())
-            }
-        }
-    }
-}
-
-fn lower_func(
-    prog: &Program,
-    fields: &FieldMap,
-    func_idx: &HashMap<&str, usize>,
-    func: &FuncDef,
-    verdicts: Vec<(usize, &SiteVerdict)>,
-    cfg: &Cfg,
-) -> Result<IrFunc, String> {
-    let mut rec_slot = None;
-    let mut while_slots = Vec::new();
-    for l in &cfg.loops {
-        match l.kind {
-            LoopKind::Recursion => rec_slot = Some(l.id.0),
-            LoopKind::While { .. } => while_slots.push(l.id.0),
-        }
-    }
-    let mut lw = FnLower {
-        fields,
-        func_idx,
-        func,
-        env: HashMap::new(),
-        nregs: 0,
-        blocks: Vec::new(),
-        cur: 0,
-        sites: Vec::new(),
-        verdicts,
-        next_verdict: 0,
-        while_slots,
-        next_while: 0,
-        future_slots: HashMap::new(),
-    };
-    lw.new_block();
-    for p in &func.params {
-        let r = lw.fresh();
-        lw.env.insert(p.clone(), r);
-    }
-    lw.lower_stmts(&func.body)?;
-    lw.terminate(Term::Ret(None));
-    if lw.next_verdict != lw.verdicts.len() {
+/// Assemble `prog`'s executable IR from its CFGs, whose blocks already
+/// hold their instructions and terminators, and from `table`, which holds
+/// one verdict per CFG site in order: the `k`-th site of a function whose
+/// sites start at table index `first` executes under verdict `first + k`.
+/// Fails only when `table` has another site count than the CFGs (a table
+/// of another program).
+pub fn lower_ir(prog: &Program, table: &MechTable) -> Result<IrProgram, String> {
+    let cfgs = &lowered(prog).1;
+    let sites: usize = cfgs.iter().map(|c| c.sites.len()).sum();
+    if sites != table.sites.len() {
         return Err(format!(
-            "{}: mech table has {} verdicts but lowering consumed {}",
-            func.name,
-            lw.verdicts.len(),
-            lw.next_verdict
+            "the program's CFGs have {sites} check sites but the mech table has {} verdicts",
+            table.sites.len()
         ));
     }
-    if lw.next_while != lw.while_slots.len() {
-        return Err(format!(
-            "{}: the CFG lowering found {} while loop(s) but this lowering saw {}",
-            func.name,
-            lw.while_slots.len(),
-            lw.next_while
-        ));
-    }
+    let fields = FieldMap::build(prog);
     let struct_idx: HashMap<&str, usize> = prog
         .structs
         .iter()
         .enumerate()
         .map(|(i, s)| (s.name.as_str(), i))
         .collect();
-    let params = func
-        .param_tys
-        .iter()
-        .map(|t| match struct_idx.get(t.name.as_str()) {
-            Some(&si) if t.is_pointer => IrTy::Ptr(si),
-            _ => IrTy::Int,
-        })
-        .collect();
-    let returns_value = func.ret.name != "void" || func.ret.is_pointer;
-    // A touch can precede the futurecall it claims (across a loop's back
-    // edge), so touches take their slots once every call is lowered.
-    let slots = &lw.future_slots;
-    let blocks = lw
-        .blocks
-        .into_iter()
-        .map(|mut b| {
-            for inst in &mut b.insts {
-                if let Inst::Touch { reg, slot } = inst {
-                    *slot = slots.get(reg).copied();
-                }
-            }
-            IrBlock {
-                insts: b.insts,
-                term: b.term.unwrap_or(Term::Ret(None)),
-                trip_slot: b.trip_slot,
-            }
-        })
-        .collect();
-    Ok(IrFunc {
-        name: func.name.clone(),
-        params,
-        returns_value,
-        nregs: lw.nregs,
-        nslots: slots.len(),
-        blocks,
-        sites: lw.sites,
-        rec_slot,
-    })
-}
-
-/// FNV-1a of an extern callee's name: the seed of its value hash.
-fn fnv1a(name: &str) -> u64 {
-    name.bytes().fold(0xcbf29ce484222325, |h, b| {
-        (h ^ u64::from(b)).wrapping_mul(0x100000001b3)
-    })
-}
-
-/// Lower a program against its live mechanism table. Fails (never
-/// guesses) if the lowered site stream disagrees with the table — which
-/// would mean this lowering and the CFG lowering no longer share an
-/// evaluation order.
-pub fn lower_ir(prog: &Program, table: &MechTable) -> Result<IrProgram, String> {
-    let fields = FieldMap::build(prog);
-    let structs = lower_structs(prog, &fields);
-    let func_idx: HashMap<&str, usize> = prog
-        .funcs
-        .iter()
-        .enumerate()
-        .map(|(i, f)| (f.name.as_str(), i))
-        .collect();
-    let trip_keys = table.selection.loops.iter().map(|c| c.cl.key()).collect();
-
     let mut funcs = Vec::new();
-    let mut verdicts = table.sites.iter().enumerate();
-    for (f, cfg) in prog.funcs.iter().zip(&lowered(prog).1) {
-        let verdicts = verdicts.by_ref().take(cfg.sites.len()).collect();
-        funcs.push(lower_func(prog, &fields, &func_idx, f, verdicts, cfg)?);
+    let mut first = 0;
+    for (func, cfg) in prog.funcs.iter().zip(cfgs) {
+        let sites = cfg.sites.iter().enumerate().map(|(k, s)| {
+            let info = fields.info(&s.field);
+            IrSite {
+                verdict: first + k,
+                mech: table.sites[first + k].mech,
+                field: info.word,
+                loads_ptr: info.is_pointer,
+                is_store: s.is_store,
+            }
+        });
+        let blocks = cfg.blocks.iter().map(|b| IrBlock {
+            insts: b.insts.clone(),
+            term: b.term.clone(),
+            trip_slot: b.trip.map(|l| cfg.loops[l].id.0),
+        });
+        let params = func
+            .param_tys
+            .iter()
+            .map(|t| match struct_idx.get(t.name.as_str()) {
+                Some(&si) if t.is_pointer => IrTy::Ptr(si),
+                _ => IrTy::Int,
+            });
+        let rec = cfg.loops.iter().find(|l| l.kind == LoopKind::Recursion);
+        funcs.push(IrFunc {
+            name: func.name.clone(),
+            params: params.collect(),
+            returns_value: func.ret.name != "void" || func.ret.is_pointer,
+            nregs: cfg.nregs,
+            nslots: cfg.nslots,
+            blocks: blocks.collect(),
+            sites: sites.collect(),
+            rec_slot: rec.map(|l| l.id.0),
+        });
+        first += cfg.sites.len();
     }
     Ok(IrProgram {
-        structs,
+        structs: lower_structs(prog, &fields, &struct_idx),
         funcs,
-        trip_keys,
+        trip_keys: table.selection.loops.iter().map(|c| c.cl.key()).collect(),
     })
 }
 
@@ -620,6 +178,7 @@ pub fn compile(src: &str) -> Result<(Program, MechTable, IrProgram), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ast::Expr;
     use crate::gen::gen_program;
     use crate::ir::Inst;
 
@@ -644,6 +203,22 @@ mod tests {
             let mechs = ir.funcs.iter().flat_map(|f| &f.sites).map(|s| s.mech);
             assert!(mechs.eq(table.sites.iter().map(|v| v.mech)), "seed {seed}");
         }
+    }
+
+    /// The one error left: a table of another program, with another site
+    /// count, is refused, naming both counts.
+    #[test]
+    fn another_programs_table_is_refused() {
+        let p = crate::parse("struct n { n *next; int v; }\nint f(n *p) { return p->next->v; }\n")
+            .unwrap();
+        let q =
+            crate::parse("struct n { n *next; int v; }\nint f(n *p) { return p->v; }\n").unwrap();
+        let err = lower_ir(&p, mech_table(&q)).unwrap_err();
+        assert!(
+            err.contains("2 check sites") && err.contains("1 verdicts"),
+            "{err}"
+        );
+        assert!(lower_ir(&p, mech_table(&p)).is_ok());
     }
 
     /// Trip keys are the cost model's loop keys, and every while body

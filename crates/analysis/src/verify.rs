@@ -10,9 +10,10 @@
 //!   idempotent after one round.
 //! * **Typecheck** — generated programs are well-typed by construction;
 //!   the typechecker must agree.
-//! * **Totality** — every pass (racecheck, CFG lowering +
-//!   `check_well_formed`, the optimizer, the §4 heuristic, the verdict
-//!   table, the cost model) terminates without panicking.
+//! * **Totality** — every pass (racecheck, CFG lowering, which emits
+//!   the IR's instructions too, + `check_well_formed`, the optimizer, the
+//!   §4 heuristic, the verdict table, the cost model) terminates without
+//!   panicking.
 //! * **Order independence** — a clone analysed scheme-first derives the
 //!   same scheme, optimizer report and race findings as the program.
 //! * **Consistency** — the optimizer and that clone's `MechTable` agree
@@ -236,9 +237,9 @@ fn check_program(p: &Program, cov: &mut Coverage) -> Check {
     // Totality of every downstream pass.
     let races = total("racecheck", || racecheck(p))?;
     cov.oracle_checks += 1;
-    for f in &p.funcs {
-        let cfgv = total("cfg-lower", || cfg::lower(f))?;
-        cov.oracle_checks += 1;
+    let cfgs = total("cfg-lower", || cfg::lower_program(p))?;
+    cov.oracle_checks += 1;
+    for (f, cfgv) in p.funcs.iter().zip(&cfgs) {
         if let Err(e) = cfgv.check_well_formed(f) {
             return Err(("well-formed", e));
         }

@@ -230,12 +230,11 @@ mod tests {
     /// are only as trustworthy as the graphs it solves over.
     #[test]
     fn every_benchmark_dsl_lowers_to_well_formed_cfgs() {
-        use olden_analysis::{lower, parse};
+        use olden_analysis::{lower_program, parse};
         for d in all() {
             let prog = parse(d.dsl).unwrap_or_else(|e| panic!("{} DSL: {e}", d.name));
             assert!(!prog.funcs.is_empty(), "{} DSL has no functions", d.name);
-            for f in &prog.funcs {
-                let cfg = lower(f);
+            for (f, cfg) in prog.funcs.iter().zip(lower_program(&prog)) {
                 cfg.check_well_formed(f)
                     .unwrap_or_else(|e| panic!("{} fn {}: {e}", d.name, f.name));
             }

@@ -95,9 +95,8 @@ fn racy_corpus_typechecks_and_is_well_formed() {
             diags.iter().map(|d| d.one_line()).collect::<Vec<_>>()
         );
         let p = parse(seed.dsl).unwrap();
-        for f in &p.funcs {
-            cfg::lower(f)
-                .check_well_formed(f)
+        for (f, cfg) in p.funcs.iter().zip(cfg::lower_program(&p)) {
+            cfg.check_well_formed(f)
                 .unwrap_or_else(|e| panic!("{}: {e}", seed.name));
         }
         verify_source(seed.name, seed.dsl, &mut cov)

@@ -26,22 +26,17 @@ pub struct Schedule {
     pub busy: Vec<u64>,
     /// Completion time of the whole computation.
     pub makespan: u64,
+    /// The DAG's [`critical_path`], from the same successor lists.
+    pub critical_path: u64,
 }
 
 impl Schedule {
     /// Per-processor utilization: `busy[p] / makespan`, in `[0, 1]`.
     /// All-zero when the makespan is zero (an empty trace).
     pub fn utilization(&self) -> Vec<f64> {
-        self.busy
-            .iter()
-            .map(|&b| {
-                if self.makespan == 0 {
-                    0.0
-                } else {
-                    b as f64 / self.makespan as f64
-                }
-            })
-            .collect()
+        // A zero makespan means zero busy cycles everywhere.
+        let makespan = self.makespan.max(1) as f64;
+        self.busy.iter().map(|&b| b as f64 / makespan).collect()
     }
 }
 
@@ -50,30 +45,64 @@ impl Schedule {
 pub enum ScheduleError {
     /// A segment names a processor outside the machine configuration.
     ProcOutOfRange { seg: SegId, proc: u8, procs: usize },
-    /// The dependency graph contains a cycle (a recording bug).
-    Cycle { unscheduled: usize },
 }
 
 impl std::fmt::Display for ScheduleError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ScheduleError::ProcOutOfRange { seg, proc, procs } => write!(
-                f,
-                "segment {:?} bound to processor {} but machine has {}",
-                seg, proc, procs
-            ),
-            ScheduleError::Cycle { unscheduled } => {
-                write!(
-                    f,
-                    "dependency cycle: {} segments unschedulable",
-                    unscheduled
-                )
-            }
-        }
+        let ScheduleError::ProcOutOfRange { seg, proc, procs } = self;
+        write!(
+            f,
+            "segment {seg:?} bound to processor {proc} but machine has {procs}"
+        )
     }
 }
 
 impl std::error::Error for ScheduleError {}
+
+/// Every segment's outgoing edges as one flat list, grouped by source in
+/// recording order: segment `i`'s `(target, latency)` pairs are
+/// `edges[first[i]..first[i + 1]]`.
+struct Succs {
+    first: Vec<usize>,
+    edges: Vec<(usize, u64)>,
+}
+
+impl Succs {
+    fn new(trace: &Trace) -> Succs {
+        let mut first = vec![0; trace.len() + 1];
+        for e in trace.edges() {
+            first[e.from.index() + 1] += 1;
+        }
+        for i in 0..trace.len() {
+            first[i + 1] += first[i];
+        }
+        let (mut next, mut edges) = (first.clone(), vec![(0, 0); trace.edges().len()]);
+        for e in trace.edges() {
+            edges[next[e.from.index()]] = (e.to.index(), e.latency);
+            next[e.from.index()] += 1;
+        }
+        Succs { first, edges }
+    }
+
+    fn of(&self, i: usize) -> &[(usize, u64)] {
+        &self.edges[self.first[i]..self.first[i + 1]]
+    }
+
+    /// Longest path through the DAG: one pass in segment order, which is
+    /// topological because every edge points forward.
+    fn critical_path(&self, trace: &Trace) -> u64 {
+        let mut start = vec![0u64; trace.len()];
+        let mut best = 0;
+        for (i, s) in trace.segments().iter().enumerate() {
+            let f = start[i] + s.cost;
+            best = best.max(f);
+            for &(j, lat) in self.of(i) {
+                start[j] = start[j].max(f + lat);
+            }
+        }
+        best
+    }
+}
 
 /// Replay `trace` on `procs` processors.
 pub fn schedule(trace: &Trace, procs: usize) -> Result<Schedule, ScheduleError> {
@@ -88,12 +117,10 @@ pub fn schedule(trace: &Trace, procs: usize) -> Result<Schedule, ScheduleError> 
         }
     }
 
-    // Adjacency and in-degrees.
+    let succs = Succs::new(trace);
     let mut indeg = vec![0u32; n];
-    let mut succ: Vec<Vec<(SegId, u64)>> = vec![Vec::new(); n];
-    for e in trace.edges() {
-        indeg[e.to.index()] += 1;
-        succ[e.from.index()].push((e.to, e.latency));
+    for &(to, _) in &succs.edges {
+        indeg[to] += 1;
     }
 
     // ready_at[i]: earliest start permitted by already-finished predecessors.
@@ -109,14 +136,13 @@ pub fn schedule(trace: &Trace, procs: usize) -> Result<Schedule, ScheduleError> 
     // Global completion-event queue: (finish_time, seg id).
     let mut events: BinaryHeap<Reverse<(u64, u32)>> = BinaryHeap::new();
 
-    for (i, &deg) in indeg.iter().enumerate().take(n) {
+    for (i, &deg) in indeg.iter().enumerate() {
         if deg == 0 {
             let p = trace.segments()[i].proc as usize;
             ready[p].push(Reverse((0, i as u32)));
         }
     }
 
-    let mut scheduled = 0usize;
     let mut makespan = 0u64;
 
     loop {
@@ -143,8 +169,7 @@ pub fn schedule(trace: &Trace, procs: usize) -> Result<Schedule, ScheduleError> 
                 events.pop();
                 let f = finish[seg as usize];
                 debug_assert_eq!(f, t);
-                for &(to, lat) in &succ[seg as usize] {
-                    let i = to.index();
+                for &(i, lat) in succs.of(seg as usize) {
                     indeg[i] -= 1;
                     ready_at[i] = ready_at[i].max(f + lat);
                     if indeg[i] == 0 {
@@ -166,7 +191,6 @@ pub fn schedule(trace: &Trace, procs: usize) -> Result<Schedule, ScheduleError> 
                 avail[p] = finish[i];
                 busy[p] += cost;
                 makespan = makespan.max(finish[i]);
-                scheduled += 1;
                 events.push(Reverse((finish[i], seg)));
             }
             None => {
@@ -177,49 +201,19 @@ pub fn schedule(trace: &Trace, procs: usize) -> Result<Schedule, ScheduleError> 
         }
     }
 
-    if scheduled != n {
-        return Err(ScheduleError::Cycle {
-            unscheduled: n - scheduled,
-        });
-    }
-
     Ok(Schedule {
         start,
         finish,
         busy,
         makespan,
+        critical_path: succs.critical_path(trace),
     })
 }
 
 /// Length of the critical path of the DAG (infinite processors): a lower
 /// bound on any makespan.
 pub fn critical_path(trace: &Trace) -> u64 {
-    let n = trace.len();
-    let mut indeg = vec![0u32; n];
-    let mut succ: Vec<Vec<(usize, u64)>> = vec![Vec::new(); n];
-    for e in trace.edges() {
-        indeg[e.to.index()] += 1;
-        succ[e.from.index()].push((e.to.index(), e.latency));
-    }
-    let mut finish = vec![0u64; n];
-    let mut stack: Vec<usize> = (0..n).filter(|&i| indeg[i] == 0).collect();
-    let mut best = 0;
-    let mut seen = 0usize;
-    while let Some(i) = stack.pop() {
-        seen += 1;
-        let f = finish[i] + trace.segments()[i].cost;
-        // finish[i] currently holds the earliest start; convert to finish.
-        best = best.max(f);
-        for &(j, lat) in &succ[i] {
-            finish[j] = finish[j].max(f + lat);
-            indeg[j] -= 1;
-            if indeg[j] == 0 {
-                stack.push(j);
-            }
-        }
-    }
-    assert_eq!(seen, n, "critical_path on cyclic trace");
-    best
+    Succs::new(trace).critical_path(trace)
 }
 
 /// Per-processor total work: `makespan >= max_p busy[p]`.
@@ -341,13 +335,13 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "forward")]
     fn cycle_detected() {
+        // A cycle needs a backward edge, and recording one panics.
         let mut t = Trace::new();
         let a = seg(&mut t, 0, 10);
         let b = seg(&mut t, 0, 10);
-        t.add_edge(a, b, 0, EdgeKind::Seq);
         t.add_edge(b, a, 0, EdgeKind::Seq);
-        assert!(matches!(schedule(&t, 1), Err(ScheduleError::Cycle { .. })));
     }
 
     #[test]

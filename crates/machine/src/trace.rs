@@ -70,13 +70,7 @@ impl EdgeKind {
 
     #[inline]
     fn index(self) -> usize {
-        match self {
-            EdgeKind::Seq => 0,
-            EdgeKind::Migrate => 1,
-            EdgeKind::Return => 2,
-            EdgeKind::Steal => 3,
-            EdgeKind::Join => 4,
-        }
+        self as usize
     }
 }
 
@@ -109,11 +103,12 @@ impl Trace {
         self.segments[seg.index()].cost += cycles;
     }
 
-    /// Record a dependency edge.
+    /// Record a dependency edge. Edges point forward in recording order
+    /// (the runtime's always end at the segment it has just opened), so
+    /// the trace is a DAG whose segment order is topological.
     pub fn add_edge(&mut self, from: SegId, to: SegId, latency: u64, kind: EdgeKind) {
-        debug_assert!(from.index() < self.segments.len());
+        assert!(from < to, "edge {from:?} -> {to:?} must point forward");
         debug_assert!(to.index() < self.segments.len());
-        debug_assert_ne!(from, to, "self-edge");
         self.kind_counts[kind.index()] += 1;
         self.edges.push(Edge {
             from,
@@ -184,11 +179,7 @@ impl FaultTag {
 
     #[inline]
     fn index(self) -> usize {
-        match self {
-            FaultTag::Dropped => 0,
-            FaultTag::Duplicated => 1,
-            FaultTag::DelayedDuplicate => 2,
-        }
+        self as usize
     }
 
     pub fn name(self) -> &'static str {

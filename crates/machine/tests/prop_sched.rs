@@ -38,6 +38,7 @@ fn random_dags_schedule_within_bounds() {
         let s = schedule(&t, procs).expect("forward edges cannot cycle");
         assert!(s.makespan >= makespan_lower_bound(&t, procs));
         assert!(s.makespan >= critical_path(&t));
+        assert_eq!(s.critical_path, critical_path(&t));
         // Never worse than fully serializing everything plus all edge
         // latencies.
         let serial: u64 = t.total_cost() + t.edges().iter().map(|e| e.latency).sum::<u64>();

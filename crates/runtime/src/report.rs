@@ -214,7 +214,7 @@ pub fn run<R>(cfg: Config, program: impl FnOnce(&mut OldenCtx) -> R) -> (R, RunR
         procs: cfg.procs,
         makespan: schedule.makespan,
         total_work: trace.total_cost(),
-        critical_path: sched::critical_path(&trace),
+        critical_path: schedule.critical_path,
         segments: trace.len(),
         stats,
         cache: *cache_sys.stats(),

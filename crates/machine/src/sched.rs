@@ -335,13 +335,24 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "forward")]
     fn cycle_detected() {
-        // A cycle needs a backward edge, and recording one panics.
+        // A cycle needs a backward edge, and recording one panics before
+        // the edge is stored, so the trace stays a schedulable DAG.
         let mut t = Trace::new();
         let a = seg(&mut t, 0, 10);
         let b = seg(&mut t, 0, 10);
-        t.add_edge(b, a, 0, EdgeKind::Seq);
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            t.add_edge(b, a, 0, EdgeKind::Seq)
+        }))
+        .expect_err("a backward edge must be rejected");
+        let msg = err
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| err.downcast_ref::<&str>().copied())
+            .unwrap_or("");
+        assert!(msg.contains("forward"), "unexpected panic: {msg}");
+        assert!(t.edges().is_empty());
+        assert_eq!(schedule(&t, 1).unwrap().makespan, 20);
     }
 
     #[test]

@@ -98,8 +98,8 @@ fn lower_structs(
 /// hold their instructions and terminators, and from `table`, which holds
 /// one verdict per CFG site in order: the `k`-th site of a function whose
 /// sites start at table index `first` executes under verdict `first + k`.
-/// Fails only when `table` has another site count than the CFGs (a table
-/// of another program).
+/// Fails when `table` is another program's: it has another site count
+/// than the CFGs, or pairs a site with a verdict of another function.
 pub fn lower_ir(prog: &Program, table: &MechTable) -> Result<IrProgram, String> {
     let cfgs = &lowered(prog).1;
     let sites: usize = cfgs.iter().map(|c| c.sites.len()).sum();
@@ -119,11 +119,18 @@ pub fn lower_ir(prog: &Program, table: &MechTable) -> Result<IrProgram, String> 
     let mut funcs = Vec::new();
     let mut first = 0;
     for (func, cfg) in prog.funcs.iter().zip(cfgs) {
+        let verdicts = &table.sites[first..first + cfg.sites.len()];
+        if let Some(v) = verdicts.iter().find(|v| v.func != func.name) {
+            return Err(format!(
+                "a check site of `{}` is paired with a verdict of `{}` in the mech table",
+                func.name, v.func
+            ));
+        }
         let sites = cfg.sites.iter().enumerate().map(|(k, s)| {
             let info = fields.info(&s.field);
             IrSite {
                 verdict: first + k,
-                mech: table.sites[first + k].mech,
+                mech: verdicts[k].mech,
                 field: info.word,
                 loads_ptr: info.is_pointer,
                 is_store: s.is_store,
@@ -219,6 +226,28 @@ mod tests {
             "{err}"
         );
         assert!(lower_ir(&p, mech_table(&p)).is_ok());
+    }
+
+    /// A table of another program with the same site count is refused
+    /// too: three sites split 2 + 1 over `f` and `g` against 1 + 2.
+    #[test]
+    fn another_programs_table_with_as_many_sites_is_refused() {
+        let p = crate::parse(
+            "struct n { n *next; int v; }\nint f(n *p) { return p->next->v; }\nint g(n *p) { return p->v; }\n",
+        )
+        .unwrap();
+        let q = crate::parse(
+            "struct n { n *next; int v; }\nint f(n *p) { return p->v; }\nint g(n *p) { return p->next->v; }\n",
+        )
+        .unwrap();
+        assert_eq!(mech_table(&p).sites.len(), 3);
+        assert_eq!(mech_table(&q).sites.len(), 3);
+        let err = lower_ir(&p, mech_table(&q)).unwrap_err();
+        assert!(err.contains("`f`") && err.contains("`g`"), "{err}");
+        let err = lower_ir(&q, mech_table(&p)).unwrap_err();
+        assert!(err.contains("`f`") && err.contains("`g`"), "{err}");
+        assert!(lower_ir(&p, mech_table(&p)).is_ok());
+        assert!(lower_ir(&q, mech_table(&q)).is_ok());
     }
 
     /// Trip keys are the cost model's loop keys, and every while body

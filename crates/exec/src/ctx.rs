@@ -8,8 +8,9 @@
 //! processor. A request to another processor — a
 //! remote word, a line fetch, a migration arrival, coherence traffic — is
 //! a message; one to the processor the thread occupies (a local load or
-//! store, a cache probe or install, a local allocation) is serviced in
-//! place on threads and is a message over `net` (see `ExecCtx::req`).
+//! store, a cache probe or install, a local allocation), and every
+//! request of an uncharged region, is serviced in place on threads and is
+//! a message over `net` (see `ExecCtx::req`).
 //!
 //! ### Lockstep parity
 //!
@@ -96,8 +97,8 @@ pub struct ExecCtx {
     shared: Arc<Shared>,
     /// The logical thread. Its frames are its own plus, for a body thread,
     /// those inherited from its spawner (a migration here must be able to
-    /// steal an ancestor's continuation); an uncharged region still moves
-    /// heap traffic, but counts no events and runs no cache or migration
+    /// steal an ancestor's continuation); an uncharged region reaches the
+    /// heap in place, counts no events and runs no cache or migration
     /// machinery, as in the simulator. Its recorder is single-owner: the
     /// lane is parked in `Shared::lanes` when the thread finishes.
     t: ThreadState<Arc<FrameHandle>>,
@@ -248,16 +249,29 @@ impl ExecCtx {
     /// until this thread's next send to that worker or a flush, so the
     /// posts and the request that waits travel as one batch.
     ///
-    /// A request to the processor this thread occupies is serviced in
-    /// place when that processor's state lives in this process (threads,
-    /// not `net`): the thread calls the worker's `handle` itself under its
-    /// lock — no envelope, sequence number, fault verdict or reply lane,
-    /// as the paper's local load or inline cache probe needs none. An
-    /// arrival stays a message wherever it lands, so every migration
-    /// still costs exactly one.
+    /// A request is serviced in place when the target processor's state
+    /// lives in this process (threads, not `net`) and either the thread
+    /// occupies that processor or the thread is uncharged: the thread calls
+    /// the worker's `handle` itself under its lock — no envelope, sequence
+    /// number, fault verdict or reply lane. The paper's local load or
+    /// inline cache probe needs no message, and an uncharged region (a
+    /// structure-building phase, §5) records no traffic. Off its own
+    /// processor the thread first collects what it posted to that worker,
+    /// so its own earlier write-throughs are performed before the request;
+    /// on it, it owes nothing, as every move settles. An arrival stays a
+    /// message wherever it lands, so every migration still costs exactly
+    /// one.
     fn req(&mut self, proc: ProcId, req: Request) -> Reply {
-        if proc == self.t.proc && !matches!(req, Request::MigrateThread { .. }) {
+        let here = proc == self.t.proc;
+        if (here || !self.t.charged()) && !matches!(req, Request::MigrateThread { .. }) {
             if let Some(worker) = self.shared.link.resident(proc) {
+                if !here && self.owed[proc as usize] > 0 {
+                    // `collect`, on the fields `worker` does not borrow.
+                    self.conn.flush();
+                    for _ in 0..std::mem::take(&mut self.owed[proc as usize]) {
+                        self.conn.recv_reply(proc).expect_unit();
+                    }
+                }
                 let reply = worker.lock().unwrap().handle(req);
                 self.bump();
                 return reply;

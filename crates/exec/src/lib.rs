@@ -324,8 +324,9 @@ pub struct ExecReport {
     pub section_words: u64,
     /// Inter-processor messages: logical messages the workers serviced
     /// through `Worker::deliver`, the shutdown drain included. A request a
-    /// logical thread serviced in place on the processor it occupies is
-    /// not one (threads only — over `net` every request is a message).
+    /// logical thread serviced in place — on the processor it occupies, or
+    /// anywhere from an uncharged region — is not one (threads only — over
+    /// `net` every request is a message).
     pub messages: u64,
     /// `messages` by kind, tallied at the senders (the drain's
     /// `Shutdown`s included); the kinds sum to `messages`.
@@ -831,6 +832,47 @@ mod tests {
             ctx.read_i64(a, 0, Mechanism::Cache) // fresh cache: fetches home copy
         });
         assert_eq!(v, 42);
+    }
+
+    /// A build phase sends nothing: uncharged allocations, writes and reads
+    /// on every processor, by either mechanism, are serviced in place, so
+    /// the only messages are the shutdown drain's.
+    #[test]
+    fn an_uncharged_build_phase_sends_nothing() {
+        let (sum, rep) = run_exec(ExecConfig::lockstep(4), |ctx| {
+            ctx.uncharged(|c| {
+                (0..4u8)
+                    .map(|p| {
+                        let a = c.alloc(p, 2);
+                        c.write(a, 0, p as i64 + 1, Mechanism::Migrate);
+                        c.write(a, 1, p as i64 * 10, Mechanism::Cache);
+                        c.read_i64(a, 0, Mechanism::Cache) + c.read_i64(a, 1, Mechanism::Migrate)
+                    })
+                    .sum::<i64>()
+            })
+        });
+        assert_eq!(sum, 10 + 60);
+        assert_eq!(
+            rep.sent.nonzero().collect::<Vec<_>>(),
+            [(MsgKind::Shutdown, 4)]
+        );
+        assert_eq!(rep.messages, 4);
+        assert_eq!(rep.stats, RunStats::default(), "nothing is charged");
+    }
+
+    /// An uncharged read at another processor's home is serviced in place
+    /// after the thread's own posted write-through there, so it sees the
+    /// value a charged cached write just wrote.
+    #[test]
+    fn an_uncharged_read_sees_the_threads_own_posted_write() {
+        let (v, rep) = run_exec(ExecConfig::lockstep(2), |ctx| {
+            let a = ctx.alloc(1, 1);
+            ctx.write(a, 0, 41i64, Mechanism::Cache); // write-through to proc 1, posted
+            ctx.uncharged(|c| c.read_i64(a, 0, Mechanism::Migrate))
+        });
+        assert_eq!(v, 41);
+        assert_eq!(rep.sent.get(MsgKind::WriteHome), 1);
+        assert_eq!(rep.sent.get(MsgKind::ReadHome), 0);
     }
 
     /// Parallel mode: a migrating body forks for real; values and the

@@ -15,10 +15,11 @@
 //! transport routes replies over one lane per (client, worker), the socket
 //! transport writes them back on the connection the request arrived on.
 //! On the thread backend a request addressed to the processor the
-//! logical thread occupies never reaches a transport at all: the thread
-//! hands it to that worker's `handle` in place (every `CacheLookup`,
-//! `CacheInstall` and `RevalApply`, and the local `ReadHome`, `WriteHome`
-//! and `Alloc`; a `MigrateThread` always travels).
+//! logical thread occupies, or made from an uncharged region, never
+//! reaches a transport at all: the thread hands it to that worker's
+//! `handle` in place (every `CacheLookup`, `CacheInstall`, `RevalApply`
+//! and `ReadHome`, the local `WriteHome` and `Alloc`, and every uncharged
+//! one; a `MigrateThread` always travels).
 //!
 //! Every message is declared once, in a `messages!` table below: one
 //! row per variant with its wire tag, its fields and, for a request, its

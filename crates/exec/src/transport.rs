@@ -21,8 +21,9 @@
 //!   [`CONTROL_SRC`](crate::msg::CONTROL_SRC)), and that says whether a
 //!   processor's [`Worker`] lives in this process
 //!   ([`Transport::resident`]). A logical thread services a request
-//!   addressed to the resident processor it occupies in place instead of
-//!   sending it: in place on threads, a message over `net`.
+//!   addressed to the resident processor it occupies, or any request of
+//!   an uncharged region, in place instead of sending it: in place on
+//!   threads, a message over `net`.
 //!
 //! The exactly-once contract the protocol relies on: a transport
 //! delivers every transmitted envelope (losses are *injected* by the

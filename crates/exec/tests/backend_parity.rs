@@ -18,8 +18,11 @@ const PROCS: usize = 8;
 
 /// The per-kind message counts against the run's own counters: one
 /// `Migrate` per forward migration, return and stolen-future receipt;
-/// one `LineFetch` per miss that a revalidation did not save; nothing
-/// sent of the kinds a thread always services in place; and the kinds
+/// one `LineFetch` per miss that a revalidation did not save; one
+/// `WriteHome` per cached write to a remote home (its write-through: every
+/// other write is local or uncharged); nothing sent of the kinds a thread
+/// always services in place, `ReadHome` among them (a charged read at a
+/// home follows a migration, an uncharged one is in place); and the kinds
 /// sum to `messages`.
 fn assert_kinds_account_for_messages(name: &str, rep: &ExecReport) {
     let (s, c, sent) = (&rep.stats, &rep.cache, &rep.sent);
@@ -33,10 +36,16 @@ fn assert_kinds_account_for_messages(name: &str, rep: &ExecReport) {
         c.misses - c.revalidations,
         "{name}: LineFetch"
     );
+    assert_eq!(
+        sent.get(MsgKind::WriteHome),
+        c.remote_writes,
+        "{name}: WriteHome"
+    );
     for kind in [
         MsgKind::CacheLookup,
         MsgKind::CacheInstall,
         MsgKind::RevalApply,
+        MsgKind::ReadHome,
     ] {
         assert_eq!(sent.get(kind), 0, "{name}: {kind} is serviced in place");
     }

@@ -8,11 +8,12 @@
 //! knowledge, timestamp bumps and revalidations only under the bilateral
 //! scheme), so each kind runs its own (protocol, kernel) pair.
 //!
-//! Three kinds are always addressed to the processor the logical thread
-//! occupies ([`IN_PLACE`]), so the thread backend services them in place
-//! and never sends them: starving them here must change nothing. They are
-//! starved over sockets instead (`olden-net`'s `net_parity`), so every
-//! data-plane kind fails typed on some backend.
+//! Four kinds are never sent by the thread backend ([`IN_PLACE`]): three
+//! are always addressed to the processor the logical thread occupies, and
+//! a `ReadHome` is either local (after a migration) or uncharged, so the
+//! thread services each in place and starving it here must change
+//! nothing. They are starved over sockets instead (`olden-net`'s
+//! `net_parity`), so every data-plane kind fails typed on some backend.
 
 use olden_exec::{try_run_exec, ExecConfig, ExecCtx, ExecError, FaultPlan, MsgKind, Protocol};
 use olden_runtime::{Backend, Config, Mechanism, OldenCtx};
@@ -20,12 +21,14 @@ use std::time::Duration;
 
 /// The kinds a thread-backend run never sends, each with the message kind
 /// that always travels beside it (a lookup or install brackets every line
-/// fetch; a revalidation query is always followed by its apply), so the
-/// coverage check knows the in-place request really happened.
-const IN_PLACE: [(MsgKind, MsgKind); 3] = [
+/// fetch; a revalidation query is always followed by its apply; a
+/// migration arrives before its local read), so the coverage check knows
+/// the in-place request really happened.
+const IN_PLACE: [(MsgKind, MsgKind); 4] = [
     (MsgKind::CacheLookup, MsgKind::LineFetch),
     (MsgKind::CacheInstall, MsgKind::LineFetch),
     (MsgKind::RevalApply, MsgKind::RevalQuery),
+    (MsgKind::ReadHome, MsgKind::Migrate),
 ];
 
 fn in_place_witness(kind: MsgKind) -> Option<MsgKind> {
@@ -33,15 +36,14 @@ fn in_place_witness(kind: MsgKind) -> Option<MsgKind> {
 }
 
 /// Sends every scheme-independent data-plane [`MsgKind`] at least once
-/// when unfaulted (allocation, home reads/writes, a line fetch around its
-/// in-place lookup and install, a sanitized cache hit, a migration, a
-/// race query).
+/// when unfaulted (allocation, a home write, a line fetch around its
+/// in-place lookup and install, a sanitized cache hit, a migration before
+/// its in-place home read, a race query).
 fn universal_kernel<B: Backend>(ctx: &mut B) {
     let a = ctx.alloc(1, 2); // Alloc, on a remote home
     ctx.write(a, 0, 7i64, Mechanism::Cache); // lookup miss → LineFetch → install → WriteHome
     ctx.read_i64(a, 0, Mechanism::Cache); // lookup hit → SanitizeHit (sanitized run)
-    ctx.uncharged(|c| c.read_i64(a, 1, Mechanism::Migrate)); // ReadHome: uncharged, no move
-    ctx.read_i64(a, 1, Mechanism::Migrate); // Migrate, then a local read
+    ctx.read_i64(a, 1, Mechanism::Migrate); // Migrate, then a local ReadHome
     ctx.race_violations(); // RaceQuery to the other processors
 }
 

@@ -246,8 +246,9 @@ fn sanitizer_clocks_survive_the_wire() {
 /// The kinds the thread backend services in place are messages over
 /// sockets, so starving one fails the run with a typed `Starved` naming
 /// it — the half of the starvation property `starvation.rs` cannot reach
-/// on threads. The bilateral kernel sends all three: a cached write's
-/// lookup and install, then a revalidation's apply after the return.
+/// on threads. The bilateral kernel sends all four: a cached write's
+/// lookup and install, the local read after a migration, then a
+/// revalidation's apply after the return.
 #[test]
 fn in_place_kinds_starve_over_sockets() {
     require_loopback!();
@@ -255,13 +256,14 @@ fn in_place_kinds_starve_over_sockets() {
         let a = ctx.alloc(1, 1);
         let probe = ctx.alloc(2, 1);
         ctx.write(a, 0, 1i64, Mechanism::Cache); // CacheLookup miss → CacheInstall
-        ctx.call(|c| c.read_i64(probe, 0, Mechanism::Migrate)); // return marks proc 0
+        ctx.call(|c| c.read_i64(probe, 0, Mechanism::Migrate)); // ReadHome; return marks proc 0
         ctx.read_i64(a, 0, Mechanism::Cache); // RevalQuery → RevalApply
     }
     for kind in [
         MsgKind::CacheLookup,
         MsgKind::CacheInstall,
         MsgKind::RevalApply,
+        MsgKind::ReadHome,
     ] {
         let plan = FaultPlan::none().starving(kind);
         let exec = ExecConfig::lockstep(PROCS)
